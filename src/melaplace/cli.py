@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -86,6 +87,16 @@ def parse_grid(text: str):
     if count < 1:
         raise ParseError("grid count must be at least 1")
     return [float(v) for v in np.linspace(start, stop, count)]
+
+
+def _parse_real(text, option: str) -> float:
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise ParseError(f"bad real literal {text!r} for --{option}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"--{option} must be finite, got {text!r}")
+    return value
 
 
 def _parse_reals(text: str):
@@ -193,7 +204,7 @@ def _cmd_transform(ns) -> int:
 def _invert_args(ns):
     args = []
     if getattr(ns, "x", None):
-        args.extend(float(v) for v in ns.x)
+        args.extend(_parse_real(v, "x") for v in ns.x)
     if getattr(ns, "grid", None):
         args.extend(parse_grid(ns.grid))
     if not args:
@@ -258,7 +269,7 @@ def _cmd_roundtrip(ns) -> int:
 def _cmd_delta_check(ns) -> int:
     spec = parse_spec_string(_require(ns, "func"))
     table = delta_check(
-        float(_require(ns, "x")), spec, _parse_reals(_require(ns, "T")),
+        _parse_real(_require(ns, "x"), "x"), spec, _parse_reals(_require(ns, "T")),
         _quad_from(ns),
     )
     rows = [
@@ -276,7 +287,7 @@ def _cmd_sweep(ns) -> int:
     table = invariance_sweep(
         t,
         kind,
-        float(_require(ns, "x")),
+        _parse_real(_require(ns, "x"), "x"),
         _parse_reals(_require(ns, "deltas")),
         _parse_reals(_require(ns, "Ts")),
         _quad_from(ns),

@@ -14,6 +14,13 @@ every edge are capped at min(pi/4, 2*delta): pi/4 keeps exp(i*x*Im z)
 oscillation resolvable at order 16 for |x| up to ~8, and 2*delta keeps
 Gauss-Legendre convergence geometric despite poles sitting delta away from
 the edges.  Wider arguments need a caller-supplied denser QuadratureSpec.
+
+Transform values at the contour nodes come from one batched call,
+``transforms.values``.  Rational forms sum their poles over all nodes at
+once.  Numeric and Gamma forms, which only open lines can carry, have the
+whole node array checked against their validity strip and then integrated
+in blocks of nodes whose quadrature panels are shared, rather than one
+adaptive integral per node.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from .transforms import (
     InverseKind,
     TransformExpr,
     TransformForm,
-    eval_transform,
     rational_values,
+    values,
 )
 
 _BASE_PANEL_WIDTH = math.pi / 4
@@ -113,8 +120,6 @@ def bromwich_for(
         raise ValueError("delta must be positive")
     if t.form is TransformForm.RATIONAL:
         a = max(p.real for p, _ in t.poles)
-    elif t.form is TransformForm.GAMMA:
-        a = 0.0
     else:
         if t.validity is None:
             raise UnknownBoundary("numeric transform has no validity metadata")
@@ -209,11 +214,7 @@ def _contour_sum(t: TransformExpr, kind: InverseKind, c: Contour, arg: float,
         kernel = np.exp(arg * nodes)
     else:
         kernel = np.exp(-nodes * math.log(arg))
-    if t.form is TransformForm.RATIONAL:
-        values = rational_values(t, nodes)
-    else:
-        values = np.array([eval_transform(t, z, q) for z in nodes])
-    return complex(np.dot(weights, kernel * values)) / (2j * math.pi)
+    return complex(np.dot(weights, kernel * values(t, nodes, q))) / (2j * math.pi)
 
 
 def inverse_eval(
@@ -284,5 +285,5 @@ def cauchy_reproduction(
             f"need Re z > {rect.c_right:g}, got {z.real:g}"
         )
     nodes, weights = discretize(rect, q)
-    values = rational_values(t, nodes) / (z - nodes)
-    return complex(np.dot(weights, values)) / (2j * math.pi)
+    terms = rational_values(t, nodes) / (z - nodes)
+    return complex(np.dot(weights, terms)) / (2j * math.pi)

@@ -12,6 +12,11 @@ continuation), a numeric closure backed by direct quadrature, or the Gamma
 function given by its defining integral.  Only rational forms can be
 inverted on a closed rectangle; the Gamma function's poles march off to the
 left, so it stays on open Bromwich lines.
+
+``values`` evaluates any TransformExpr at an array of z.  For numeric and
+Gamma forms it checks the whole array against the validity region, then
+integrates blocks of z as the columns of one matrix integrand, so the
+quadrature panels are shared by every z of a block.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from .quadrature import (
 
 # poles closer than this are "the same point" for evaluation purposes
 POLE_HIT_TOL = 1e-12
+# z columns per batched integral: caps the (nodes, columns) working set
+_Z_BLOCK = 128
 
 
 class TransformKind(enum.Enum):
@@ -65,8 +72,9 @@ class TransformExpr:
     """A transform in the complex z-plane.
 
     Rational: value is sum(res/(z - pole)); poles pairwise distinct.
-    Numeric: value computed by direct quadrature of ``source`` at each z.
-    Gamma: the Euler integral, evaluated for Re z > 0.
+    Numeric: value computed by direct quadrature of ``source``.
+    Gamma: the Euler integral, evaluated for Re z > 0 as the numeric
+    Mellin transform of exp(-x).
 
     ``validity`` is where the defining integral converges (a half-plane is
     stored as a strip with c2 = +inf); rational forms evaluate anywhere
@@ -107,12 +115,8 @@ class TransformExpr:
 
     @classmethod
     def numeric(cls, spec: FunctionSpec, kind: TransformKind) -> "TransformExpr":
-        if kind is TransformKind.MELLIN:
-            validity = holomorphy_strip(spec)
-        else:
-            validity = Strip(_growth_index(spec, kind), math.inf)
         return cls(TransformForm.NUMERIC, source=spec, kind=kind,
-                   validity=validity)
+                   validity=_domain(spec, kind))
 
     @classmethod
     def gamma(cls) -> "TransformExpr":
@@ -189,32 +193,71 @@ def _growth_index(spec: FunctionSpec, kind: TransformKind) -> float:
     return growth_bounds(spec).right_index if native else 0.0
 
 
-def _laplace_integrand(spec: FunctionSpec, z: complex):
+def _domain(spec: FunctionSpec, kind: TransformKind) -> Strip:
+    """Where the defining integral converges, from the growth metadata."""
+    if kind is TransformKind.MELLIN:
+        return holomorphy_strip(spec)
+    return Strip(_growth_index(spec, kind), math.inf)
+
+
+def _check_domain(spec: FunctionSpec, kind: TransformKind, z) -> None:
+    """Raise OutOfDomain unless z (one value or an array) lies inside the
+    domain of the direct transform."""
+    strip = _domain(spec, kind)
+    if isinstance(z, np.ndarray):
+        re = z.real
+        inside = bool(np.all((re > strip.c1) & (re < strip.c2)))
+    else:
+        inside = strip.contains(z.real)
+    if not inside:
+        bounds = (f"Re z > {strip.c1:g}" if strip.c2 == math.inf
+                  else f"{strip.c1:g} < Re z < {strip.c2:g}")
+        raise OutOfDomain(f"{kind.value} transform of {spec.kind.value} needs {bounds}")
+
+
+def _column(z):
+    """Shape quadrature nodes to broadcast against z: unchanged for one z,
+    a (nodes, 1) column against an array of z, so that the integrand
+    returns a (nodes, len(z)) matrix."""
+    if isinstance(z, np.ndarray):
+        return lambda t: t[:, None]
+    return lambda t: t
+
+
+def _laplace_integrand(spec: FunctionSpec, z):
     # fold the kernel into the function's own exponent wherever possible:
     # exp(-t*z) and exp(-g*t) evaluated separately overflow/underflow for
     # Re z near -g even though their product decays
+    col = _column(z)
     if spec.kind in (FunctionKind.EXP, FunctionKind.EXP_MINUS_X):
         g = spec.params[0] if spec.params else 1.0
-        return lambda t: np.exp(-(z + g) * t)
+        return lambda t: np.exp(-(z + g) * col(t))
     if spec.kind is FunctionKind.MIXED_EXP:
         g1, g2 = spec.params
-        return lambda t: (
-            np.exp(-(z + g1) * t) * np.sin(t) ** 2
-            + np.exp(-(z + g2) * t) * np.cos(t) ** 2
-        )
-    return lambda t: np.exp(-t * z) * evaluate(spec, t)
+
+        def mixed(t):
+            t = col(t)
+            return (
+                np.exp(-(z + g1) * t) * np.sin(t) ** 2
+                + np.exp(-(z + g2) * t) * np.cos(t) ** 2
+            )
+
+        return mixed
+    return lambda t: np.exp(-col(t) * z) * evaluate(spec, col(t))
 
 
-def _moment_integrand(spec: FunctionSpec, z: complex):
+def _moment_integrand(spec: FunctionSpec, z):
     # the substituted y = exp(-t) form of y**(z-1) * F(y) on [0, inf),
     # again with fused exponents
+    col = _column(z)
     if spec.kind is FunctionKind.POWER:
         g = spec.params[0]
-        return lambda t: np.exp(-(z + g) * t)
+        return lambda t: np.exp(-(z + g) * col(t))
     if spec.kind is FunctionKind.MIXED_POWER:
         g1, g2 = spec.params
 
         def mixed(t):
+            t = col(t)
             u = np.exp(-t)
             return (
                 np.exp(-(z + g1) * t) * np.sin(u) ** 2
@@ -222,7 +265,35 @@ def _moment_integrand(spec: FunctionSpec, z: complex):
             )
 
         return mixed
-    return lambda t: np.exp(-t * z) * evaluate(spec, np.exp(-t))
+    return lambda t: np.exp(-col(t) * z) * evaluate(spec, np.exp(-col(t)))
+
+
+def _mellin_tail_integrand(spec: FunctionSpec, z):
+    # x**(z-1) * f(x) on [1, inf)
+    col = _column(z)
+
+    def tail(x):
+        x = col(x)
+        return np.exp((z - 1.0) * np.log(x)) * evaluate(spec, x)
+
+    return tail
+
+
+def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> Estimate:
+    """Direct transform at one z, or at a 1-D array of z as the columns of
+    one matrix integrand; the caller has checked the domain."""
+    if kind is TransformKind.LAPLACE:
+        return integrate_halfline(_laplace_integrand(spec, z), 0.0, q)
+    unit = integrate_halfline(_moment_integrand(spec, z), 0.0, q)
+    if kind is TransformKind.MOMENT:
+        return unit
+    tail = integrate_halfline(_mellin_tail_integrand(spec, z), 1.0, q)
+    return Estimate(
+        unit.value + tail.value,
+        unit.err_est + tail.err_est,
+        unit.panels_used + tail.panels_used,
+        unit.converged and tail.converged,
+    )
 
 
 def transform_estimate(
@@ -233,35 +304,12 @@ def transform_estimate(
     Validity is checked against the growth metadata (never by probing for
     divergence at runtime).  Unit-interval integrals run through the
     y = exp(-t) substitution, so the endpoint singularity never meets a
-    quadrature node.
+    quadrature node; the Mellin transform adds the plain half-line part
+    over [1, inf).
     """
-    q = q or QuadratureSpec()
     z = complex(z)
-    if kind is TransformKind.LAPLACE:
-        a = _growth_index(spec, kind)
-        if not z.real > a:
-            raise OutOfDomain(f"Laplace transform needs Re z > {a:g}")
-        return integrate_halfline(_laplace_integrand(spec, z), 0.0, q)
-    if kind is TransformKind.MOMENT:
-        a = _growth_index(spec, kind)
-        if not z.real > a:
-            raise OutOfDomain(f"moment needs Re z > {a:g}")
-        return integrate_halfline(_moment_integrand(spec, z), 0.0, q)
-    strip = holomorphy_strip(spec)
-    if not strip.contains(z.real):
-        raise OutOfDomain(
-            f"Mellin transform needs {strip.c1:g} < Re z < {strip.c2:g}"
-        )
-    unit = integrate_halfline(_moment_integrand(spec, z), 0.0, q)
-    tail = integrate_halfline(
-        lambda x: np.exp((z - 1.0) * np.log(x)) * evaluate(spec, x), 1.0, q
-    )
-    return Estimate(
-        unit.value + tail.value,
-        unit.err_est + tail.err_est,
-        unit.panels_used + tail.panels_used,
-        unit.converged and tail.converged,
-    )
+    _check_domain(spec, kind, z)
+    return _estimate(spec, kind, z, q or QuadratureSpec())
 
 
 def laplace_transform(spec, z, q=None) -> complex:
@@ -361,20 +409,31 @@ def rational_values(t: TransformExpr, zs: np.ndarray) -> np.ndarray:
     return out
 
 
+def values(t: TransformExpr, zs, q: QuadratureSpec | None = None) -> np.ndarray:
+    """Values of any TransformExpr at an array of z, in the shape of zs.
+
+    Rational forms go through rational_values.  Numeric and Gamma forms
+    raise OutOfDomain unless every z lies in the validity region, then
+    integrate blocks of at most 128 values of z as the columns of one
+    matrix integrand, so each block shares its quadrature panels.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if t.form is TransformForm.RATIONAL:
+        return rational_values(t, zs)
+    if t.form is TransformForm.GAMMA:
+        spec, kind = FunctionSpec.exp_minus_x(), TransformKind.MELLIN
+    else:
+        spec, kind = t.source, t.kind
+    _check_domain(spec, kind, zs)
+    q = q or QuadratureSpec()
+    flat = zs.ravel()
+    if not flat.size:
+        return np.zeros(zs.shape, dtype=complex)
+    blocks = np.array_split(flat, -(-flat.size // _Z_BLOCK))
+    parts = [_estimate(spec, kind, block, q).value for block in blocks]
+    return np.concatenate(parts).reshape(zs.shape)
+
+
 def eval_transform(t: TransformExpr, z: complex, q: QuadratureSpec | None = None) -> complex:
     """Value of any TransformExpr at one complex point."""
-    z = complex(z)
-    if t.form is TransformForm.RATIONAL:
-        return complex(rational_values(t, np.array([z]))[0])
-    if t.form is TransformForm.NUMERIC:
-        if not t.validity.contains(z.real):
-            raise OutOfDomain(
-                f"numeric transform defined for {t.validity.c1:g} < Re z < "
-                f"{t.validity.c2:g}"
-            )
-        return transform_estimate(t.source, t.kind, z, q).value
-    if not z.real > 0:
-        raise OutOfDomain("Gamma integral needs Re z > 0")
-    return transform_estimate(
-        FunctionSpec.exp_minus_x(), TransformKind.MELLIN, z, q
-    ).value
+    return complex(values(t, np.array([complex(z)]), q)[0])

@@ -196,6 +196,22 @@ def test_parse_failure_exits_two(capsys):
     assert "column 11" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--x", "abc"),
+    ("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--x", "1",
+     "--x", "nan"),
+    ("delta-check", "--func", "exp:gamma=1", "--x", "abc", "--T", "20,40"),
+    ("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1.5.2",
+     "--deltas", "0.5", "--Ts", "5"),
+], ids=["invert", "invert-nan", "delta-check", "sweep"])
+def test_malformed_x_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"melaplace {argv[0]}: ") and "--x" in err
+    assert "Traceback" not in err
+
+
 def test_missing_option_exits_two(capsys):
     code, _, err = run(capsys, "transform", "--kind", "laplace", "--z", "1+0i")
     assert code == 2

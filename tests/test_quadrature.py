@@ -56,6 +56,18 @@ def test_halfline_closed_form():
 def test_halfline_divergence_detected():
     with pytest.raises(TailDivergence):
         integrate_halfline(lambda t: np.exp(t), 0.0)
+    with pytest.raises(TailDivergence):
+        integrate_halfline(lambda t: t ** 0.5, 0.0)
+
+
+def test_halfline_humped_integrand_is_not_divergent():
+    # x**3 exp(-x/5) rises until x = 15 before it decays; the integral over
+    # [1, inf) is exp(-g) * sum_k 3!/k! * g**(k-4) with g = 1/5
+    g = 0.2
+    want = math.exp(-g) * sum(6.0 / math.factorial(k) * g ** (k - 4) for k in range(4))
+    est = integrate_halfline(lambda x: x ** 3 * np.exp(-g * x), 1.0)
+    assert est.converged
+    assert abs(est.value - want) <= 1e-10 * want
 
 
 def test_unit_singular_inverse_sqrt():
@@ -158,3 +170,66 @@ def test_spec_json_roundtrip():
     q = QuadratureSpec(panel_order=8, rel_tol=1e-8, abs_tol=1e-11,
                        max_panels=256, tail_growth=1.5)
     assert QuadratureSpec.from_json(q.to_json()) == q
+
+
+# ---------------------------------------------------------------------------
+# matrix integrands: one column per integral, panels shared by all columns
+# ---------------------------------------------------------------------------
+
+RATES = np.array([0.3, 1.0, 2.5, 1.0])
+FREQS = np.array([0.0, 3.0, 1.0, 5.0])
+
+
+def _column_integrand(j):
+    return lambda t: np.exp(-RATES[j] * t) * np.cos(FREQS[j] * t)
+
+
+def _matrix_integrand(t):
+    t = t[:, None]
+    return np.exp(-RATES * t) * np.cos(FREQS * t)
+
+
+@pytest.mark.parametrize("integrate, args", [
+    (integrate_finite, (0.0, 7.0)),
+    (integrate_halfline, (0.0,)),
+    (integrate_halfline, (1.5,)),
+], ids=["finite", "halfline", "halfline-shifted"])
+def test_matrix_columns_match_single_integrals(integrate, args):
+    batched = integrate(_matrix_integrand, *args)
+    assert batched.value.shape == batched.err_est.shape == RATES.shape
+    assert isinstance(batched.converged, bool) and batched.converged
+    assert isinstance(batched.panels_used, int)
+    for j in range(len(RATES)):
+        # every column meets tolerance on its own, not only on average
+        assert batched.err_est[j] <= max(Q.abs_tol, Q.rel_tol * abs(batched.value[j]))
+        single = integrate(_column_integrand(j), *args)
+        assert abs(batched.value[j] - single.value) <= (
+            batched.err_est[j] + single.err_est + Q.abs_tol
+        )
+
+
+def test_matrix_panel_cap_reported_unconverged():
+    q = QuadratureSpec(max_panels=4)
+
+    def f(t):
+        # the first column is easy; the second cannot be resolved in 4 panels
+        return np.stack([np.ones_like(t), np.sin(200.0 * t)], axis=1)
+
+    est = integrate_finite(f, 0.0, 10.0, q)
+    assert est.converged is False
+    assert est.panels_used <= 4
+    assert abs(est.value[0] - 10.0) <= 1e-12
+
+
+def test_matrix_single_nonfinite_column_rejected():
+    def f(t):
+        bad = np.where(t > 0.5, np.nan, 1.0)
+        return np.stack([np.exp(-t), bad, np.cos(t)], axis=1)
+
+    with pytest.raises(NonFiniteIntegrand, match="near t = ") as info:
+        integrate_finite(f, 0.0, 1.0)
+    # the error names a node where the bad column is not finite
+    named = float(str(info.value).rsplit("= ", 1)[1])
+    assert 0.5 < named < 1.0
+    with pytest.raises(NonFiniteIntegrand):
+        integrate_halfline(f, 0.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melaplace import (
     FunctionSpec,
@@ -24,6 +26,7 @@ from melaplace import (
     mellin_transform,
     transform_estimate,
 )
+from melaplace.transforms import values
 
 EXP1 = FunctionSpec.exp(1.0)
 POW_HALF = FunctionSpec.power(0.5)
@@ -101,6 +104,24 @@ def test_mellin_transform_strip_guard():
         mellin_transform(EGAMMA, -0.5)
     with pytest.raises(NoStrip):
         mellin_transform(POW_HALF, 1.0)
+
+
+def test_mellin_of_slowly_decaying_exponential():
+    # x**(s-1) exp(-g x) rises until x = (s-1)/g ~ 8.8 before it decays,
+    # a hump the tail's divergence test must let through
+    g, s = 0.258, 3.278
+    got = mellin_transform(FunctionSpec.exp(g), s)
+    assert got == pytest.approx(math.gamma(s) * g ** -s, rel=1e-9)
+    assert got.real == pytest.approx(222.6138, rel=1e-6)
+
+
+def test_mellin_scan_of_humped_integrands_never_raises():
+    for g in np.linspace(0.2, 1.0, 9):
+        for s in np.linspace(0.5, 4.0, 8):
+            want = math.gamma(s) * g ** -s
+            assert mellin_transform(FunctionSpec.exp(g), s) == pytest.approx(
+                want, rel=1e-9
+            )
 
 
 def test_split_identity_parts_match_direct_quadrature():
@@ -341,3 +362,66 @@ def test_mixed_closed_form_matches_residue_table():
         assert eval_transform(t, z) == pytest.approx(
             mixed_closed_form(z), rel=1e-13
         )
+
+
+# ---------------------------------------------------------------------------
+# batched values at many z
+# ---------------------------------------------------------------------------
+
+# (transform, its source function and kind, left edge of its domain)
+_BATCH_CASES = {
+    "laplace": lambda g1, g2: (
+        TransformExpr.numeric(FunctionSpec.mixed_exp(g1, g2), TransformKind.LAPLACE),
+        FunctionSpec.mixed_exp(g1, g2), TransformKind.LAPLACE, -min(g1, g2)),
+    "moment": lambda g1, g2: (
+        TransformExpr.numeric(FunctionSpec.mixed_power(g1, g2), TransformKind.MOMENT),
+        FunctionSpec.mixed_power(g1, g2), TransformKind.MOMENT, -min(g1, g2)),
+    "mellin": lambda g1, g2: (
+        TransformExpr.numeric(FunctionSpec.mixed_exp(g1, g2), TransformKind.MELLIN),
+        FunctionSpec.mixed_exp(g1, g2), TransformKind.MELLIN, 0.0),
+    "gamma": lambda g1, g2: (TransformExpr.gamma(), EGAMMA, TransformKind.MELLIN, 0.0),
+}
+
+_rates = st.floats(0.2, 2.0)
+_offsets = st.lists(
+    st.tuples(st.floats(0.1, 4.0), st.floats(-5.0, 5.0)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(sorted(_BATCH_CASES)), g1=_rates, g2=_rates,
+       offsets=_offsets)
+def test_values_match_per_z_estimates(case, g1, g2, offsets):
+    t, spec, kind, edge = _BATCH_CASES[case](g1, g2)
+    zs = np.array([complex(edge + re, im) for re, im in offsets])
+    got = values(t, zs)
+    assert got.shape == zs.shape
+    for z, v in zip(zs, got):
+        want = transform_estimate(spec, kind, z).value
+        assert v == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(sorted(_BATCH_CASES)), g1=_rates, g2=_rates,
+       offsets=_offsets, outside=st.floats(0.0, 3.0), data=st.data())
+def test_values_reject_any_z_outside_the_domain(case, g1, g2, offsets, outside,
+                                                data):
+    t, _, _, edge = _BATCH_CASES[case](g1, g2)
+    zs = [complex(edge + re, im) for re, im in offsets]
+    where = data.draw(st.integers(0, len(zs)))
+    zs.insert(where, complex(edge - outside, 1.0))
+    with pytest.raises(OutOfDomain):
+        values(t, np.array(zs))
+
+
+def test_values_keep_the_shape_of_their_argument():
+    # 300 points span several column blocks
+    t = TransformExpr.gamma()
+    zs = np.linspace(0.5, 4.0, 300).reshape(3, 100)
+    got = values(t, zs)
+    assert got.shape == zs.shape
+    want = np.vectorize(math.gamma)(zs)
+    assert np.max(np.abs(got - want) / want) <= 1e-9
+    assert values(t, np.array([])).shape == (0,)
+    rational = TransformExpr.rational([(-1.0, 1.0)])
+    assert values(rational, zs) == pytest.approx(1.0 / (zs + 1.0))
