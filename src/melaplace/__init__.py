@@ -11,9 +11,7 @@ from .campaigns import (
     RoundTripReport,
     RoundTripRow,
     delta_check,
-    format_spec_string,
     invariance_sweep,
-    parse_spec_string,
     roundtrip,
 )
 from .contours import (
@@ -51,7 +49,9 @@ from .functions import (
     GrowthBounds,
     Strip,
     evaluate,
+    format_spec_string,
     growth_bounds,
+    parse_spec_string,
     to_moment_form,
 )
 from .quadrature import (
@@ -74,6 +74,7 @@ from .transforms import (
     mellin_moment,
     mellin_transform,
     transform_estimate,
+    transform_for,
 )
 
 __version__ = "0.1.0"

@@ -15,28 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .contours import Contour, bromwich_for, inverse_eval, rectangle_for
-from .errors import (
-    DomainError,
-    EmptyGrid,
-    NoClosedForm,
-    NotRectangularizable,
-    ParseError,
-)
-from .functions import (
-    DomainHint,
-    FunctionKind,
-    FunctionSpec,
-    evaluate,
-    growth_bounds,
-)
+from .errors import DomainError, EmptyGrid, NotRectangularizable
+from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
 from .quadrature import QuadratureSpec, integrate_finite
-from .transforms import (
-    InverseKind,
-    TransformExpr,
-    TransformForm,
-    TransformKind,
-    analytic_transform,
-)
+from .transforms import InverseKind, TransformExpr, TransformForm, transform_for
 
 # default pass/fail tolerances for the two convergence regimes
 RECTANGLE_TOL = 1e-6
@@ -126,12 +108,6 @@ class ConvergenceTable:
         )
 
 
-_KERNEL_TO_TRANSFORM = {
-    InverseKind.LAPLACE_KERNEL: TransformKind.LAPLACE,
-    InverseKind.MELLIN_KERNEL: TransformKind.MOMENT,
-}
-
-
 def roundtrip(
     spec: FunctionSpec,
     kind: InverseKind,
@@ -139,7 +115,7 @@ def roundtrip(
     use_rectangle: bool = True,
     q: QuadratureSpec | None = None,
     tol: float | None = None,
-    delta: float = 0.5,
+    delta: float | None = None,
     half_height: float | None = None,
 ) -> RoundTripReport:
     """Transform a catalog function, invert along a contour, compare.
@@ -148,26 +124,18 @@ def roundtrip(
     the function on the extended domain; the Bromwich path falls back to
     direct quadrature of the transform when no closed form exists, and only
     reproduces the standard domain (that failure mode is the point of the
-    comparison).
+    comparison).  delta and half_height of None take the contour defaults.
     """
     args = [float(a) for a in args]
     if not args:
         raise EmptyGrid("round trip needs at least one argument")
     if tol is None:
         tol = RECTANGLE_TOL if use_rectangle else BROMWICH_TOL
-    tkind = _KERNEL_TO_TRANSFORM[kind]
-    try:
-        t = analytic_transform(spec, tkind)
-    except NoClosedForm:
-        if use_rectangle:
-            raise NotRectangularizable(
-                f"({spec.kind.value}, {tkind.value}) has no rational closed form"
-            )
-        t = TransformExpr.numeric(spec, tkind)
+    t = transform_for(spec, kind)
     if use_rectangle:
         contour = rectangle_for(t, delta, half_height)
     else:
-        contour = bromwich_for(t, delta, half_height if half_height else 200.0)
+        contour = bromwich_for(t, delta, half_height)
     start = time.perf_counter()
     rows = []
     for arg in args:
@@ -245,83 +213,3 @@ def invariance_sweep(
         rect = rectangle_for(t, d, T)
         results.append(inverse_eval(t, kind, rect, arg, q))
     return ConvergenceTable("(delta, half_height)", tuple(grid), tuple(results))
-
-
-# ---------------------------------------------------------------------------
-# spec-string grammar
-# ---------------------------------------------------------------------------
-
-_GRAMMAR_KEYS = {
-    FunctionKind.EXP: ("gamma",),
-    FunctionKind.POWER: ("gamma",),
-    FunctionKind.MIXED_EXP: ("g1", "g2"),
-    FunctionKind.MIXED_POWER: ("g1", "g2"),
-    FunctionKind.EXP_MINUS_X: (),
-}
-
-
-def parse_spec_string(s: str) -> FunctionSpec:
-    """Parse the CLI grammar: exp:gamma=<r>, power:gamma=<r>,
-    mixedexp:g1=<r>,g2=<r>, mixedpower:g1=<r>,g2=<r>, expminusx.
-
-    Whitespace-insensitive; errors carry the 1-based column in the
-    whitespace-stripped string.
-    """
-    text = "".join(str(s).split())
-    head, sep, rest = text.partition(":")
-    try:
-        kind = FunctionKind(head.lower())
-    except ValueError:
-        raise ParseError(
-            f"unknown function kind {head!r} at column 1", position=1
-        ) from None
-    keys = _GRAMMAR_KEYS[kind]
-    if not keys:
-        if sep:
-            raise ParseError(
-                f"{head} takes no parameters (column {len(head) + 1})",
-                position=len(head) + 1,
-            )
-        return FunctionSpec(kind)
-    if not sep:
-        raise ParseError(
-            f"expected ':' after {head!r} at column {len(head) + 1}",
-            position=len(head) + 1,
-        )
-    pos = len(head) + 2  # 1-based column of the first char after ':'
-    params = []
-    pieces = rest.split(",")
-    if len(pieces) != len(keys):
-        raise ParseError(
-            f"{head} takes {len(keys)} parameter(s) named {', '.join(keys)}",
-            position=pos,
-        )
-    for key, piece in zip(keys, pieces):
-        name, eq, value = piece.partition("=")
-        if name != key or not eq:
-            raise ParseError(
-                f"expected '{key}=' at column {pos}", position=pos
-            )
-        value_col = pos + len(name) + 1
-        try:
-            params.append(float(value))
-        except ValueError:
-            raise ParseError(
-                f"expected a decimal real at column {value_col}",
-                position=value_col,
-            ) from None
-        pos += len(piece) + 1
-    try:
-        return FunctionSpec(kind, tuple(params))
-    except ValueError as exc:
-        raise ParseError(str(exc), position=len(head) + 2) from None
-
-
-def format_spec_string(spec: FunctionSpec) -> str:
-    """Inverse of parse_spec_string; spectator alphas are not representable
-    in the grammar and are dropped."""
-    keys = _GRAMMAR_KEYS[spec.kind]
-    if not keys:
-        return spec.kind.value
-    body = ",".join(f"{k}={p!r}" for k, p in zip(keys, spec.params))
-    return f"{spec.kind.value}:{body}"

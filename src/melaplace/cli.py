@@ -27,23 +27,18 @@ import sys
 
 import numpy as np
 
-from .campaigns import (
-    RECTANGLE_TOL,
-    delta_check,
-    invariance_sweep,
-    parse_spec_string,
-    roundtrip,
-)
+from .campaigns import RECTANGLE_TOL, delta_check, invariance_sweep, roundtrip
 from .contours import bromwich_for, cauchy_reproduction, inverse_eval, rectangle_for
 from .errors import MelaplaceError, ParseError
+from .functions import parse_spec_string
 from .quadrature import QuadratureSpec
 from .transforms import (
     InverseKind,
     TransformExpr,
     TransformKind,
-    analytic_transform,
     eval_transform,
     transform_estimate,
+    transform_for,
 )
 
 EXIT_OK = 0
@@ -127,13 +122,7 @@ def _build_transform(ns, inverse_kind: InverseKind) -> TransformExpr:
     if getattr(ns, "poles", None):
         return _parse_poles(ns.poles)
     if getattr(ns, "func", None):
-        spec = parse_spec_string(ns.func)
-        tkind = (
-            TransformKind.LAPLACE
-            if inverse_kind is InverseKind.LAPLACE_KERNEL
-            else TransformKind.MOMENT
-        )
-        return analytic_transform(spec, tkind)
+        return transform_for(parse_spec_string(ns.func), inverse_kind)
     raise ParseError("provide --func or --poles")
 
 
@@ -155,9 +144,13 @@ def _emit(ns, header, rows, summary) -> None:
             "command": ns.command,
             "header": list(header),
             "rows": [list(r) for r in rows],
-            "summary": summary,
+            # strict JSON has no inf or nan
+            "summary": {
+                k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in summary.items()
+            },
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     elif not ns.out:
         sys.stdout.write(text)
 
@@ -216,11 +209,10 @@ def _cmd_invert(ns) -> int:
     kind = _INVERSE_KINDS[_require(ns, "kind")]
     t = _build_transform(ns, kind)
     q = _quad_from(ns)
-    delta = ns.delta if ns.delta is not None else 0.5
-    if ns.contour == "rect":
-        contour = rectangle_for(t, delta, ns.T)
+    if ns.contour == "bromwich":
+        contour = bromwich_for(t, ns.delta, ns.T)
     else:
-        contour = bromwich_for(t, delta, ns.T if ns.T is not None else 200.0)
+        contour = rectangle_for(t, ns.delta, ns.T)
     rows = []
     for arg in _invert_args(ns):
         val = inverse_eval(t, kind, contour, arg, q)
@@ -233,15 +225,14 @@ def _cmd_invert(ns) -> int:
 def _cmd_roundtrip(ns) -> int:
     spec = parse_spec_string(_require(ns, "func"))
     kind = _INVERSE_KINDS[_require(ns, "kind")]
-    use_rect = ns.contour != "bromwich"
     report = roundtrip(
         spec,
         kind,
         parse_grid(_require(ns, "grid")),
-        use_rectangle=use_rect,
+        use_rectangle=ns.contour != "bromwich",
         q=_quad_from(ns),
         tol=ns.tol,
-        delta=ns.delta if ns.delta is not None else 0.5,
+        delta=ns.delta,
         half_height=ns.T,
     )
     rows = [
@@ -308,8 +299,7 @@ def _cmd_cauchy_check(ns) -> int:
     kind = _INVERSE_KINDS[_require(ns, "kind")]
     t = _build_transform(ns, kind)
     q = _quad_from(ns)
-    delta = ns.delta if ns.delta is not None else 0.5
-    rect = rectangle_for(t, delta, ns.T)
+    rect = rectangle_for(t, ns.delta, ns.T)
     rows = []
     worst = 0.0
     for literal in _require(ns, "z"):
@@ -379,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--func")
     p.add_argument("--poles", help="JSON [[re,im,res_re,res_im],...]")
     p.add_argument("--kind", choices=sorted(_INVERSE_KINDS))
-    p.add_argument("--contour", choices=("rect", "bromwich"), default="rect")
+    p.add_argument("--contour", choices=("rect", "bromwich"))
     p.add_argument("--x", action="append", help="evaluation point (repeatable)")
     p.add_argument("--grid", help="start:stop:count")
     p.add_argument("--delta", type=float)
@@ -389,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recover the function and report errors")
     p.add_argument("--func")
     p.add_argument("--kind", choices=sorted(_INVERSE_KINDS))
-    p.add_argument("--contour", choices=("rect", "bromwich"), default="rect")
+    p.add_argument("--contour", choices=("rect", "bromwich"))
     p.add_argument("--grid", help="start:stop:count")
     p.add_argument("--delta", type=float)
     p.add_argument("--T", type=float)
@@ -421,30 +411,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(ns) -> None:
+def _apply_config(parser, ns) -> None:
+    """Fill every option the command line left unset from the --config
+    file, whose entries are parsed as if they were flags."""
     if not ns.config:
         return
-    with open(ns.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(ns.config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read --config {ns.config!r}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("--config must hold a JSON object")
+    argv = [ns.command]
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(ns, attr):
+        # keys that name no option of this command are ignored
+        if key == "command" or not hasattr(ns, key):
             continue
-        if getattr(ns, attr) in (None, [], False):
-            setattr(ns, attr, value)
+        for v in value if isinstance(value, list) else [value]:
+            if v is True:
+                argv.append(f"--{key}")
+            elif v is not False and v is not None:
+                argv.append(f"--{key}={v}")
+    config = parser.parse_args(argv)
+    for attr, value in vars(ns).items():
+        if value is None:
+            setattr(ns, attr, getattr(config, attr))
 
 
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        _apply_config(parser, ns)
+        return _COMMANDS[ns.command](ns)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        _apply_config(ns)
-        return _COMMANDS[ns.command](ns)
     except MelaplaceError as exc:
         print(f"melaplace {ns.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

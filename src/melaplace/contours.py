@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     ZInsideRectangle,
 )
 from .quadrature import QuadratureSpec, _gl
-from .residues import pole_box
+from .residues import _kernel_scale, pole_box
 from .transforms import (
     InverseKind,
     TransformExpr,
@@ -51,6 +52,13 @@ from .transforms import (
 
 _BASE_PANEL_WIDTH = math.pi / 4
 _MIN_PANEL_WIDTH = 1e-3
+# exp(s) overflows for real s above this
+_EXP_LIMIT = math.log(sys.float_info.max)
+
+# pole clearance of an auto-placed contour, and an open line's half-height,
+# when the caller passes None
+DEFAULT_DELTA = 0.5
+DEFAULT_LINE_HALF_HEIGHT = 200.0
 
 
 class ContourShape(enum.Enum):
@@ -112,12 +120,26 @@ class Contour:
         )
 
 
+def _positive(name: str, value: float | None, default: float | None) -> float | None:
+    """value, or default when it is None, checked to be finite and positive."""
+    if value is None:
+        return default
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value:g}")
+    return value
+
+
 def bromwich_for(
-    t: TransformExpr, delta: float = 0.5, half_height: float = 200.0
+    t: TransformExpr, delta: float | None = None, half_height: float | None = None
 ) -> Contour:
-    """Vertical line slightly right of the transform's rightmost singularity."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    """Vertical line slightly right of the transform's rightmost singularity.
+
+    delta and half_height default to DEFAULT_DELTA and
+    DEFAULT_LINE_HALF_HEIGHT.
+    """
+    delta = _positive("delta", delta, DEFAULT_DELTA)
+    half_height = _positive("half_height", half_height, DEFAULT_LINE_HALF_HEIGHT)
     if t.form is TransformForm.RATIONAL:
         a = max(p.real for p, _ in t.poles)
     else:
@@ -133,15 +155,16 @@ def bromwich_for(
 
 
 def rectangle_for(
-    t: TransformExpr, delta: float = 0.5, half_height: float | None = None
+    t: TransformExpr, delta: float | None = None, half_height: float | None = None
 ) -> Contour:
     """Closed rectangle with every pole strictly inside.
 
-    half_height defaults to the pole box plus max(delta, 1) and is raised
-    to im_max + delta whenever the requested value would clip a pole.
+    delta defaults to DEFAULT_DELTA.  half_height defaults to the pole box
+    plus max(delta, 1) and is raised to im_max + delta whenever the
+    requested value would clip a pole.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = _positive("delta", delta, DEFAULT_DELTA)
+    half_height = _positive("half_height", half_height, None)
     if t.form is not TransformForm.RATIONAL:
         raise NotRectangularizable(
             f"{t.form.value} transforms cannot be inverted on a rectangle"
@@ -207,13 +230,15 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
 
 def _contour_sum(t: TransformExpr, kind: InverseKind, c: Contour, arg: float,
                  q: QuadratureSpec | None):
-    if kind is InverseKind.MELLIN_KERNEL and arg <= 0.0:
-        raise DomainError("moment kernel y**(-z) requires arg > 0")
+    scale = _kernel_scale(kind, arg)
+    # the kernel's real exponent peaks on a vertical edge
+    edge = c.c_left if scale < 0.0 and c.c_left is not None else c.c_right
+    if scale * edge > _EXP_LIMIT:
+        raise DomainError(
+            f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
+        )
     nodes, weights = discretize(c, q)
-    if kind is InverseKind.LAPLACE_KERNEL:
-        kernel = np.exp(arg * nodes)
-    else:
-        kernel = np.exp(-nodes * math.log(arg))
+    kernel = np.exp(scale * nodes)
     return complex(np.dot(weights, kernel * values(t, nodes, q))) / (2j * math.pi)
 
 

@@ -10,8 +10,11 @@ metadata instead of runtime divergence probing.  Five kinds are provided:
     mixedpower  F(y) = y**g1*sin(y)**2 + y**g2*cos(y)**2
     expminusx   f(x) = exp(-x)                   (the Gamma-function demo)
 
-Evaluation accepts scalars or numpy arrays.  Optional spectator parameters
-(``alphas``) ride along through serialization but never enter evaluation.
+Evaluation accepts scalars or numpy arrays.  Specs are written as strings
+in a small grammar, one named real per parameter:
+
+    exp:gamma=<r>   power:gamma=<r>   mixedexp:g1=<r>,g2=<r>
+    mixedpower:g1=<r>,g2=<r>   expminusx
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedMap
+from .errors import DomainError, ParseError, UnsupportedMap
 
 
 class FunctionKind(enum.Enum):
@@ -36,15 +39,15 @@ class FunctionKind(enum.Enum):
 class DomainHint(enum.Enum):
     HALF_LINE = "half_line"
     UNIT_INTERVAL = "unit_interval"
-    FULL_LINE = "full_line"
 
 
-_PARAM_COUNT = {
-    FunctionKind.EXP: 1,
-    FunctionKind.POWER: 1,
-    FunctionKind.MIXED_EXP: 2,
-    FunctionKind.MIXED_POWER: 2,
-    FunctionKind.EXP_MINUS_X: 0,
+# the parameters of each kind, by their names in the spec grammar
+_PARAM_NAMES = {
+    FunctionKind.EXP: ("gamma",),
+    FunctionKind.POWER: ("gamma",),
+    FunctionKind.MIXED_EXP: ("g1", "g2"),
+    FunctionKind.MIXED_POWER: ("g1", "g2"),
+    FunctionKind.EXP_MINUS_X: (),
 }
 
 _POWER_FAMILY = (FunctionKind.POWER, FunctionKind.MIXED_POWER)
@@ -52,49 +55,43 @@ _POWER_FAMILY = (FunctionKind.POWER, FunctionKind.MIXED_POWER)
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A catalog entry: kind plus its real parameters.
-
-    ``params`` holds g (or g1, g2); ``alphas`` are inert spectator
-    parameters carried through serialization only.
-    """
+    """A catalog entry: kind plus its real parameters g (or g1, g2)."""
 
     kind: FunctionKind
     params: tuple = ()
-    alphas: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        want = _PARAM_COUNT[self.kind]
+        want = len(_PARAM_NAMES[self.kind])
         if len(self.params) != want:
             raise ValueError(
                 f"{self.kind.value} takes exactly {want} parameter(s), "
                 f"got {len(self.params)}"
             )
-        for p in self.params + self.alphas:
+        for p in self.params:
             if not math.isfinite(p):
                 raise ValueError("parameters must be finite reals")
 
     # -- convenience constructors ------------------------------------
     @classmethod
-    def exp(cls, gamma, alphas=()):
-        return cls(FunctionKind.EXP, (gamma,), tuple(alphas))
+    def exp(cls, gamma):
+        return cls(FunctionKind.EXP, (gamma,))
 
     @classmethod
-    def power(cls, gamma, alphas=()):
-        return cls(FunctionKind.POWER, (gamma,), tuple(alphas))
+    def power(cls, gamma):
+        return cls(FunctionKind.POWER, (gamma,))
 
     @classmethod
-    def mixed_exp(cls, g1, g2, alphas=()):
-        return cls(FunctionKind.MIXED_EXP, (g1, g2), tuple(alphas))
+    def mixed_exp(cls, g1, g2):
+        return cls(FunctionKind.MIXED_EXP, (g1, g2))
 
     @classmethod
-    def mixed_power(cls, g1, g2, alphas=()):
-        return cls(FunctionKind.MIXED_POWER, (g1, g2), tuple(alphas))
+    def mixed_power(cls, g1, g2):
+        return cls(FunctionKind.MIXED_POWER, (g1, g2))
 
     @classmethod
-    def exp_minus_x(cls, alphas=()):
-        return cls(FunctionKind.EXP_MINUS_X, (), tuple(alphas))
+    def exp_minus_x(cls):
+        return cls(FunctionKind.EXP_MINUS_X)
 
     @property
     def domain_hint(self) -> DomainHint:
@@ -103,18 +100,77 @@ class FunctionSpec:
         return DomainHint.HALF_LINE
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind.value, "params": list(self.params)}
-        if self.alphas:
-            doc["alphas"] = list(self.alphas)
-        return doc
+        return {"kind": self.kind.value, "params": list(self.params)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "FunctionSpec":
-        return cls(
-            FunctionKind(doc["kind"]),
-            tuple(doc.get("params", ())),
-            tuple(doc.get("alphas", ())),
+        return cls(FunctionKind(doc["kind"]), tuple(doc.get("params", ())))
+
+
+def parse_spec_string(s: str) -> FunctionSpec:
+    """Parse the spec grammar: exp:gamma=<r>, power:gamma=<r>,
+    mixedexp:g1=<r>,g2=<r>, mixedpower:g1=<r>,g2=<r>, expminusx.
+
+    Whitespace-insensitive; errors carry the 1-based column in the
+    whitespace-stripped string.
+    """
+    text = "".join(str(s).split())
+    head, sep, rest = text.partition(":")
+    try:
+        kind = FunctionKind(head.lower())
+    except ValueError:
+        raise ParseError(
+            f"unknown function kind {head!r} at column 1", position=1
+        ) from None
+    keys = _PARAM_NAMES[kind]
+    if not keys:
+        if sep:
+            raise ParseError(
+                f"{head} takes no parameters (column {len(head) + 1})",
+                position=len(head) + 1,
+            )
+        return FunctionSpec(kind)
+    if not sep:
+        raise ParseError(
+            f"expected ':' after {head!r} at column {len(head) + 1}",
+            position=len(head) + 1,
         )
+    pos = len(head) + 2  # 1-based column of the first char after ':'
+    params = []
+    pieces = rest.split(",")
+    if len(pieces) != len(keys):
+        raise ParseError(
+            f"{head} takes {len(keys)} parameter(s) named {', '.join(keys)}",
+            position=pos,
+        )
+    for key, piece in zip(keys, pieces):
+        name, eq, value = piece.partition("=")
+        if name != key or not eq:
+            raise ParseError(
+                f"expected '{key}=' at column {pos}", position=pos
+            )
+        value_col = pos + len(name) + 1
+        try:
+            params.append(float(value))
+        except ValueError:
+            raise ParseError(
+                f"expected a decimal real at column {value_col}",
+                position=value_col,
+            ) from None
+        pos += len(piece) + 1
+    try:
+        return FunctionSpec(kind, tuple(params))
+    except ValueError as exc:
+        raise ParseError(str(exc), position=len(head) + 2) from None
+
+
+def format_spec_string(spec: FunctionSpec) -> str:
+    """Inverse of parse_spec_string."""
+    keys = _PARAM_NAMES[spec.kind]
+    if not keys:
+        return spec.kind.value
+    body = ",".join(f"{k}={p!r}" for k, p in zip(keys, spec.params))
+    return f"{spec.kind.value}:{body}"
 
 
 @dataclass(frozen=True)
@@ -195,9 +251,9 @@ def to_moment_form(spec: FunctionSpec) -> FunctionSpec:
     if spec.domain_hint is not DomainHint.HALF_LINE:
         raise UnsupportedMap("the map applies to half-line (Laplace-side) functions")
     if spec.kind is FunctionKind.EXP:
-        return FunctionSpec.power(spec.params[0], spec.alphas)
+        return FunctionSpec.power(spec.params[0])
     if spec.kind is FunctionKind.EXP_MINUS_X:
-        return FunctionSpec.power(1.0, spec.alphas)
+        return FunctionSpec.power(1.0)
     raise UnsupportedMap(
         f"f(-ln y) for {spec.kind.value} is not representable in the catalog"
     )

@@ -32,7 +32,7 @@ one; no singular-weight rules are needed anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,9 @@ _MAX_TAIL_PANELS = 512
 # reach after about log2(a/g) panels; six rises let humps peaking before
 # x ~ 60 pass while exp(t) and t**0.5 are still caught before t = 130
 _DIVERGENT_RISES = 6
+# width ratio of consecutive tail panels; _DIVERGENT_RISES is calibrated for
+# doubling, and a slower growth mistakes a hump for divergence
+_TAIL_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -55,38 +58,34 @@ class QuadratureSpec:
 
     panel_order is the Gauss-Legendre node count per panel; the error
     estimate doubles it.  abs_tol is the floor below which relative error
-    is not enforced.  tail_growth is the width ratio between consecutive
-    half-line panels.
+    is not enforced.
     """
 
     panel_order: int = 16
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_panels: int = 4096
-    tail_growth: float = 2.0
 
     def __post_init__(self):
+        integers = (int, np.integer)
+        if not (isinstance(self.panel_order, integers)
+                and isinstance(self.max_panels, integers)):
+            raise ValueError("panel_order and max_panels must be integers")
         if self.panel_order < 2:
             raise ValueError("panel_order must be at least 2")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
-        if not self.tail_growth > 1:
-            raise ValueError("tail_growth must exceed 1")
 
     def to_json(self) -> dict:
-        return {
-            "panel_order": self.panel_order,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "max_panels": self.max_panels,
-            "tail_growth": self.tail_growth,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "QuadratureSpec":
-        return cls(**{k: doc[k] for k in doc})
+        if not isinstance(doc, dict):
+            raise ValueError("a QuadratureSpec is a JSON object")
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,7 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
         if used >= q.max_panels:
             break
         lo += width
-        width *= q.tail_growth
+        width *= _TAIL_GROWTH
     converged = not _any(active) and _within(q, err_sum, abs(total))
     return Estimate(total, err_sum, used, converged)
 

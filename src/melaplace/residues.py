@@ -11,12 +11,22 @@ with y**(-p) computed as exp(-p * ln y) on the real branch.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NotRectangularizable
 from .transforms import InverseKind, TransformExpr, TransformForm
+
+
+def _kernel_scale(kind: InverseKind, arg: float) -> float:
+    """s with kernel(z, arg) = exp(s*z): arg for exp(x*z), -ln(arg) for
+    y**(-z)."""
+    if kind is InverseKind.LAPLACE_KERNEL:
+        return arg
+    if arg <= 0.0:
+        raise DomainError("moment kernel y**(-z) requires arg > 0")
+    return -math.log(arg)
 
 
 @dataclass(frozen=True)
@@ -33,12 +43,13 @@ class ResidueSum:
         return cls(tuple(t.poles), kernel)
 
     def eval(self, arg: float) -> complex:
-        if self.kernel is InverseKind.LAPLACE_KERNEL:
-            return sum(r * np.exp(p * arg) for p, r in self.terms)
-        if arg <= 0.0:
-            raise DomainError("moment kernel y**(-z) requires arg > 0")
-        log_arg = np.log(arg)
-        return sum(r * np.exp(-p * log_arg) for p, r in self.terms)
+        scale = _kernel_scale(self.kernel, arg)
+        try:
+            return sum(r * cmath.exp(p * scale) for p, r in self.terms)
+        except OverflowError:
+            raise DomainError(
+                f"the residue series overflows at arg = {arg:g}"
+            ) from None
 
 
 def residue_inverse(t: TransformExpr, kind: InverseKind, arg: float):

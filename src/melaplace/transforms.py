@@ -392,6 +392,21 @@ def analytic_transform(spec: FunctionSpec, kind: TransformKind) -> TransformExpr
     raise NoClosedForm(f"no closed form for ({spec.kind.value}, {kind.value})")
 
 
+def transform_for(spec: FunctionSpec, kind: InverseKind) -> TransformExpr:
+    """The transform of a catalog function that the kernel ``kind`` inverts:
+    Laplace for exp(x*z), the moment for y**(-z).
+
+    The closed form when one is cataloged, else the numeric form, which
+    only open lines can carry.
+    """
+    tkind = (TransformKind.LAPLACE if kind is InverseKind.LAPLACE_KERNEL
+             else TransformKind.MOMENT)
+    try:
+        return analytic_transform(spec, tkind)
+    except NoClosedForm:
+        return TransformExpr.numeric(spec, tkind)
+
+
 # ---------------------------------------------------------------------------
 # uniform evaluation
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def rows_of(text):
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
@@ -111,6 +118,39 @@ def test_invert_grid_and_bromwich(capsys):
     assert float(rows[1][1]) == pytest.approx(math.exp(-2.0), abs=5e-3)
 
 
+MIXEDPOWER = ("--func", "mixedpower:g1=0.5,g2=1", "--kind", "mellin")
+
+
+def test_invert_bromwich_matches_roundtrip_without_closed_form(capsys):
+    code, out, _ = run(capsys, "invert", *MIXEDPOWER, "--contour", "bromwich",
+                       "--T", "30", "--x", "0.5")
+    assert code == 0
+    inverted = rows_of(out)[1][0][1]
+    code, out, _ = run(capsys, "roundtrip", *MIXEDPOWER, "--contour", "bromwich",
+                       "--T", "30", "--grid", "0.5:0.5:1")
+    assert code == 0
+    row = rows_of(out)[1][0]
+    assert row[2] == inverted
+    assert float(row[2]) == pytest.approx(float(row[1]), abs=1e-2)
+
+
+def test_invert_rectangle_without_closed_form_exits_two(capsys):
+    code, out, err = run(capsys, "invert", *MIXEDPOWER, "--contour", "rect",
+                         "--x", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("melaplace invert: ")
+    assert "cannot be inverted on a rectangle" in err
+
+
+def test_invert_kernel_overflow_exits_two(capsys):
+    code, out, err = run(capsys, "invert", "--poles", "[[-1,0,1,0]]", "--kind",
+                         "laplace", "--x=-800")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("melaplace invert: ") and "overflows" in err
+
+
 # ---------------------------------------------------------------------------
 # roundtrip
 # ---------------------------------------------------------------------------
@@ -142,6 +182,18 @@ def test_roundtrip_without_strict_reports_but_exits_zero(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["passed"] is False
+
+
+def test_json_summary_is_strict(capsys):
+    # exp(-750) underflows to 0, so every relative error is infinite
+    code, out, _ = run(
+        capsys, "roundtrip", "--func", "exp:gamma=1", "--kind", "laplace",
+        "--grid", "750:760:2", "--json",
+    )
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["summary"]["max_rel_err"] is None
+    assert doc["rows"][0][4] == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +264,26 @@ def test_malformed_x_exits_two(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--x", "1",
+     "--delta", "0"),
+    ("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--x", "1",
+     "--contour", "bromwich", "--T", "0"),
+    ("roundtrip", "--func", "exp:gamma=1", "--kind", "laplace", "--grid",
+     "1:2:2", "--contour", "bromwich", "--T", "0"),
+    ("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
+     "--deltas", "0", "--Ts", "5"),
+    ("cauchy-check", "--func", "exp:gamma=1", "--kind", "laplace", "--z",
+     "1+0i", "--delta=-1"),
+], ids=["invert-delta", "invert-T", "roundtrip-T", "sweep-delta", "cauchy-delta"])
+def test_nonpositive_contour_parameter_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"melaplace {argv[0]}: ") and "must be positive" in err
+    assert "Traceback" not in err
+
+
 def test_missing_option_exits_two(capsys):
     code, _, err = run(capsys, "transform", "--kind", "laplace", "--z", "1+0i")
     assert code == 2
@@ -256,11 +328,13 @@ def test_quad_flag_is_honored(capsys):
     )
     assert code == 0
     assert float(rows_of(out)[1][0][2]) == pytest.approx(0.5, rel=1e-5)
-    code, _, err = run(
-        capsys, "transform", "--func", "exp:gamma=1", "--kind", "laplace",
-        "--z", "1+0i", "--quad", "{bad json",
-    )
-    assert code == 2
+    for bad in ("{bad json", "[5]", '{"panel_order": 2.5}', '{"tail_growth": 1.5}'):
+        code, out, err = run(
+            capsys, "transform", "--func", "exp:gamma=1", "--kind", "laplace",
+            "--z", "1+0i", "--quad", bad,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("melaplace transform: bad --quad")
 
 
 def test_config_supplies_defaults_and_flags_override(tmp_path, capsys):
@@ -278,3 +352,38 @@ def test_config_supplies_defaults_and_flags_override(tmp_path, capsys):
     )
     assert code == 0
     assert float(rows_of(out)[1][0][2]) == pytest.approx(1.0 / 3.0, rel=1e-9)
+    # a config may choose the contour and repeat a flag; a repeated flag
+    # given on the command line replaces the config's list
+    config.write_text(json.dumps({
+        "poles": "[[-1,0,1,0]]", "kind": "laplace", "contour": "bromwich",
+        "x": [1, 2], "json": True, "not-an-option": 1,
+    }))
+    code, out, _ = run(capsys, "invert", "--config", str(config))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"]["contour"]["shape"] == "bromwich"
+    assert [r[0] for r in doc["rows"]] == ["1", "2"]
+    code, out, _ = run(capsys, "invert", "--config", str(config),
+                       "--contour", "rect", "--x=-2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"]["contour"]["shape"] == "rectangle"
+    assert [r[0] for r in doc["rows"]] == ["-2"]
+    # values from a config are checked like flags
+    config.write_text(json.dumps({"kind": "laplace", "contour": "circle"}))
+    code, out, _ = run(capsys, "invert", "--config", str(config),
+                       "--poles", "[[-1,0,1,0]]", "--x", "1")
+    assert code == 2 and out == ""
+
+
+def test_unreadable_config_exits_two(tmp_path, capsys):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    for path in (tmp_path / "missing.json", garbled):
+        code, out, err = run(capsys, "transform", "--config", str(path),
+                             "--func", "exp:gamma=1", "--kind", "laplace",
+                             "--z", "1+0i")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("melaplace transform: cannot read --config")
+        assert "Traceback" not in err

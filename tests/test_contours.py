@@ -26,6 +26,7 @@ from melaplace import (
     residue_inverse,
     single_line_eval,
 )
+from melaplace.contours import DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT
 
 LAP = InverseKind.LAPLACE_KERNEL
 MEL = InverseKind.MELLIN_KERNEL
@@ -67,6 +68,22 @@ def test_rectangle_raises_half_height_to_clear_poles():
 def test_rectangle_default_half_height():
     rect = rectangle_for(ONE_POLE, 0.5)
     assert rect.half_height == pytest.approx(1.0)
+
+
+def test_contour_defaults():
+    line = bromwich_for(ONE_POLE)
+    assert (line.delta, line.half_height) == (DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT)
+    assert rectangle_for(ONE_POLE, None, None) == rectangle_for(ONE_POLE, DEFAULT_DELTA)
+
+
+@pytest.mark.parametrize("place", [bromwich_for, rectangle_for])
+@pytest.mark.parametrize("delta,half_height", [
+    (0.0, 10.0), (-0.5, 10.0), (math.nan, 10.0), (math.inf, 10.0),
+    (0.5, 0.0), (0.5, -5.0),
+])
+def test_nonpositive_contour_parameters_rejected(place, delta, half_height):
+    with pytest.raises(DomainError, match="must be positive"):
+        place(ONE_POLE, delta, half_height)
 
 
 def test_rectangle_requires_rational():
@@ -193,6 +210,16 @@ def test_pole_collision_propagates():
     trap = TransformExpr.rational([(complex(nodes[7]), 1.0)])
     with pytest.raises(PoleHit):
         inverse_eval(trap, LAP, rect, 1.0)
+
+
+def test_kernel_overflow_is_a_domain_error():
+    # exp(-800 z) on the left edge Re z = -1.5 and y**(-z) at y = 1e300 both
+    # exceed the largest float
+    rect = rectangle_for(ONE_POLE, 0.5, 2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        inverse_eval(ONE_POLE, LAP, rect, -800.0)
+    with pytest.raises(DomainError, match="overflows"):
+        inverse_eval(ONE_POLE, MEL, rect, 1e300)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melaplace import (
     DomainError,
@@ -12,7 +14,9 @@ from melaplace import (
     Strip,
     UnsupportedMap,
     evaluate,
+    format_spec_string,
     growth_bounds,
+    parse_spec_string,
     to_moment_form,
 )
 
@@ -66,7 +70,7 @@ def test_nonfinite_params_rejected():
     with pytest.raises(ValueError):
         FunctionSpec.exp(math.inf)
     with pytest.raises(ValueError):
-        FunctionSpec.exp(1.0, alphas=(math.nan,))
+        FunctionSpec.mixed_exp(1.0, math.nan)
 
 
 def test_equal_mixed_params_allowed():
@@ -156,21 +160,22 @@ def test_domain_hints():
     assert FunctionSpec.exp_minus_x().domain_hint is DomainHint.HALF_LINE
 
 
-def test_json_roundtrip_with_alphas():
-    spec = FunctionSpec.mixed_exp(1.0, 2.0, alphas=(0.25, -3.0))
-    doc = spec.to_json()
-    assert doc == {"kind": "mixedexp", "params": [1.0, 2.0], "alphas": [0.25, -3.0]}
-    assert FunctionSpec.from_json(doc) == spec
-    bare = FunctionSpec.power(0.5)
-    assert "alphas" not in bare.to_json()
-    assert FunctionSpec.from_json(bare.to_json()) == bare
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# one strategy per catalog kind
+_specs = st.one_of(
+    st.builds(FunctionSpec.exp, _finite),
+    st.builds(FunctionSpec.power, _finite),
+    st.builds(FunctionSpec.mixed_exp, _finite, _finite),
+    st.builds(FunctionSpec.mixed_power, _finite, _finite),
+    st.just(FunctionSpec.exp_minus_x()),
+)
 
 
-def test_alphas_do_not_affect_evaluation():
-    a = FunctionSpec.exp(1.0)
-    b = FunctionSpec.exp(1.0, alphas=(4.0,))
-    xs = np.linspace(0, 5, 11)
-    assert np.array_equal(evaluate(a, xs), evaluate(b, xs))
+@settings(max_examples=200, deadline=None)
+@given(spec=_specs)
+def test_spec_string_and_json_roundtrip(spec):
+    assert parse_spec_string(format_spec_string(spec)) == spec
+    assert FunctionSpec.from_json(spec.to_json()) == spec
 
 
 def test_strip_and_bounds_invariants():

@@ -160,15 +160,18 @@ def test_spec_validation():
         dict(rel_tol=0.0),
         dict(abs_tol=-1.0),
         dict(max_panels=0),
-        dict(tail_growth=1.0),
+        dict(panel_order=2.5),
+        dict(max_panels=100.0),
     ):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)
+    with pytest.raises(ValueError):
+        QuadratureSpec.from_json([5])
 
 
 def test_spec_json_roundtrip():
     q = QuadratureSpec(panel_order=8, rel_tol=1e-8, abs_tol=1e-11,
-                       max_panels=256, tail_growth=1.5)
+                       max_panels=256)
     assert QuadratureSpec.from_json(q.to_json()) == q
 
 

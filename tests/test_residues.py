@@ -73,6 +73,15 @@ def test_pole_box_mixed():
     assert pole_box(t) == (-2.0, -1.0, 2.0)
 
 
+def test_overflowing_series_is_a_domain_error():
+    t = TransformExpr.rational([(-1.0, 1.0)])
+    assert residue_inverse(t, LAP, -709.0) == pytest.approx(math.exp(709.0), rel=1e-12)
+    with pytest.raises(DomainError, match="overflows"):
+        residue_inverse(t, LAP, -800.0)
+    with pytest.raises(DomainError, match="overflows"):
+        residue_inverse(TransformExpr.rational([(1.0, 1.0)]), MEL, 1e-310)
+
+
 def test_pole_box_requires_rational():
     with pytest.raises(NotRectangularizable):
         pole_box(TransformExpr.gamma())
