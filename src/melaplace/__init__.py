@@ -38,7 +38,6 @@ from .errors import (
     PoleHit,
     SidePoleConflict,
     TailDivergence,
-    UnknownBoundary,
     UnsupportedMap,
     ZInsideRectangle,
 )

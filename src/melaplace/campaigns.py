@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contours import Contour, bromwich_for, inverse_eval, rectangle_for
+from .contours import Contour, _positive, bromwich_for, inverse_eval, rectangle_for
 from .errors import DomainError, EmptyGrid, NotRectangularizable
 from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
 from .quadrature import QuadratureSpec, integrate_finite
@@ -172,10 +172,10 @@ def delta_check(
     Convolves g with sin(T(x-y))/(pi(x-y)) over its domain and tabulates the
     approach to g(x) as the cutoff T grows.  Functions without decay are
     integrated over a finite window since the sinc tail is only
-    conditionally convergent.
+    conditionally convergent.  Each cutoff must be positive and finite.
     """
     x = float(x)
-    Ts = [float(T) for T in T_values]
+    Ts = [_positive("T", T, None) for T in T_values]
     if not Ts:
         raise EmptyGrid("delta check needs at least one T")
     lo, hi = _delta_window(g, x)

@@ -94,6 +94,17 @@ def _parse_real(text, option: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a positive finite real."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _parse_reals(text: str):
     try:
         return [float(p) for p in str(text).split(",") if p != ""]
@@ -346,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=None,
                         help="print a JSON summary instead of CSV on stdout")
     common.add_argument("--out", help="write CSV rows to this file")
-    common.add_argument("--tol", type=float, help="override the pass tolerance")
+    common.add_argument("--tol", type=_tolerance, help="override the pass tolerance")
     common.add_argument("--quad", help="QuadratureSpec as JSON")
     common.add_argument("--strict", action="store_true", default=None,
                         help="exit 3 on convergence or round-trip failure")

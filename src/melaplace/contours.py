@@ -17,10 +17,10 @@ the edges.  Wider arguments need a caller-supplied denser QuadratureSpec.
 
 Transform values at the contour nodes come from one batched call,
 ``transforms.values``.  Rational forms sum their poles over all nodes at
-once.  Numeric and Gamma forms, which only open lines can carry, have the
-whole node array checked against their validity strip and then integrated
-in blocks of nodes whose quadrature panels are shared, rather than one
-adaptive integral per node.
+once.  Numeric forms such as the Gamma function, which only open lines can
+carry, have the whole node array checked against their validity strip and
+then integrated in blocks of nodes whose quadrature panels are shared,
+rather than one adaptive integral per node.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     NotRectangularizable,
     OutOfDomain,
     SidePoleConflict,
-    UnknownBoundary,
     ZInsideRectangle,
 )
 from .quadrature import QuadratureSpec, _gl
@@ -46,7 +45,6 @@ from .transforms import (
     InverseKind,
     TransformExpr,
     TransformForm,
-    rational_values,
     values,
 )
 
@@ -133,24 +131,19 @@ def _positive(name: str, value: float | None, default: float | None) -> float | 
 def bromwich_for(
     t: TransformExpr, delta: float | None = None, half_height: float | None = None
 ) -> Contour:
-    """Vertical line slightly right of the transform's rightmost singularity.
+    """Vertical line delta right of the left edge of ``t.validity``.
 
     delta and half_height default to DEFAULT_DELTA and
     DEFAULT_LINE_HALF_HEIGHT.
     """
     delta = _positive("delta", delta, DEFAULT_DELTA)
     half_height = _positive("half_height", half_height, DEFAULT_LINE_HALF_HEIGHT)
-    if t.form is TransformForm.RATIONAL:
-        a = max(p.real for p, _ in t.poles)
-    else:
-        if t.validity is None:
-            raise UnknownBoundary("numeric transform has no validity metadata")
-        a = t.validity.c1
-        if not a + delta < t.validity.c2:
-            raise OutOfDomain(
-                f"line at {a + delta:g} falls outside the strip "
-                f"({t.validity.c1:g}, {t.validity.c2:g})"
-            )
+    a = t.validity.c1
+    if not a + delta < t.validity.c2:
+        raise OutOfDomain(
+            f"line at {a + delta:g} falls outside the strip "
+            f"({t.validity.c1:g}, {t.validity.c2:g})"
+        )
     return Contour(ContourShape.BROMWICH_LINE, a + delta, None, half_height, delta)
 
 
@@ -310,5 +303,5 @@ def cauchy_reproduction(
             f"need Re z > {rect.c_right:g}, got {z.real:g}"
         )
     nodes, weights = discretize(rect, q)
-    terms = rational_values(t, nodes) / (z - nodes)
+    terms = values(t, nodes, q) / (z - nodes)
     return complex(np.dot(weights, terms)) / (2j * math.pi)

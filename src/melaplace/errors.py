@@ -37,10 +37,6 @@ class PoleHit(MelaplaceError):
     """Evaluation point collides with a pole of a rational transform."""
 
 
-class UnknownBoundary(MelaplaceError):
-    """Transform carries no metadata locating its rightmost singularity."""
-
-
 class NotRectangularizable(MelaplaceError):
     """Rectangular contours require a rational transform with finitely many poles."""
 

@@ -175,19 +175,10 @@ def format_spec_string(spec: FunctionSpec) -> str:
 
 @dataclass(frozen=True)
 class GrowthBounds:
-    """Critical growth indices: |f(x)| bounded by amplitude*exp(right_index*x)
-    on the exponential side, F(y) by amplitude/y**right_index on the power
-    side.  ``left_index`` is the matching lower bound (-inf when absent)."""
+    """Critical growth index: |f(x)| is bounded by exp(right_index*x) on the
+    exponential side, F(y) by 1/y**right_index on the power side."""
 
     right_index: float
-    left_index: float
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if not self.left_index <= self.right_index:
-            raise ValueError("left_index must not exceed right_index")
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
 
 
 @dataclass(frozen=True)
@@ -233,12 +224,10 @@ def evaluate(spec: FunctionSpec, x):
 def growth_bounds(spec: FunctionSpec) -> GrowthBounds:
     """Exact analytic growth indices for a catalog entry."""
     if spec.kind in (FunctionKind.EXP, FunctionKind.POWER):
-        g = spec.params[0]
-        return GrowthBounds(right_index=-g, left_index=-g)
+        return GrowthBounds(right_index=-spec.params[0])
     if spec.kind in (FunctionKind.MIXED_EXP, FunctionKind.MIXED_POWER):
-        g1, g2 = spec.params
-        return GrowthBounds(right_index=-min(g1, g2), left_index=-max(g1, g2))
-    return GrowthBounds(right_index=-1.0, left_index=-1.0)
+        return GrowthBounds(right_index=-min(spec.params))
+    return GrowthBounds(right_index=-1.0)
 
 
 def to_moment_form(spec: FunctionSpec) -> FunctionSpec:

@@ -55,15 +55,17 @@ class ResidueSum:
 def residue_inverse(t: TransformExpr, kind: InverseKind, arg: float):
     """Exact inverse of a rational transform at one point.
 
-    Conjugate-symmetric inputs return the real part (the imaginary residue
-    is asserted negligible); anything else returns the full complex value.
+    Conjugate-symmetric inputs return the real part, or raise DomainError
+    when the imaginary part is not negligible; anything else returns the
+    full complex value.
     """
     total = ResidueSum.from_transform(t, kind).eval(float(arg))
     if t.is_conjugate_symmetric():
-        scale = max(1.0, abs(total))
-        assert abs(total.imag) <= 1e-12 * scale, (
-            f"imaginary leakage {total.imag:g} from a conjugate-symmetric input"
-        )
+        if not abs(total.imag) <= 1e-12 * max(1.0, abs(total)):
+            raise DomainError(
+                f"imaginary leakage {total.imag:g} from a conjugate-symmetric "
+                f"input at arg = {arg:g}"
+            )
         return total.real
     return total
 

@@ -8,22 +8,23 @@ Three direct transforms are provided, all as integrals over the real axis:
 
 A TransformExpr is the complex-plane object the inverses consume: either a
 finite pole/residue list (rational form, valid on all of C by analytic
-continuation), a numeric closure backed by direct quadrature, or the Gamma
-function given by its defining integral.  Only rational forms can be
-inverted on a closed rectangle; the Gamma function's poles march off to the
-left, so it stays on open Bromwich lines.
+continuation) or a numeric closure backed by direct quadrature, such as the
+Gamma function, the Mellin transform of exp(-x).  Its ``validity`` strip is
+derived once, at construction.  Only rational forms can be inverted on a
+closed rectangle; the Gamma function's poles march off to the left, so it
+stays on open Bromwich lines.
 
-``values`` evaluates any TransformExpr at an array of z.  For numeric and
-Gamma forms it checks the whole array against the validity region, then
-integrates blocks of z as the columns of one matrix integrand, so the
-quadrature panels are shared by every z of a block.
+``values`` evaluates any TransformExpr at an array of z.  For numeric forms
+it checks the whole array against the validity strip, then integrates
+blocks of z as the columns of one matrix integrand, so the quadrature
+panels are shared by every z of a block.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +65,6 @@ class InverseKind(enum.Enum):
 class TransformForm(enum.Enum):
     RATIONAL = "rational"
     NUMERIC = "numeric"
-    GAMMA = "gamma"
 
 
 @dataclass(frozen=True)
@@ -73,61 +73,56 @@ class TransformExpr:
 
     Rational: value is sum(res/(z - pole)); poles pairwise distinct.
     Numeric: value computed by direct quadrature of ``source``.
-    Gamma: the Euler integral, evaluated for Re z > 0 as the numeric
-    Mellin transform of exp(-x).
 
-    ``validity`` is where the defining integral converges (a half-plane is
-    stored as a strip with c2 = +inf); rational forms evaluate anywhere
-    except at their poles.
+    ``validity`` is derived, never passed: where the defining integral
+    converges (a half-plane is stored as a strip with c2 = +inf).  For a
+    rational form it is the half-plane right of the rightmost pole, though
+    the form evaluates anywhere except at its poles.
     """
 
     form: TransformForm
     poles: tuple = ()
     source: FunctionSpec | None = None
     kind: TransformKind | None = None
-    validity: Strip | None = None
+    validity: Strip = field(init=False)
 
     def __post_init__(self):
         if self.form is TransformForm.RATIONAL:
             if not self.poles:
                 raise ValueError("rational form needs at least one pole")
-            pts = [complex(p) for p, _ in self.poles]
-            object.__setattr__(
-                self,
-                "poles",
-                tuple((complex(p), complex(r)) for p, r in self.poles),
-            )
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    if abs(pts[i] - pts[j]) < POLE_HIT_TOL:
-                        raise ValueError(f"duplicate pole at {pts[i]}")
-        elif self.form is TransformForm.NUMERIC:
+            poles = tuple((complex(p), complex(r)) for p, r in self.poles)
+            for i, (p, _) in enumerate(poles):
+                for q, _ in poles[i + 1:]:
+                    # math.hypot gives inf where abs(p - q) raises OverflowError
+                    if math.hypot(p.real - q.real, p.imag - q.imag) < POLE_HIT_TOL:
+                        raise ValueError(f"duplicate pole at {p}")
+            object.__setattr__(self, "poles", poles)
+            validity = Strip(max(p.real for p, _ in poles), math.inf)
+        else:
             if self.source is None or self.kind is None:
                 raise ValueError("numeric form needs a source spec and kind")
+            validity = _domain(self.source, self.kind)
+        object.__setattr__(self, "validity", validity)
 
     # -- constructors --------------------------------------------------
     @classmethod
     def rational(cls, poles) -> "TransformExpr":
-        poles = tuple((complex(p), complex(r)) for p, r in poles)
-        right = max(p.real for p, _ in poles)
-        return cls(TransformForm.RATIONAL, poles=poles,
-                   validity=Strip(right, math.inf))
+        return cls(TransformForm.RATIONAL, poles=tuple(poles))
 
     @classmethod
     def numeric(cls, spec: FunctionSpec, kind: TransformKind) -> "TransformExpr":
-        return cls(TransformForm.NUMERIC, source=spec, kind=kind,
-                   validity=_domain(spec, kind))
+        return cls(TransformForm.NUMERIC, source=spec, kind=kind)
 
     @classmethod
     def gamma(cls) -> "TransformExpr":
-        return cls(TransformForm.GAMMA, validity=Strip(0.0, math.inf))
+        """Gamma(z), the Mellin transform of exp(-x), valid for Re z > 0."""
+        return cls.numeric(FunctionSpec.exp_minus_x(), TransformKind.MELLIN)
 
     def is_conjugate_symmetric(self, tol: float = POLE_HIT_TOL) -> bool:
         """True when the pole/residue set is closed under conjugation, so
         the inverse is real on the real axis."""
         if self.form is not TransformForm.RATIONAL:
-            # numeric sources are real-valued catalog functions; the Gamma
-            # integral is real on the real axis
+            # numeric sources are real-valued catalog functions
             return True
         for p, r in self.poles:
             if not any(
@@ -147,13 +142,11 @@ class TransformExpr:
                     for p, r in self.poles
                 ],
             }
-        if self.form is TransformForm.NUMERIC:
-            return {
-                "form": "numeric",
-                "source": self.source.to_json(),
-                "kind": self.kind.value,
-            }
-        return {"form": "gamma"}
+        return {
+            "form": "numeric",
+            "source": self.source.to_json(),
+            "kind": self.kind.value,
+        }
 
     @classmethod
     def from_json(cls, doc: dict) -> "TransformExpr":
@@ -168,8 +161,6 @@ class TransformExpr:
             return cls.numeric(
                 FunctionSpec.from_json(doc["source"]), TransformKind(doc["kind"])
             )
-        if form == "gamma":
-            return cls.gamma()
         raise ValueError(f"unknown transform form {form!r}")
 
 
@@ -200,10 +191,9 @@ def _domain(spec: FunctionSpec, kind: TransformKind) -> Strip:
     return Strip(_growth_index(spec, kind), math.inf)
 
 
-def _check_domain(spec: FunctionSpec, kind: TransformKind, z) -> None:
+def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> None:
     """Raise OutOfDomain unless z (one value or an array) lies inside the
-    domain of the direct transform."""
-    strip = _domain(spec, kind)
+    strip where the direct transform converges."""
     if isinstance(z, np.ndarray):
         re = z.real
         inside = bool(np.all((re > strip.c1) & (re < strip.c2)))
@@ -308,7 +298,7 @@ def transform_estimate(
     over [1, inf).
     """
     z = complex(z)
-    _check_domain(spec, kind, z)
+    _check_strip(_domain(spec, kind), spec, kind, z)
     return _estimate(spec, kind, z, q or QuadratureSpec())
 
 
@@ -427,19 +417,16 @@ def rational_values(t: TransformExpr, zs: np.ndarray) -> np.ndarray:
 def values(t: TransformExpr, zs, q: QuadratureSpec | None = None) -> np.ndarray:
     """Values of any TransformExpr at an array of z, in the shape of zs.
 
-    Rational forms go through rational_values.  Numeric and Gamma forms
-    raise OutOfDomain unless every z lies in the validity region, then
-    integrate blocks of at most 128 values of z as the columns of one
-    matrix integrand, so each block shares its quadrature panels.
+    Rational forms go through rational_values.  Numeric forms raise
+    OutOfDomain unless every z lies in ``t.validity``, then integrate
+    blocks of at most 128 values of z as the columns of one matrix
+    integrand, so each block shares its quadrature panels.
     """
     zs = np.asarray(zs, dtype=complex)
     if t.form is TransformForm.RATIONAL:
         return rational_values(t, zs)
-    if t.form is TransformForm.GAMMA:
-        spec, kind = FunctionSpec.exp_minus_x(), TransformKind.MELLIN
-    else:
-        spec, kind = t.source, t.kind
-    _check_domain(spec, kind, zs)
+    spec, kind = t.source, t.kind
+    _check_strip(t.validity, spec, kind, zs)
     q = q or QuadratureSpec()
     flat = zs.ravel()
     if not flat.size:

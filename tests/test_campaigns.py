@@ -124,6 +124,13 @@ def test_delta_check_guards():
         delta_check(1.0, FunctionSpec.exp(-1.0), [20.0])
 
 
+@pytest.mark.parametrize("cutoff", [-20.0, 0.0, math.nan, math.inf])
+def test_delta_check_rejects_bad_cutoffs(cutoff):
+    # a negative cutoff would flip the kernel's sign and tabulate -g(x)
+    with pytest.raises(DomainError, match="T must be positive and finite"):
+        delta_check(1.0, FunctionSpec.exp(1.0), [cutoff, 40.0])
+
+
 # ---------------------------------------------------------------------------
 # invariance sweeps
 # ---------------------------------------------------------------------------

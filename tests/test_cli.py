@@ -275,13 +275,43 @@ def test_malformed_x_exits_two(capsys, argv):
      "--deltas", "0", "--Ts", "5"),
     ("cauchy-check", "--func", "exp:gamma=1", "--kind", "laplace", "--z",
      "1+0i", "--delta=-1"),
-], ids=["invert-delta", "invert-T", "roundtrip-T", "sweep-delta", "cauchy-delta"])
+    ("delta-check", "--func", "exp:gamma=1", "--x", "1", "--T=-20,40"),
+    ("delta-check", "--func", "exp:gamma=1", "--x", "1", "--T=nan,40"),
+], ids=["invert-delta", "invert-T", "roundtrip-T", "sweep-delta", "cauchy-delta",
+        "delta-check-T", "delta-check-T-nan"])
 def test_nonpositive_contour_parameter_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith(f"melaplace {argv[0]}: ") and "must be positive" in err
     assert "Traceback" not in err
+
+
+_EXACT_RUNS = {
+    "roundtrip": ("roundtrip", "--func", "exp:gamma=1", "--kind", "laplace",
+                  "--grid", "1:2:2", "--strict"),
+    "sweep": ("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
+              "--deltas", "0.5", "--Ts", "5", "--strict"),
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
+@pytest.mark.parametrize("command", sorted(_EXACT_RUNS))
+def test_bad_tolerance_exits_two(tmp_path, capsys, command, tol):
+    argv = _EXACT_RUNS[command]
+    # these runs are exact to about 1e-16, so a valid tolerance passes
+    assert run(capsys, *argv, "--tol=1e-6")[0] == 0
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "argument --tol: must be positive and finite" in err
+    assert "Traceback" not in err
+    # a --config value goes through the same check
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tol": tol}))
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == 2
+    assert "argument --tol: must be positive and finite" in err
 
 
 def test_missing_option_exits_two(capsys):

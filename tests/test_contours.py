@@ -14,7 +14,9 @@ from melaplace import (
     PoleHit,
     QuadratureSpec,
     SidePoleConflict,
+    Strip,
     TransformExpr,
+    TransformForm,
     TransformKind,
     ZInsideRectangle,
     analytic_transform,
@@ -51,6 +53,17 @@ def test_bromwich_placement():
 def test_bromwich_numeric_uses_metadata():
     t = TransformExpr.numeric(FunctionSpec.exp(2.0), TransformKind.LAPLACE)
     assert bromwich_for(t, 0.5, 50.0).c_right == pytest.approx(-1.5)
+
+
+def test_hand_built_transforms_equal_their_constructors():
+    hand = TransformExpr(TransformForm.NUMERIC, source=FunctionSpec.exp(1.0),
+                         kind=TransformKind.LAPLACE)
+    assert hand == TransformExpr.numeric(FunctionSpec.exp(1.0), TransformKind.LAPLACE)
+    assert hand.validity == Strip(-1.0, math.inf)
+    assert bromwich_for(hand, 0.5, 50.0).c_right == pytest.approx(-0.5)
+    rational = TransformExpr(TransformForm.RATIONAL, poles=((-1.0, 1.0),))
+    assert rational == ONE_POLE
+    assert bromwich_for(rational, 0.5, 50.0) == bromwich_for(ONE_POLE, 0.5, 50.0)
 
 
 def test_rectangle_placement():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -90,10 +91,17 @@ def test_equal_mixed_params_allowed():
     ],
 )
 def test_growth_bounds_table(spec, right, left):
-    gb = growth_bounds(spec)
-    assert gb.right_index == right
-    assert gb.left_index == left
-    assert gb.amplitude == 1.0
+    # right is the cataloged index; left, the slowest decay, bounds each
+    # function from below, so right is the sharp index
+    assert growth_bounds(spec).right_index == right
+    if spec.domain_hint is DomainHint.HALF_LINE:
+        xs = np.linspace(0.0, 30.0, 301)
+        lower, upper = np.exp(left * xs), np.exp(right * xs)
+    else:
+        xs = np.linspace(1e-3, 1.0, 301)
+        lower, upper = xs ** -left, xs ** -right
+    f = evaluate(spec, xs)
+    assert np.all(lower * (1 - 1e-12) <= f) and np.all(f <= upper * (1 + 1e-12))
 
 
 def test_growth_bounds_pure():
@@ -181,9 +189,6 @@ def test_spec_string_and_json_roundtrip(spec):
 def test_strip_and_bounds_invariants():
     with pytest.raises(ValueError):
         Strip(2.0, 1.0)
-    with pytest.raises(ValueError):
-        GrowthBounds(right_index=-2.0, left_index=-1.0)
-    with pytest.raises(ValueError):
-        GrowthBounds(right_index=0.0, left_index=0.0, amplitude=0.0)
+    assert [f.name for f in fields(GrowthBounds)] == ["right_index"]
     assert Strip(0.0, math.inf).contains(5.0)
     assert not Strip(0.0, 1.0).contains(1.0)

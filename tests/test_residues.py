@@ -82,6 +82,16 @@ def test_overflowing_series_is_a_domain_error():
         residue_inverse(TransformExpr.rational([(1.0, 1.0)]), MEL, 1e-310)
 
 
+def test_imaginary_leakage_is_a_domain_error():
+    # the poles pair up only to within the symmetry tolerance, and the
+    # 9e-13 mismatch grows into a 3e-7 imaginary part at x = 1e6
+    t = TransformExpr.rational([(1j, 1.0), (9e-13 - 1j, 1.0)])
+    assert t.is_conjugate_symmetric()
+    with pytest.raises(DomainError, match="imaginary leakage"):
+        residue_inverse(t, LAP, 1e6)
+    assert residue_inverse(t, LAP, 1.0) == pytest.approx(2.0 * math.cos(1.0))
+
+
 def test_pole_box_requires_rational():
     with pytest.raises(NotRectangularizable):
         pole_box(TransformExpr.gamma())

@@ -198,7 +198,9 @@ def test_catalog_mixed_equal_rates_collapses():
 
 def test_catalog_gamma_form():
     t = analytic_transform(EGAMMA, TransformKind.MELLIN)
-    assert t.form is TransformForm.GAMMA
+    assert t == TransformExpr.numeric(EGAMMA, TransformKind.MELLIN)
+    assert t == TransformExpr.gamma()
+    assert t.validity == Strip(0.0, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -325,6 +327,12 @@ def test_rational_invariants():
         TransformExpr.rational([(-1.0, 1.0), (-1.0 + 1e-13, 2.0)])
 
 
+def test_far_apart_poles_compare_without_overflow():
+    # |p - q| exceeds the largest float here
+    t = TransformExpr.rational([(complex(1.5e308, 1.5e308), 1.0), (0.0, 1.0)])
+    assert t.validity == Strip(1.5e308, math.inf)
+
+
 def test_conjugate_symmetry_detection():
     sym = analytic_transform(MIXED, TransformKind.LAPLACE)
     assert sym.is_conjugate_symmetric()
@@ -348,9 +356,19 @@ def test_json_roundtrip_all_forms():
     back = TransformExpr.from_json(doc)
     assert back.source == POW_HALF and back.kind is TransformKind.MOMENT
 
-    assert TransformExpr.from_json({"form": "gamma"}).form is TransformForm.GAMMA
     with pytest.raises(ValueError):
         TransformExpr.from_json({"form": "nope"})
+
+
+def test_gamma_json_form_is_not_read():
+    # the Gamma function is written as its numeric form
+    assert TransformExpr.gamma().to_json() == {
+        "form": "numeric",
+        "source": {"kind": "expminusx", "params": []},
+        "kind": "mellin",
+    }
+    with pytest.raises(ValueError, match="unknown transform form 'gamma'"):
+        TransformExpr.from_json({"form": "gamma"})
 
 
 def test_mixed_closed_form_matches_residue_table():
