@@ -124,13 +124,14 @@ def roundtrip(
     the function on the extended domain; the Bromwich path falls back to
     direct quadrature of the transform when no closed form exists, and only
     reproduces the standard domain (that failure mode is the point of the
-    comparison).  delta and half_height of None take the contour defaults.
+    comparison).  delta and half_height of None take the contour defaults;
+    tol of None takes RECTANGLE_TOL or BROMWICH_TOL, and any other value
+    must be positive and finite.
     """
     args = [float(a) for a in args]
     if not args:
         raise EmptyGrid("round trip needs at least one argument")
-    if tol is None:
-        tol = RECTANGLE_TOL if use_rectangle else BROMWICH_TOL
+    tol = _positive("tol", tol, RECTANGLE_TOL if use_rectangle else BROMWICH_TOL)
     t = transform_for(spec, kind)
     if use_rectangle:
         contour = rectangle_for(t, delta, half_height)

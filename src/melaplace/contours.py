@@ -21,6 +21,24 @@ once.  Numeric forms such as the Gamma function, which only open lines can
 carry, have the whole node array checked against their validity strip and
 then integrated in blocks of nodes whose quadrature panels are shared,
 rather than one adaptive integral per node.
+
+Inverses of real signals integrate half the contour.  When the transform
+is conjugate-symmetric, F(conj z) = conj F(z) (every numeric form, whose
+source is a real catalog function, and every rational form whose
+pole/residue set is closed under conjugation), the kernel exp(s*z) with
+real s is too, and both shapes are mirror-symmetric about the real axis.
+The part below the axis, traversed as oriented, then contributes minus the
+conjugate of the part above it, so
+
+    (1/2pi i) * integral over the contour = Im(I) / pi,
+
+with I the integral over the part with Im z >= 0: [c, c + iT] for a line;
+the right half-edge, the top edge and the left half-edge for a rectangle.
+Such an inverse evaluates half the nodes and is exactly real (the real
+form of the Bromwich integral; Weideman & Trefethen, Math. Comp. 76,
+2007).  Rational sets without that symmetry keep the whole contour and
+return a complex value.  So does Cauchy reproduction: its kernel
+1/(z - w) at a complex z breaks the mirror symmetry.
 """
 
 from __future__ import annotations
@@ -189,6 +207,23 @@ def _edge_nodes(z0: complex, z1: complex, width: float, order: int, budget: int)
     return nodes, weights
 
 
+def _polyline(corners, budgets, width: float, order: int):
+    """Nodes and weights along corners[0] -> corners[1] -> ..., edge k
+    holding at most budgets[k] panels."""
+    parts = [
+        _edge_nodes(z0, z1, width, order, budget)
+        for z0, z1, budget in zip(corners, corners[1:], budgets)
+    ]
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+    )
+
+
+def _panel_width(c: Contour) -> float:
+    return max(min(_BASE_PANEL_WIDTH, 2.0 * c.delta), _MIN_PANEL_WIDTH)
+
+
 def discretize(c: Contour, q: QuadratureSpec | None = None):
     """Nodes and weights realizing the oriented path integral as a weighted
     sum: sum(w * g(z)) approximates the integral of g along the contour.
@@ -196,7 +231,7 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
     Returns a pair of parallel complex ndarrays (nodes, weights).
     """
     q = q or QuadratureSpec()
-    width = max(min(_BASE_PANEL_WIDTH, 2.0 * c.delta), _MIN_PANEL_WIDTH)
+    width = _panel_width(c)
     T = c.half_height
     if c.shape is ContourShape.BROMWICH_LINE:
         return _edge_nodes(
@@ -211,14 +246,28 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
         complex(c.c_left, -T),
         complex(c.c_right, -T),
     ]
-    parts = [
-        _edge_nodes(corners[i], corners[i + 1], width, q.panel_order, budget)
-        for i in range(4)
-    ]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    return _polyline(corners, [budget] * 4, width, q.panel_order)
+
+
+def _upper_half(c: Contour, q: QuadratureSpec):
+    """Nodes and weights of the part of c with Im z >= 0, oriented as in c:
+    [c, c + iT] for a line; the right half-edge, the top edge and the left
+    half-edge for a rectangle.  Same panel width as discretize, and half
+    the panel budget on each half-edge."""
+    T = c.half_height
+    if c.shape is ContourShape.BROMWICH_LINE:
+        corners = [complex(c.c_right, 0.0), complex(c.c_right, T)]
+        budgets = [max(1, q.max_panels // 2)]
+    else:
+        edge = max(1, q.max_panels // 4)
+        corners = [
+            complex(c.c_right, 0.0),
+            complex(c.c_right, T),
+            complex(c.c_left, T),
+            complex(c.c_left, 0.0),
+        ]
+        budgets = [max(1, edge // 2), edge, max(1, edge // 2)]
+    return _polyline(corners, budgets, _panel_width(c), q.panel_order)
 
 
 def _contour_sum(t: TransformExpr, kind: InverseKind, c: Contour, arg: float,
@@ -230,9 +279,17 @@ def _contour_sum(t: TransformExpr, kind: InverseKind, c: Contour, arg: float,
         raise DomainError(
             f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
         )
-    nodes, weights = discretize(c, q)
-    kernel = np.exp(scale * nodes)
-    return complex(np.dot(weights, kernel * values(t, nodes, q))) / (2j * math.pi)
+    symmetric = t.conjugate_symmetric
+    if symmetric:
+        nodes, weights = _upper_half(c, q or QuadratureSpec())
+    else:
+        nodes, weights = discretize(c, q)
+    total = complex(np.dot(weights, np.exp(scale * nodes) * values(t, nodes, q)))
+    if symmetric:
+        # the lower half is the mirror image of the upper half, traversed
+        # backwards, so it adds -conj(total): the sum is 2i * total.imag
+        return complex(total.imag / math.pi, 0.0)
+    return total / (2j * math.pi)
 
 
 def inverse_eval(
@@ -246,7 +303,8 @@ def inverse_eval(
 
     On a rectangle enclosing all poles of a rational transform the result
     matches the residue series independently of T and delta; on an open
-    line it carries the usual O(1/T) truncation error.
+    line it carries the usual O(1/T) truncation error.  For a
+    conjugate-symmetric transform the imaginary part is exactly 0.
     """
     return _contour_sum(t, kind, c, float(arg), q)
 

@@ -60,7 +60,7 @@ def residue_inverse(t: TransformExpr, kind: InverseKind, arg: float):
     full complex value.
     """
     total = ResidueSum.from_transform(t, kind).eval(float(arg))
-    if t.is_conjugate_symmetric():
+    if t.conjugate_symmetric:
         if not abs(total.imag) <= 1e-12 * max(1.0, abs(total)):
             raise DomainError(
                 f"imaginary leakage {total.imag:g} from a conjugate-symmetric "

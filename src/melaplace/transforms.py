@@ -78,6 +78,10 @@ class TransformExpr:
     converges (a half-plane is stored as a strip with c2 = +inf).  For a
     rational form it is the half-plane right of the rightmost pole, though
     the form evaluates anywhere except at its poles.
+
+    ``conjugate_symmetric`` is derived too: whether transform(conj z) =
+    conj transform(z), so that inverses at real arguments are real.  It
+    plays no part in equality, hashing, repr or JSON.
     """
 
     form: TransformForm
@@ -85,6 +89,7 @@ class TransformExpr:
     source: FunctionSpec | None = None
     kind: TransformKind | None = None
     validity: Strip = field(init=False)
+    conjugate_symmetric: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.form is TransformForm.RATIONAL:
@@ -98,11 +103,15 @@ class TransformExpr:
                         raise ValueError(f"duplicate pole at {p}")
             object.__setattr__(self, "poles", poles)
             validity = Strip(max(p.real for p, _ in poles), math.inf)
+            symmetric = _closed_under_conjugation(poles, POLE_HIT_TOL)
         else:
             if self.source is None or self.kind is None:
                 raise ValueError("numeric form needs a source spec and kind")
             validity = _domain(self.source, self.kind)
+            # numeric sources are real-valued catalog functions
+            symmetric = True
         object.__setattr__(self, "validity", validity)
+        object.__setattr__(self, "conjugate_symmetric", symmetric)
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -120,17 +129,11 @@ class TransformExpr:
 
     def is_conjugate_symmetric(self, tol: float = POLE_HIT_TOL) -> bool:
         """True when the pole/residue set is closed under conjugation, so
-        the inverse is real on the real axis."""
-        if self.form is not TransformForm.RATIONAL:
-            # numeric sources are real-valued catalog functions
-            return True
-        for p, r in self.poles:
-            if not any(
-                abs(p2 - p.conjugate()) < tol and abs(r2 - r.conjugate()) < tol
-                for p2, r2 in self.poles
-            ):
-                return False
-        return True
+        the inverse is real on the real axis; the default tol reads
+        ``conjugate_symmetric``."""
+        if tol == POLE_HIT_TOL or self.form is not TransformForm.RATIONAL:
+            return self.conjugate_symmetric
+        return _closed_under_conjugation(self.poles, tol)
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
@@ -162,6 +165,19 @@ class TransformExpr:
                 FunctionSpec.from_json(doc["source"]), TransformKind(doc["kind"])
             )
         raise ValueError(f"unknown transform form {form!r}")
+
+
+def _closed_under_conjugation(poles, tol: float) -> bool:
+    """True when every (pole, residue) has its conjugate in the set, within
+    tol; math.hypot gives inf where abs(p2 - conj p) raises OverflowError."""
+    return all(
+        any(
+            math.hypot(p2.real - p.real, p2.imag + p.imag) < tol
+            and math.hypot(r2.real - r.real, r2.imag + r.imag) < tol
+            for p2, r2 in poles
+        )
+        for p, r in poles
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ def test_roundtrip_errors():
         roundtrip(FunctionSpec.power(0.5), MEL, [-1.0])
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_roundtrip_rejects_bad_tolerance(tol):
+    # a NaN tolerance failed a result exact to 2.8e-17
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        roundtrip(FunctionSpec.exp(1.0), LAP, [1.0], tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # delta-kernel checks (expected values frozen from a scipy.integrate.quad
 # reference run at epsrel 1e-12; the constant case has a closed form via

@@ -118,6 +118,16 @@ def test_invert_grid_and_bromwich(capsys):
     assert float(rows[1][1]) == pytest.approx(math.exp(-2.0), abs=5e-3)
 
 
+def test_symmetric_inverses_print_a_zero_imaginary_part(capsys):
+    for contour in ("rect", "bromwich"):
+        code, out, _ = run(
+            capsys, "invert", "--poles", "[[-1,2,1,0],[-1,-2,1,0]]", "--kind",
+            "laplace", "--contour", contour, "--grid=-1:1:3",
+        )
+        assert code == 0
+        assert [row[2] for row in rows_of(out)[1]] == ["0", "0", "0"]
+
+
 MIXEDPOWER = ("--func", "mixedpower:g1=0.5,g2=1", "--kind", "mellin")
 
 

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melaplace import (
     Contour,
@@ -24,11 +27,14 @@ from melaplace import (
     cauchy_reproduction,
     discretize,
     inverse_eval,
+    pole_box,
     rectangle_for,
     residue_inverse,
     single_line_eval,
 )
+from melaplace import contours
 from melaplace.contours import DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT
+from melaplace.transforms import values
 
 LAP = InverseKind.LAPLACE_KERNEL
 MEL = InverseKind.MELLIN_KERNEL
@@ -36,6 +42,8 @@ MEL = InverseKind.MELLIN_KERNEL
 ONE_POLE = TransformExpr.rational([(-1.0, 1.0)])
 HALF_POLE = TransformExpr.rational([(-0.5, 1.0)])
 MIXED = analytic_transform(FunctionSpec.mixed_exp(1.0, 2.0), TransformKind.LAPLACE)
+# inner quadrature of the Gamma line, as in the acceptance demo
+LINE_Q = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +328,124 @@ def test_denser_quadrature_spec_respected():
     nodes_fine, _ = discretize(rect, QuadratureSpec(panel_order=8))
     nodes_default, _ = discretize(rect)
     assert len(nodes_fine) < len(nodes_default)
+
+
+# ---------------------------------------------------------------------------
+# conjugate-symmetric inverses: the upper half of the contour
+# ---------------------------------------------------------------------------
+
+def _full_contour_sum(t, kind, c, arg, q=None):
+    """The inverse as the weighted sum over every node of discretize."""
+    s = arg if kind is LAP else -math.log(arg)
+    nodes, weights = discretize(c, q)
+    total = np.dot(weights, np.exp(s * nodes) * values(t, nodes, q))
+    return complex(total) / (2j * math.pi)
+
+
+def _term_scale(poles, kind, arg):
+    """sum |r * kernel(p, arg)|: the size of the residue series' terms,
+    against which its cancellations and roundoff are measured."""
+    s = arg if kind is LAP else -math.log(arg)
+    return sum(abs(r) * math.exp(p.real * s) for p, r in poles)
+
+
+# pole coordinates on a 1/8 grid, so that no two poles coincide
+_eighths = st.integers(-16, 4).map(lambda k: k / 8)
+_magnitudes = st.floats(0.1, 1.0)
+_phases = st.floats(0.0, 2 * math.pi)
+_real_residues = st.builds(math.copysign, _magnitudes, st.sampled_from([1.0, -1.0]))
+_residues = st.builds(cmath.rect, _magnitudes, _phases)
+
+
+@st.composite
+def _symmetric_poles(draw):
+    """Up to two real poles with real residues plus up to two conjugate
+    pairs, at least one pole in all."""
+    poles = [
+        (complex(re), complex(draw(_real_residues)))
+        for re in draw(st.lists(_eighths, max_size=2, unique=True))
+    ]
+    pairs = draw(st.lists(
+        st.tuples(_eighths, st.integers(2, 24).map(lambda j: j / 8), _residues),
+        min_size=0 if poles else 1, max_size=2, unique_by=lambda e: e[:2],
+    ))
+    for re, im, r in pairs:
+        poles += [(complex(re, im), r), (complex(re, -im), r.conjugate())]
+    return poles
+
+
+@st.composite
+def _kernel_and_arg(draw):
+    kind = draw(st.sampled_from([LAP, MEL]))
+    if kind is LAP:
+        return kind, draw(st.floats(-2.0, 2.0))
+    return kind, math.exp(draw(st.floats(math.log(0.25), math.log(4.0))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poles=_symmetric_poles(), delta=st.floats(0.1, 1.0),
+       extra=st.floats(0.0, 5.0), kernel=_kernel_and_arg(),
+       stray=st.tuples(_eighths, st.integers(0, 23), _residues))
+def test_symmetric_rectangle_inverse_matches_oracle_and_full_contour(
+        poles, delta, extra, kernel, stray):
+    kind, arg = kernel
+    t = TransformExpr.rational(poles)
+    assert t.is_conjugate_symmetric()
+    rect = rectangle_for(t, delta, pole_box(t)[2] + delta + extra)
+    got = inverse_eval(t, kind, rect, arg)
+    want = residue_inverse(t, kind, arg)
+    scale = _term_scale(poles, kind, arg)
+    assert got.imag == 0.0
+    assert abs(got - want) <= 1e-6 * scale
+    # the full contour's own roundoff grows with the terms, not with |f|,
+    # where they cancel
+    full = _full_contour_sum(t, kind, rect, arg)
+    assert abs(got - full) <= 1e-12 * max(1.0, scale)
+
+    # one pole off the 1/8 grid without its conjugate breaks the symmetry;
+    # the inverse then is the oracle's complex value
+    re, j, r = stray
+    lop_poles = poles + [(complex(re, (2 * j + 1) / 16), r)]
+    lop = TransformExpr.rational(lop_poles)
+    assert not lop.is_conjugate_symmetric()
+    rect = rectangle_for(lop, delta, pole_box(lop)[2] + delta + extra)
+    got = inverse_eval(lop, kind, rect, arg)
+    want = residue_inverse(lop, kind, arg)
+    assert isinstance(want, complex)
+    assert abs(got - want) <= 1e-6 * _term_scale(lop_poles, kind, arg)
+
+
+@pytest.mark.parametrize("y", [0.2, 1.0, 5.0])
+def test_gamma_line_matches_its_full_line_sum(y):
+    gamma = TransformExpr.gamma()
+    line = bromwich_for(gamma, 1.0, 10.0)
+    got = inverse_eval(gamma, MEL, line, y, LINE_Q)
+    assert got.imag == 0.0
+    assert abs(got - _full_contour_sum(gamma, MEL, line, y, LINE_Q)) <= 1e-12
+
+
+def test_symmetric_inverses_evaluate_the_upper_half_only(monkeypatch):
+    counted = []
+
+    def counting(t, zs, q=None):
+        counted.append(np.size(zs))
+        return values(t, zs, q)
+
+    monkeypatch.setattr(contours, "values", counting)
+    gamma = TransformExpr.gamma()
+    line = bromwich_for(gamma, 1.0, 10.0)
+    inverse_eval(gamma, MEL, line, 1.0, LINE_Q)
+    assert counted == [208]
+    assert len(discretize(line, LINE_Q)[0]) == 416
+
+    # the Cauchy kernel 1/(z - w) and a set without conjugate symmetry
+    # keep the whole contour
+    rect = rectangle_for(MIXED, 0.5, 5.0)
+    counted.clear()
+    cauchy_reproduction(MIXED, rect, 1.0)
+    assert counted == [len(discretize(rect)[0])]
+    lop = TransformExpr.rational([(complex(-1.0, 2.0), 1.0)])
+    rect = rectangle_for(lop, 0.5, 5.0)
+    counted.clear()
+    inverse_eval(lop, LAP, rect, 1.0)
+    assert counted == [len(discretize(rect)[0])]

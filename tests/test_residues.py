@@ -92,6 +92,14 @@ def test_imaginary_leakage_is_a_domain_error():
     assert residue_inverse(t, LAP, 1.0) == pytest.approx(2.0 * math.cos(1.0))
 
 
+def test_far_apart_poles_invert_without_overflow():
+    # |p - conj q| exceeds the largest float here
+    t = TransformExpr.rational([(complex(1.5e308, 1.5e308), 1.0), (0.0, 1.0)])
+    assert not t.is_conjugate_symmetric()
+    got = residue_inverse(t, LAP, 0.0)
+    assert isinstance(got, complex) and got == 2.0
+
+
 def test_pole_box_requires_rational():
     with pytest.raises(NotRectangularizable):
         pole_box(TransformExpr.gamma())

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -338,6 +340,22 @@ def test_conjugate_symmetry_detection():
     assert sym.is_conjugate_symmetric()
     lop = TransformExpr.rational([(complex(-1, 2), 1.0)])
     assert not lop.is_conjugate_symmetric()
+
+
+def test_conjugate_symmetry_is_derived_at_construction():
+    sym = analytic_transform(MIXED, TransformKind.LAPLACE)
+    lop = TransformExpr.rational([(complex(-1, 2), 1.0)])
+    assert sym.conjugate_symmetric and not lop.conjugate_symmetric
+    assert TransformExpr.gamma().conjugate_symmetric
+    # derived state: no part of equality, hashing, repr or JSON
+    compared = [f.name for f in fields(TransformExpr) if f.compare]
+    assert "conjugate_symmetric" not in compared
+    assert "conjugate_symmetric" not in repr(sym)
+    assert "conjugate_symmetric" not in json.dumps(sym.to_json())
+    # a tolerance other than the default compares the poles again
+    near = TransformExpr.rational([(1j, 1.0), (1e-9 - 1j, 1.0)])
+    assert not near.is_conjugate_symmetric()
+    assert near.is_conjugate_symmetric(tol=1e-6)
 
 
 def test_json_roundtrip_all_forms():
