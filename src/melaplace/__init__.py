@@ -38,7 +38,6 @@ from .errors import (
     PoleHit,
     SidePoleConflict,
     TailDivergence,
-    UnsupportedMap,
     ZInsideRectangle,
 )
 from .functions import (
@@ -51,7 +50,6 @@ from .functions import (
     format_spec_string,
     growth_bounds,
     parse_spec_string,
-    to_moment_form,
 )
 from .quadrature import (
     Estimate,
@@ -60,7 +58,7 @@ from .quadrature import (
     integrate_halfline,
     integrate_unit_singular,
 )
-from .residues import ResidueSum, pole_box, residue_inverse
+from .residues import pole_box, residue_inverse
 from .transforms import (
     InverseKind,
     TransformExpr,

@@ -12,13 +12,17 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .contours import Contour, _positive, bromwich_for, inverse_eval, rectangle_for
 from .errors import DomainError, EmptyGrid, NotRectangularizable
 from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
 from .quadrature import QuadratureSpec, integrate_finite
-from .transforms import InverseKind, TransformExpr, TransformForm, transform_for
+from .transforms import (
+    InverseKind,
+    TransformExpr,
+    TransformForm,
+    _dirichlet,
+    transform_for,
+)
 
 # default pass/fail tolerances for the two convergence regimes
 RECTANGLE_TOL = 1e-6
@@ -171,7 +175,8 @@ def delta_check(
     """Weak-form Dirichlet-kernel test of the delta identity.
 
     Convolves g with sin(T(x-y))/(pi(x-y)) over its domain and tabulates the
-    approach to g(x) as the cutoff T grows.  Functions without decay are
+    approach to g(x) as the cutoff T grows; open-line inverses of numeric
+    transforms integrate the same kernel.  Functions without decay are
     integrated over a finite window since the sinc tail is only
     conditionally convergent.  Each cutoff must be positive and finite.
     """
@@ -183,8 +188,7 @@ def delta_check(
     results = []
     for T in Ts:
         def integrand(y, T=T):
-            # sin(T u)/(pi u) written via sinc to keep u = 0 exact
-            return evaluate(g, y) * (T / math.pi) * np.sinc(T * (x - y) / math.pi)
+            return _dirichlet(evaluate(g, y), T, x - y)
 
         results.append(integrate_finite(integrand, lo, hi, q).value.real)
     return ConvergenceTable("T", tuple(Ts), tuple(results),

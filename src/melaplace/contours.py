@@ -16,17 +16,23 @@ Gauss-Legendre convergence geometric despite poles sitting delta away from
 the edges.  Wider arguments need a caller-supplied denser QuadratureSpec.
 
 Transform values at the contour nodes come from one batched call,
-``transforms.values``.  Rational forms sum their poles over all nodes at
-once.  Numeric forms such as the Gamma function, which only open lines can
-carry, have the whole node array checked against their validity strip and
-then integrated in blocks of nodes whose quadrature panels are shared,
-rather than one adaptive integral per node.
+``transforms.values``.  Numeric forms such as the Gamma function, which
+only open lines can carry, have no nodes.  Written as a Laplace integral,
+F(z) = int exp(-z*u) g(u) du (u = -ln y for moments; u = -ln x over all
+of R for Mellin), Fubini turns the truncated line into one real integral,
+the paper's delta identity:
+
+    (1/2pi i) int_{c-iT}^{c+iT} exp(s*z) F(z) dz
+        = exp(c*s) * int exp(-c*u) g(u) sin(T(s - u))/(pi(s - u)) du,
+
+valid because c inside the validity strip makes the double integral
+absolutely convergent; ``transforms._line_integral`` computes it.
 
 Inverses of real signals integrate half the contour.  When the transform
-is conjugate-symmetric, F(conj z) = conj F(z) (every numeric form, whose
-source is a real catalog function, and every rational form whose
-pole/residue set is closed under conjugation), the kernel exp(s*z) with
-real s is too, and both shapes are mirror-symmetric about the real axis.
+is conjugate-symmetric, F(conj z) = conj F(z) (every rational form whose
+pole/residue set is closed under conjugation; numeric forms are too, but
+take the line integral above), the kernel exp(s*z) with real s is too,
+and both shapes are mirror-symmetric about the real axis.
 The part below the axis, traversed as oriented, then contributes minus the
 conjugate of the part above it, so
 
@@ -63,6 +69,7 @@ from .transforms import (
     InverseKind,
     TransformExpr,
     TransformForm,
+    _line_integral,
     values,
 )
 
@@ -279,6 +286,8 @@ def _contour_sum(t: TransformExpr, kind: InverseKind, c: Contour, arg: float,
         raise DomainError(
             f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
         )
+    if t.form is TransformForm.NUMERIC and c.shape is ContourShape.BROMWICH_LINE:
+        return complex(_line_integral(t, c.c_right, c.half_height, scale, q).value.real)
     symmetric = t.conjugate_symmetric
     if symmetric:
         nodes, weights = _upper_half(c, q or QuadratureSpec())

@@ -9,10 +9,6 @@ class DomainError(MelaplaceError):
     """Argument outside the mathematical domain of a function or kernel."""
 
 
-class UnsupportedMap(MelaplaceError):
-    """The Laplace-to-moment map has no image in the built-in catalog."""
-
-
 class NonFiniteIntegrand(MelaplaceError):
     """Integrand returned NaN or infinity at a quadrature node."""
 

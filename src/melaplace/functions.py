@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, UnsupportedMap
+from .errors import DomainError, ParseError
 
 
 class FunctionKind(enum.Enum):
@@ -228,21 +228,3 @@ def growth_bounds(spec: FunctionSpec) -> GrowthBounds:
     if spec.kind in (FunctionKind.MIXED_EXP, FunctionKind.MIXED_POWER):
         return GrowthBounds(right_index=-min(spec.params))
     return GrowthBounds(right_index=-1.0)
-
-
-def to_moment_form(spec: FunctionSpec) -> FunctionSpec:
-    """Map a half-line function f to the moment-side F with F(y) = f(-ln y).
-
-    Only exponentials land back inside the catalog: exp(-g*x) becomes y**g.
-    Everything else raises UnsupportedMap so no entry ever loses its exact
-    growth metadata.
-    """
-    if spec.domain_hint is not DomainHint.HALF_LINE:
-        raise UnsupportedMap("the map applies to half-line (Laplace-side) functions")
-    if spec.kind is FunctionKind.EXP:
-        return FunctionSpec.power(spec.params[0])
-    if spec.kind is FunctionKind.EXP_MINUS_X:
-        return FunctionSpec.power(1.0)
-    raise UnsupportedMap(
-        f"f(-ln y) for {spec.kind.value} is not representable in the catalog"
-    )

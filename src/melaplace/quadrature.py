@@ -8,22 +8,8 @@ Both rules of a panel come from one integrand call on the union of their
 nodes.
 
 Integrands must be vectorized: they receive a 1-D float ndarray of nodes
-and return either a vector of (possibly complex) values, one per node, or
-a (nodes, m) matrix that holds m integrands at once, one per column.  A
-matrix integrand shares its panels among all columns, as in Shampine,
-"Vectorized adaptive quadrature in MATLAB", J. Comput. Appl. Math. 211
-(2008):
-
-* a panel is accepted only when every column j meets
-  max(abs_tol, rel_tol*|fine_j|), or the panel reaches the width floor;
-* a half-line integral stops once every column has had two negligible
-  panels in a row, and each column stops accumulating at that point;
-* the tail-divergence test runs on every column;
-* Estimate.value and err_est have one entry per column, while
-  panels_used and converged describe the whole batch.
-
-The bookkeeping uses plain Python operators that work on scalars and
-arrays alike, so a vector integrand pays no numpy overhead per panel.
+and return a vector of (possibly complex) values, one per node; any other
+shape raises ValueError.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -92,8 +78,9 @@ class QuadratureSpec:
 class Estimate:
     """Integral value with its error estimate and convergence bookkeeping.
 
-    value and err_est are arrays with one entry per column for a matrix
-    integrand; panels_used and converged always describe the whole call.
+    panels_used counts the Gauss-Legendre panels evaluated; converged says
+    whether err_est met max(abs_tol, rel_tol*|value|) within the panel
+    budget.
     """
 
     value: complex
@@ -127,44 +114,32 @@ def _gl_pair(n: int):
 
 def _panel(f, a: float, b: float, order: int):
     """Order-2n value of f over [a, b] and its distance from the order-n
-    value: Python numbers for a vector integrand, arrays with one entry per
-    column for a matrix one."""
+    value."""
     nodes, weights = _gl_pair(order)
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * nodes
     vals = np.asarray(f(xs), dtype=complex)
+    if vals.shape != xs.shape:
+        raise ValueError(f"integrand gave shape {vals.shape} for {xs.size} nodes")
     finite = np.isfinite(vals)
     if not finite.all():
-        if vals.ndim > 1:
-            finite = finite.all(axis=1)
         bad = float(xs[~finite][0])
         raise NonFiniteIntegrand(f"integrand not finite near t = {bad!r}")
-    sums = weights @ vals
-    if vals.ndim == 1:
-        coarse, fine = sums.tolist()
-        return half * fine, half * abs(fine - coarse)
-    return half * sums[1], half * np.abs(sums[1] - sums[0])
+    coarse, fine = (weights @ vals).tolist()
+    return half * fine, half * abs(fine - coarse)
 
 
-def _within(q: QuadratureSpec, err, scale) -> bool:
-    """err <= max(abs_tol, rel_tol*scale), in every column."""
-    if isinstance(err, np.ndarray):
-        return bool((err <= np.maximum(q.abs_tol, q.rel_tol * scale)).all())
+def _within(q: QuadratureSpec, err: float, scale: float) -> bool:
+    """err <= max(abs_tol, rel_tol*scale)."""
     return err <= max(q.abs_tol, q.rel_tol * scale)
-
-
-def _any(flags) -> bool:
-    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
 
 
 def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> Estimate:
     """Adaptive integral of f over [a, b].
 
-    Panels failing the order-n vs order-2n comparison in any column are
-    halved until the panel budget runs out; converged reports whether the
-    final accumulated error estimate meets tolerance in every column.  An
-    empty interval gives a scalar 0, which broadcasts against any column
-    shape.
+    Panels failing the order-n vs order-2n comparison are halved until the
+    panel budget runs out; converged reports whether the final accumulated
+    error estimate meets tolerance.
     """
     q = q or QuadratureSpec()
     if a > b:
@@ -199,10 +174,10 @@ def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> 
 def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate:
     """Integral of f over [a, inf) by geometrically widening panels.
 
-    A column stops once two consecutive panels are negligible both
-    absolutely and relative to its running total; the loop ends when every
-    column has stopped.  A column whose mean magnitude per unit length
-    grows on _DIVERGENT_RISES consecutive panels raises TailDivergence.
+    The loop stops once two consecutive panels are negligible both
+    absolutely and relative to the running total.  A mean magnitude per
+    unit length that grows on _DIVERGENT_RISES consecutive panels raises
+    TailDivergence.
     """
     q = q or QuadratureSpec()
     lo = float(a)
@@ -210,34 +185,28 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     total = 0j
     err_sum = 0.0
     used = 0
-    # per-column state: Python scalars for a vector integrand, arrays once
-    # a matrix integrand has broadcast against them
-    active = True
     quiet = 0
     rises = 0
     live = False
     density = 0.0
     for _ in range(_MAX_TAIL_PANELS):
         est = integrate_finite(f, lo, lo + width, q)
-        total += est.value * active
-        err_sum += est.err_est * active
+        total += est.value
+        err_sum += est.err_est
         used += est.panels_used
         mag = abs(est.value)
         size = abs(total)
-        quiet = (quiet + 1) * (
-            (mag <= q.abs_tol) & ((mag <= q.rel_tol * size) | (size <= q.abs_tol))
-        )
-        err_sum += mag * (active & (quiet >= 2))
-        active = active & (quiet < 2)
-        if not _any(active):
+        negligible = mag <= q.abs_tol and (mag <= q.rel_tol * size or size <= q.abs_tol)
+        quiet = quiet + 1 if negligible else 0
+        if quiet >= 2:
             break
         # widths grow geometrically, so divergence is judged on the mean
         # magnitude per unit length, not on the raw panel integral
         was_live, previous = live, density
         live = mag > q.abs_tol
         density = mag / width
-        rises = (rises + 1) * (live & was_live & (density > previous))
-        if _any(active & (rises >= _DIVERGENT_RISES)):
+        rises = rises + 1 if live and was_live and density > previous else 0
+        if rises >= _DIVERGENT_RISES:
             raise TailDivergence(
                 f"tail panels keep growing past t = {lo + width:g}"
             )
@@ -245,8 +214,10 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
             break
         lo += width
         width *= _TAIL_GROWTH
-    converged = not _any(active) and _within(q, err_sum, abs(total))
-    return Estimate(total, err_sum, used, converged)
+    # the last panel's magnitude stands for the tail left out, also when
+    # the panel budget cut the tail off before it went quiet
+    err_sum += mag
+    return Estimate(total, err_sum, used, quiet >= 2 and _within(q, err_sum, abs(total)))
 
 
 def integrate_unit_singular(f, sigma: float, q: QuadratureSpec | None = None) -> Estimate:

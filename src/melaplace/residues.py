@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NotRectangularizable
 from .transforms import InverseKind, TransformExpr, TransformForm
@@ -29,29 +28,6 @@ def _kernel_scale(kind: InverseKind, arg: float) -> float:
     return -math.log(arg)
 
 
-@dataclass(frozen=True)
-class ResidueSum:
-    """The residue-series representation of an inverse transform."""
-
-    terms: tuple  # of (pole, residue)
-    kernel: InverseKind
-
-    @classmethod
-    def from_transform(cls, t: TransformExpr, kernel: InverseKind) -> "ResidueSum":
-        if t.form is not TransformForm.RATIONAL:
-            raise NotRectangularizable("residue series requires a rational transform")
-        return cls(tuple(t.poles), kernel)
-
-    def eval(self, arg: float) -> complex:
-        scale = _kernel_scale(self.kernel, arg)
-        try:
-            return sum(r * cmath.exp(p * scale) for p, r in self.terms)
-        except OverflowError:
-            raise DomainError(
-                f"the residue series overflows at arg = {arg:g}"
-            ) from None
-
-
 def residue_inverse(t: TransformExpr, kind: InverseKind, arg: float):
     """Exact inverse of a rational transform at one point.
 
@@ -59,7 +35,15 @@ def residue_inverse(t: TransformExpr, kind: InverseKind, arg: float):
     when the imaginary part is not negligible; anything else returns the
     full complex value.
     """
-    total = ResidueSum.from_transform(t, kind).eval(float(arg))
+    if t.form is not TransformForm.RATIONAL:
+        raise NotRectangularizable("residue series requires a rational transform")
+    scale = _kernel_scale(kind, float(arg))
+    try:
+        total = sum(r * cmath.exp(p * scale) for p, r in t.poles)
+    except OverflowError:
+        raise DomainError(
+            f"the residue series overflows at arg = {arg:g}"
+        ) from None
     if t.conjugate_symmetric:
         if not abs(total.imag) <= 1e-12 * max(1.0, abs(total)):
             raise DomainError(

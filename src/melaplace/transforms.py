@@ -14,10 +14,11 @@ derived once, at construction.  Only rational forms can be inverted on a
 closed rectangle; the Gamma function's poles march off to the left, so it
 stays on open Bromwich lines.
 
-``values`` evaluates any TransformExpr at an array of z.  For numeric forms
-it checks the whole array against the validity strip, then integrates
-blocks of z as the columns of one matrix integrand, so the quadrature
-panels are shared by every z of a block.
+``values`` evaluates any TransformExpr at an array of z; numeric forms
+check the whole array against the validity strip, then integrate each z.
+Open-line inverses of numeric forms evaluate no transform values:
+``_line_integral`` integrates the source against the Dirichlet kernel, by
+the identity that the ``contours`` docstring states.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ from .functions import (
 from .quadrature import (
     Estimate,
     QuadratureSpec,
+    _within,
+    integrate_finite,
     integrate_halfline,
 )
 
 # poles closer than this are "the same point" for evaluation purposes
 POLE_HIT_TOL = 1e-12
-# z columns per batched integral: caps the (nodes, columns) working set
-_Z_BLOCK = 128
 
 
 class TransformKind(enum.Enum):
@@ -103,7 +104,7 @@ class TransformExpr:
                         raise ValueError(f"duplicate pole at {p}")
             object.__setattr__(self, "poles", poles)
             validity = Strip(max(p.real for p, _ in poles), math.inf)
-            symmetric = _closed_under_conjugation(poles, POLE_HIT_TOL)
+            symmetric = _closed_under_conjugation(poles)
         else:
             if self.source is None or self.kind is None:
                 raise ValueError("numeric form needs a source spec and kind")
@@ -127,13 +128,10 @@ class TransformExpr:
         """Gamma(z), the Mellin transform of exp(-x), valid for Re z > 0."""
         return cls.numeric(FunctionSpec.exp_minus_x(), TransformKind.MELLIN)
 
-    def is_conjugate_symmetric(self, tol: float = POLE_HIT_TOL) -> bool:
-        """True when the pole/residue set is closed under conjugation, so
-        the inverse is real on the real axis; the default tol reads
-        ``conjugate_symmetric``."""
-        if tol == POLE_HIT_TOL or self.form is not TransformForm.RATIONAL:
-            return self.conjugate_symmetric
-        return _closed_under_conjugation(self.poles, tol)
+    def is_conjugate_symmetric(self) -> bool:
+        """True when transform(conj z) = conj transform(z), so the inverse
+        is real on the real axis; reads ``conjugate_symmetric``."""
+        return self.conjugate_symmetric
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
@@ -167,13 +165,13 @@ class TransformExpr:
         raise ValueError(f"unknown transform form {form!r}")
 
 
-def _closed_under_conjugation(poles, tol: float) -> bool:
-    """True when every (pole, residue) has its conjugate in the set, within
-    tol; math.hypot gives inf where abs(p2 - conj p) raises OverflowError."""
+def _closed_under_conjugation(poles) -> bool:
+    """True when every (pole, residue) has its conjugate within POLE_HIT_TOL;
+    math.hypot gives inf where abs(p2 - conj p) raises OverflowError."""
     return all(
         any(
-            math.hypot(p2.real - p.real, p2.imag + p.imag) < tol
-            and math.hypot(r2.real - r.real, r2.imag + r.imag) < tol
+            math.hypot(p2.real - p.real, p2.imag + p.imag) < POLE_HIT_TOL
+            and math.hypot(r2.real - r.real, r2.imag + r.imag) < POLE_HIT_TOL
             for p2, r2 in poles
         )
         for p, r in poles
@@ -221,49 +219,36 @@ def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> No
         raise OutOfDomain(f"{kind.value} transform of {spec.kind.value} needs {bounds}")
 
 
-def _column(z):
-    """Shape quadrature nodes to broadcast against z: unchanged for one z,
-    a (nodes, 1) column against an array of z, so that the integrand
-    returns a (nodes, len(z)) matrix."""
-    if isinstance(z, np.ndarray):
-        return lambda t: t[:, None]
-    return lambda t: t
-
-
 def _laplace_integrand(spec: FunctionSpec, z):
     # fold the kernel into the function's own exponent wherever possible:
     # exp(-t*z) and exp(-g*t) evaluated separately overflow/underflow for
     # Re z near -g even though their product decays
-    col = _column(z)
     if spec.kind in (FunctionKind.EXP, FunctionKind.EXP_MINUS_X):
         g = spec.params[0] if spec.params else 1.0
-        return lambda t: np.exp(-(z + g) * col(t))
+        return lambda t: np.exp(-(z + g) * t)
     if spec.kind is FunctionKind.MIXED_EXP:
         g1, g2 = spec.params
 
         def mixed(t):
-            t = col(t)
             return (
                 np.exp(-(z + g1) * t) * np.sin(t) ** 2
                 + np.exp(-(z + g2) * t) * np.cos(t) ** 2
             )
 
         return mixed
-    return lambda t: np.exp(-col(t) * z) * evaluate(spec, col(t))
+    return lambda t: np.exp(-t * z) * evaluate(spec, t)
 
 
 def _moment_integrand(spec: FunctionSpec, z):
     # the substituted y = exp(-t) form of y**(z-1) * F(y) on [0, inf),
     # again with fused exponents
-    col = _column(z)
     if spec.kind is FunctionKind.POWER:
         g = spec.params[0]
-        return lambda t: np.exp(-(z + g) * col(t))
+        return lambda t: np.exp(-(z + g) * t)
     if spec.kind is FunctionKind.MIXED_POWER:
         g1, g2 = spec.params
 
         def mixed(t):
-            t = col(t)
             u = np.exp(-t)
             return (
                 np.exp(-(z + g1) * t) * np.sin(u) ** 2
@@ -271,23 +256,16 @@ def _moment_integrand(spec: FunctionSpec, z):
             )
 
         return mixed
-    return lambda t: np.exp(-col(t) * z) * evaluate(spec, np.exp(-col(t)))
+    return lambda t: np.exp(-t * z) * evaluate(spec, np.exp(-t))
 
 
 def _mellin_tail_integrand(spec: FunctionSpec, z):
     # x**(z-1) * f(x) on [1, inf)
-    col = _column(z)
-
-    def tail(x):
-        x = col(x)
-        return np.exp((z - 1.0) * np.log(x)) * evaluate(spec, x)
-
-    return tail
+    return lambda x: np.exp((z - 1.0) * np.log(x)) * evaluate(spec, x)
 
 
 def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> Estimate:
-    """Direct transform at one z, or at a 1-D array of z as the columns of
-    one matrix integrand; the caller has checked the domain."""
+    """Direct transform at one z; the caller has checked the domain."""
     if kind is TransformKind.LAPLACE:
         return integrate_halfline(_laplace_integrand(spec, z), 0.0, q)
     unit = integrate_halfline(_moment_integrand(spec, z), 0.0, q)
@@ -300,6 +278,49 @@ def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> 
         unit.panels_used + tail.panels_used,
         unit.converged and tail.converged,
     )
+
+
+def _dirichlet(g, T: float, u):
+    """g times the Dirichlet kernel sin(T*u)/(pi*u), written via sinc to
+    keep u = 0 exact."""
+    return g * (T / math.pi) * np.sinc(T * u / math.pi)
+
+
+def _line_integral(t: TransformExpr, c: float, T: float, s: float,
+                   q: QuadratureSpec | None = None) -> Estimate:
+    """(1/2pi i) * integral of exp(s*z) * t(z) over [c - iT, c + iT] for a
+    numeric t: the Dirichlet integral of the ``contours`` docstring.
+
+    exp(-c*u) g(u) is the fused direct-transform integrand at real z = c,
+    since factors taken apart overflow once c < 0.  The u >= 0 side splits
+    at the kernel peak u = s.  Mellin's u < 0 side is one half-line
+    integral in x = exp(-u) from 1, whose doubling panels bracket the peak
+    x = exp(-s); a finite panel over [1, exp(-s)] misses the mass near
+    x = 1 once exp(-s) is large.  Each piece alone is measured against its
+    own value, which the others cancel, so the sum is judged on the summed
+    error.
+    """
+    spec, kind = t.source, t.kind
+    _check_strip(t.validity, spec, kind, complex(c))
+    q = q or QuadratureSpec()
+    inner = (_laplace_integrand if kind is TransformKind.LAPLACE
+             else _moment_integrand)(spec, c)
+
+    def u_side(u):
+        return _dirichlet(inner(u), T, s - u)
+
+    pieces = [integrate_halfline(u_side, max(s, 0.0), q)]
+    if s > 0.0:
+        pieces.append(integrate_finite(u_side, 0.0, s, q))
+    if kind is TransformKind.MELLIN:
+        tail = _mellin_tail_integrand(spec, c)
+        pieces.append(integrate_halfline(
+            lambda x: _dirichlet(tail(x), T, s + np.log(x)), 1.0, q))
+    scale = math.exp(c * s)
+    value = scale * sum(p.value for p in pieces)
+    err = scale * sum(p.err_est for p in pieces)
+    return Estimate(value, err, sum(p.panels_used for p in pieces),
+                    _within(q, err, abs(value)))
 
 
 def transform_estimate(
@@ -434,9 +455,8 @@ def values(t: TransformExpr, zs, q: QuadratureSpec | None = None) -> np.ndarray:
     """Values of any TransformExpr at an array of z, in the shape of zs.
 
     Rational forms go through rational_values.  Numeric forms raise
-    OutOfDomain unless every z lies in ``t.validity``, then integrate
-    blocks of at most 128 values of z as the columns of one matrix
-    integrand, so each block shares its quadrature panels.
+    OutOfDomain unless every z lies in ``t.validity``, then integrate each
+    z on its own.
     """
     zs = np.asarray(zs, dtype=complex)
     if t.form is TransformForm.RATIONAL:
@@ -444,12 +464,8 @@ def values(t: TransformExpr, zs, q: QuadratureSpec | None = None) -> np.ndarray:
     spec, kind = t.source, t.kind
     _check_strip(t.validity, spec, kind, zs)
     q = q or QuadratureSpec()
-    flat = zs.ravel()
-    if not flat.size:
-        return np.zeros(zs.shape, dtype=complex)
-    blocks = np.array_split(flat, -(-flat.size // _Z_BLOCK))
-    parts = [_estimate(spec, kind, block, q).value for block in blocks]
-    return np.concatenate(parts).reshape(zs.shape)
+    out = [_estimate(spec, kind, complex(z), q).value for z in zs.ravel()]
+    return np.array(out, dtype=complex).reshape(zs.shape)
 
 
 def eval_transform(t: TransformExpr, z: complex, q: QuadratureSpec | None = None) -> complex:

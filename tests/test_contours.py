@@ -34,7 +34,7 @@ from melaplace import (
 )
 from melaplace import contours
 from melaplace.contours import DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT
-from melaplace.transforms import values
+from melaplace.transforms import _line_integral, values
 
 LAP = InverseKind.LAPLACE_KERNEL
 MEL = InverseKind.MELLIN_KERNEL
@@ -426,17 +426,28 @@ def test_gamma_line_matches_its_full_line_sum(y):
 
 def test_symmetric_inverses_evaluate_the_upper_half_only(monkeypatch):
     counted = []
+    built = []
 
     def counting(t, zs, q=None):
         counted.append(np.size(zs))
         return values(t, zs, q)
 
+    def building(c, q=None):
+        built.append(c)
+        return discretize(c, q)
+
     monkeypatch.setattr(contours, "values", counting)
+    monkeypatch.setattr(contours, "discretize", building)
+    # a numeric line is one Dirichlet-kernel integral: no nodes at all
     gamma = TransformExpr.gamma()
-    line = bromwich_for(gamma, 1.0, 10.0)
-    inverse_eval(gamma, MEL, line, 1.0, LINE_Q)
-    assert counted == [208]
-    assert len(discretize(line, LINE_Q)[0]) == 416
+    inverse_eval(gamma, MEL, bromwich_for(gamma, 1.0, 10.0), 1.0, LINE_Q)
+    assert counted == [] and built == []
+
+    # a symmetric rational line evaluates the half with Im z >= 0
+    line = bromwich_for(ONE_POLE, 0.5, 10.0)
+    inverse_eval(ONE_POLE, LAP, line, 1.0)
+    assert counted == [208] and built == []
+    assert len(discretize(line)[0]) == 416
 
     # the Cauchy kernel 1/(z - w) and a set without conjugate symmetry
     # keep the whole contour
@@ -449,3 +460,68 @@ def test_symmetric_inverses_evaluate_the_upper_half_only(monkeypatch):
     counted.clear()
     inverse_eval(lop, LAP, rect, 1.0)
     assert counted == [len(discretize(rect)[0])]
+
+
+def test_numeric_line_estimate_is_judged_on_its_summed_error():
+    gamma = TransformExpr.gamma()
+    # at T=200 one piece alone misses its own relative tolerance, measured
+    # against a value that the other pieces cancel
+    est = _line_integral(gamma, 1.0, 200.0, -math.log(5.0), LINE_Q)
+    assert est.converged
+    assert abs(est.value - math.exp(-5.0)) <= 1e-11
+    # a panel budget that cuts the tails off leaves it unconverged
+    full = _line_integral(gamma, 1.0, 10.0, 0.0, LINE_Q)
+    capped = _line_integral(gamma, 1.0, 10.0, 0.0, QuadratureSpec(max_panels=4))
+    assert full.converged and not capped.converged
+    assert capped.err_est >= abs(capped.value - full.value)
+
+
+_decays = st.floats(0.2, 3.0)
+_growths = st.floats(0.0, 3.0)
+_decaying_specs = [
+    st.just(FunctionSpec.exp_minus_x()),
+    st.builds(FunctionSpec.exp, _decays),
+    st.builds(FunctionSpec.mixed_exp, _decays, _decays),
+]
+_power_specs = [
+    st.builds(FunctionSpec.power, _growths),
+    st.builds(FunctionSpec.mixed_power, _growths, _growths),
+]
+
+
+@st.composite
+def _numeric_line(draw):
+    """A numeric transform, its inversion kernel and an argument on either
+    side of the kernel peak.  Only decaying sources have a Mellin strip.
+    Decay rates above delta put the line at c < 0 (exp and mixedexp
+    Laplace, power and mixedpower moments)."""
+    tkind = draw(st.sampled_from(list(TransformKind)))
+    specs = _decaying_specs
+    if tkind is not TransformKind.MELLIN:
+        specs = specs + _power_specs
+    t = TransformExpr.numeric(draw(st.one_of(specs)), tkind)
+    if tkind is TransformKind.LAPLACE:
+        return t, LAP, draw(st.floats(-2.0, 2.0))
+    return t, MEL, math.exp(draw(st.floats(math.log(0.25), math.log(4.0))))
+
+
+# Both sides run at the default tolerances: under LINE_Q (rel_tol 1e-8) the
+# Dirichlet value of the Laplace transform of power:gamma=1.002 at x = 1.002,
+# T = 5 is itself 3.1e-10 (relative) off a rel_tol 1e-13 value, a miss
+# inside LINE_Q's own tolerance that a 1e-10 bound cannot tell from a bug.
+# The reference runs at panel order 32: at order 16 the z**-3.9 branch
+# point of the Laplace transform of mixedpower:g1=2.92,g2=2.92, 0.3 left of
+# the line, puts it 1.6e-6 (relative) off the value that order 32 and the
+# Dirichlet integral agree on within 1e-13.
+REF_Q = QuadratureSpec(panel_order=32)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_numeric_line(), delta=st.floats(0.3, 1.0), T=st.floats(5.0, 12.0))
+def test_numeric_line_inverse_matches_its_full_line_sum(case, delta, T):
+    t, kind, arg = case
+    line = bromwich_for(t, delta, T)
+    got = inverse_eval(t, kind, line, arg)
+    assert got.imag == 0.0
+    want = _full_contour_sum(t, kind, line, arg, REF_Q)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))

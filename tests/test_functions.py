@@ -13,12 +13,10 @@ from melaplace import (
     FunctionSpec,
     GrowthBounds,
     Strip,
-    UnsupportedMap,
     evaluate,
     format_spec_string,
     growth_bounds,
     parse_spec_string,
-    to_moment_form,
 )
 
 
@@ -138,28 +136,6 @@ def test_mixed_bounds_hold_on_grid():
     ys = np.linspace(1e-3, 1.0, 301)
     g = evaluate(FunctionSpec.mixed_power(1.0, 2.0), ys)
     assert np.all(g <= ys ** 1.0 * (1 + 1e-12))
-
-
-def test_to_moment_form_exponentials():
-    assert to_moment_form(FunctionSpec.exp(0.5)) == FunctionSpec.power(0.5)
-    assert to_moment_form(FunctionSpec.exp(0.0)) == FunctionSpec.power(0.0)
-    assert to_moment_form(FunctionSpec.exp_minus_x()) == FunctionSpec.power(1.0)
-
-
-def test_to_moment_form_identity_on_unit_interval():
-    spec = FunctionSpec.exp(0.8)
-    mapped = to_moment_form(spec)
-    for y in np.linspace(0.01, 1.0, 25):
-        assert evaluate(mapped, y) == pytest.approx(
-            evaluate(spec, -math.log(y)), rel=1e-14
-        )
-
-
-def test_to_moment_form_rejects_outside_catalog():
-    with pytest.raises(UnsupportedMap):
-        to_moment_form(FunctionSpec.mixed_exp(1.0, 2.0))
-    with pytest.raises(UnsupportedMap):
-        to_moment_form(FunctionSpec.power(1.0))
 
 
 def test_domain_hints():

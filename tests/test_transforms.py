@@ -352,10 +352,9 @@ def test_conjugate_symmetry_is_derived_at_construction():
     assert "conjugate_symmetric" not in compared
     assert "conjugate_symmetric" not in repr(sym)
     assert "conjugate_symmetric" not in json.dumps(sym.to_json())
-    # a tolerance other than the default compares the poles again
+    # a pole pair 1e-9 apart from conjugate is not symmetric
     near = TransformExpr.rational([(1j, 1.0), (1e-9 - 1j, 1.0)])
     assert not near.is_conjugate_symmetric()
-    assert near.is_conjugate_symmetric(tol=1e-6)
 
 
 def test_json_roundtrip_all_forms():
@@ -451,7 +450,7 @@ def test_values_reject_any_z_outside_the_domain(case, g1, g2, offsets, outside,
 
 
 def test_values_keep_the_shape_of_their_argument():
-    # 300 points span several column blocks
+    # a 2-D array of z, each integrated on its own
     t = TransformExpr.gamma()
     zs = np.linspace(0.5, 4.0, 300).reshape(3, 100)
     got = values(t, zs)
