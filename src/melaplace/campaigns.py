@@ -12,7 +12,14 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .contours import Contour, _positive, bromwich_for, inverse_eval, rectangle_for
+from .contours import (
+    Contour,
+    _contour_sums,
+    _positive,
+    bromwich_for,
+    inverse_eval,
+    rectangle_for,
+)
 from .errors import DomainError, EmptyGrid, NotRectangularizable
 from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
 from .quadrature import QuadratureSpec, integrate_finite
@@ -67,6 +74,22 @@ class RoundTripReport:
         return metric <= self.tolerance
 
 
+def _require_increasing(values, what: str, error: type) -> None:
+    """Raise error unless values strictly increase (tuples compare
+    lexicographically)."""
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise error(f"{what} must be strictly increasing")
+
+
+def _exact(spec: FunctionSpec, x: float) -> float:
+    """g(x), the truth a campaign compares against; DomainError when it is
+    past the float64 range."""
+    value = evaluate(spec, x)
+    if not math.isfinite(value):
+        raise DomainError(f"{spec.kind.value} is not finite at x = {x:g}")
+    return value
+
+
 @dataclass(frozen=True)
 class ConvergenceTable:
     """Results of one operation sampled along an increasing parameter.
@@ -86,8 +109,7 @@ class ConvergenceTable:
         object.__setattr__(self, "results", tuple(complex(r) for r in self.results))
         if len(self.values) != len(self.results):
             raise ValueError("values and results must match in length")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sampled values must be strictly increasing")
+        _require_increasing(self.values, "sampled values", ValueError)
 
     @property
     def deltas(self) -> tuple:
@@ -142,10 +164,11 @@ def roundtrip(
     else:
         contour = bromwich_for(t, delta, half_height)
     start = time.perf_counter()
+    recovered = _contour_sums(t, kind, contour, args, q)
     rows = []
     for arg in args:
-        truth = evaluate(spec, arg)
-        rec = inverse_eval(t, kind, contour, arg, q)
+        truth = _exact(spec, arg)
+        rec = next(recovered)
         abs_err = abs(rec - truth)
         rel_err = abs_err / abs(truth) if truth != 0.0 else math.inf
         rows.append(RoundTripRow(arg, truth, rec.real, abs_err, rel_err))
@@ -178,12 +201,14 @@ def delta_check(
     approach to g(x) as the cutoff T grows; open-line inverses of numeric
     transforms integrate the same kernel.  Functions without decay are
     integrated over a finite window since the sinc tail is only
-    conditionally convergent.  Each cutoff must be positive and finite.
+    conditionally convergent.  The cutoffs must be positive, finite and
+    strictly increasing.
     """
     x = float(x)
     Ts = [_positive("T", T, None) for T in T_values]
     if not Ts:
         raise EmptyGrid("delta check needs at least one T")
+    _require_increasing(Ts, "cutoffs T", DomainError)
     lo, hi = _delta_window(g, x)
     results = []
     for T in Ts:
@@ -191,8 +216,7 @@ def delta_check(
             return _dirichlet(evaluate(g, y), T, x - y)
 
         results.append(integrate_finite(integrand, lo, hi, q).value.real)
-    return ConvergenceTable("T", tuple(Ts), tuple(results),
-                            reference=evaluate(g, x))
+    return ConvergenceTable("T", tuple(Ts), tuple(results), reference=_exact(g, x))
 
 
 def invariance_sweep(
@@ -213,6 +237,8 @@ def invariance_sweep(
     grid = sorted((float(d), float(T)) for d in deltas for T in Ts)
     if not grid:
         raise EmptyGrid("invariance sweep needs a nonempty grid")
+    _require_increasing(grid, "deltas and Ts must be distinct: the sorted (delta, T) grid",
+                        DomainError)
     results = []
     for d, T in grid:
         rect = rectangle_for(t, d, T)

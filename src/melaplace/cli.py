@@ -13,13 +13,22 @@ machine-readable summary document.  Examples:
 
 Exit codes: 0 success, 2 validation/parse error, 3 convergence failure
 (only with --strict).  A JSON --config file may supply any long flag; flags
-given on the command line win.
+given on the command line win.  Commands run with numpy's floating-point
+warnings off: an overflow on the way to a finite answer, as in
+exp(-(g*x)) = 0 once g*x overflows, is no error, and an integrand value,
+inverse, Cauchy sum, transform value or truth that overflow leaves inf or
+nan exits 2 with the typed error raised where it is made.
+
+Set-up is paid once: one argparse tree serves every cli_main call of a
+process, and invert, roundtrip and cauchy-check build their contour and
+the transform values on it once, then sum once per argument.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -28,7 +37,7 @@ import sys
 import numpy as np
 
 from .campaigns import RECTANGLE_TOL, delta_check, invariance_sweep, roundtrip
-from .contours import bromwich_for, cauchy_reproduction, inverse_eval, rectangle_for
+from .contours import _cauchy_sums, _contour_sums, bromwich_for, rectangle_for
 from .errors import MelaplaceError, ParseError
 from .functions import parse_spec_string
 from .quadrature import QuadratureSpec
@@ -81,6 +90,11 @@ def parse_grid(text: str):
         raise ParseError(f"bad grid literal {text!r}") from None
     if count < 1:
         raise ParseError("grid count must be at least 1")
+    if not math.isfinite(stop - start):
+        raise ParseError(
+            f"grid ends must be finite and less than the largest float apart, "
+            f"got {text!r}"
+        )
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -224,10 +238,11 @@ def _cmd_invert(ns) -> int:
         contour = bromwich_for(t, ns.delta, ns.T)
     else:
         contour = rectangle_for(t, ns.delta, ns.T)
-    rows = []
-    for arg in _invert_args(ns):
-        val = inverse_eval(t, kind, contour, arg, q)
-        rows.append((_fmt(arg), _fmt(val.real), _fmt(val.imag)))
+    args = _invert_args(ns)
+    rows = [
+        (_fmt(arg), _fmt(val.real), _fmt(val.imag))
+        for arg, val in zip(args, _contour_sums(t, kind, contour, args, q))
+    ]
     _emit(ns, ("arg", "re_val", "im_val"), rows,
           {"contour": contour.to_json()})
     return EXIT_OK
@@ -311,11 +326,10 @@ def _cmd_cauchy_check(ns) -> int:
     t = _build_transform(ns, kind)
     q = _quad_from(ns)
     rect = rectangle_for(t, ns.delta, ns.T)
+    zs = [parse_complex(literal) for literal in _require(ns, "z")]
     rows = []
     worst = 0.0
-    for literal in _require(ns, "z"):
-        z = parse_complex(literal)
-        lhs = cauchy_reproduction(t, rect, z, q)
+    for z, lhs in zip(zs, _cauchy_sums(t, rect, zs, q)):
         rhs = eval_transform(t, z, q)
         err = abs(lhs - rhs)
         worst = max(worst, err)
@@ -352,7 +366,10 @@ def _require(ns, name):
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  It is built once per process and
+    shared by every cli_main call; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=None,
                         help="print a JSON summary instead of CSV on stdout")
@@ -455,7 +472,8 @@ def cli_main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         _apply_config(parser, ns)
-        return _COMMANDS[ns.command](ns)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[ns.command](ns)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except MelaplaceError as exc:

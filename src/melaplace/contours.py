@@ -15,12 +15,21 @@ oscillation resolvable at order 16 for |x| up to ~8, and 2*delta keeps
 Gauss-Legendre convergence geometric despite poles sitting delta away from
 the edges.  Wider arguments need a caller-supplied denser QuadratureSpec.
 
-Transform values at the contour nodes come from one batched call,
-``transforms.values``.  Numeric forms such as the Gamma function, which
-only open lines can carry, have no nodes.  Written as a Laplace integral,
-F(z) = int exp(-z*u) g(u) du (u = -ln y for moments; u = -ln x over all
-of R for Mellin), Fubini turns the truncated line into one real integral,
-the paper's delta identity:
+An inverse runs in two steps.  The per-contour step builds the nodes and
+weights and takes the transform values at the nodes from one batched call,
+``transforms.values``; the per-argument step is one kernel-weighted sum
+over those arrays.  ``inverse_eval`` takes both steps for one argument;
+a round trip or a CLI ``invert`` over many arguments takes the first step
+once and the second once per argument, with the same sums in the same
+order, so every value is bit-identical to its own ``inverse_eval``.
+Cauchy reproduction at several z shares its contour the same way.  A sum
+that float64 overflow leaves inf or nan is a DomainError.
+
+Numeric forms such as the Gamma function, which only open lines can
+carry, have no nodes: each argument takes one integral.  Written as a
+Laplace integral, F(z) = int exp(-z*u) g(u) du (u = -ln y for moments;
+u = -ln x over all of R for Mellin), Fubini turns the truncated line into
+one real integral, the paper's delta identity:
 
     (1/2pi i) int_{c-iT}^{c+iT} exp(s*z) F(z) dz
         = exp(c*s) * int exp(-c*u) g(u) sin(T(s - u))/(pi(s - u)) du,
@@ -49,6 +58,7 @@ return a complex value.  So does Cauchy reproduction: its kernel
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import sys
@@ -191,9 +201,13 @@ def rectangle_for(
     if half_height is None:
         half_height = im_max + max(delta, 1.0)
     half_height = max(half_height, im_max + delta)
-    return Contour(
-        ContourShape.RECTANGLE, re_max + delta, re_min - delta, half_height, delta
-    )
+    c_right, c_left = re_max + delta, re_min - delta
+    if not c_left < c_right:
+        raise DomainError(
+            f"delta = {delta:g} is lost in rounding next to the poles' real "
+            f"parts ({re_min:g} to {re_max:g}): the rectangle has no width"
+        )
+    return Contour(ContourShape.RECTANGLE, c_right, c_left, half_height, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +216,10 @@ def rectangle_for(
 
 def _edge_nodes(z0: complex, z1: complex, width: float, order: int, budget: int):
     length = abs(z1 - z0)
-    n_panels = min(max(1, math.ceil(length / width)), budget)
+    if not length < math.inf:
+        raise DomainError(f"the contour edge from {z0} to {z1} is longer than any float")
+    # min before ceil: length / width may overflow to inf
+    n_panels = max(1, math.ceil(min(length / width, budget)))
     direction = (z1 - z0) / length
     xs, ws = _gl(order)
     offsets = np.arange(n_panels) * (length / n_panels)
@@ -277,28 +294,51 @@ def _upper_half(c: Contour, q: QuadratureSpec):
     return _polyline(corners, budgets, _panel_width(c), q.panel_order)
 
 
-def _contour_sum(t: TransformExpr, kind: InverseKind, c: Contour, arg: float,
-                 q: QuadratureSpec | None):
-    scale = _kernel_scale(kind, arg)
-    # the kernel's real exponent peaks on a vertical edge
-    edge = c.c_left if scale < 0.0 and c.c_left is not None else c.c_right
-    if scale * edge > _EXP_LIMIT:
-        raise DomainError(
-            f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
-        )
-    if t.form is TransformForm.NUMERIC and c.shape is ContourShape.BROMWICH_LINE:
-        return complex(_line_integral(t, c.c_right, c.half_height, scale, q).value.real)
-    symmetric = t.conjugate_symmetric
-    if symmetric:
-        nodes, weights = _upper_half(c, q or QuadratureSpec())
-    else:
-        nodes, weights = discretize(c, q)
-    total = complex(np.dot(weights, np.exp(scale * nodes) * values(t, nodes, q)))
-    if symmetric:
-        # the lower half is the mirror image of the upper half, traversed
-        # backwards, so it adds -conj(total): the sum is 2i * total.imag
-        return complex(total.imag / math.pi, 0.0)
-    return total / (2j * math.pi)
+def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
+                  q: QuadratureSpec | None):
+    """Yield the inverse at each of args in turn.
+
+    The nodes, weights and transform values of c (of its upper half when t
+    is conjugate-symmetric) are built when the first argument needs them
+    and serve every later one; each argument then takes one kernel-weighted
+    sum.  A numeric transform on an open line has no nodes: each argument
+    takes one line integral.  A sum that comes out inf or nan is a
+    DomainError.
+    """
+    numeric_line = (t.form is TransformForm.NUMERIC
+                    and c.shape is ContourShape.BROMWICH_LINE)
+    vals = None
+    for arg in args:
+        scale = _kernel_scale(kind, arg)
+        # the kernel's real exponent peaks on a vertical edge, its phase
+        # s * Im z at the top and bottom
+        edge = c.c_left if scale < 0.0 and c.c_left is not None else c.c_right
+        if scale * edge > _EXP_LIMIT or abs(scale) * c.half_height == math.inf:
+            raise DomainError(
+                f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
+            )
+        if numeric_line:
+            value = complex(_line_integral(t, c.c_right, c.half_height, scale, q).value.real)
+        else:
+            if vals is None:
+                if t.conjugate_symmetric:
+                    nodes, weights = _upper_half(c, q or QuadratureSpec())
+                else:
+                    nodes, weights = discretize(c, q)
+                vals = values(t, nodes, q)
+            total = complex(np.dot(weights, np.exp(scale * nodes) * vals))
+            if t.conjugate_symmetric:
+                # the lower half is the mirror image of the upper half,
+                # traversed backwards, so it adds -conj(total): the sum is
+                # 2i * total.imag
+                value = complex(total.imag / math.pi, 0.0)
+            else:
+                value = total / (2j * math.pi)
+        if not cmath.isfinite(value):
+            raise DomainError(
+                f"the {kind.value} inverse overflows on this contour at arg = {arg:g}"
+            )
+        yield value
 
 
 def inverse_eval(
@@ -315,7 +355,7 @@ def inverse_eval(
     line it carries the usual O(1/T) truncation error.  For a
     conjugate-symmetric transform the imaginary part is exactly 0.
     """
-    return _contour_sum(t, kind, c, float(arg), q)
+    return next(_contour_sums(t, kind, c, (float(arg),), q))
 
 
 def single_line_eval(
@@ -346,7 +386,31 @@ def single_line_eval(
         raise SidePoleConflict(
             f"line at {line.c_right:g} is not left of all poles (min Re {re_min:g})"
         )
-    return _contour_sum(t, kind, line, float(arg), q)
+    return next(_contour_sums(t, kind, line, (float(arg),), q))
+
+
+def _cauchy_sums(t: TransformExpr, rect: Contour, zs,
+                 q: QuadratureSpec | None):
+    """Yield cauchy_reproduction at each of zs in turn, with rect
+    discretized and the transform evaluated on it once for all of them."""
+    if t.form is not TransformForm.RATIONAL:
+        raise NotRectangularizable("Cauchy reproduction requires a rational form")
+    if rect.shape is not ContourShape.RECTANGLE:
+        raise ValueError("cauchy_reproduction expects a rectangle")
+    vals = None
+    for z in zs:
+        z = complex(z)
+        if not z.real > rect.c_right:
+            raise ZInsideRectangle(
+                f"need Re z > {rect.c_right:g}, got {z.real:g}"
+            )
+        if vals is None:
+            nodes, weights = discretize(rect, q)
+            vals = values(t, nodes, q)
+        total = complex(np.dot(weights, vals / (z - nodes)))
+        if not cmath.isfinite(total):
+            raise DomainError(f"the Cauchy integral overflows at z = {z}")
+        yield total / (2j * math.pi)
 
 
 def cauchy_reproduction(
@@ -360,15 +424,4 @@ def cauchy_reproduction(
     For z outside the rectangle on the right this reproduces the transform
     value at z, the numerical form of the direct-transform identity.
     """
-    if t.form is not TransformForm.RATIONAL:
-        raise NotRectangularizable("Cauchy reproduction requires a rational form")
-    if rect.shape is not ContourShape.RECTANGLE:
-        raise ValueError("cauchy_reproduction expects a rectangle")
-    z = complex(z)
-    if not z.real > rect.c_right:
-        raise ZInsideRectangle(
-            f"need Re z > {rect.c_right:g}, got {z.real:g}"
-        )
-    nodes, weights = discretize(rect, q)
-    terms = values(t, nodes, q) / (z - nodes)
-    return complex(np.dot(weights, terms)) / (2j * math.pi)
+    return next(_cauchy_sums(t, rect, (z,), q))

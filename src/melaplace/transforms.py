@@ -23,13 +23,14 @@ the identity that the ``contours`` docstring states.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoClosedForm, NoStrip, OutOfDomain, PoleHit
+from .errors import DomainError, NoClosedForm, NoStrip, OutOfDomain, PoleHit
 from .functions import (
     DomainHint,
     FunctionKind,
@@ -469,5 +470,9 @@ def values(t: TransformExpr, zs, q: QuadratureSpec | None = None) -> np.ndarray:
 
 
 def eval_transform(t: TransformExpr, z: complex, q: QuadratureSpec | None = None) -> complex:
-    """Value of any TransformExpr at one complex point."""
-    return complex(values(t, np.array([complex(z)]), q)[0])
+    """Value of any TransformExpr at one complex point; DomainError when
+    it is past the float64 range."""
+    value = complex(values(t, np.array([complex(z)]), q)[0])
+    if not cmath.isfinite(value):
+        raise DomainError(f"the {t.form.value} transform overflows at z = {z}")
+    return value

@@ -138,6 +138,12 @@ def test_delta_check_rejects_bad_cutoffs(cutoff):
         delta_check(1.0, FunctionSpec.exp(1.0), [cutoff, 40.0])
 
 
+@pytest.mark.parametrize("cutoffs", [[20.0, 20.0], [40.0, 20.0]])
+def test_delta_check_rejects_cutoffs_that_do_not_increase(cutoffs):
+    with pytest.raises(DomainError, match="strictly increasing"):
+        delta_check(1.0, FunctionSpec.exp(1.0), cutoffs)
+
+
 # ---------------------------------------------------------------------------
 # invariance sweeps
 # ---------------------------------------------------------------------------
@@ -168,6 +174,9 @@ def test_sweep_requires_rational():
         invariance_sweep(TransformExpr.gamma(), MEL, 1.0, [0.5], [5.0])
     with pytest.raises(EmptyGrid):
         invariance_sweep(TransformExpr.rational([(-1.0, 1.0)]), LAP, 1.0, [], [])
+    with pytest.raises(DomainError, match="distinct"):
+        invariance_sweep(TransformExpr.rational([(-1.0, 1.0)]), LAP, 1.0,
+                         [0.5, 0.5], [5.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,32 @@
+import contextlib
 import csv
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melaplace import (
     FunctionSpec,
+    InverseKind,
     TransformKind,
+    cauchy_reproduction,
+    eval_transform,
+    rectangle_for,
     transform_estimate,
+    transform_for,
 )
-from melaplace.cli import cli_main, parse_complex, parse_grid
+from melaplace import cli
+from melaplace.cli import build_parser, cli_main, parse_complex, parse_grid
+
+LAP = InverseKind.LAPLACE_KERNEL
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
 
 
 def run(capsys, *argv):
@@ -245,6 +261,25 @@ def test_cauchy_check_command(capsys):
     assert float(rows[0][2]) == pytest.approx(0.5, rel=1e-10)
 
 
+def test_cauchy_check_rows_match_per_point_reproduction(capsys):
+    # one discretization serves every --z
+    zs = ["1+0i", "0.7+2i", "10-3i"]
+    code, out, _ = run(capsys, "cauchy-check", "--func", "mixedexp:g1=1,g2=0.5",
+                       "--kind", "laplace", "--T", "5",
+                       *(f"--z={z}" for z in zs))
+    assert code == 0
+    t = transform_for(FunctionSpec.mixed_exp(1.0, 0.5), LAP)
+    rect = rectangle_for(t, None, 5.0)
+    want = []
+    for literal in zs:
+        z = parse_complex(literal)
+        lhs = cauchy_reproduction(t, rect, z)
+        rhs = eval_transform(t, z)
+        want.append([_fmt(v) for v in (z.real, z.imag, lhs.real, lhs.imag,
+                                       rhs.real, rhs.imag, abs(lhs - rhs))])
+    assert rows_of(out)[1] == want
+
+
 # ---------------------------------------------------------------------------
 # global flags and error paths
 # ---------------------------------------------------------------------------
@@ -322,6 +357,70 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, command, tol):
     code, out, err = run(capsys, *argv, "--config", str(config))
     assert code == 2
     assert "argument --tol: must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("invert", "--poles", "[[1e17,0,1,0]]", "--kind", "laplace", "--contour",
+     "rect", "--x", "0"),
+    ("sweep", "--poles", "[[1e17,0,1,0]]", "--kind", "laplace", "--x", "0",
+     "--deltas", "0.5", "--Ts", "5"),
+    ("cauchy-check", "--poles", "[[1e17,0,1,0]]", "--kind", "laplace", "--z",
+     "2e17+0i"),
+], ids=["invert", "sweep", "cauchy-check"])
+def test_collapsed_rectangle_exits_two(capsys, argv):
+    # 1e17 + 0.5 and 1e17 - 0.5 round to the same float
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"melaplace {argv[0]}: ") and "no width" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("invert", "--poles", "[[1e308,0,1,0],[-1e308,0,1,0]]", "--kind",
+      "laplace", "--x", "0"), "longer than any float"),
+    (("roundtrip", "--func", "exp:gamma=1", "--kind", "laplace",
+      "--grid=-1e308:1e308:2"), "grid ends must be finite"),
+    (("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace",
+      "--grid=nan:1:3"), "grid ends must be finite"),
+    (("delta-check", "--func", "power:gamma=1e308", "--x", "0.5", "--T", "20"),
+     "integrand not finite"),
+    (("invert", "--poles", "[[-1,0,1e308,0]]", "--kind", "laplace", "--x", "1"),
+     "laplace inverse overflows on this contour at arg = 1"),
+    (("roundtrip", "--func", "power:gamma=600", "--kind", "mellin", "--grid",
+      "1:4:2"), "power is not finite at x = 4"),
+    (("delta-check", "--func", "exp:gamma=1", "--x", "1", "--T", "20,20"),
+     "strictly increasing"),
+    (("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
+      "--deltas", "0.5,0.5", "--Ts", "5"), "distinct"),
+], ids=["wide-rectangle", "wide-grid", "nan-grid", "delta-check", "big-residue",
+        "big-truth", "repeated-T", "repeated-delta"])
+def test_out_of_range_inputs_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"melaplace {argv[0]}: ") and message in err
+    # the command's floating-point error state does not leak
+    assert np.geterr()["over"] == "warn"
+
+
+@pytest.mark.parametrize("argv,want", [
+    # Gamma(1) / 1e308 = 1e-308: exp(-(1e308 * x)) overflows to exp(-inf) = 0
+    (("transform", "--func", "exp:gamma=1e308", "--kind", "mellin-transform",
+      "--z", "1+0i"), "re_z,im_z,re_val,im_val,err_est\n1,0,0,0,0\n"),
+    (("transform", "--func", "power:gamma=0.5", "--kind", "laplace", "--z",
+      "1e308+1e308i"), "re_z,im_z,re_val,im_val,err_est\n1e+308,1e+308,0,0,0\n"),
+    # the Cauchy quotients overflow on their way to 0
+    (("cauchy-check", "--func", "exp:gamma=1", "--kind", "laplace", "--z",
+      "1e308+1e308i"),
+     "re_z,im_z,re_lhs,im_lhs,re_rhs,im_rhs,abs_err\n1e+308,1e+308,0,0,0,0,0\n"),
+    (("delta-check", "--func", "exp:gamma=1e308", "--x", "0.5", "--T", "20,40"),
+     "T,value,abs_err\n20,0,0\n40,0,0\n"),
+], ids=["mellin", "laplace", "cauchy-check", "delta-check"])
+def test_answers_past_an_intermediate_overflow_exit_zero(capsys, argv, want):
+    # numpy's overflow warnings fail the test, so none may escape
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, want, "")
 
 
 def test_missing_option_exits_two(capsys):
@@ -427,3 +526,114 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
         assert out == ""
         assert err.startswith("melaplace transform: cannot read --config")
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+
+    def fresh(*argv):
+        # the same call on a parser no other call has used
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", build_parser.__wrapped__)
+            return run(capsys, *argv)
+
+    sweep = ("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
+             "--deltas", "0.5,1", "--Ts", "5,10")
+    # a config that sets strict and a tolerance below the sweep's roundoff
+    # spread exits 3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"strict": True, "tol": 1e-300}))
+    assert run(capsys, *sweep, "--config", str(config))[0] == 3
+    assert run(capsys, *sweep) == fresh(*sweep)
+    assert fresh(*sweep)[0] == 0
+    # --json, then a plain call: CSV again
+    invert = ("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--x", "1",
+              "--x", "2")
+    code, out, _ = run(capsys, *invert, "--json")
+    assert code == 0 and json.loads(out)["command"] == "invert"
+    plain = run(capsys, *invert)
+    assert plain == fresh(*invert)
+    assert plain[1].startswith("arg,re_val,im_val\n")
+
+
+# argv drawn from the subcommands, an unknown command, and each command's
+# flags; values come from fixed lists of valid and malformed tokens
+_BAD_REALS = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "0", "-1")
+_TOKENS = {
+    "--func": ("exp:gamma=1", "power:gamma=0.5", "mixedexp:g1=1,g2=0.5",
+               "mixedpower:g1=0.5,g2=1", "expminusx", "exp:gamma=1e308",
+               "power:gamma=1e308", "exp:gamma=nan", "exp:gamma=",
+               "mixedexp:g1=1e-300,g2=1e308"),
+    "--poles": ("[[-1,0,1,0]]", "[[-1,2,1,0],[-1,-2,1,0]]", "[[-1,2,1,0]]",
+                "[[0.5,0,-1,0],[-2,1,0,1]]", "[]", "[[", "[[1,2]]",
+                "[[1e17,0,1,0]]", "[[1e308,0,1,0],[-1e308,0,1,0]]",
+                "[[1e308,1e308,1,0]]", "[[-1,1e308,1,0]]", "[[-1,0,1e308,0]]",
+                "[[-1,0,1,0],[-1,0,1,0]]"),
+    "--kind": ("laplace", "mellin", "mellin-transform"),
+    "--contour": ("rect", "bromwich"),
+    "--x": ("1", "-2", "0.5", "4") + _BAD_REALS,
+    "--grid": ("1:2:3", "-1:1:5", "0.25:4:50", "0.5:0.5:1", "1:2", "1:2:0",
+               "nan:1:3", "0:1e308:50", "-1e308:1e308:2", "1:2:x"),
+    "--delta": ("0.5", "0.1", "1") + _BAD_REALS,
+    "--T": ("5", "20", "20,40", "200", "20,nan", "1e308,1e308") + _BAD_REALS,
+    "--z": ("1+0i", "2-1i", "10+0i", "0.5+3i", "nan+0i", "inf+0i",
+            "1e308+1e308i", "-1e308+0i", "1+1e308i"),
+    "--deltas": ("0.1,0.5", "1", "nan", "1e308", "0.5,1e-300", "-1,1"),
+    "--Ts": ("5,10", "20", "inf", "1e308", "5,1e-300", "0"),
+    "--tol": ("1e-6", "1e-12", "nan", "0", "-1", "inf", "1e308"),
+    "--quad": ('{"panel_order": 8}', '{"max_panels": 4}', '{"rel_tol": 1e-6}',
+               '{"panel_order": 2.5}', '{"max_panels": 0}', "[5]"),
+    "--strict": None,
+    "--json": None,
+}
+# any flag may get one of these instead
+_JUNK = ("", "abc", "[]", "{bad", ",")
+# each command's own flags, the ones it needs first
+_OWN = {
+    "transform": ("--func", "--kind", "--z"),
+    "invert": ("--poles", "--kind", "--x", "--func", "--contour", "--grid",
+               "--delta", "--T"),
+    "roundtrip": ("--func", "--kind", "--grid", "--contour", "--delta", "--T"),
+    "delta-check": ("--func", "--x", "--T"),
+    "sweep": ("--poles", "--kind", "--x", "--deltas", "--Ts", "--func"),
+    "cauchy-check": ("--func", "--kind", "--z", "--poles", "--delta", "--T"),
+    "no-such-command": (),
+}
+_NEEDED = {"sweep": 5, "no-such-command": 0}
+_COMMON = ("--tol", "--quad", "--strict", "--json")
+
+
+@st.composite
+def _argv(draw):
+    """A command, most of the flags it needs, then extra flags up to 6 in
+    all: four in five of them its own, the rest any flag."""
+    command = draw(st.sampled_from(sorted(_OWN)))
+    own = _OWN[command] + _COMMON
+    flags = [f for f in own[:_NEEDED.get(command, 3)] if draw(st.integers(0, 4))]
+    flags += draw(st.lists(
+        st.one_of(*[st.sampled_from(own)] * 4, st.sampled_from(sorted(_TOKENS))),
+        max_size=6 - len(flags)))
+    argv = [command]
+    for flag in flags:
+        tokens = _TOKENS[flag]
+        if tokens is None:
+            argv.append(flag)
+            continue
+        if not draw(st.integers(0, 4)):
+            tokens = _JUNK
+        argv.append(f"{flag}={draw(st.sampled_from(tokens))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

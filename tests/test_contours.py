@@ -1,4 +1,7 @@
 import cmath
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -26,13 +29,17 @@ from melaplace import (
     bromwich_for,
     cauchy_reproduction,
     discretize,
+    eval_transform,
     inverse_eval,
     pole_box,
     rectangle_for,
     residue_inverse,
     single_line_eval,
+    transform_for,
 )
 from melaplace import contours
+from melaplace.campaigns import roundtrip
+from melaplace.cli import cli_main
 from melaplace.contours import DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT
 from melaplace.transforms import _line_integral, values
 
@@ -241,6 +248,55 @@ def test_kernel_overflow_is_a_domain_error():
         inverse_eval(ONE_POLE, LAP, rect, -800.0)
     with pytest.raises(DomainError, match="overflows"):
         inverse_eval(ONE_POLE, MEL, rect, 1e300)
+    # so does a phase s * Im z past the largest float
+    rect = rectangle_for(ONE_POLE, 0.5, 1e308)
+    with pytest.raises(DomainError, match="overflows"):
+        inverse_eval(ONE_POLE, LAP, rect, 1e308)
+
+
+def test_collapsed_rectangle_is_a_domain_error():
+    # 1e17 + 0.5 and 1e17 - 0.5 round to the same float
+    far = TransformExpr.rational([(1e17, 1.0)])
+    with pytest.raises(DomainError, match="no width"):
+        rectangle_for(far, 0.5, 5.0)
+    with pytest.raises(DomainError, match="no width"):
+        rectangle_for(ONE_POLE, 1e-300, 5.0)
+    # a hand-built rectangle keeps its ValueError
+    with pytest.raises(ValueError, match="c_left < c_right"):
+        Contour(ContourShape.RECTANGLE, 1e17, 1e17, 5.0, 0.5)
+
+
+def test_edge_longer_than_any_float_is_a_domain_error():
+    wide = TransformExpr.rational([(1e308, 1.0), (-1e308, 1.0)])
+    rect = rectangle_for(wide, 0.5, 5.0)
+    with pytest.raises(DomainError, match="longer than any float"):
+        discretize(rect)
+    with pytest.raises(DomainError, match="longer than any float"):
+        inverse_eval(wide, LAP, rect, 0.0)
+    # a tall line without conjugate symmetry spans [c - iT, c + iT]
+    lop = TransformExpr.rational([(complex(-1.0, 1e308), 1.0)])
+    with pytest.raises(DomainError, match="longer than any float"):
+        inverse_eval(lop, LAP, rectangle_for(lop, 0.5, None), 0.0)
+    # its upper half alone is long, but fits: the panel budget caps it
+    tall = bromwich_for(ONE_POLE, 0.5, 1e308)
+    assert inverse_eval(ONE_POLE, LAP, tall, 0.0).imag == 0.0
+
+
+def test_sums_past_the_float_range_are_domain_errors():
+    # numpy warns of the overflow, and the result is a typed error, not nan
+    big = TransformExpr.rational([(-1.0, 1e308)])
+    rect = rectangle_for(big, 0.5, 2.0)
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            DomainError, match="laplace inverse overflows"):
+        inverse_eval(big, LAP, rect, 1.0)
+    with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="overflows"):
+        eval_transform(big, -0.5)
+    # quotients that overflow on their way to 0 are 0
+    rect = rectangle_for(ONE_POLE, 0.5, 2.0)
+    far = complex(1e308, 1e308)
+    with np.errstate(all="ignore"):
+        assert cauchy_reproduction(ONE_POLE, rect, far) == 0
+        assert eval_transform(ONE_POLE, far) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +581,123 @@ def test_numeric_line_inverse_matches_its_full_line_sum(case, delta, T):
     assert got.imag == 0.0
     want = _full_contour_sum(t, kind, line, arg, REF_Q)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# one contour for many arguments
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _pole_sets(draw):
+    """A conjugate-symmetric pole set, or one with a stray pole that breaks
+    the symmetry."""
+    poles = draw(_symmetric_poles())
+    if draw(st.booleans()):
+        re, j, r = draw(st.tuples(_eighths, st.integers(0, 23), _residues))
+        poles.append((complex(re, (2 * j + 1) / 16), r))
+    return poles
+
+
+@st.composite
+def _kernel_and_args(draw):
+    kind = draw(st.sampled_from([LAP, MEL]))
+    logs = st.floats(math.log(0.25), math.log(4.0))
+    if kind is LAP:
+        args = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=20))
+    else:
+        args = [math.exp(v) for v in draw(st.lists(logs, min_size=1, max_size=20))]
+    return kind, args
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+@settings(max_examples=40, deadline=None)
+@given(poles=_pole_sets(), kernel=_kernel_and_args(),
+       shape=st.sampled_from(["rect", "bromwich"]), delta=st.floats(0.1, 1.0),
+       T=st.floats(2.0, 12.0))
+def test_shared_contour_matches_per_argument_inverse(poles, kernel, shape, delta, T):
+    kind, args = kernel
+    t = TransformExpr.rational(poles)
+    make = rectangle_for if shape == "rect" else bromwich_for
+    c = make(t, delta, T)
+    want = [inverse_eval(t, kind, c, arg) for arg in args]
+    assert list(contours._contour_sums(t, kind, c, args, None)) == want
+    # the CLI's invert prints the same values
+    argv = [
+        "invert", "--json", "--kind", "laplace" if kind is LAP else "mellin",
+        "--poles", json.dumps([[p.real, p.imag, complex(r).real, complex(r).imag]
+                               for p, r in poles]),
+        "--contour", shape, f"--delta={delta!r}", f"--T={T!r}",
+        *(f"--x={arg!r}" for arg in args),
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(argv) == 0
+    rows = json.loads(out.getvalue())["rows"]
+    assert rows == [[_fmt(a), _fmt(w.real), _fmt(w.imag)] for a, w in zip(args, want)]
+
+
+# (spec, kernel, on a rectangle); mixedpower has no closed form, so its
+# open line is numeric and takes one integral per argument
+_ROUND_TRIPS = [
+    (FunctionSpec.exp(1.0), LAP, True),
+    (FunctionSpec.exp(1.0), LAP, False),
+    (FunctionSpec.mixed_exp(1.0, 0.5), LAP, True),
+    (FunctionSpec.power(0.5), MEL, True),
+    (FunctionSpec.power(0.5), MEL, False),
+    (FunctionSpec.mixed_power(0.5, 1.0), MEL, False),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(_ROUND_TRIPS), n=st.integers(1, 20), data=st.data())
+def test_roundtrip_matches_per_argument_inverse(case, n, data):
+    spec, kind, use_rectangle = case
+    # the open line only reaches the standard domain
+    lo = -2.0 if kind is LAP and use_rectangle else 0.25
+    hi = 1.0 if kind is MEL and not use_rectangle else 4.0
+    args = data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    report = roundtrip(spec, kind, args, use_rectangle=use_rectangle,
+                       half_height=None if use_rectangle else 10.0)
+    t = transform_for(spec, kind)
+    assert [r.recovered for r in report.rows] == [
+        inverse_eval(t, kind, report.contour, arg).real for arg in args
+    ]
+
+
+def test_shared_contour_keeps_each_arguments_overflow_error():
+    rect = rectangle_for(ONE_POLE, 0.5, 2.0)
+    with pytest.raises(DomainError) as scalar:
+        inverse_eval(ONE_POLE, LAP, rect, -800.0)
+    with pytest.raises(DomainError) as shared:
+        list(contours._contour_sums(ONE_POLE, LAP, rect, [1.0, -800.0, 2.0], None))
+    assert str(shared.value) == str(scalar.value)
+    # exp(-0.5 x) is finite at x = -800, where the kernel overflows on the
+    # left edge Re z = -1
+    spec = FunctionSpec.exp(0.5)
+    t = transform_for(spec, LAP)
+    with pytest.raises(DomainError) as scalar:
+        inverse_eval(t, LAP, rectangle_for(t), -800.0)
+    with pytest.raises(DomainError) as shared:
+        roundtrip(spec, LAP, [1.0, -800.0])
+    assert str(shared.value) == str(scalar.value)
+    # each argument's truth comes before its inverse, as with one call per
+    # argument: the kernel overflow at the first argument is raised, not
+    # the second argument's power-family domain error
+    with pytest.raises(DomainError, match="kernel overflows"):
+        roundtrip(FunctionSpec.power(0.5), MEL, [1e308, -1.0], delta=1.0)
+    # and at x = -1 the truth's domain error comes before the kernel's
+    with pytest.raises(DomainError, match="nonnegative"):
+        roundtrip(FunctionSpec.power(0.5), MEL, [1.0, -1.0])
+
+
+def test_cauchy_sums_match_per_point_reproduction():
+    rect = rectangle_for(MIXED, 0.5, 5.0)
+    zs = [1.0, complex(0.7, 2.0), complex(10.0, -3.0)]
+    assert list(contours._cauchy_sums(MIXED, rect, zs, None)) == [
+        cauchy_reproduction(MIXED, rect, z) for z in zs
+    ]
+    with pytest.raises(ZInsideRectangle):
+        list(contours._cauchy_sums(MIXED, rect, [1.0, -5.0], None))
