@@ -97,12 +97,15 @@ class ConvergenceTable:
     ``values`` must be strictly increasing (tuples compare lexicographically,
     which covers the (delta, T) grids of invariance sweeps); ``reference``
     is the target the results should approach, when one exists.
+    ``converged`` is False when the quadrature behind some result stopped
+    short of its tolerance.
     """
 
     parameter: str
     values: tuple
     results: tuple
     reference: float | None = None
+    converged: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
@@ -168,7 +171,7 @@ def roundtrip(
     rows = []
     for arg in args:
         truth = _exact(spec, arg)
-        rec = next(recovered)
+        rec, _ = next(recovered)
         abs_err = abs(rec - truth)
         rel_err = abs_err / abs(truth) if truth != 0.0 else math.inf
         rows.append(RoundTripRow(arg, truth, rec.real, abs_err, rel_err))
@@ -202,7 +205,8 @@ def delta_check(
     transforms integrate the same kernel.  Functions without decay are
     integrated over a finite window since the sinc tail is only
     conditionally convergent.  The cutoffs must be positive, finite and
-    strictly increasing.
+    strictly increasing.  The table's ``converged`` says whether every
+    window integral met the tolerance of q.
     """
     x = float(x)
     Ts = [_positive("T", T, None) for T in T_values]
@@ -210,13 +214,15 @@ def delta_check(
         raise EmptyGrid("delta check needs at least one T")
     _require_increasing(Ts, "cutoffs T", DomainError)
     lo, hi = _delta_window(g, x)
-    results = []
+    estimates = []
     for T in Ts:
         def integrand(y, T=T):
             return _dirichlet(evaluate(g, y), T, x - y)
 
-        results.append(integrate_finite(integrand, lo, hi, q).value.real)
-    return ConvergenceTable("T", tuple(Ts), tuple(results), reference=_exact(g, x))
+        estimates.append(integrate_finite(integrand, lo, hi, q))
+    return ConvergenceTable("T", tuple(Ts), tuple(e.value.real for e in estimates),
+                            reference=_exact(g, x),
+                            converged=all(e.converged for e in estimates))
 
 
 def invariance_sweep(

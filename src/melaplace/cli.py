@@ -239,12 +239,15 @@ def _cmd_invert(ns) -> int:
     else:
         contour = rectangle_for(t, ns.delta, ns.T)
     args = _invert_args(ns)
-    rows = [
-        (_fmt(arg), _fmt(val.real), _fmt(val.imag))
-        for arg, val in zip(args, _contour_sums(t, kind, contour, args, q))
-    ]
+    rows = []
+    all_converged = True
+    for arg, (val, converged) in zip(args, _contour_sums(t, kind, contour, args, q)):
+        all_converged = all_converged and converged
+        rows.append((_fmt(arg), _fmt(val.real), _fmt(val.imag)))
     _emit(ns, ("arg", "re_val", "im_val"), rows,
-          {"contour": contour.to_json()})
+          {"contour": contour.to_json(), "converged": all_converged})
+    if ns.strict and not all_converged:
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
@@ -294,7 +297,10 @@ def _cmd_delta_check(ns) -> int:
         for T, val, err in zip(table.values, table.results, table.errors)
     ]
     _emit(ns, ("T", "value", "abs_err"), rows,
-          {"reference": table.reference, "final_error": table.final_error})
+          {"reference": table.reference, "final_error": table.final_error,
+           "converged": table.converged})
+    if ns.strict and not table.converged:
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 

@@ -296,14 +296,15 @@ def _upper_half(c: Contour, q: QuadratureSpec):
 
 def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
                   q: QuadratureSpec | None):
-    """Yield the inverse at each of args in turn.
+    """Yield (inverse, converged) at each of args in turn.
 
     The nodes, weights and transform values of c (of its upper half when t
     is conjugate-symmetric) are built when the first argument needs them
     and serve every later one; each argument then takes one kernel-weighted
-    sum.  A numeric transform on an open line has no nodes: each argument
-    takes one line integral.  A sum that comes out inf or nan is a
-    DomainError.
+    sum, which carries no error estimate and counts as converged.  A
+    numeric transform on an open line has no nodes: each argument takes
+    one line integral, converged when its quadrature met tolerance.  A sum
+    that comes out inf or nan is a DomainError.
     """
     numeric_line = (t.form is TransformForm.NUMERIC
                     and c.shape is ContourShape.BROMWICH_LINE)
@@ -317,8 +318,10 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
             raise DomainError(
                 f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
             )
+        converged = True
         if numeric_line:
-            value = complex(_line_integral(t, c.c_right, c.half_height, scale, q).value.real)
+            est = _line_integral(t, c.c_right, c.half_height, scale, q)
+            value, converged = complex(est.value.real), est.converged
         else:
             if vals is None:
                 if t.conjugate_symmetric:
@@ -338,7 +341,7 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
             raise DomainError(
                 f"the {kind.value} inverse overflows on this contour at arg = {arg:g}"
             )
-        yield value
+        yield value, converged
 
 
 def inverse_eval(
@@ -355,7 +358,7 @@ def inverse_eval(
     line it carries the usual O(1/T) truncation error.  For a
     conjugate-symmetric transform the imaginary part is exactly 0.
     """
-    return next(_contour_sums(t, kind, c, (float(arg),), q))
+    return next(_contour_sums(t, kind, c, (float(arg),), q))[0]
 
 
 def single_line_eval(
@@ -386,7 +389,7 @@ def single_line_eval(
         raise SidePoleConflict(
             f"line at {line.c_right:g} is not left of all poles (min Re {re_min:g})"
         )
-    return next(_contour_sums(t, kind, line, (float(arg),), q))
+    return next(_contour_sums(t, kind, line, (float(arg),), q))[0]
 
 
 def _cauchy_sums(t: TransformExpr, rect: Contour, zs,

@@ -4,12 +4,24 @@ One engine sits under every integral in the package.  A panel is accepted
 when the difference between its order-n and order-2n Gauss-Legendre values
 meets tolerance, otherwise it is halved; half-line integrals are summed
 over geometrically widening panels until the tail stops contributing.
-Both rules of a panel come from one integrand call on the union of their
-nodes.
+Both rules of a panel come from the same integrand values, on the union
+of their nodes.
 
-Integrands must be vectorized: they receive a 1-D float ndarray of nodes
-and return a vector of (possibly complex) values, one per node; any other
-shape raises ValueError.
+Integrands must be vectorized and pointwise: they receive a 1-D float
+ndarray of nodes and return a vector of (possibly complex) values, one
+per node, each depending on its own node alone; any other shape raises
+ValueError.  The engine relies on that to evaluate many panels in one
+call.  A finite integral refines level by level: one integrand call takes
+every panel of a level, and the panels that fail tolerance are halved
+into the next.  The result is the depth-first one, summed left to right;
+a tree that would outgrow ``max_panels`` is finished depth-first, where
+the budget cuts it as before.  A half-line integral refines its
+geometric panels ahead of need, in blocks of _FIRST_TAIL_BLOCK panels
+and then twice as many each time, and runs its stop, divergence and
+budget rules over them in order.  A look-ahead panel past the stop is
+discarded: it never raises, and numpy's warnings are off while the
+engine evaluates.  ``Estimate.panels_used`` counts the panels evaluated
+for the estimate, split ones included, not the discarded ones.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -18,6 +30,7 @@ one; no singular-weight rules are needed anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,6 +49,9 @@ _DIVERGENT_RISES = 6
 # width ratio of consecutive tail panels; _DIVERGENT_RISES is calibrated for
 # doubling, and a slower growth mistakes a hump for divergence
 _TAIL_GROWTH = 2.0
+# geometric tail panels refined together in a half-line integral's first
+# look-ahead block; each later block doubles
+_FIRST_TAIL_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -44,7 +60,12 @@ class QuadratureSpec:
 
     panel_order is the Gauss-Legendre node count per panel; the error
     estimate doubles it.  abs_tol is the floor below which relative error
-    is not enforced.
+    is not enforced.  max_panels bounds the panels of each
+    integrate_finite.  A half-line integral gives each geometric panel
+    that budget of its own, and stops after the panel on which its total
+    reaches max_panels.  Each piece of a line integral has its own
+    budget, so the mixedpower moment line at T = 30 with max_panels = 4
+    reports 7 panels.
     """
 
     panel_order: int = 16
@@ -78,9 +99,10 @@ class QuadratureSpec:
 class Estimate:
     """Integral value with its error estimate and convergence bookkeeping.
 
-    panels_used counts the Gauss-Legendre panels evaluated; converged says
-    whether err_est met max(abs_tol, rel_tol*|value|) within the panel
-    budget.
+    panels_used counts the Gauss-Legendre panels evaluated for the value,
+    not the look-ahead panels a half-line integral discards; converged
+    says whether err_est met max(abs_tol, rel_tol*|value|) within the
+    panel budget.
     """
 
     value: complex
@@ -112,21 +134,34 @@ def _gl_pair(n: int):
     return _PAIR_CACHE[n]
 
 
-def _panel(f, a: float, b: float, order: int):
-    """Order-2n value of f over [a, b] and its distance from the order-n
-    value."""
+def _panels(f, mid, half, order: int):
+    """Order-2n values of f over the panels mid[i] +/- half[i], their
+    distances from the order-n values (two lists), and {i: first node of
+    panel i at which f is not finite} for the panels where it is not.
+    One integrand call covers the nodes of every panel.
+    """
     nodes, weights = _gl_pair(order)
-    half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * nodes
-    vals = np.asarray(f(xs), dtype=complex)
-    if vals.shape != xs.shape:
+    xs = np.array(mid)[:, None] + np.array(half)[:, None] * nodes
+    vals = np.asarray(f(xs.ravel()), dtype=complex)
+    if vals.shape != (xs.size,):
         raise ValueError(f"integrand gave shape {vals.shape} for {xs.size} nodes")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = float(xs[~finite][0])
-        raise NonFiniteIntegrand(f"integrand not finite near t = {bad!r}")
-    coarse, fine = (weights @ vals).tolist()
-    return half * fine, half * abs(fine - coarse)
+    vals = vals.reshape(xs.shape)
+    # each panel keeps the bits of its own product weights @ row: numpy
+    # gives a single row those bits through a (1, 3n) @ (3n, 2) product,
+    # and many rows through one matrix-vector product per rule
+    if len(vals) == 1:
+        coarse, fine = vals.dot(weights.T).T.tolist()
+    else:
+        coarse, fine = vals.dot(weights[0]).tolist(), vals.dot(weights[1]).tolist()
+    err = [h * abs(v - c) for h, c, v in zip(half, coarse, fine)]
+    bad = {}
+    # a value that is not finite leaves both sums, so err, non-finite
+    if not math.isfinite(sum(err)):
+        for i, row in enumerate(vals):
+            finite = np.isfinite(row)
+            if not finite.all():
+                bad[i] = float(xs[i][~finite][0])
+    return [h * v for h, v in zip(half, fine)], err, bad
 
 
 def _within(q: QuadratureSpec, err: float, scale: float) -> bool:
@@ -134,19 +169,21 @@ def _within(q: QuadratureSpec, err: float, scale: float) -> bool:
     return err <= max(q.abs_tol, q.rel_tol * scale)
 
 
-def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> Estimate:
-    """Adaptive integral of f over [a, b].
+def _nonfinite(x: float) -> NonFiniteIntegrand:
+    return NonFiniteIntegrand(f"integrand not finite near t = {x!r}")
 
-    Panels failing the order-n vs order-2n comparison are halved until the
-    panel budget runs out; converged reports whether the final accumulated
-    error estimate meets tolerance.
+
+def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
+    """(value, err_est, panels_used, converged) of the adaptive integral of
+    f over [a, b], taken one panel at a time.
+
+    The leftmost open panel is kept when its two rules agree or it is too
+    narrow to split, else halved.  A panel whose halves the budget cannot
+    hold is kept as it is, and the estimate is unconverged.  Panels found
+    in ``seen``, which maps (lo, hi) to (value, error, first non-finite
+    node or None), are not evaluated again.
     """
-    q = q or QuadratureSpec()
-    if a > b:
-        raise ValueError("integrate_finite requires a <= b")
-    if a == b:
-        return Estimate(0j, 0.0, 0, True)
-    stack = [(float(a), float(b))]
+    stack = [(a, b)]
     total = 0j
     err_sum = 0.0
     used = 0
@@ -154,7 +191,13 @@ def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> 
     width_floor = 1e-14 * max(1.0, abs(a), abs(b))
     while stack:
         lo, hi = stack.pop()
-        fine, err = _panel(f, lo, hi, q.panel_order)
+        panel = seen.get((lo, hi))
+        if panel is None:
+            fine, err, bad = _panels(f, [0.5 * (lo + hi)], [0.5 * (hi - lo)], q.panel_order)
+            panel = fine[0], err[0], bad.get(0)
+        fine, err, bad_x = panel
+        if bad_x is not None:
+            raise _nonfinite(bad_x)
         used += 1
         if _within(q, err, abs(fine)) or (hi - lo) <= width_floor:
             total += fine
@@ -167,8 +210,130 @@ def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> 
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi))
             stack.append((lo, mid))
-    converged = (not capped) and _within(q, err_sum, abs(total))
-    return Estimate(total, err_sum, used, converged)
+    return total, err_sum, used, (not capped) and _within(q, err_sum, abs(total))
+
+
+def _refine(f, roots, q: QuadratureSpec):
+    """Adaptive integrals of f over the root panels (lo, hi) of ``roots``,
+    refined together one level at a time: one integrand call evaluates
+    every panel of a level, and each panel that fails the rule of
+    _depth_first is halved into the next level.
+
+    Returns, for each root, what _depth_first returns for it, or the
+    NonFiniteIntegrand that it would raise, or None when the tree outgrows
+    q.max_panels; and the panels evaluated for the trees that outgrew it,
+    in the form _depth_first reuses.  The depth-first loop caps only a
+    tree larger than the budget, so a tree that fits gives what
+    _depth_first gives, summed in the same left-to-right order; _settle
+    finishes the others depth-first.
+    """
+    n = len(roots)
+    kept = [[] for _ in range(n)]
+    # panels of each tree evaluated or waiting to be
+    known = [1] * n
+    over = [False] * n
+    failed = [None] * n
+    levels = []
+    level = [(i, a, b, 1e-14 * max(1.0, abs(a), abs(b)))
+             for i, (a, b) in enumerate(roots) if a != b]
+    while level:
+        fine, err, bad = _panels(f, [0.5 * (lo + hi) for _, lo, hi, _ in level],
+                                 [0.5 * (hi - lo) for _, lo, hi, _ in level],
+                                 q.panel_order)
+        levels.append((level, fine, err, bad))
+        if bad:
+            for j, x in bad.items():
+                i, lo = level[j][:2]
+                if failed[i] is None or lo < failed[i][0]:
+                    failed[i] = lo, x
+            level, fine, err = ([s for j, s in enumerate(seq) if j not in bad]
+                                for seq in (level, fine, err))
+        deeper = []
+        for (i, lo, hi, floor), v, e in zip(level, fine, err):
+            if _within(q, e, abs(v)) or hi - lo <= floor:
+                kept[i].append((lo, v, e))
+            else:
+                known[i] += 2
+                mid = 0.5 * (lo + hi)
+                deeper += (i, lo, mid, floor), (i, mid, hi, floor)
+        if max(known) > q.max_panels:
+            over = [k > q.max_panels for k in known]
+            deeper = [p for p in deeper if not over[p[0]]]
+        level = deeper
+    outcomes = []
+    for i, (a, b) in enumerate(roots):
+        if a == b:
+            outcomes.append((0j, 0.0, 0, True))
+        elif over[i]:
+            outcomes.append(None)
+        elif failed[i] is not None:
+            outcomes.append(_nonfinite(failed[i][1]))
+        else:
+            total = 0j
+            err_sum = 0.0
+            for _, v, e in sorted(kept[i]):
+                total += v
+                err_sum += e
+            outcomes.append((total, err_sum, known[i], _within(q, err_sum, abs(total))))
+    seen = {}
+    if any(over):
+        for level, fine, err, bad in levels:
+            for j, ((i, lo, hi, _), v, e) in enumerate(zip(level, fine, err)):
+                if over[i]:
+                    seen[lo, hi] = v, e, bad.get(j)
+    return outcomes, seen
+
+
+def _settle(outcome, f, a: float, b: float, q: QuadratureSpec, seen: dict):
+    """What _depth_first returns for one root panel of _refine: raise the
+    root's error, or finish it depth-first."""
+    if outcome is None:
+        return _depth_first(f, a, b, q, seen)
+    if isinstance(outcome, NonFiniteIntegrand):
+        raise outcome
+    return outcome
+
+
+def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> Estimate:
+    """Adaptive integral of f over [a, b].
+
+    Panels failing the order-n vs order-2n comparison are halved until the
+    panel budget runs out; converged reports whether the final accumulated
+    error estimate meets tolerance.
+    """
+    q = q or QuadratureSpec()
+    if a > b:
+        raise ValueError("integrate_finite requires a <= b")
+    a, b = float(a), float(b)
+    with np.errstate(all="ignore"):
+        outcomes, seen = _refine(f, [(a, b)], q)
+        return Estimate(*_settle(outcomes[0], f, a, b, q, seen))
+
+
+def _tail_panels(f, a: float, q: QuadratureSpec):
+    """Yield (value, err_est, panels_used, width, right end) of each
+    geometric tail panel from a, in order.
+
+    The panels are refined ahead of need in blocks, _FIRST_TAIL_BLOCK
+    panels first and twice as many each time after, so a block may hold
+    panels past where the caller stops; those are never settled, and
+    raise nothing.
+    """
+    lo, width = float(a), _FIRST_TAIL_WIDTH
+    size, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
+    while left:
+        edges, widths = [lo], []
+        for _ in range(min(size, left)):
+            widths.append(width)
+            lo += width
+            width *= _TAIL_GROWTH
+            edges.append(lo)
+        roots = list(zip(edges, edges[1:]))
+        outcomes, seen = _refine(f, roots, q)
+        for outcome, (a_i, b_i), w_i in zip(outcomes, roots, widths):
+            value, err, used, _ = _settle(outcome, f, a_i, b_i, q, seen)
+            yield value, err, used, w_i, b_i
+        size, left = 2 * size, left - len(widths)
 
 
 def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate:
@@ -180,8 +345,6 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     TailDivergence.
     """
     q = q or QuadratureSpec()
-    lo = float(a)
-    width = _FIRST_TAIL_WIDTH
     total = 0j
     err_sum = 0.0
     used = 0
@@ -189,31 +352,29 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     rises = 0
     live = False
     density = 0.0
-    for _ in range(_MAX_TAIL_PANELS):
-        est = integrate_finite(f, lo, lo + width, q)
-        total += est.value
-        err_sum += est.err_est
-        used += est.panels_used
-        mag = abs(est.value)
-        size = abs(total)
-        negligible = mag <= q.abs_tol and (mag <= q.rel_tol * size or size <= q.abs_tol)
-        quiet = quiet + 1 if negligible else 0
-        if quiet >= 2:
-            break
-        # widths grow geometrically, so divergence is judged on the mean
-        # magnitude per unit length, not on the raw panel integral
-        was_live, previous = live, density
-        live = mag > q.abs_tol
-        density = mag / width
-        rises = rises + 1 if live and was_live and density > previous else 0
-        if rises >= _DIVERGENT_RISES:
-            raise TailDivergence(
-                f"tail panels keep growing past t = {lo + width:g}"
-            )
-        if used >= q.max_panels:
-            break
-        lo += width
-        width *= _TAIL_GROWTH
+    with np.errstate(all="ignore"):
+        for value, err, panels, width, hi in _tail_panels(f, a, q):
+            total += value
+            err_sum += err
+            used += panels
+            mag = abs(value)
+            size = abs(total)
+            negligible = mag <= q.abs_tol and (mag <= q.rel_tol * size or size <= q.abs_tol)
+            quiet = quiet + 1 if negligible else 0
+            if quiet >= 2:
+                break
+            # widths grow geometrically, so divergence is judged on the mean
+            # magnitude per unit length, not on the raw panel integral
+            was_live, previous = live, density
+            live = mag > q.abs_tol
+            density = mag / width
+            rises = rises + 1 if live and was_live and density > previous else 0
+            if rises >= _DIVERGENT_RISES:
+                raise TailDivergence(
+                    f"tail panels keep growing past t = {hi:g}"
+                )
+            if used >= q.max_panels:
+                break
     # the last panel's magnitude stands for the tail left out, also when
     # the panel budget cut the tail off before it went quiet
     err_sum += mag

@@ -282,9 +282,18 @@ def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> 
 
 
 def _dirichlet(g, T: float, u):
-    """g times the Dirichlet kernel sin(T*u)/(pi*u), written via sinc to
-    keep u = 0 exact."""
-    return g * (T / math.pi) * np.sinc(T * u / math.pi)
+    """g times the Dirichlet kernel sin(T*u)/(pi*u) at an array of u.
+
+    Where |T*u| < 1e-8 the kernel is its limit T/pi, which the quotient
+    rounds to there anyway; this covers u = 0, and u so small that T*u or
+    pi*u is subnormal and the quotient loses its digits.
+    """
+    tu = T * u
+    num, den = np.sin(tu), math.pi * u
+    peak = np.abs(tu) < 1e-8
+    if peak.any():
+        num[peak], den[peak] = T, math.pi
+    return g * (num / den)
 
 
 def _line_integral(t: TransformExpr, c: float, T: float, s: float,

@@ -160,6 +160,28 @@ def test_invert_bromwich_matches_roundtrip_without_closed_form(capsys):
     assert float(row[2]) == pytest.approx(float(row[1]), abs=1e-2)
 
 
+@pytest.mark.parametrize("quad, converged", [(None, True), ('{"max_panels": 4}', False)])
+def test_invert_strict_exits_three_on_an_unconverged_line(capsys, quad, converged):
+    # four panels per piece leave the line integral 2e-4 off its estimate
+    argv = ["invert", *MIXEDPOWER, "--contour", "bromwich", "--T", "30",
+            "--x", "0.5", "--strict", *(["--quad", quad] if quad else [])]
+    code, out, _ = run(capsys, *argv)
+    assert code == (0 if converged else 3)
+    value = float(rows_of(out)[1][0][1])
+    assert value == pytest.approx(0.55281205, abs=1e-7 if converged else 1e-3)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == (0 if converged else 3)
+    assert strict_json(out)["summary"]["converged"] is converged
+
+
+def test_rational_inverses_count_as_converged(capsys):
+    code, out, _ = run(capsys, "invert", "--poles", "[[-1,0,1,0]]", "--kind",
+                       "laplace", "--contour", "rect", "--x", "-2", "--strict",
+                       "--json", "--quad", '{"max_panels": 4}')
+    assert code == 0
+    assert strict_json(out)["summary"]["converged"] is True
+
+
 def test_invert_rectangle_without_closed_form_exits_two(capsys):
     code, out, err = run(capsys, "invert", *MIXEDPOWER, "--contour", "rect",
                          "--x", "0.5")
@@ -235,6 +257,20 @@ def test_delta_check_command(capsys):
     header, rows = rows_of(out)
     assert header == ["T", "value", "abs_err"]
     assert float(rows[-1][2]) <= 5e-2
+
+
+@pytest.mark.parametrize("func, converged", [("exp:gamma=1", True),
+                                              ("exp:gamma=0.001", False)])
+def test_delta_check_strict_exits_three_on_an_unconverged_window(capsys, func,
+                                                                 converged):
+    # the window [0, 37000] of exp(-0.001 y) outgrows the 4096-panel budget
+    argv = ["delta-check", "--func", func, "--x", "1", "--T", "20,80", "--strict"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == (0 if converged else 3)
+    assert run(capsys, *argv[:-1])[:2] == (0, plain)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == (0 if converged else 3)
+    assert strict_json(out)["summary"]["converged"] is converged
 
 
 def test_sweep_command(capsys):

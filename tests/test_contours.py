@@ -623,7 +623,7 @@ def test_shared_contour_matches_per_argument_inverse(poles, kernel, shape, delta
     make = rectangle_for if shape == "rect" else bromwich_for
     c = make(t, delta, T)
     want = [inverse_eval(t, kind, c, arg) for arg in args]
-    assert list(contours._contour_sums(t, kind, c, args, None)) == want
+    assert list(contours._contour_sums(t, kind, c, args, None)) == [(w, True) for w in want]
     # the CLI's invert prints the same values
     argv = [
         "invert", "--json", "--kind", "laplace" if kind is LAP else "mellin",

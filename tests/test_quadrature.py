@@ -2,15 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melaplace import (
+    FunctionSpec,
+    MelaplaceError,
     NonFiniteIntegrand,
     QuadratureSpec,
     TailDivergence,
+    delta_check,
     integrate_finite,
     integrate_halfline,
     integrate_unit_singular,
 )
+from melaplace.campaigns import _delta_window
+from melaplace.functions import evaluate
+from melaplace.quadrature import (
+    _DIVERGENT_RISES,
+    _FIRST_TAIL_WIDTH,
+    _MAX_TAIL_PANELS,
+    _TAIL_GROWTH,
+    _gl_pair,
+    _within,
+)
+from melaplace.transforms import _dirichlet
 
 Q = QuadratureSpec()
 
@@ -192,3 +208,183 @@ def test_integrands_return_one_value_per_node():
             integrate_finite(f, 0.0, 1.0)
         with pytest.raises(ValueError, match="shape"):
             integrate_halfline(f, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched engine against the one-panel-at-a-time loops it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_panel(f, a, b, order):
+    nodes, weights = _gl_pair(order)
+    half = 0.5 * (b - a)
+    xs = 0.5 * (a + b) + half * nodes
+    vals = np.asarray(f(xs), dtype=complex)
+    if vals.shape != xs.shape:
+        raise ValueError(f"integrand gave shape {vals.shape} for {xs.size} nodes")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = float(xs[~finite][0])
+        raise NonFiniteIntegrand(f"integrand not finite near t = {bad!r}")
+    coarse, fine = (weights @ vals).tolist()
+    return half * fine, half * abs(fine - coarse)
+
+
+def _reference_finite(f, a, b, q=Q):
+    if a > b:
+        raise ValueError("integrate_finite requires a <= b")
+    if a == b:
+        return 0j, 0.0, 0, True
+    stack = [(float(a), float(b))]
+    total = 0j
+    err_sum = 0.0
+    used = 0
+    capped = False
+    width_floor = 1e-14 * max(1.0, abs(a), abs(b))
+    while stack:
+        lo, hi = stack.pop()
+        fine, err = _reference_panel(f, lo, hi, q.panel_order)
+        used += 1
+        if _within(q, err, abs(fine)) or (hi - lo) <= width_floor:
+            total += fine
+            err_sum += err
+        elif used + len(stack) + 2 > q.max_panels:
+            total += fine
+            err_sum += err
+            capped = True
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((mid, hi))
+            stack.append((lo, mid))
+    return total, err_sum, used, (not capped) and _within(q, err_sum, abs(total))
+
+
+def _reference_halfline(f, a, q=Q):
+    lo = float(a)
+    width = _FIRST_TAIL_WIDTH
+    total = 0j
+    err_sum = 0.0
+    used = 0
+    quiet = 0
+    rises = 0
+    live = False
+    density = 0.0
+    for _ in range(_MAX_TAIL_PANELS):
+        value, err, panels, _ = _reference_finite(f, lo, lo + width, q)
+        total += value
+        err_sum += err
+        used += panels
+        mag = abs(value)
+        size = abs(total)
+        negligible = mag <= q.abs_tol and (mag <= q.rel_tol * size or size <= q.abs_tol)
+        quiet = quiet + 1 if negligible else 0
+        if quiet >= 2:
+            break
+        was_live, previous = live, density
+        live = mag > q.abs_tol
+        density = mag / width
+        rises = rises + 1 if live and was_live and density > previous else 0
+        if rises >= _DIVERGENT_RISES:
+            raise TailDivergence(f"tail panels keep growing past t = {lo + width:g}")
+        if used >= q.max_panels:
+            break
+        lo += width
+        width *= _TAIL_GROWTH
+    err_sum += mag
+    return total, err_sum, used, quiet >= 2 and _within(q, err_sum, abs(total))
+
+
+def _outcome(integrate, *args):
+    """(value, err_est, panels_used, converged), or the type of the error;
+    numpy's warnings are off, as inside the engine."""
+    with np.errstate(all="ignore"):
+        try:
+            result = integrate(*args)
+        except (MelaplaceError, ValueError) as exc:
+            return type(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.value, result.err_est, result.panels_used, result.converged
+
+
+def _assert_same(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    value, err, panels, converged = got
+    assert (panels, converged) == want[2:]
+    assert abs(value - want[0]) <= 1e-15 * max(1.0, abs(want[0]))
+    assert abs(err - want[1]) <= 1e-9 * want[1] + 1e-300
+
+
+@st.composite
+def _integrands(draw):
+    """Decaying, oscillating, humped or growing; sometimes not finite past
+    a cut, which may lie before or after where the integral stops."""
+    kind = draw(st.sampled_from(["decaying", "oscillating", "humped", "growing"]))
+    a = draw(st.floats(0.2, 3.0))
+    w = draw(st.floats(0.5, 40.0))
+    p = draw(st.floats(0.5, 4.0))
+    family = {
+        "decaying": lambda t: np.exp(-a * t),
+        "oscillating": lambda t: np.exp(-(a + 1j * w) * t) + np.cos(w * t) * np.exp(-a * t),
+        "humped": lambda t: np.abs(t) ** p * np.exp(-a * t),
+        "growing": lambda t: np.exp(0.05 * a * t) * (1.0 + np.abs(t)) ** p,
+    }[kind]
+    cut = draw(st.none() | st.floats(0.0, 3000.0))
+    if cut is None:
+        return family
+    bad = draw(st.sampled_from([np.inf, np.nan]))
+    return lambda t: np.where(t > cut, bad, family(t))
+
+
+_BUDGETS = st.integers(1, 64) | st.just(Q.max_panels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_integrands(), a=st.floats(-5.0, 20.0), width=st.floats(0.0, 40.0),
+       max_panels=_BUDGETS)
+def test_finite_engine_matches_one_panel_loop(f, a, width, max_panels):
+    q = QuadratureSpec(max_panels=max_panels)
+    _assert_same(_outcome(integrate_finite, f, a, a + width, q),
+                 _outcome(_reference_finite, f, a, a + width, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_integrands(), a=st.floats(0.0, 10.0), max_panels=_BUDGETS)
+def test_halfline_engine_matches_one_panel_loop(f, a, max_panels):
+    q = QuadratureSpec(max_panels=max_panels)
+    _assert_same(_outcome(integrate_halfline, f, a, q),
+                 _outcome(_reference_halfline, f, a, q))
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: np.where(t > 1000.0, np.inf, np.exp(-t)),
+    lambda t: np.where(t > 1000.0, np.nan, np.exp(-t)),
+    # overflows, with numpy's warning, from t = 2710 on
+    lambda t: np.exp(-t) + np.exp(t - 2000.0),
+])
+def test_lookahead_panels_past_the_stop_raise_nothing(f):
+    # the integral stops after [63, 127]; look-ahead panels reach 4095
+    est = integrate_halfline(f, 0.0)
+    assert est.converged
+    assert abs(est.value - 1.0) <= 1e-12
+    _assert_same(_outcome(integrate_halfline, f, 0.0),
+                 _outcome(_reference_halfline, f, 0.0))
+
+
+def test_outgrown_tree_keeps_the_depth_first_result():
+    # the delta-check window [0, 37000] of exp(-0.001 y) needs more than
+    # the 4096-panel budget: a level-by-level cap would keep other panels
+    g, x = FunctionSpec.exp(0.001), 1.0
+    lo, hi = _delta_window(g, x)
+    values = []
+    for T in (20.0, 80.0):
+        f = lambda y, T=T: _dirichlet(evaluate(g, y), T, x - y)
+        got = _outcome(integrate_finite, f, lo, hi)
+        want = _outcome(_reference_finite, f, lo, hi)
+        _assert_same(got, want)
+        assert got[2:] == (4095, False)
+        values.append(got[0].real)
+    table = delta_check(x, g, [20.0, 80.0])
+    assert list(table.results) == values
+    assert not table.converged

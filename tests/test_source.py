@@ -25,9 +25,53 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+# the exact stdout of each `melaplace ...` line of README's sh blocks
+README_OUTPUTS = {
+    "transform": """\
+re_z,im_z,re_val,im_val,err_est
+1,0,0.50000000000000022,0,3.2331168236556816e-16
+""",
+    "invert": """\
+arg,re_val,im_val
+-2,7.3890560989306504,0
+""",
+    "roundtrip": """\
+arg,truth,recovered,abs_err,rel_err
+0.25,0.5,0.49999999999999994,5.5511151231257827e-17,1.1102230246251565e-16
+1.1875,1.0897247358851685,1.0897247358851683,2.2204460492503131e-16,2.0376210396350002e-16
+2.125,1.4577379737113252,1.4577379737113252,0,0
+3.0625,1.75,1.75,0,0
+4,2,2,0,0
+""",
+    "delta-check": """\
+T,value,abs_err
+20,0.36140395968426475,0.0064754814871775812
+40,0.37318364969355067,0.0053042085221083335
+80,0.36831857413250857,0.00043913296106623534
+""",
+    "sweep": """\
+delta,half_height,re_val,im_val
+0.10000000000000001,5,7.3890560989306824,0
+0.10000000000000001,10,7.3890560989306886,0
+0.10000000000000001,20,7.389056098930709,0
+0.5,5,7.3890560989306531,0
+0.5,10,7.3890560989306566,0
+0.5,20,7.3890560989306842,0
+1,5,7.389056098930654,0
+1,10,7.3890560989306584,0
+1,20,7.3890560989307028,0
+""",
+    "cauchy-check": """\
+re_z,im_z,re_lhs,im_lhs,re_rhs,im_rhs,abs_err
+1,0,0.5,1.3321333626789469e-17,0.5,0,1.3321333626789469e-17
+""",
+}
+
+
 def test_readme_cli_examples_run():
     # every `melaplace ...` line of README's sh blocks exits 0 and prints
-    # the CSV header that README's table gives for its command
+    # the CSV header that README's table gives for its command, and the
+    # rows pinned above
     text = README.read_text(encoding="utf-8")
     headers = dict(re.findall(r"^\| `([a-z-]+)` +\| `([^`]+)` +\|$", text, re.M))
     examples = [
@@ -36,7 +80,7 @@ def test_readme_cli_examples_run():
         for line in block.splitlines()
         if line.startswith("melaplace ")
     ]
-    assert examples
+    assert sorted(shlex.split(line)[1] for line in examples) == sorted(README_OUTPUTS)
     for line in examples:
         argv = shlex.split(line)[1:]
         out = io.StringIO()
@@ -44,3 +88,4 @@ def test_readme_cli_examples_run():
             code = cli_main(argv)
         assert code == 0, line
         assert out.getvalue().splitlines()[0] == headers[argv[0]], line
+        assert out.getvalue() == README_OUTPUTS[argv[0]], line

@@ -28,7 +28,7 @@ from melaplace import (
     mellin_transform,
     transform_estimate,
 )
-from melaplace.transforms import values
+from melaplace.transforms import _dirichlet, values
 
 EXP1 = FunctionSpec.exp(1.0)
 POW_HALF = FunctionSpec.power(0.5)
@@ -460,3 +460,26 @@ def test_values_keep_the_shape_of_their_argument():
     assert values(t, np.array([])).shape == (0,)
     rational = TransformExpr.rational([(-1.0, 1.0)])
     assert values(rational, zs) == pytest.approx(1.0 / (zs + 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("T", [0.1, 1.0, 10.0, 1e300])
+def test_dirichlet_kernel_peak_is_its_limit(T):
+    # 5e-324 makes T*u underflow for T < 0.5, and subnormal above it
+    u = np.array([0.0, -0.0, 5e-324, -5e-324])
+    assert (_dirichlet(np.ones(4), T, u) == T / math.pi).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(1e-3, 1e4), u=st.floats(-1e4, 1e4))
+def test_dirichlet_kernel_matches_its_sinc_form(T, u):
+    # sin(T*u) carries the rounding of T*u itself, which near a zero of
+    # the sine is many ulps of the value but at most an ulp or two of the
+    # kernel's peak T/pi; so the forms agree within 4 ulps of the peak
+    u = np.array([u])
+    sinc = (T / math.pi) * np.sinc(T * u / math.pi)
+    kernel = _dirichlet(np.ones(1), T, u)
+    assert abs(kernel - sinc)[0] <= 4 * np.spacing(T / math.pi)
