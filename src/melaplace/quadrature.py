@@ -134,6 +134,15 @@ def _gl_pair(n: int):
     return _PAIR_CACHE[n]
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), also where z has a NaN part: CPython's abs then reports
+    whatever errno an earlier libm call left, and may raise OverflowError
+    after an overflow that numpy was told to ignore."""
+    if math.isfinite(z.real) and math.isfinite(z.imag):
+        return abs(z)
+    return math.hypot(z.real, z.imag)
+
+
 def _panels(f, mid, half, order: int):
     """Order-2n values of f over the panels mid[i] +/- half[i], their
     distances from the order-n values (two lists), and {i: first node of
@@ -153,7 +162,7 @@ def _panels(f, mid, half, order: int):
         coarse, fine = vals.dot(weights.T).T.tolist()
     else:
         coarse, fine = vals.dot(weights[0]).tolist(), vals.dot(weights[1]).tolist()
-    err = [h * abs(v - c) for h, c, v in zip(half, coarse, fine)]
+    err = [h * _modulus(v - c) for h, c, v in zip(half, coarse, fine)]
     bad = {}
     # a value that is not finite leaves both sums, so err, non-finite
     if not math.isfinite(sum(err)):

@@ -372,6 +372,18 @@ def test_lookahead_panels_past_the_stop_raise_nothing(f):
                  _outcome(_reference_halfline, f, 0.0))
 
 
+def test_infinite_values_raise_nonfinite_not_overflow():
+    # inf times a complex weight leaves NaN parts in both rules, and the
+    # complex exp before it leaves errno at ERANGE, which CPython's abs of
+    # a NaN complex reports as OverflowError
+    f = lambda t: np.where(t > 15.0, np.inf,
+                           np.exp(-(1.0 + 1.0j) * t) + np.cos(t) * np.exp(-t))
+    for q in (QuadratureSpec(max_panels=5), Q):
+        got = _outcome(integrate_halfline, f, 0.0, q)
+        assert got is NonFiniteIntegrand
+        _assert_same(got, _outcome(_reference_halfline, f, 0.0, q))
+
+
 def test_outgrown_tree_keeps_the_depth_first_result():
     # the delta-check window [0, 37000] of exp(-0.001 y) needs more than
     # the 4096-panel budget: a level-by-level cap would keep other panels
