@@ -49,7 +49,11 @@ class RoundTripRow(NamedTuple):
 
 @dataclass(frozen=True)
 class RoundTripReport:
-    """Per-point comparison of recovered values against the exact function."""
+    """Per-point comparison of recovered values against the exact function.
+
+    ``converged`` is False when the quadrature behind some recovered value
+    stopped short of its tolerance.
+    """
 
     spec: FunctionSpec
     kind: InverseKind
@@ -57,6 +61,7 @@ class RoundTripReport:
     rows: tuple
     tolerance: float
     wall_time: float
+    converged: bool = True
 
     @property
     def max_abs_err(self) -> float:
@@ -169,14 +174,16 @@ def roundtrip(
     start = time.perf_counter()
     recovered = _contour_sums(t, kind, contour, args, q)
     rows = []
+    converged = True
     for arg in args:
         truth = _exact(spec, arg)
-        rec, _ = next(recovered)
+        rec, ok = next(recovered)
+        converged = converged and ok
         abs_err = abs(rec - truth)
         rel_err = abs_err / abs(truth) if truth != 0.0 else math.inf
         rows.append(RoundTripRow(arg, truth, rec.real, abs_err, rel_err))
     elapsed = time.perf_counter() - start
-    return RoundTripReport(spec, kind, contour, tuple(rows), tol, elapsed)
+    return RoundTripReport(spec, kind, contour, tuple(rows), tol, elapsed, converged)
 
 
 def _delta_window(g: FunctionSpec, x: float) -> tuple:

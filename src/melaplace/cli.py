@@ -275,13 +275,14 @@ def _cmd_roundtrip(ns) -> int:
         rows,
         {
             "passed": report.passed,
+            "converged": report.converged,
             "tolerance": report.tolerance,
             "max_abs_err": report.max_abs_err,
             "max_rel_err": report.max_rel_err,
             "wall_time": report.wall_time,
         },
     )
-    if ns.strict and not report.passed:
+    if ns.strict and not (report.passed and report.converged):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 
@@ -380,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=None,
                         help="print a JSON summary instead of CSV on stdout")
     common.add_argument("--out", help="write CSV rows to this file")
-    common.add_argument("--tol", type=_tolerance, help="override the pass tolerance")
     common.add_argument("--quad", help="QuadratureSpec as JSON")
     common.add_argument("--strict", action="store_true", default=None,
                         help="exit 3 on convergence or round-trip failure")
@@ -417,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="start:stop:count")
     p.add_argument("--delta", type=float)
     p.add_argument("--T", type=float)
+    p.add_argument("--tol", type=_tolerance, help="override the pass tolerance")
 
     p = sub.add_parser("delta-check", parents=[common],
                        help="Dirichlet-kernel convergence table")
@@ -432,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="evaluation point")
     p.add_argument("--deltas", help="comma-separated offsets")
     p.add_argument("--Ts", help="comma-separated half-heights")
+    p.add_argument("--tol", type=_tolerance, help="override the pass tolerance")
 
     p = sub.add_parser("cauchy-check", parents=[common],
                        help="closed-contour reproduction of the transform")
@@ -441,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", action="append", help="points right of the rectangle")
     p.add_argument("--delta", type=float)
     p.add_argument("--T", type=float)
+    p.add_argument("--tol", type=_tolerance, help="override the pass tolerance")
 
     return parser
 

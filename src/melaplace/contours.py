@@ -303,11 +303,15 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
     and serve every later one; each argument then takes one kernel-weighted
     sum, which carries no error estimate and counts as converged.  A
     numeric transform on an open line has no nodes: each argument takes
-    one line integral, converged when its quadrature met tolerance.  A sum
-    that comes out inf or nan is a DomainError.
+    one line integral, converged when its quadrature met tolerance, and
+    on a rectangle raises NotRectangularizable, as in rectangle_for.  A
+    sum that comes out inf or nan is a DomainError.
     """
-    numeric_line = (t.form is TransformForm.NUMERIC
-                    and c.shape is ContourShape.BROMWICH_LINE)
+    numeric = t.form is TransformForm.NUMERIC
+    if numeric and c.shape is not ContourShape.BROMWICH_LINE:
+        raise NotRectangularizable(
+            f"{t.form.value} transforms cannot be inverted on a rectangle"
+        )
     vals = None
     for arg in args:
         scale = _kernel_scale(kind, arg)
@@ -319,7 +323,7 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
                 f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
             )
         converged = True
-        if numeric_line:
+        if numeric:
             est = _line_integral(t, c.c_right, c.half_height, scale, q)
             value, converged = complex(est.value.real), est.converged
         else:

@@ -11,17 +11,19 @@ Integrands must be vectorized and pointwise: they receive a 1-D float
 ndarray of nodes and return a vector of (possibly complex) values, one
 per node, each depending on its own node alone; any other shape raises
 ValueError.  The engine relies on that to evaluate many panels in one
-call.  A finite integral refines level by level: one integrand call takes
-every panel of a level, and the panels that fail tolerance are halved
-into the next.  The result is the depth-first one, summed left to right;
-a tree that would outgrow ``max_panels`` is finished depth-first, where
-the budget cuts it as before.  A half-line integral refines its
-geometric panels ahead of need, in blocks of _FIRST_TAIL_BLOCK panels
-and then twice as many each time, and runs its stop, divergence and
-budget rules over them in order.  A look-ahead panel past the stop is
-discarded: it never raises, and numpy's warnings are off while the
-engine evaluates.  ``Estimate.panels_used`` counts the panels evaluated
-for the estimate, split ones included, not the discarded ones.
+call.  Results come from a depth-first walk alone, which sums the panels
+of an interval left to right, applies the budget and judges convergence.
+Level order only prefetches panels for it: one integrand call takes every
+panel of a level, and the panels that fail tolerance are halved into the
+next, until a tree outgrows ``max_panels``.  The walk finds there every
+panel of a tree that fits the budget, and evaluates any other one by
+one.  A half-line integral prefetches its geometric panels ahead of
+need, in blocks of _FIRST_TAIL_BLOCK panels and then twice as many each
+time, and runs its stop, divergence and budget rules over them in order.
+A look-ahead panel past the stop is never walked: it never raises, and
+numpy's warnings are off while the engine evaluates.
+``Estimate.panels_used`` counts the panels walked for the estimate, split
+ones included, not the look-ahead ones.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -175,7 +177,7 @@ def _panels(f, mid, half, order: int):
 
 def _within(q: QuadratureSpec, err: float, scale: float) -> bool:
     """err <= max(abs_tol, rel_tol*scale)."""
-    return err <= max(q.abs_tol, q.rel_tol * scale)
+    return err <= q.abs_tol or err <= q.rel_tol * scale
 
 
 def _nonfinite(x: float) -> NonFiniteIntegrand:
@@ -184,14 +186,18 @@ def _nonfinite(x: float) -> NonFiniteIntegrand:
 
 def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
     """(value, err_est, panels_used, converged) of the adaptive integral of
-    f over [a, b], taken one panel at a time.
+    f over [a, b], taken one panel at a time: the one loop that sums panels,
+    applies the budget, judges convergence and raises NonFiniteIntegrand.
 
     The leftmost open panel is kept when its two rules agree or it is too
     narrow to split, else halved.  A panel whose halves the budget cannot
     hold is kept as it is, and the estimate is unconverged.  Panels found
     in ``seen``, which maps (lo, hi) to (value, error, first non-finite
-    node or None), are not evaluated again.
+    node or None), are not evaluated again; the others take one integrand
+    call each.  An empty interval is 0 from no panel.
     """
+    if a == b:
+        return 0j, 0.0, 0, True
     stack = [(a, b)]
     total = 0j
     err_sum = 0.0
@@ -208,99 +214,47 @@ def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
         if bad_x is not None:
             raise _nonfinite(bad_x)
         used += 1
-        if _within(q, err, abs(fine)) or (hi - lo) <= width_floor:
-            total += fine
-            err_sum += err
-        elif used + len(stack) + 2 > q.max_panels:
-            total += fine
-            err_sum += err
+        if not (_within(q, err, abs(fine)) or (hi - lo) <= width_floor):
+            if used + len(stack) + 2 <= q.max_panels:
+                mid = 0.5 * (lo + hi)
+                stack.append((mid, hi))
+                stack.append((lo, mid))
+                continue
             capped = True
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
+        total += fine
+        err_sum += err
     return total, err_sum, used, (not capped) and _within(q, err_sum, abs(total))
 
 
-def _refine(f, roots, q: QuadratureSpec):
-    """Adaptive integrals of f over the root panels (lo, hi) of ``roots``,
-    refined together one level at a time: one integrand call evaluates
-    every panel of a level, and each panel that fails the rule of
-    _depth_first is halved into the next level.
+def _prefetch(f, roots, q: QuadratureSpec) -> dict:
+    """The panels of the level-order trees of the root panels (lo, hi) of
+    ``roots``, as ``seen`` of _depth_first, which finds there every panel
+    of a tree that fits the budget.
 
-    Returns, for each root, what _depth_first returns for it, or the
-    NonFiniteIntegrand that it would raise, or None when the tree outgrows
-    q.max_panels; and the panels evaluated for the trees that outgrew it,
-    in the form _depth_first reuses.  The depth-first loop caps only a
-    tree larger than the budget, so a tree that fits gives what
-    _depth_first gives, summed in the same left-to-right order; _settle
-    finishes the others depth-first.
+    One integrand call evaluates every panel of a level.  A panel that
+    fails the rule of _depth_first and whose integrand is finite is halved
+    into the next level.  A root's tree stops growing once its panels,
+    evaluated or waiting, outnumber q.max_panels; _depth_first caps it.
     """
-    n = len(roots)
-    kept = [[] for _ in range(n)]
-    # panels of each tree evaluated or waiting to be
-    known = [1] * n
-    over = [False] * n
-    failed = [None] * n
-    levels = []
+    seen = {}
+    known = [1] * len(roots)
     level = [(i, a, b, 1e-14 * max(1.0, abs(a), abs(b)))
              for i, (a, b) in enumerate(roots) if a != b]
     while level:
         fine, err, bad = _panels(f, [0.5 * (lo + hi) for _, lo, hi, _ in level],
                                  [0.5 * (hi - lo) for _, lo, hi, _ in level],
                                  q.panel_order)
-        levels.append((level, fine, err, bad))
-        if bad:
-            for j, x in bad.items():
-                i, lo = level[j][:2]
-                if failed[i] is None or lo < failed[i][0]:
-                    failed[i] = lo, x
-            level, fine, err = ([s for j, s in enumerate(seq) if j not in bad]
-                                for seq in (level, fine, err))
         deeper = []
-        for (i, lo, hi, floor), v, e in zip(level, fine, err):
-            if _within(q, e, abs(v)) or hi - lo <= floor:
-                kept[i].append((lo, v, e))
-            else:
-                known[i] += 2
-                mid = 0.5 * (lo + hi)
-                deeper += (i, lo, mid, floor), (i, mid, hi, floor)
-        if max(known) > q.max_panels:
-            over = [k > q.max_panels for k in known]
-            deeper = [p for p in deeper if not over[p[0]]]
-        level = deeper
-    outcomes = []
-    for i, (a, b) in enumerate(roots):
-        if a == b:
-            outcomes.append((0j, 0.0, 0, True))
-        elif over[i]:
-            outcomes.append(None)
-        elif failed[i] is not None:
-            outcomes.append(_nonfinite(failed[i][1]))
-        else:
-            total = 0j
-            err_sum = 0.0
-            for _, v, e in sorted(kept[i]):
-                total += v
-                err_sum += e
-            outcomes.append((total, err_sum, known[i], _within(q, err_sum, abs(total))))
-    seen = {}
-    if any(over):
-        for level, fine, err, bad in levels:
-            for j, ((i, lo, hi, _), v, e) in enumerate(zip(level, fine, err)):
-                if over[i]:
-                    seen[lo, hi] = v, e, bad.get(j)
-    return outcomes, seen
-
-
-def _settle(outcome, f, a: float, b: float, q: QuadratureSpec, seen: dict):
-    """What _depth_first returns for one root panel of _refine: raise the
-    root's error, or finish it depth-first."""
-    if outcome is None:
-        return _depth_first(f, a, b, q, seen)
-    if isinstance(outcome, NonFiniteIntegrand):
-        raise outcome
-    return outcome
+        for j, ((i, lo, hi, floor), v, e) in enumerate(zip(level, fine, err)):
+            bad_x = bad.get(j)
+            seen[lo, hi] = v, e, bad_x
+            if bad_x is not None or _within(q, e, abs(v)) or hi - lo <= floor:
+                continue
+            known[i] += 2
+            mid = 0.5 * (lo + hi)
+            deeper += (i, lo, mid, floor), (i, mid, hi, floor)
+        level = [p for p in deeper if known[p[0]] <= q.max_panels]
+    return seen
 
 
 def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> Estimate:
@@ -315,18 +269,16 @@ def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> 
         raise ValueError("integrate_finite requires a <= b")
     a, b = float(a), float(b)
     with np.errstate(all="ignore"):
-        outcomes, seen = _refine(f, [(a, b)], q)
-        return Estimate(*_settle(outcomes[0], f, a, b, q, seen))
+        return Estimate(*_depth_first(f, a, b, q, _prefetch(f, [(a, b)], q)))
 
 
 def _tail_panels(f, a: float, q: QuadratureSpec):
     """Yield (value, err_est, panels_used, width, right end) of each
     geometric tail panel from a, in order.
 
-    The panels are refined ahead of need in blocks, _FIRST_TAIL_BLOCK
-    panels first and twice as many each time after, so a block may hold
-    panels past where the caller stops; those are never settled, and
-    raise nothing.
+    The panels are prefetched in blocks, _FIRST_TAIL_BLOCK panels first
+    and twice as many each time after, so a block may hold panels past
+    where the caller stops; those are never walked, and raise nothing.
     """
     lo, width = float(a), _FIRST_TAIL_WIDTH
     size, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
@@ -338,9 +290,9 @@ def _tail_panels(f, a: float, q: QuadratureSpec):
             width *= _TAIL_GROWTH
             edges.append(lo)
         roots = list(zip(edges, edges[1:]))
-        outcomes, seen = _refine(f, roots, q)
-        for outcome, (a_i, b_i), w_i in zip(outcomes, roots, widths):
-            value, err, used, _ = _settle(outcome, f, a_i, b_i, q, seen)
+        seen = _prefetch(f, roots, q)
+        for (a_i, b_i), w_i in zip(roots, widths):
+            value, err, used, _ = _depth_first(f, a_i, b_i, q, seen)
             yield value, err, used, w_i, b_i
         size, left = 2 * size, left - len(widths)
 

@@ -65,6 +65,18 @@ def test_roundtrip_numeric_fallback_on_open_line():
     assert report.rows[0].rel_err <= 0.1
 
 
+def test_roundtrip_reports_an_unconverged_line():
+    # the row passes its tolerance, but four panels per piece leave the
+    # line integral behind it unconverged
+    spec, args = FunctionSpec.mixed_power(0.5, 1.0), [0.5, 0.6]
+    for q, converged in [(None, True), (QuadratureSpec(max_panels=4), False)]:
+        report = roundtrip(spec, MEL, args, use_rectangle=False, half_height=30.0, q=q)
+        assert report.passed
+        assert report.converged is converged
+    # rational sums carry no estimate and count as converged
+    assert roundtrip(FunctionSpec.exp(1.0), LAP, [1.0], q=QuadratureSpec(max_panels=4)).converged
+
+
 def test_roundtrip_errors():
     with pytest.raises(EmptyGrid):
         roundtrip(FunctionSpec.exp(1.0), LAP, [])

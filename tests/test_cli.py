@@ -232,6 +232,20 @@ def test_roundtrip_without_strict_reports_but_exits_zero(capsys):
     assert doc["summary"]["passed"] is False
 
 
+@pytest.mark.parametrize("quad, converged", [(None, True), ('{"max_panels": 4}', False)])
+def test_roundtrip_strict_exits_three_on_an_unconverged_line(capsys, quad, converged):
+    # the row passes its 5e-2 tolerance either way; with four panels per
+    # piece the line integral behind it stops short of its own
+    argv = ["roundtrip", "--func", "mixedpower:g1=0.5,g2=1", "--kind", "mellin",
+            "--contour", "bromwich", "--T", "30", "--grid", "0.5:0.5:1", "--strict",
+            "--json", *(["--quad", quad] if quad else [])]
+    code, out, _ = run(capsys, *argv)
+    assert code == (0 if converged else 3)
+    summary = strict_json(out)["summary"]
+    assert summary["passed"] is True
+    assert summary["converged"] is converged
+
+
 def test_json_summary_is_strict(capsys):
     # exp(-750) underflows to 0, so every relative error is infinite
     code, out, _ = run(
@@ -393,6 +407,23 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, command, tol):
     code, out, err = run(capsys, *argv, "--config", str(config))
     assert code == 2
     assert "argument --tol: must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "--func", "exp:gamma=1", "--kind", "laplace", "--z", "1+0i"),
+    ("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--contour", "rect",
+     "--x", "-2"),
+    ("delta-check", "--func", "exp:gamma=1", "--x", "1", "--T", "20,40"),
+], ids=["transform", "invert", "delta-check"])
+def test_tolerance_only_where_it_is_read(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--tol", "1e-300", "--strict")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
+    # a --config key that names no option of the command is ignored
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tol": 1e-300}))
+    assert run(capsys, *argv, "--strict", "--config", str(config))[0] == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -633,14 +664,16 @@ _OWN = {
     "transform": ("--func", "--kind", "--z"),
     "invert": ("--poles", "--kind", "--x", "--func", "--contour", "--grid",
                "--delta", "--T"),
-    "roundtrip": ("--func", "--kind", "--grid", "--contour", "--delta", "--T"),
+    "roundtrip": ("--func", "--kind", "--grid", "--contour", "--delta", "--T",
+                  "--tol"),
     "delta-check": ("--func", "--x", "--T"),
-    "sweep": ("--poles", "--kind", "--x", "--deltas", "--Ts", "--func"),
-    "cauchy-check": ("--func", "--kind", "--z", "--poles", "--delta", "--T"),
+    "sweep": ("--poles", "--kind", "--x", "--deltas", "--Ts", "--func", "--tol"),
+    "cauchy-check": ("--func", "--kind", "--z", "--poles", "--delta", "--T",
+                     "--tol"),
     "no-such-command": (),
 }
 _NEEDED = {"sweep": 5, "no-such-command": 0}
-_COMMON = ("--tol", "--quad", "--strict", "--json")
+_COMMON = ("--quad", "--strict", "--json")
 
 
 @st.composite

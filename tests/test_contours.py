@@ -124,6 +124,26 @@ def test_rectangle_requires_rational():
         )
 
 
+@pytest.mark.parametrize("rect", [
+    # encloses no singularity, so by Cauchy the inverse would be 0
+    Contour(ContourShape.RECTANGLE, 2.0, 0.5, 3.0, 0.5),
+    # crosses the strip edge Re z = -1
+    Contour(ContourShape.RECTANGLE, 0.5, -2.0, 3.0, 0.5),
+])
+def test_numeric_transform_on_a_hand_built_rectangle_is_rejected(rect, monkeypatch):
+    t = TransformExpr.numeric(FunctionSpec.exp(1.0), TransformKind.LAPLACE)
+
+    def no_nodes(*args):
+        raise AssertionError("nodes built")
+
+    monkeypatch.setattr(contours, "discretize", no_nodes)
+    monkeypatch.setattr(contours, "_upper_half", no_nodes)
+    with pytest.raises(NotRectangularizable, match="cannot be inverted on a rectangle"):
+        inverse_eval(t, LAP, rect, 1.0)
+    with pytest.raises(NotRectangularizable):
+        next(contours._contour_sums(t, LAP, rect, [1.0, 2.0], None))
+
+
 def test_contour_validation_and_json():
     with pytest.raises(ValueError):
         Contour(ContourShape.RECTANGLE, -0.5, -0.2, 1.0, 0.5)

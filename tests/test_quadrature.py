@@ -400,3 +400,52 @@ def test_outgrown_tree_keeps_the_depth_first_result():
     table = delta_check(x, g, [20.0, 80.0])
     assert list(table.results) == values
     assert not table.converged
+
+
+# ---------------------------------------------------------------------------
+# batching: integrand calls per integral
+# ---------------------------------------------------------------------------
+
+def _counting(f):
+    """f, and a list [calls, points] that each call of the wrapper adds to."""
+    count = [0, 0]
+
+    def counted(t):
+        count[0] += 1
+        count[1] += t.size
+        return f(t)
+
+    return counted, count
+
+
+def test_one_integrand_call_per_refinement_level():
+    # 31 panels over five levels: each level is one call of 48-node panels
+    f, count = _counting(lambda t: np.exp(-(0.3 + 25j) * t))
+    est = integrate_finite(f, 0.0, 10.0)
+    assert (est.panels_used, est.converged) == (31, True)
+    assert count == [5, 1488]
+    # the first block of four geometric panels, then the block of eight
+    f, count = _counting(lambda x: x**3 * np.exp(-0.2 * x))
+    est = integrate_halfline(f, 1.0)
+    assert (est.panels_used, est.converged) == (10, True)
+    assert count == [2, 576]
+
+
+def test_outgrown_tree_is_finished_one_panel_per_call():
+    # the 4096-panel budget stops the level-order prefetch of the
+    # delta-check window of exp(-0.001 y); the depth-first walk evaluates
+    # the panels it still needs one call each
+    g, x = FunctionSpec.exp(0.001), 1.0
+    lo, hi = _delta_window(g, x)
+    f, count = _counting(lambda y: _dirichlet(evaluate(g, y), 80.0, x - y))
+    est = integrate_finite(f, lo, hi)
+    assert (est.panels_used, est.converged) == (4095, False)
+    assert count == [4032, 300240]
+
+
+@pytest.mark.parametrize("a", [1e17, 2.0**60])
+def test_halfline_from_where_unit_panels_vanish(a):
+    # a + 1 == a: the first geometric panels are empty and count as no panel
+    f = lambda t: np.exp(a - t)
+    _assert_same(_outcome(integrate_halfline, f, a),
+                 _outcome(_reference_halfline, f, a))

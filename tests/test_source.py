@@ -25,6 +25,34 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_every_private_helper_is_used():
+    # a top-level private name that nothing in the package loads or
+    # imports is dead code left behind by a refactor
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defined = set()
+    used = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in names if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            defined.update((module, t) for t in targets
+                           if t.startswith("_") and not t.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted(f"{module}:{n}" for module, n in defined if n not in used) == []
+
+
 # the exact stdout of each `melaplace ...` line of README's sh blocks
 README_OUTPUTS = {
     "transform": """\
