@@ -16,14 +16,16 @@ Gauss-Legendre convergence geometric despite poles sitting delta away from
 the edges.  Wider arguments need a caller-supplied denser QuadratureSpec.
 
 An inverse runs in two steps.  The per-contour step builds the nodes and
-weights and takes the transform values at the nodes from one batched call,
-``transforms.values``; the per-argument step is one kernel-weighted sum
-over those arrays.  ``inverse_eval`` takes both steps for one argument;
-a round trip or a CLI ``invert`` over many arguments takes the first step
-once and the second once per argument, with the same sums in the same
-order, so every value is bit-identical to its own ``inverse_eval``.
-Cauchy reproduction at several z shares its contour the same way.  A sum
-that float64 overflow leaves inf or nan is a DomainError.
+weights of all its edges in one array pass, and takes the transform values
+at the nodes from one batched call, ``transforms.values``, whose rational
+sum runs pole by pole in memory linear in the nodes.  The per-argument
+step is one kernel-weighted sum over those arrays.  ``inverse_eval``
+takes both steps for one argument; a round trip or a CLI ``invert`` over
+many arguments takes the first step once and the second once per
+argument, with the same sums in the same order, so every value is
+bit-identical to its own ``inverse_eval``.  Cauchy reproduction at
+several z shares its contour the same way.  A sum that float64 overflow
+leaves inf or nan is a DomainError.
 
 Numeric forms such as the Gamma function, which only open lines can
 carry, have no nodes: each argument takes one integral.  Written as a
@@ -73,7 +75,7 @@ from .errors import (
     SidePoleConflict,
     ZInsideRectangle,
 )
-from .quadrature import QuadratureSpec, _gl
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _gl
 from .residues import _kernel_scale, pole_box
 from .transforms import (
     InverseKind,
@@ -214,34 +216,36 @@ def rectangle_for(
 # discretization
 # ---------------------------------------------------------------------------
 
-def _edge_nodes(z0: complex, z1: complex, width: float, order: int, budget: int):
-    length = abs(z1 - z0)
-    if not length < math.inf:
-        raise DomainError(f"the contour edge from {z0} to {z1} is longer than any float")
-    # min before ceil: length / width may overflow to inf
-    n_panels = max(1, math.ceil(min(length / width, budget)))
-    direction = (z1 - z0) / length
-    xs, ws = _gl(order)
-    offsets = np.arange(n_panels) * (length / n_panels)
-    half = 0.5 * length / n_panels
-    # all panels at once: s = offset + half*(1 + x)
-    s = (offsets[:, None] + half * (1.0 + xs[None, :])).ravel()
-    nodes = z0 + s * direction
-    weights = np.tile(ws * half, n_panels) * direction
-    return nodes, weights
-
-
 def _polyline(corners, budgets, width: float, order: int):
     """Nodes and weights along corners[0] -> corners[1] -> ..., edge k
-    holding at most budgets[k] panels."""
-    parts = [
-        _edge_nodes(z0, z1, width, order, budget)
-        for z0, z1, budget in zip(corners, corners[1:], budgets)
-    ]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    holding at most budgets[k] panels.
+
+    The panel constants of every edge are listed first; one array pass
+    then builds every panel.  Panel k of an edge of length L from z0 in
+    unit direction d, cut into n panels, maps the Gauss-Legendre node x to
+    z0 + (k*(L/n) + half*(1 + x))*d with weight w*half*d, half = 0.5*L/n.
+    """
+    offsets, halves, starts, directions = [], [], [], []
+    for z0, z1, budget in zip(corners, corners[1:], budgets):
+        length = abs(z1 - z0)
+        if not length < math.inf:
+            raise DomainError(
+                f"the contour edge from {z0} to {z1} is longer than any float"
+            )
+        # min before ceil: length / width may overflow to inf
+        n = max(1, math.ceil(min(length / width, budget)))
+        step = length / n
+        offsets += [k * step for k in range(n)]
+        halves += [0.5 * length / n] * n
+        starts += [z0] * n
+        directions += [(z1 - z0) / length] * n
+    xs, ws = _gl(order)
+    half = np.array(halves)[:, None]
+    direction = np.array(directions)[:, None]
+    s = np.array(offsets)[:, None] + half * (1.0 + xs)
+    nodes = np.array(starts)[:, None] + s * direction
+    weights = ws * half * direction
+    return nodes.ravel(), weights.ravel()
 
 
 def _panel_width(c: Contour) -> float:
@@ -254,23 +258,21 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
 
     Returns a pair of parallel complex ndarrays (nodes, weights).
     """
-    q = q or QuadratureSpec()
-    width = _panel_width(c)
+    q = q or DEFAULT_QUADRATURE
     T = c.half_height
     if c.shape is ContourShape.BROMWICH_LINE:
-        return _edge_nodes(
-            complex(c.c_right, -T), complex(c.c_right, T), width, q.panel_order,
-            q.max_panels,
-        )
-    budget = max(1, q.max_panels // 4)
-    corners = [
-        complex(c.c_right, -T),
-        complex(c.c_right, T),
-        complex(c.c_left, T),
-        complex(c.c_left, -T),
-        complex(c.c_right, -T),
-    ]
-    return _polyline(corners, [budget] * 4, width, q.panel_order)
+        corners = [complex(c.c_right, -T), complex(c.c_right, T)]
+        budgets = [q.max_panels]
+    else:
+        corners = [
+            complex(c.c_right, -T),
+            complex(c.c_right, T),
+            complex(c.c_left, T),
+            complex(c.c_left, -T),
+            complex(c.c_right, -T),
+        ]
+        budgets = [max(1, q.max_panels // 4)] * 4
+    return _polyline(corners, budgets, _panel_width(c), q.panel_order)
 
 
 def _upper_half(c: Contour, q: QuadratureSpec):
@@ -329,7 +331,7 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
         else:
             if vals is None:
                 if t.conjugate_symmetric:
-                    nodes, weights = _upper_half(c, q or QuadratureSpec())
+                    nodes, weights = _upper_half(c, q or DEFAULT_QUADRATURE)
                 else:
                     nodes, weights = discretize(c, q)
                 vals = values(t, nodes, q)

@@ -97,6 +97,10 @@ class QuadratureSpec:
         return cls(**doc)
 
 
+# the spec of every call that passes none; frozen, so one instance serves all
+DEFAULT_QUADRATURE = QuadratureSpec()
+
+
 @dataclass(frozen=True)
 class Estimate:
     """Integral value with its error estimate and convergence bookkeeping.
@@ -264,7 +268,7 @@ def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> 
     panel budget runs out; converged reports whether the final accumulated
     error estimate meets tolerance.
     """
-    q = q or QuadratureSpec()
+    q = q or DEFAULT_QUADRATURE
     if a > b:
         raise ValueError("integrate_finite requires a <= b")
     a, b = float(a), float(b)
@@ -305,7 +309,7 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     unit length that grows on _DIVERGENT_RISES consecutive panels raises
     TailDivergence.
     """
-    q = q or QuadratureSpec()
+    q = q or DEFAULT_QUADRATURE
     total = 0j
     err_sum = 0.0
     used = 0
@@ -349,7 +353,7 @@ def integrate_unit_singular(f, sigma: float, q: QuadratureSpec | None = None) ->
     singularity absorbed into exponential decay exp(-sigma*t); sigma <= 0
     means the integral diverges and is rejected up front.
     """
-    q = q or QuadratureSpec()
+    q = q or DEFAULT_QUADRATURE
     if sigma <= 0.0:
         raise TailDivergence(
             f"effective endpoint exponent sigma = {sigma:g} is outside the "

@@ -40,6 +40,7 @@ from .functions import (
     growth_bounds,
 )
 from .quadrature import (
+    DEFAULT_QUADRATURE,
     Estimate,
     QuadratureSpec,
     _within,
@@ -312,7 +313,7 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
     """
     spec, kind = t.source, t.kind
     _check_strip(t.validity, spec, kind, complex(c))
-    q = q or QuadratureSpec()
+    q = q or DEFAULT_QUADRATURE
     inner = (_laplace_integrand if kind is TransformKind.LAPLACE
              else _moment_integrand)(spec, c)
 
@@ -346,7 +347,7 @@ def transform_estimate(
     """
     z = complex(z)
     _check_strip(_domain(spec, kind), spec, kind, z)
-    return _estimate(spec, kind, z, q or QuadratureSpec())
+    return _estimate(spec, kind, z, q or DEFAULT_QUADRATURE)
 
 
 def laplace_transform(spec, z, q=None) -> complex:
@@ -449,13 +450,15 @@ def transform_for(spec: FunctionSpec, kind: InverseKind) -> TransformExpr:
 # ---------------------------------------------------------------------------
 
 def rational_values(t: TransformExpr, zs: np.ndarray) -> np.ndarray:
-    """Vectorized sum of res/(z - pole) over an array of z; raises PoleHit
-    when any point sits within POLE_HIT_TOL of a pole."""
+    """Vectorized sum of res/(z - pole) over an array of z, in pole order;
+    raises PoleHit, naming the first such pole, when any point sits within
+    POLE_HIT_TOL of a pole.  Transient memory is a few arrays the size of
+    zs, whatever the number of poles."""
     zs = np.asarray(zs, dtype=complex)
     out = np.zeros(zs.shape, dtype=complex)
     for p, r in t.poles:
         dist = zs - p
-        if np.any(np.abs(dist) < POLE_HIT_TOL):
+        if np.abs(dist).min(initial=math.inf) < POLE_HIT_TOL:
             raise PoleHit(f"evaluation point collides with pole at {p}")
         out += r / dist
     return out
@@ -473,7 +476,7 @@ def values(t: TransformExpr, zs, q: QuadratureSpec | None = None) -> np.ndarray:
         return rational_values(t, zs)
     spec, kind = t.source, t.kind
     _check_strip(t.validity, spec, kind, zs)
-    q = q or QuadratureSpec()
+    q = q or DEFAULT_QUADRATURE
     out = [_estimate(spec, kind, complex(z), q).value for z in zs.ravel()]
     return np.array(out, dtype=complex).reshape(zs.shape)
 

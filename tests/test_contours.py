@@ -41,6 +41,7 @@ from melaplace import contours
 from melaplace.campaigns import roundtrip
 from melaplace.cli import cli_main
 from melaplace.contours import DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT
+from melaplace.quadrature import _gl
 from melaplace.transforms import _line_integral, values
 
 LAP = InverseKind.LAPLACE_KERNEL
@@ -181,6 +182,82 @@ def test_line_weights_sum_to_length():
     line = bromwich_for(ONE_POLE, 0.5, 7.0)
     _, weights = discretize(line)
     assert weights.sum() == pytest.approx(2j * 7.0, rel=1e-13)
+
+
+def _edge_reference(z0, z1, width, order, budget):
+    """One edge built on its own, with np.arange and np.tile: the per-edge
+    formula that the one-pass _polyline must match byte for byte."""
+    length = abs(z1 - z0)
+    if not length < math.inf:
+        raise DomainError(f"the contour edge from {z0} to {z1} is longer than any float")
+    n_panels = max(1, math.ceil(min(length / width, budget)))
+    direction = (z1 - z0) / length
+    xs, ws = _gl(order)
+    offsets = np.arange(n_panels) * (length / n_panels)
+    half = 0.5 * length / n_panels
+    s = (offsets[:, None] + half * (1.0 + xs[None, :])).ravel()
+    return z0 + s * direction, np.tile(ws * half, n_panels) * direction
+
+
+def _path_reference(c, q, upper):
+    """discretize(c, q), or _upper_half(c, q) when upper, edge by edge."""
+    T, right, left = c.half_height, c.c_right, c.c_left
+    if c.shape is ContourShape.BROMWICH_LINE:
+        corners = [complex(right, 0.0 if upper else -T), complex(right, T)]
+        budgets = [max(1, q.max_panels // 2) if upper else q.max_panels]
+    else:
+        edge = max(1, q.max_panels // 4)
+        if upper:
+            corners = [complex(right, 0.0), complex(right, T), complex(left, T),
+                       complex(left, 0.0)]
+            budgets = [max(1, edge // 2), edge, max(1, edge // 2)]
+        else:
+            corners = [complex(right, -T), complex(right, T), complex(left, T),
+                       complex(left, -T), complex(right, -T)]
+            budgets = [edge] * 4
+    parts = [
+        _edge_reference(z0, z1, contours._panel_width(c), q.panel_order, budget)
+        for z0, z1, budget in zip(corners, corners[1:], budgets)
+    ]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _build(c, q, upper):
+    return contours._upper_half(c, q) if upper else discretize(c, q)
+
+
+def _assert_same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(list(ContourShape)), upper=st.booleans(),
+       c_right=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0),
+       T=st.floats(0.01, 50.0), delta=st.floats(0.01, 2.0),
+       order=st.integers(4, 32),
+       max_panels=st.one_of(st.just(1), st.integers(2, 64), st.just(4096)))
+def test_one_pass_nodes_match_the_per_edge_build(shape, upper, c_right, width, T,
+                                                 delta, order, max_panels):
+    # max_panels from 1 up to 64 binds on most edges; 4096 on none
+    left = c_right - width if shape is ContourShape.RECTANGLE else None
+    c = Contour(shape, c_right, left, T, delta)
+    q = QuadratureSpec(panel_order=order, max_panels=max_panels)
+    _assert_same_bytes(_build(c, q, upper), _path_reference(c, q, upper))
+
+
+@pytest.mark.parametrize("upper", [False, True])
+def test_one_pass_build_keeps_the_edge_overflow_message(upper):
+    # the right edge is short; the top edge from 1e308 to -1e308 is not
+    c = Contour(ContourShape.RECTANGLE, 1e308, -1e308, 5.0, 0.5)
+    q = QuadratureSpec()
+    with pytest.raises(DomainError) as want:
+        _path_reference(c, q, upper)
+    with pytest.raises(DomainError) as got:
+        _build(c, q, upper)
+    assert str(got.value) == str(want.value)
+    assert "from (1e+308+5j) to (-1e+308+5j)" in str(got.value)
 
 
 # ---------------------------------------------------------------------------
@@ -721,3 +798,20 @@ def test_cauchy_sums_match_per_point_reproduction():
     ]
     with pytest.raises(ZInsideRectangle):
         list(contours._cauchy_sums(MIXED, rect, [1.0, -5.0], None))
+
+
+# ---------------------------------------------------------------------------
+# Cauchy reproduction at random points
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(poles=_pole_sets(), delta=st.floats(0.1, 1.0), T=st.floats(2.0, 12.0),
+       gap=st.floats(0.5, 4.0), im=st.floats(-15.0, 15.0))
+def test_cauchy_reproduction_matches_the_pole_sum(poles, delta, T, gap, im):
+    t = TransformExpr.rational(poles)
+    rect = rectangle_for(t, delta, T)
+    z = complex(rect.c_right + gap, im)
+    terms = [r / (z - p) for p, r in t.poles]
+    # measured against the size of the terms, which may cancel in the sum
+    err = abs(cauchy_reproduction(t, rect, z) - sum(terms))
+    assert err <= 1e-8 * sum(abs(term) for term in terms)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -28,7 +29,7 @@ from melaplace import (
     mellin_transform,
     transform_estimate,
 )
-from melaplace.transforms import _dirichlet, values
+from melaplace.transforms import POLE_HIT_TOL, _dirichlet, rational_values, values
 
 EXP1 = FunctionSpec.exp(1.0)
 POW_HALF = FunctionSpec.power(0.5)
@@ -460,6 +461,84 @@ def test_values_keep_the_shape_of_their_argument():
     assert values(t, np.array([])).shape == (0,)
     rational = TransformExpr.rational([(-1.0, 1.0)])
     assert values(rational, zs) == pytest.approx(1.0 / (zs + 1.0))
+
+
+# ---------------------------------------------------------------------------
+# rational values, pole by pole
+# ---------------------------------------------------------------------------
+
+def _pole_by_pole(t, zs):
+    """rational_values with an np.any check on each pole: the reference
+    whose bytes and PoleHit the leaner loop keeps."""
+    zs = np.asarray(zs, dtype=complex)
+    out = np.zeros(zs.shape, dtype=complex)
+    for p, r in t.poles:
+        dist = zs - p
+        if np.any(np.abs(dist) < POLE_HIT_TOL):
+            raise PoleHit(f"evaluation point collides with pole at {p}")
+        out += r / dist
+    return out
+
+
+def _outcome(f, t, zs):
+    try:
+        got = f(t, zs)
+    except PoleHit as exc:
+        return str(exc)
+    return got.dtype, got.shape, got.tobytes()
+
+
+_coords = st.integers(-24, 24).map(lambda k: k / 8)
+_plane = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poles=st.lists(st.tuples(st.builds(complex, _coords, _coords), _plane),
+                      min_size=1, max_size=8, unique_by=lambda e: e[0]),
+       shape=st.sampled_from([(), (0,), (1,), (7,), (3, 4), (0, 2)]),
+       data=st.data())
+def test_rational_values_match_the_pole_by_pole_reference(poles, shape, data):
+    t = TransformExpr.rational(poles)
+    size = math.prod(shape)
+    points = _plane
+    if data.draw(st.booleans()):
+        # about half the points on a pole: PoleHit names the first pole hit
+        points = st.one_of(_plane, st.sampled_from([p for p, _ in poles]))
+    zs = np.array(data.draw(st.lists(points, min_size=size, max_size=size)),
+                  dtype=complex).reshape(shape)
+    got = _outcome(rational_values, t, zs)
+    assert got == _outcome(_pole_by_pole, t, zs)
+    if not isinstance(got, str):
+        assert got[1] == shape
+
+
+def test_pole_hit_names_the_first_pole_in_pole_order():
+    # two poles 1.5e-12 apart, both within POLE_HIT_TOL of their midpoint
+    a, b = complex(-1.0, 0.0), complex(-1.0 + 1.5e-12, 0.0)
+    mid = complex(-1.0 + 0.75e-12, 0.0)
+    for poles in ([(a, 1.0), (b, 2.0)], [(b, 2.0), (a, 1.0)]):
+        t = TransformExpr.rational(poles)
+        first = poles[0][0]
+        for zs in ([0.0, mid], [b, a], mid):
+            with pytest.raises(PoleHit) as hit:
+                rational_values(t, np.array(zs))
+            assert str(hit.value) == f"evaluation point collides with pole at {first}"
+
+
+def test_rational_values_transient_memory_stays_linear_in_the_points():
+    # 48 B a point pole by pole (the result, one difference array and its
+    # moduli); a (poles x points) broadcast would take 224 B
+    poles = [(complex(-k / 2, (-1) ** k * k / 3), complex(1.0, k)) for k in range(6)]
+    t = TransformExpr.rational(poles)
+    zs = np.linspace(1.0, 3.0, 4000) + 1j * np.linspace(-5.0, 5.0, 4000)
+    rational_values(t, zs)
+    tracemalloc.start()
+    try:
+        rational_values(t, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * zs.size
 
 
 # ---------------------------------------------------------------------------
