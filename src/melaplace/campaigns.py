@@ -20,13 +20,12 @@ from .contours import (
     inverse_eval,
     rectangle_for,
 )
-from .errors import DomainError, EmptyGrid, NotRectangularizable
+from .errors import DomainError, EmptyGrid
 from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
 from .quadrature import QuadratureSpec, integrate_finite
 from .transforms import (
     InverseKind,
     TransformExpr,
-    TransformForm,
     _dirichlet,
     transform_for,
 )
@@ -118,12 +117,6 @@ class ConvergenceTable:
         if len(self.values) != len(self.results):
             raise ValueError("values and results must match in length")
         _require_increasing(self.values, "sampled values", ValueError)
-
-    @property
-    def deltas(self) -> tuple:
-        return tuple(
-            abs(b - a) for a, b in zip(self.results, self.results[1:])
-        )
 
     @property
     def errors(self) -> tuple:
@@ -243,10 +236,9 @@ def invariance_sweep(
     """Rectangle inverse over a (delta, T) grid.
 
     By Cauchy exactness every grid point should agree; max_spread is the
-    figure of merit.
+    figure of merit.  A numeric t raises NotRectangularizable from
+    rectangle_for, once the grid is checked.
     """
-    if t.form is not TransformForm.RATIONAL:
-        raise NotRectangularizable("invariance sweep requires a rational transform")
     grid = sorted((float(d), float(T)) for d in deltas for T in Ts)
     if not grid:
         raise EmptyGrid("invariance sweep needs a nonempty grid")

@@ -17,7 +17,7 @@ the edges.  Wider arguments need a caller-supplied denser QuadratureSpec.
 
 An inverse runs in two steps.  The per-contour step builds the nodes and
 weights of all its edges in one array pass, and takes the transform values
-at the nodes from one batched call, ``transforms.values``, whose rational
+at the nodes from one batched call, ``transforms.rational_values``, whose
 sum runs pole by pole in memory linear in the nodes.  The per-argument
 step is one kernel-weighted sum over those arrays.  ``inverse_eval``
 takes both steps for one argument; a round trip or a CLI ``invert`` over
@@ -82,7 +82,7 @@ from .transforms import (
     TransformExpr,
     TransformForm,
     _line_integral,
-    values,
+    rational_values,
 )
 
 _BASE_PANEL_WIDTH = math.pi / 4
@@ -334,7 +334,7 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
                     nodes, weights = _upper_half(c, q or DEFAULT_QUADRATURE)
                 else:
                     nodes, weights = discretize(c, q)
-                vals = values(t, nodes, q)
+                vals = rational_values(t, nodes)
             total = complex(np.dot(weights, np.exp(scale * nodes) * vals))
             if t.conjugate_symmetric:
                 # the lower half is the mirror image of the upper half,
@@ -380,13 +380,12 @@ def single_line_eval(
     Returns the raw upward-oriented value: as T grows, the right line
     reproduces the function on the standard domain and decays to zero on
     the extended side; the left line gives minus the function on the
-    extended side and zero on the standard one.
+    extended side and zero on the standard one.  A numeric t has no poles:
+    pole_box raises NotRectangularizable.
     """
-    if t.form is not TransformForm.RATIONAL:
-        raise NotRectangularizable("single-line decomposition requires poles")
+    re_min, re_max, _ = pole_box(t)
     if line.shape is not ContourShape.BROMWICH_LINE:
         raise ValueError("single_line_eval expects a Bromwich line")
-    re_min, re_max, _ = pole_box(t)
     if side is LineSide.RIGHT_OF_POLES and not line.c_right > re_max:
         raise SidePoleConflict(
             f"line at {line.c_right:g} is not right of all poles (max Re {re_max:g})"
@@ -415,7 +414,7 @@ def _cauchy_sums(t: TransformExpr, rect: Contour, zs,
             )
         if vals is None:
             nodes, weights = discretize(rect, q)
-            vals = values(t, nodes, q)
+            vals = rational_values(t, nodes)
         total = complex(np.dot(weights, vals / (z - nodes)))
         if not cmath.isfinite(total):
             raise DomainError(f"the Cauchy integral overflows at z = {z}")

@@ -14,8 +14,9 @@ derived once, at construction.  Only rational forms can be inverted on a
 closed rectangle; the Gamma function's poles march off to the left, so it
 stays on open Bromwich lines.
 
-``values`` evaluates any TransformExpr at an array of z; numeric forms
-check the whole array against the validity strip, then integrate each z.
+``rational_values`` evaluates a rational form at an array of z; it is the
+one path from contour nodes to transform values.  A numeric form is
+evaluated one z at a time, by ``eval_transform`` or ``transform_estimate``.
 Open-line inverses of numeric forms evaluate no transform values:
 ``_line_integral`` integrates the source against the Dirichlet kernel, by
 the identity that the ``contours`` docstring states.
@@ -130,11 +131,6 @@ class TransformExpr:
         """Gamma(z), the Mellin transform of exp(-x), valid for Re z > 0."""
         return cls.numeric(FunctionSpec.exp_minus_x(), TransformKind.MELLIN)
 
-    def is_conjugate_symmetric(self) -> bool:
-        """True when transform(conj z) = conj transform(z), so the inverse
-        is real on the real axis; reads ``conjugate_symmetric``."""
-        return self.conjugate_symmetric
-
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
         if self.form is TransformForm.RATIONAL:
@@ -208,14 +204,9 @@ def _domain(spec: FunctionSpec, kind: TransformKind) -> Strip:
 
 
 def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> None:
-    """Raise OutOfDomain unless z (one value or an array) lies inside the
-    strip where the direct transform converges."""
-    if isinstance(z, np.ndarray):
-        re = z.real
-        inside = bool(np.all((re > strip.c1) & (re < strip.c2)))
-    else:
-        inside = strip.contains(z.real)
-    if not inside:
+    """Raise OutOfDomain unless z lies inside the strip where the direct
+    transform converges."""
+    if not strip.contains(z.real):
         bounds = (f"Re z > {strip.c1:g}" if strip.c2 == math.inf
                   else f"{strip.c1:g} < Re z < {strip.c2:g}")
         raise OutOfDomain(f"{kind.value} transform of {spec.kind.value} needs {bounds}")
@@ -464,27 +455,15 @@ def rational_values(t: TransformExpr, zs: np.ndarray) -> np.ndarray:
     return out
 
 
-def values(t: TransformExpr, zs, q: QuadratureSpec | None = None) -> np.ndarray:
-    """Values of any TransformExpr at an array of z, in the shape of zs.
-
-    Rational forms go through rational_values.  Numeric forms raise
-    OutOfDomain unless every z lies in ``t.validity``, then integrate each
-    z on its own.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    if t.form is TransformForm.RATIONAL:
-        return rational_values(t, zs)
-    spec, kind = t.source, t.kind
-    _check_strip(t.validity, spec, kind, zs)
-    q = q or DEFAULT_QUADRATURE
-    out = [_estimate(spec, kind, complex(z), q).value for z in zs.ravel()]
-    return np.array(out, dtype=complex).reshape(zs.shape)
-
-
 def eval_transform(t: TransformExpr, z: complex, q: QuadratureSpec | None = None) -> complex:
     """Value of any TransformExpr at one complex point; DomainError when
     it is past the float64 range."""
-    value = complex(values(t, np.array([complex(z)]), q)[0])
+    w = complex(z)
+    if t.form is TransformForm.RATIONAL:
+        value = complex(rational_values(t, np.array([w]))[0])
+    else:
+        _check_strip(t.validity, t.source, t.kind, w)
+        value = complex(_estimate(t.source, t.kind, w, q or DEFAULT_QUADRATURE).value)
     if not cmath.isfinite(value):
         raise DomainError(f"the {t.form.value} transform overflows at z = {z}")
     return value

@@ -182,8 +182,11 @@ def test_sweep_mixed_poles():
 
 
 def test_sweep_requires_rational():
-    with pytest.raises(NotRectangularizable):
+    with pytest.raises(NotRectangularizable, match="cannot be inverted on a rectangle"):
         invariance_sweep(TransformExpr.gamma(), MEL, 1.0, [0.5], [5.0])
+    # the grid is checked before rectangle_for sees the form
+    with pytest.raises(EmptyGrid):
+        invariance_sweep(TransformExpr.gamma(), MEL, 1.0, [], [])
     with pytest.raises(EmptyGrid):
         invariance_sweep(TransformExpr.rational([(-1.0, 1.0)]), LAP, 1.0, [], [])
     with pytest.raises(DomainError, match="distinct"):
@@ -204,7 +207,6 @@ def test_table_requires_increasing_samples():
 
 def test_table_derived_quantities():
     table = ConvergenceTable("T", (1.0, 2.0, 4.0), (1.0, 0.5, 0.25), reference=0.0)
-    assert table.deltas == (0.5, 0.25)
     assert table.errors == (1.0, 0.5, 0.25)
     assert table.final_error == 0.25
     assert table.max_spread == 0.75

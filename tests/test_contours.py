@@ -35,6 +35,7 @@ from melaplace import (
     rectangle_for,
     residue_inverse,
     single_line_eval,
+    transform_estimate,
     transform_for,
 )
 from melaplace import contours
@@ -42,7 +43,7 @@ from melaplace.campaigns import roundtrip
 from melaplace.cli import cli_main
 from melaplace.contours import DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT
 from melaplace.quadrature import _gl
-from melaplace.transforms import _line_integral, values
+from melaplace.transforms import _line_integral, rational_values
 
 LAP = InverseKind.LAPLACE_KERNEL
 MEL = InverseKind.MELLIN_KERNEL
@@ -446,6 +447,9 @@ def test_single_line_requires_rational_and_line():
     rect = rectangle_for(ONE_POLE, 0.5, 2.0)
     with pytest.raises(ValueError):
         single_line_eval(ONE_POLE, LAP, rect, LineSide.RIGHT_OF_POLES, 0.5)
+    # a numeric form fails on its missing poles before the contour's shape
+    with pytest.raises(NotRectangularizable):
+        single_line_eval(TransformExpr.gamma(), MEL, rect, LineSide.RIGHT_OF_POLES, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +492,16 @@ def test_denser_quadrature_spec_respected():
 # ---------------------------------------------------------------------------
 
 def _full_contour_sum(t, kind, c, arg, q=None):
-    """The inverse as the weighted sum over every node of discretize."""
+    """The inverse as the weighted sum over every node of discretize; a
+    numeric form takes one direct-transform estimate per node."""
     s = arg if kind is LAP else -math.log(arg)
     nodes, weights = discretize(c, q)
-    total = np.dot(weights, np.exp(s * nodes) * values(t, nodes, q))
+    if t.form is TransformForm.RATIONAL:
+        vals = rational_values(t, nodes)
+    else:
+        vals = np.array([transform_estimate(t.source, t.kind, z, q).value
+                         for z in nodes], dtype=complex)
+    total = np.dot(weights, np.exp(s * nodes) * vals)
     return complex(total) / (2j * math.pi)
 
 
@@ -543,7 +553,7 @@ def test_symmetric_rectangle_inverse_matches_oracle_and_full_contour(
         poles, delta, extra, kernel, stray):
     kind, arg = kernel
     t = TransformExpr.rational(poles)
-    assert t.is_conjugate_symmetric()
+    assert t.conjugate_symmetric
     rect = rectangle_for(t, delta, pole_box(t)[2] + delta + extra)
     got = inverse_eval(t, kind, rect, arg)
     want = residue_inverse(t, kind, arg)
@@ -560,7 +570,7 @@ def test_symmetric_rectangle_inverse_matches_oracle_and_full_contour(
     re, j, r = stray
     lop_poles = poles + [(complex(re, (2 * j + 1) / 16), r)]
     lop = TransformExpr.rational(lop_poles)
-    assert not lop.is_conjugate_symmetric()
+    assert not lop.conjugate_symmetric
     rect = rectangle_for(lop, delta, pole_box(lop)[2] + delta + extra)
     got = inverse_eval(lop, kind, rect, arg)
     want = residue_inverse(lop, kind, arg)
@@ -581,15 +591,15 @@ def test_symmetric_inverses_evaluate_the_upper_half_only(monkeypatch):
     counted = []
     built = []
 
-    def counting(t, zs, q=None):
+    def counting(t, zs):
         counted.append(np.size(zs))
-        return values(t, zs, q)
+        return rational_values(t, zs)
 
     def building(c, q=None):
         built.append(c)
         return discretize(c, q)
 
-    monkeypatch.setattr(contours, "values", counting)
+    monkeypatch.setattr(contours, "rational_values", counting)
     monkeypatch.setattr(contours, "discretize", building)
     # a numeric line is one Dirichlet-kernel integral: no nodes at all
     gamma = TransformExpr.gamma()

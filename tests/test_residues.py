@@ -85,7 +85,7 @@ def test_imaginary_leakage_is_a_domain_error():
     # the poles pair up only to within the symmetry tolerance, and the
     # 9e-13 mismatch grows into a 3e-7 imaginary part at x = 1e6
     t = TransformExpr.rational([(1j, 1.0), (9e-13 - 1j, 1.0)])
-    assert t.is_conjugate_symmetric()
+    assert t.conjugate_symmetric
     with pytest.raises(DomainError, match="imaginary leakage"):
         residue_inverse(t, LAP, 1e6)
     assert residue_inverse(t, LAP, 1.0) == pytest.approx(2.0 * math.cos(1.0))
@@ -94,7 +94,7 @@ def test_imaginary_leakage_is_a_domain_error():
 def test_far_apart_poles_invert_without_overflow():
     # |p - conj q| exceeds the largest float here
     t = TransformExpr.rational([(complex(1.5e308, 1.5e308), 1.0), (0.0, 1.0)])
-    assert not t.is_conjugate_symmetric()
+    assert not t.conjugate_symmetric
     got = residue_inverse(t, LAP, 0.0)
     assert isinstance(got, complex) and got == 2.0
 

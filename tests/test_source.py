@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import inspect
 import io
 import re
 import shlex
@@ -117,3 +118,126 @@ def test_readme_cli_examples_run():
         assert code == 0, line
         assert out.getvalue().splitlines()[0] == headers[argv[0]], line
         assert out.getvalue() == README_OUTPUTS[argv[0]], line
+
+
+# every public name of the package and of each of its modules; a class's
+# public members are listed as Class.member
+PUBLIC_API = {
+    "melaplace": """
+        BROMWICH_TOL Contour ContourShape ConvergenceTable DomainError
+        DomainHint EmptyGrid Estimate FunctionKind FunctionSpec GrowthBounds
+        InverseKind LineSide MelaplaceError NoClosedForm NoStrip
+        NonFiniteIntegrand NotRectangularizable OutOfDomain ParseError PoleHit
+        QuadratureSpec RECTANGLE_TOL RoundTripReport RoundTripRow
+        SidePoleConflict Strip TailDivergence TransformExpr TransformForm
+        TransformKind ZInsideRectangle analytic_transform bromwich_for
+        cauchy_reproduction delta_check discretize eval_transform evaluate
+        format_spec_string growth_bounds holomorphy_strip integrate_finite
+        integrate_halfline integrate_unit_singular invariance_sweep
+        inverse_eval laplace_transform mellin_moment mellin_transform
+        parse_spec_string pole_box rectangle_for residue_inverse roundtrip
+        single_line_eval transform_estimate transform_for
+    """,
+    "melaplace.campaigns": """
+        BROMWICH_TOL ConvergenceTable ConvergenceTable.converged
+        ConvergenceTable.errors ConvergenceTable.final_error
+        ConvergenceTable.max_spread ConvergenceTable.parameter
+        ConvergenceTable.reference ConvergenceTable.results
+        ConvergenceTable.values RECTANGLE_TOL RoundTripReport
+        RoundTripReport.contour RoundTripReport.converged RoundTripReport.kind
+        RoundTripReport.max_abs_err RoundTripReport.max_rel_err
+        RoundTripReport.passed RoundTripReport.rows RoundTripReport.spec
+        RoundTripReport.tolerance RoundTripReport.wall_time RoundTripRow
+        RoundTripRow.abs_err RoundTripRow.arg RoundTripRow.recovered
+        RoundTripRow.rel_err RoundTripRow.truth delta_check invariance_sweep
+        roundtrip
+    """,
+    "melaplace.cli": """
+        EXIT_NOT_CONVERGED EXIT_OK EXIT_USAGE build_parser cli_main
+        console_main parse_complex parse_grid
+    """,
+    "melaplace.contours": """
+        Contour Contour.c_left Contour.c_right Contour.delta Contour.from_json
+        Contour.half_height Contour.shape Contour.to_json ContourShape
+        ContourShape.BROMWICH_LINE ContourShape.RECTANGLE DEFAULT_DELTA
+        DEFAULT_LINE_HALF_HEIGHT LineSide LineSide.LEFT_OF_POLES
+        LineSide.RIGHT_OF_POLES bromwich_for cauchy_reproduction discretize
+        inverse_eval rectangle_for single_line_eval
+    """,
+    "melaplace.errors": """
+        DomainError EmptyGrid MelaplaceError NoClosedForm NoStrip
+        NonFiniteIntegrand NotRectangularizable OutOfDomain ParseError PoleHit
+        SidePoleConflict TailDivergence ZInsideRectangle
+    """,
+    "melaplace.functions": """
+        DomainHint DomainHint.HALF_LINE DomainHint.UNIT_INTERVAL FunctionKind
+        FunctionKind.EXP FunctionKind.EXP_MINUS_X FunctionKind.MIXED_EXP
+        FunctionKind.MIXED_POWER FunctionKind.POWER FunctionSpec
+        FunctionSpec.domain_hint FunctionSpec.exp FunctionSpec.exp_minus_x
+        FunctionSpec.from_json FunctionSpec.kind FunctionSpec.mixed_exp
+        FunctionSpec.mixed_power FunctionSpec.params FunctionSpec.power
+        FunctionSpec.to_json GrowthBounds GrowthBounds.right_index Strip
+        Strip.c1 Strip.c2 Strip.contains evaluate format_spec_string
+        growth_bounds parse_spec_string
+    """,
+    "melaplace.quadrature": """
+        DEFAULT_QUADRATURE Estimate Estimate.converged Estimate.err_est
+        Estimate.panels_used Estimate.value QuadratureSpec
+        QuadratureSpec.abs_tol QuadratureSpec.from_json
+        QuadratureSpec.max_panels QuadratureSpec.panel_order
+        QuadratureSpec.rel_tol QuadratureSpec.to_json integrate_finite
+        integrate_halfline integrate_unit_singular
+    """,
+    "melaplace.residues": """
+        pole_box residue_inverse
+    """,
+    "melaplace.transforms": """
+        InverseKind InverseKind.LAPLACE_KERNEL InverseKind.MELLIN_KERNEL
+        POLE_HIT_TOL TransformExpr TransformExpr.conjugate_symmetric
+        TransformExpr.form TransformExpr.from_json TransformExpr.gamma
+        TransformExpr.kind TransformExpr.numeric TransformExpr.poles
+        TransformExpr.rational TransformExpr.source TransformExpr.to_json
+        TransformExpr.validity TransformForm TransformForm.NUMERIC
+        TransformForm.RATIONAL TransformKind TransformKind.LAPLACE
+        TransformKind.MELLIN TransformKind.MOMENT analytic_transform
+        eval_transform holomorphy_strip laplace_transform mellin_moment
+        mellin_transform rational_values transform_estimate transform_for
+    """,
+}
+
+
+def _defined_names(body, prefix=""):
+    """Public names that the statements of a module or class body define,
+    with each public class's own members as Class.member."""
+    out = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_"):
+                continue
+            out.append(prefix + name)
+            if isinstance(node, ast.ClassDef):
+                out += _defined_names(node.body, f"{name}.")
+    return out
+
+
+def test_public_api_is_pinned():
+    # adding or deleting a public name is an API change: it shows here as
+    # an edit of PUBLIC_API
+    found = {"melaplace": sorted(
+        name for name, value in vars(melaplace).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name.startswith("__"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[f"melaplace.{path.stem}"] = sorted(_defined_names(tree.body))
+    assert found == {name: sorted(names.split()) for name, names in PUBLIC_API.items()}
