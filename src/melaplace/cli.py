@@ -13,7 +13,8 @@ machine-readable summary document.  Examples:
 
 Exit codes: 0 success, 2 validation/parse error, 3 convergence failure
 (only with --strict).  A JSON --config file may supply any long flag; flags
-given on the command line win.  Commands run with numpy's floating-point
+given on the command line win.  A value may start with "-" in either form,
+"--grid -4:4:5" or "--grid=-4:4:5".  Commands run with numpy's floating-point
 warnings off: an overflow on the way to a finite answer, as in
 exp(-(g*x)) = 0 once g*x overflows, is no error, and an integrand value,
 inverse, Cauchy sum, transform value or truth that overflow leaves inf or
@@ -476,10 +477,41 @@ def _apply_config(parser, ns) -> None:
             setattr(ns, attr, getattr(config, attr))
 
 
+@functools.cache
+def _takes_value() -> dict:
+    """{command: {option string: whether it takes a value}}."""
+    commands = next(a.choices for a in build_parser()._actions
+                    if isinstance(a.choices, dict))
+    return {command: {name: a.nargs != 0 for a in sub._actions for name in a.option_strings}
+            for command, sub in commands.items()}
+
+
+def _join_dash_values(argv: list) -> list:
+    """argv with each value-taking option joined to a next token that
+    starts with "-" and names no option: "--grid -4:4:5" becomes
+    "--grid=-4:4:5", which argparse would otherwise read as two options
+    (it takes only plain negative numbers such as -2 for values)."""
+    options = _takes_value().get(argv[0], {}) if argv else {}
+
+    def names_option(token):
+        name = token.split("=", 1)[0]
+        return name in options or (name.startswith("--")
+                                   and any(o.startswith(name) for o in options))
+
+    out = []
+    for token in argv:
+        if out and options.get(out[-1]) and token.startswith("-") and not names_option(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def cli_main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_dash_values(argv))
         _apply_config(parser, ns)
         with np.errstate(all="ignore"):
             return _COMMANDS[ns.command](ns)

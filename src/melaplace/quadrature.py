@@ -18,10 +18,11 @@ panel of a level, and the panels that fail tolerance are halved into the
 next, until a tree outgrows ``max_panels``.  The walk finds there every
 panel of a tree that fits the budget, and evaluates any other one by
 one.  A half-line integral prefetches its geometric panels ahead of
-need, in blocks of _FIRST_TAIL_BLOCK panels and then twice as many each
-time, and runs its stop, divergence and budget rules over them in order.
-A look-ahead panel past the stop is never walked: it never raises, and
-numpy's warnings are off while the engine evaluates.
+need, one level-order pass per block: _FIRST_TAIL_BLOCK panels first,
+then blocks sized from the decay of the last two panels to where the stop
+rule should end, and runs its stop, divergence and budget rules over them
+in order.  A look-ahead panel past the stop is never walked: it never
+raises, and numpy's warnings are off while the engine evaluates.
 ``Estimate.panels_used`` counts the panels walked for the estimate, split
 ones included, not the look-ahead ones.
 
@@ -52,8 +53,11 @@ _DIVERGENT_RISES = 6
 # doubling, and a slower growth mistakes a hump for divergence
 _TAIL_GROWTH = 2.0
 # geometric tail panels refined together in a half-line integral's first
-# look-ahead block; each later block doubles
-_FIRST_TAIL_BLOCK = 4
+# look-ahead block.  Eight panels doubling from width 1 reach t = 255: a
+# tail that decays like exp(-t/2) or faster is below abs_tol = 1e-13 from
+# t = 63 on and shows its two quiet panels in this one pass, and the direct
+# transforms and Bromwich lines of the package mostly stop at panel 6 to 8
+_FIRST_TAIL_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -280,12 +284,14 @@ def _tail_panels(f, a: float, q: QuadratureSpec):
     """Yield (value, err_est, panels_used, width, right end) of each
     geometric tail panel from a, in order.
 
-    The panels are prefetched in blocks, _FIRST_TAIL_BLOCK panels first
-    and twice as many each time after, so a block may hold panels past
-    where the caller stops; those are never walked, and raise nothing.
+    The panels are prefetched in blocks, one level-order pass each:
+    _FIRST_TAIL_BLOCK panels first, then as many as _next_block expects
+    the stop rule to walk.  A block may hold panels past where the caller
+    stops; those are never walked, and raise nothing.
     """
     lo, width = float(a), _FIRST_TAIL_WIDTH
     size, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
+    previous = last = 0.0
     while left:
         edges, widths = [lo], []
         for _ in range(min(size, left)):
@@ -297,8 +303,27 @@ def _tail_panels(f, a: float, q: QuadratureSpec):
         seen = _prefetch(f, roots, q)
         for (a_i, b_i), w_i in zip(roots, widths):
             value, err, used, _ = _depth_first(f, a_i, b_i, q, seen)
+            previous, last = last, abs(value)
             yield value, err, used, w_i, b_i
-        size, left = 2 * size, left - len(widths)
+        size, left = _next_block(size, previous, last, q.abs_tol), left - len(widths)
+
+
+def _next_block(size: int, previous: float, last: float, tol: float) -> int:
+    """Panels of the look-ahead block after one of ``size`` panels, from
+    the magnitudes of the last two panels walked: at their rate of decay,
+    enough to reach the first panel below tol and one more, so that the
+    stop rule finds its two quiet panels there; at least 1, at most 2*size.
+
+    Widths double, so a constant ratio of densities (magnitude per unit
+    length) is a constant ratio of panel magnitudes.  The block doubles
+    where the magnitude did not fall, as on a hump, an oscillation, a
+    non-finite or a zero panel, and where both panels are below tol but
+    the stop rule, relative to a small total, still walks on.
+    """
+    if not (0.0 < last < previous < math.inf and previous > tol):
+        return 2 * size
+    steps = (math.log(tol) - math.log(last)) / (math.log(last) - math.log(previous))
+    return max(1, min(2 * size, math.ceil(steps) + 1))
 
 
 def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate:

@@ -134,6 +134,21 @@ def test_invert_grid_and_bromwich(capsys):
     assert float(rows[1][1]) == pytest.approx(math.exp(-2.0), abs=5e-3)
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (("roundtrip", "--func", "exp:gamma=1", "--kind", "laplace"), "--grid", "-4:4:5"),
+    (("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--contour", "rect"),
+     "--x", "-4e1"),
+    (("transform", "--func", "exp:gamma=1", "--kind", "laplace"), "--z", "-0.5+2i"),
+])
+def test_values_starting_with_a_dash_in_either_form(capsys, argv, option, value):
+    joined = run(capsys, *argv, f"{option}={value}")
+    assert joined[0] == 0 and joined[1].count("\n") > 1
+    assert run(capsys, *argv, option, value) == joined
+    # a next token that names an option is still no value
+    code, _, err = run(capsys, *argv, option, "--json")
+    assert code == 2 and "expected one argument" in err
+
+
 def test_symmetric_inverses_print_a_zero_imaginary_part(capsys):
     for contour in ("rect", "bromwich"):
         code, out, _ = run(
@@ -679,7 +694,8 @@ _COMMON = ("--quad", "--strict", "--json")
 @st.composite
 def _argv(draw):
     """A command, most of the flags it needs, then extra flags up to 6 in
-    all: four in five of them its own, the rest any flag."""
+    all: four in five of them its own, the rest any flag; a value follows
+    its flag after "=" or as the next token."""
     command = draw(st.sampled_from(sorted(_OWN)))
     own = _OWN[command] + _COMMON
     flags = [f for f in own[:_NEEDED.get(command, 3)] if draw(st.integers(0, 4))]
@@ -694,7 +710,11 @@ def _argv(draw):
             continue
         if not draw(st.integers(0, 4)):
             tokens = _JUNK
-        argv.append(f"{flag}={draw(st.sampled_from(tokens))}")
+        value = draw(st.sampled_from(tokens))
+        if draw(st.booleans()):
+            argv += flag, value
+        else:
+            argv.append(f"{flag}={value}")
     return argv
 
 

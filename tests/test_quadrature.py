@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from melaplace import (
     integrate_halfline,
     integrate_unit_singular,
 )
+from melaplace import quadrature
 from melaplace.campaigns import _delta_window
 from melaplace.functions import evaluate
 from melaplace.quadrature import (
@@ -357,17 +359,49 @@ def test_halfline_engine_matches_one_panel_loop(f, a, max_panels):
                  _outcome(_reference_halfline, f, a, q))
 
 
+def _exact_outcome(f, a, q):
+    """repr of the Estimate, or the type and message of the error."""
+    with np.errstate(all="ignore"):
+        try:
+            est = integrate_halfline(f, a, q)
+        except (MelaplaceError, ValueError) as exc:
+            return type(exc), str(exc)
+    return repr((est.value, est.err_est, est.panels_used, est.converged))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_integrands(), a=st.floats(0.0, 10.0), max_panels=_BUDGETS)
+def test_lookahead_block_size_never_changes_a_result(f, a, max_panels):
+    # the walk alone decides a result, and a panel's bits do not depend on
+    # the level-order pass that evaluated it
+    q = QuadratureSpec(max_panels=max_panels)
+    outcomes = []
+    for first in (1, 4, 8, 64):
+        with mock.patch.object(quadrature, "_FIRST_TAIL_BLOCK", first):
+            outcomes.append(_exact_outcome(f, a, q))
+    assert outcomes[1:] == outcomes[:-1]
+
+
 @pytest.mark.parametrize("f", [
-    lambda t: np.where(t > 1000.0, np.inf, np.exp(-t)),
-    lambda t: np.where(t > 1000.0, np.nan, np.exp(-t)),
-    # overflows, with numpy's warning, from t = 2710 on
-    lambda t: np.exp(-t) + np.exp(t - 2000.0),
+    lambda t: np.where(t > 200.0, np.inf, np.exp(-t)),
+    lambda t: np.where(t > 200.0, np.nan, np.exp(-t)),
+    # overflows, with numpy's warning, from t = 215.5 on
+    lambda t: np.exp(-t) + np.exp(20.0 * t - 3600.0),
 ])
 def test_lookahead_panels_past_the_stop_raise_nothing(f):
-    # the integral stops after [63, 127]; look-ahead panels reach 4095
-    est = integrate_halfline(f, 0.0)
+    # the integral stops after [63, 127]; the first look-ahead block
+    # reaches 255, so its last panel [127, 255] holds the non-finite values
+    nonfinite = [0]
+
+    def counted(t):
+        values = f(t)
+        nonfinite[0] += np.count_nonzero(~np.isfinite(values))
+        return values
+
+    est = integrate_halfline(counted, 0.0)
     assert est.converged
     assert abs(est.value - 1.0) <= 1e-12
+    assert nonfinite[0] > 0
     _assert_same(_outcome(integrate_halfline, f, 0.0),
                  _outcome(_reference_halfline, f, 0.0))
 
@@ -424,11 +458,31 @@ def test_one_integrand_call_per_refinement_level():
     est = integrate_finite(f, 0.0, 10.0)
     assert (est.panels_used, est.converged) == (31, True)
     assert count == [5, 1488]
-    # the first block of four geometric panels, then the block of eight
+    # the first block of eight geometric panels, then a block of three
+    # sized from the decay of panels 7 and 8: the walk stops on its second
     f, count = _counting(lambda x: x**3 * np.exp(-0.2 * x))
     est = integrate_halfline(f, 1.0)
     assert (est.panels_used, est.converged) == (10, True)
-    assert count == [2, 576]
+    assert count == [2, 528]
+
+
+# (calls, points) of integrate_halfline for exp(-(r + i w) t) from 0: a
+# look-ahead that refines panels the stop rule never walks shows up here
+_TAIL_COSTS = {
+    (0.05, 0.0): (2, 864), (0.05, 3.0): (13, 9024), (0.05, 8.0): (15, 22272),
+    (0.2, 0.0): (2, 480), (0.2, 3.0): (5, 2208), (0.2, 8.0): (7, 5472),
+    (1.0, 0.0): (1, 384), (1.0, 3.0): (2, 480), (1.0, 8.0): (3, 1056),
+    (5.0, 0.0): (1, 384), (5.0, 3.0): (1, 384), (5.0, 8.0): (1, 384),
+}
+
+
+@pytest.mark.parametrize("r, w", sorted(_TAIL_COSTS))
+def test_halfline_lookahead_cost_is_pinned(r, w):
+    f, count = _counting(lambda t: np.exp(-(r + 1j * w) * t))
+    est = integrate_halfline(f, 0.0)
+    assert est.converged
+    assert abs(est.value - 1.0 / (r + 1j * w)) <= 1e-12
+    assert tuple(count) == _TAIL_COSTS[r, w]
 
 
 def test_outgrown_tree_is_finished_one_panel_per_call():
