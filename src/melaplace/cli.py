@@ -156,7 +156,9 @@ def _build_transform(ns, inverse_kind: InverseKind) -> TransformExpr:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(ns, header, rows, summary) -> None:
+def _emit(ns, header, rows, summary, ok) -> int:
+    """Write the rows as CSV and/or JSON; return the exit code, which
+    --strict makes EXIT_NOT_CONVERGED when the command's check failed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -179,6 +181,7 @@ def _emit(ns, header, rows, summary) -> None:
         print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     elif not ns.out:
         sys.stdout.write(text)
+    return EXIT_NOT_CONVERGED if ns.strict and not ok else EXIT_OK
 
 
 def _quad_from(ns) -> QuadratureSpec | None:
@@ -213,11 +216,8 @@ def _cmd_transform(ns) -> int:
                 _fmt(est.err_est),
             )
         )
-    _emit(ns, ("re_z", "im_z", "re_val", "im_val", "err_est"), rows,
-          {"converged": all_converged})
-    if ns.strict and not all_converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _emit(ns, ("re_z", "im_z", "re_val", "im_val", "err_est"), rows,
+                 {"converged": all_converged}, all_converged)
 
 
 def _invert_args(ns):
@@ -245,11 +245,9 @@ def _cmd_invert(ns) -> int:
     for arg, (val, converged) in zip(args, _contour_sums(t, kind, contour, args, q)):
         all_converged = all_converged and converged
         rows.append((_fmt(arg), _fmt(val.real), _fmt(val.imag)))
-    _emit(ns, ("arg", "re_val", "im_val"), rows,
-          {"contour": contour.to_json(), "converged": all_converged})
-    if ns.strict and not all_converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _emit(ns, ("arg", "re_val", "im_val"), rows,
+                 {"contour": contour.to_json(), "converged": all_converged},
+                 all_converged)
 
 
 def _cmd_roundtrip(ns) -> int:
@@ -270,7 +268,7 @@ def _cmd_roundtrip(ns) -> int:
          _fmt(r.rel_err))
         for r in report.rows
     ]
-    _emit(
+    return _emit(
         ns,
         ("arg", "truth", "recovered", "abs_err", "rel_err"),
         rows,
@@ -282,10 +280,8 @@ def _cmd_roundtrip(ns) -> int:
             "max_rel_err": report.max_rel_err,
             "wall_time": report.wall_time,
         },
+        report.passed and report.converged,
     )
-    if ns.strict and not (report.passed and report.converged):
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
 
 
 def _cmd_delta_check(ns) -> int:
@@ -298,12 +294,9 @@ def _cmd_delta_check(ns) -> int:
         (_fmt(T), _fmt(val.real), _fmt(err))
         for T, val, err in zip(table.values, table.results, table.errors)
     ]
-    _emit(ns, ("T", "value", "abs_err"), rows,
-          {"reference": table.reference, "final_error": table.final_error,
-           "converged": table.converged})
-    if ns.strict and not table.converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _emit(ns, ("T", "value", "abs_err"), rows,
+                 {"reference": table.reference, "final_error": table.final_error,
+                  "converged": table.converged}, table.converged)
 
 
 def _cmd_sweep(ns) -> int:
@@ -321,12 +314,10 @@ def _cmd_sweep(ns) -> int:
         (_fmt(d), _fmt(T), _fmt(val.real), _fmt(val.imag))
         for (d, T), val in zip(table.values, table.results)
     ]
-    _emit(ns, ("delta", "half_height", "re_val", "im_val"), rows,
-          {"max_spread": table.max_spread})
     tol = ns.tol if ns.tol is not None else 1e-7
-    if ns.strict and table.max_spread > tol:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    # "not >" lets a nan spread pass
+    return _emit(ns, ("delta", "half_height", "re_val", "im_val"), rows,
+                 {"max_spread": table.max_spread}, not table.max_spread > tol)
 
 
 def _cmd_cauchy_check(ns) -> int:
@@ -345,16 +336,14 @@ def _cmd_cauchy_check(ns) -> int:
             (_fmt(z.real), _fmt(z.imag), _fmt(lhs.real), _fmt(lhs.imag),
              _fmt(rhs.real), _fmt(rhs.imag), _fmt(err))
         )
-    _emit(
+    tol = ns.tol if ns.tol is not None else RECTANGLE_TOL
+    return _emit(
         ns,
         ("re_z", "im_z", "re_lhs", "im_lhs", "re_rhs", "im_rhs", "abs_err"),
         rows,
         {"max_abs_err": worst},
+        not worst > tol,
     )
-    tol = ns.tol if ns.tol is not None else RECTANGLE_TOL
-    if ns.strict and worst > tol:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
 
 
 _COMMANDS = {

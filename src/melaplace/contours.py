@@ -258,41 +258,27 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
 
     Returns a pair of parallel complex ndarrays (nodes, weights).
     """
-    q = q or DEFAULT_QUADRATURE
-    T = c.half_height
-    if c.shape is ContourShape.BROMWICH_LINE:
-        corners = [complex(c.c_right, -T), complex(c.c_right, T)]
-        budgets = [q.max_panels]
-    else:
-        corners = [
-            complex(c.c_right, -T),
-            complex(c.c_right, T),
-            complex(c.c_left, T),
-            complex(c.c_left, -T),
-            complex(c.c_right, -T),
-        ]
-        budgets = [max(1, q.max_panels // 4)] * 4
-    return _polyline(corners, budgets, _panel_width(c), q.panel_order)
+    return _path(c, q or DEFAULT_QUADRATURE, False)
 
 
-def _upper_half(c: Contour, q: QuadratureSpec):
-    """Nodes and weights of the part of c with Im z >= 0, oriented as in c:
-    [c, c + iT] for a line; the right half-edge, the top edge and the left
-    half-edge for a rectangle.  Same panel width as discretize, and half
-    the panel budget on each half-edge."""
+def _path(c: Contour, q: QuadratureSpec, upper: bool):
+    """Nodes and weights of c, or when upper of its part with Im z >= 0,
+    oriented as in c: [c, c + iT] for a line; the right half-edge, the top
+    edge and the left half-edge for a rectangle.  A half-edge takes half
+    its edge's panel budget; the panel width is the same either way."""
     T = c.half_height
-    if c.shape is ContourShape.BROMWICH_LINE:
-        corners = [complex(c.c_right, 0.0), complex(c.c_right, T)]
-        budgets = [max(1, q.max_panels // 2)]
-    else:
-        edge = max(1, q.max_panels // 4)
-        corners = [
-            complex(c.c_right, 0.0),
-            complex(c.c_right, T),
-            complex(c.c_left, T),
-            complex(c.c_left, 0.0),
-        ]
-        budgets = [max(1, edge // 2), edge, max(1, edge // 2)]
+    bottom = 0.0 if upper else -T
+    line = c.shape is ContourShape.BROMWICH_LINE
+    edge = q.max_panels if line else max(1, q.max_panels // 4)
+    side = max(1, edge // 2) if upper else edge
+    corners = [complex(c.c_right, bottom), complex(c.c_right, T)]
+    budgets = [side]
+    if not line:
+        corners += [complex(c.c_left, T), complex(c.c_left, bottom)]
+        budgets += [edge, side]
+        if not upper:
+            corners.append(complex(c.c_right, -T))
+            budgets.append(edge)
     return _polyline(corners, budgets, _panel_width(c), q.panel_order)
 
 
@@ -330,10 +316,8 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
             value, converged = complex(est.value.real), est.converged
         else:
             if vals is None:
-                if t.conjugate_symmetric:
-                    nodes, weights = _upper_half(c, q or DEFAULT_QUADRATURE)
-                else:
-                    nodes, weights = discretize(c, q)
+                nodes, weights = _path(c, q or DEFAULT_QUADRATURE,
+                                       t.conjugate_symmetric)
                 vals = rational_values(t, nodes)
             total = complex(np.dot(weights, np.exp(scale * nodes) * vals))
             if t.conjugate_symmetric:

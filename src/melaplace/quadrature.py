@@ -42,7 +42,7 @@ from .errors import NonFiniteIntegrand, TailDivergence
 
 # first geometric panel width on half-line integrals
 _FIRST_TAIL_WIDTH = 1.0
-# hard cap on geometric tail panels; widths grow so this covers ~1e19
+# hard cap on geometric tail panels; widths doubling from 1 reach t ~ 1.3e154
 _MAX_TAIL_PANELS = 512
 # consecutive growing tail panels that mean divergence.  A convergent hump
 # such as x**a * exp(-g*x) grows until x = a/g, which widths doubling from 1

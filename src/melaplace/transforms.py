@@ -14,6 +14,10 @@ derived once, at construction.  Only rational forms can be inverted on a
 closed rectangle; the Gamma function's poles march off to the left, so it
 stays on open Bromwich lines.
 
+The y = exp(-t) substitution, which puts the moment and the unit part of
+the Mellin transform on [0, inf), lives in ``_kernel_integrand``; the
+Laplace integrand is the same builder with the source read at t.
+
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
 evaluated one z at a time, by ``eval_transform`` or ``transform_estimate``.
@@ -180,8 +184,15 @@ def _closed_under_conjugation(poles) -> bool:
 # direct numeric transforms
 # ---------------------------------------------------------------------------
 
-def _growth_index(spec: FunctionSpec, kind: TransformKind) -> float:
-    """Critical index governing the given transform of this function.
+def _native(spec: FunctionSpec, moment: bool) -> bool:
+    """Whether spec lives on (0, 1] for the moment, on [0, inf) for Laplace."""
+    return spec.domain_hint is (
+        DomainHint.UNIT_INTERVAL if moment else DomainHint.HALF_LINE
+    )
+
+
+def _domain(spec: FunctionSpec, kind: TransformKind) -> Strip:
+    """Where the defining integral converges, from the growth metadata.
 
     The catalog metadata carries the index native to the function's own
     domain (exponential growth for half-line entries, power-like growth for
@@ -189,18 +200,10 @@ def _growth_index(spec: FunctionSpec, kind: TransformKind) -> float:
     grow subexponentially on the half line and exponentials are bounded on
     (0, 1], so the index for the foreign transform is 0.
     """
-    native = spec.domain_hint is (
-        DomainHint.UNIT_INTERVAL if kind is TransformKind.MOMENT
-        else DomainHint.HALF_LINE
-    )
-    return growth_bounds(spec).right_index if native else 0.0
-
-
-def _domain(spec: FunctionSpec, kind: TransformKind) -> Strip:
-    """Where the defining integral converges, from the growth metadata."""
     if kind is TransformKind.MELLIN:
         return holomorphy_strip(spec)
-    return Strip(_growth_index(spec, kind), math.inf)
+    native = _native(spec, kind is TransformKind.MOMENT)
+    return Strip(growth_bounds(spec).right_index if native else 0.0, math.inf)
 
 
 def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> None:
@@ -212,44 +215,28 @@ def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> No
         raise OutOfDomain(f"{kind.value} transform of {spec.kind.value} needs {bounds}")
 
 
-def _laplace_integrand(spec: FunctionSpec, z):
-    # fold the kernel into the function's own exponent wherever possible:
-    # exp(-t*z) and exp(-g*t) evaluated separately overflow/underflow for
-    # Re z near -g even though their product decays
-    if spec.kind in (FunctionKind.EXP, FunctionKind.EXP_MINUS_X):
+def _kernel_integrand(spec: FunctionSpec, moment: bool, z):
+    """exp(-t*z) times the source on t in [0, inf), read at x = t for
+    Laplace and at y = exp(-t) for the moment, whose y**(z-1) F(y) dy on
+    (0, 1] this substitutes.  A native source folds the kernel into its
+    own exponent: exp(-t*z) and exp(-g*t) taken apart overflow or underflow
+    for Re z near -g even though their product decays.
+    """
+    if not _native(spec, moment):
+        return lambda t: np.exp(-t * z) * evaluate(spec, np.exp(-t) if moment else t)
+    if spec.kind not in (FunctionKind.MIXED_EXP, FunctionKind.MIXED_POWER):
         g = spec.params[0] if spec.params else 1.0
         return lambda t: np.exp(-(z + g) * t)
-    if spec.kind is FunctionKind.MIXED_EXP:
-        g1, g2 = spec.params
+    g1, g2 = spec.params
 
-        def mixed(t):
-            return (
-                np.exp(-(z + g1) * t) * np.sin(t) ** 2
-                + np.exp(-(z + g2) * t) * np.cos(t) ** 2
-            )
+    def mixed(t):
+        u = np.exp(-t) if moment else t
+        return (
+            np.exp(-(z + g1) * t) * np.sin(u) ** 2
+            + np.exp(-(z + g2) * t) * np.cos(u) ** 2
+        )
 
-        return mixed
-    return lambda t: np.exp(-t * z) * evaluate(spec, t)
-
-
-def _moment_integrand(spec: FunctionSpec, z):
-    # the substituted y = exp(-t) form of y**(z-1) * F(y) on [0, inf),
-    # again with fused exponents
-    if spec.kind is FunctionKind.POWER:
-        g = spec.params[0]
-        return lambda t: np.exp(-(z + g) * t)
-    if spec.kind is FunctionKind.MIXED_POWER:
-        g1, g2 = spec.params
-
-        def mixed(t):
-            u = np.exp(-t)
-            return (
-                np.exp(-(z + g1) * t) * np.sin(u) ** 2
-                + np.exp(-(z + g2) * t) * np.cos(u) ** 2
-            )
-
-        return mixed
-    return lambda t: np.exp(-t * z) * evaluate(spec, np.exp(-t))
+    return mixed
 
 
 def _mellin_tail_integrand(spec: FunctionSpec, z):
@@ -259,10 +246,9 @@ def _mellin_tail_integrand(spec: FunctionSpec, z):
 
 def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> Estimate:
     """Direct transform at one z; the caller has checked the domain."""
-    if kind is TransformKind.LAPLACE:
-        return integrate_halfline(_laplace_integrand(spec, z), 0.0, q)
-    unit = integrate_halfline(_moment_integrand(spec, z), 0.0, q)
-    if kind is TransformKind.MOMENT:
+    moment = kind is not TransformKind.LAPLACE
+    unit = integrate_halfline(_kernel_integrand(spec, moment, z), 0.0, q)
+    if kind is not TransformKind.MELLIN:
         return unit
     tail = integrate_halfline(_mellin_tail_integrand(spec, z), 1.0, q)
     return Estimate(
@@ -305,8 +291,7 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
     spec, kind = t.source, t.kind
     _check_strip(t.validity, spec, kind, complex(c))
     q = q or DEFAULT_QUADRATURE
-    inner = (_laplace_integrand if kind is TransformKind.LAPLACE
-             else _moment_integrand)(spec, c)
+    inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, c)
 
     def u_side(u):
         return _dirichlet(inner(u), T, s - u)
@@ -360,14 +345,12 @@ def mellin_transform(spec, z, q=None) -> complex:
 def holomorphy_strip(spec: FunctionSpec) -> Strip:
     """Strip where the Mellin-transform integral converges.
 
-    Exponentially decaying entries give (0, +inf); power-like entries have
-    no strip at all (the transform diverges for every z).
+    Exponentially decaying half-line entries (right_index < 0) give
+    (0, +inf); others, and power-like entries, have no strip at all (the
+    transform diverges for every z).
     """
-    if spec.kind is FunctionKind.EXP_MINUS_X:
-        return Strip(0.0, math.inf)
-    if spec.kind is FunctionKind.EXP and spec.params[0] > 0:
-        return Strip(0.0, math.inf)
-    if spec.kind is FunctionKind.MIXED_EXP and min(spec.params) > 0:
+    if (spec.domain_hint is DomainHint.HALF_LINE
+            and growth_bounds(spec).right_index < 0):
         return Strip(0.0, math.inf)
     raise NoStrip(f"{spec.kind.value}{spec.params} has no holomorphy strip")
 

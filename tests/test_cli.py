@@ -302,6 +302,23 @@ def test_delta_check_strict_exits_three_on_an_unconverged_window(capsys, func,
     assert strict_json(out)["summary"]["converged"] is converged
 
 
+@pytest.mark.parametrize("argv", [
+    # one panel cannot meet a relative tolerance of 1e-15
+    ("transform", "--func", "exp:gamma=1", "--kind", "laplace", "--z", "1+0i",
+     "--quad", '{"max_panels":1,"rel_tol":1e-15}'),
+    # the reproduction carries roundoff above 1e-300
+    ("cauchy-check", "--func", "exp:gamma=1", "--kind", "laplace", "--z", "1+0i",
+     "--tol", "1e-300"),
+], ids=["transform", "cauchy-check"])
+def test_strict_exits_three_when_the_check_fails(capsys, argv):
+    code, plain, _ = run(capsys, *argv, "--strict")
+    assert code == 3
+    assert run(capsys, *argv)[:2] == (0, plain)
+    code, out, _ = run(capsys, *argv, "--strict", "--json")
+    assert code == 3
+    assert strict_json(out)["rows"] == rows_of(plain)[1]
+
+
 def test_sweep_command(capsys):
     code, out, _ = run(
         capsys, "sweep", "--func", "exp:gamma=1", "--kind", "laplace",

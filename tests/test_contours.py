@@ -139,7 +139,7 @@ def test_numeric_transform_on_a_hand_built_rectangle_is_rejected(rect, monkeypat
         raise AssertionError("nodes built")
 
     monkeypatch.setattr(contours, "discretize", no_nodes)
-    monkeypatch.setattr(contours, "_upper_half", no_nodes)
+    monkeypatch.setattr(contours, "_path", no_nodes)
     with pytest.raises(NotRectangularizable, match="cannot be inverted on a rectangle"):
         inverse_eval(t, LAP, rect, 1.0)
     with pytest.raises(NotRectangularizable):
@@ -201,7 +201,7 @@ def _edge_reference(z0, z1, width, order, budget):
 
 
 def _path_reference(c, q, upper):
-    """discretize(c, q), or _upper_half(c, q) when upper, edge by edge."""
+    """discretize(c, q), or contours._path(c, q, True) when upper, edge by edge."""
     T, right, left = c.half_height, c.c_right, c.c_left
     if c.shape is ContourShape.BROMWICH_LINE:
         corners = [complex(right, 0.0 if upper else -T), complex(right, T)]
@@ -224,7 +224,7 @@ def _path_reference(c, q, upper):
 
 
 def _build(c, q, upper):
-    return contours._upper_half(c, q) if upper else discretize(c, q)
+    return contours._path(c, q, True) if upper else discretize(c, q)
 
 
 def _assert_same_bytes(got, want):

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melaplace import (
+    DomainHint,
+    FunctionKind,
     FunctionSpec,
     NoClosedForm,
     NoStrip,
@@ -21,6 +23,8 @@ from melaplace import (
     TransformKind,
     analytic_transform,
     eval_transform,
+    evaluate,
+    growth_bounds,
     holomorphy_strip,
     integrate_finite,
     integrate_halfline,
@@ -30,7 +34,12 @@ from melaplace import (
     mellin_transform,
     transform_estimate,
 )
-from melaplace.transforms import POLE_HIT_TOL, _dirichlet, rational_values
+from melaplace.transforms import (
+    POLE_HIT_TOL,
+    _dirichlet,
+    _kernel_integrand,
+    rational_values,
+)
 
 EXP1 = FunctionSpec.exp(1.0)
 POW_HALF = FunctionSpec.power(0.5)
@@ -155,6 +164,55 @@ def test_strips():
     for bad in (POW_HALF, FunctionSpec.mixed_power(1.0, 2.0), FunctionSpec.exp(0.0)):
         with pytest.raises(NoStrip):
             holomorphy_strip(bad)
+
+
+# every catalog kind, with parameters on both sides of 0 and at 0 itself
+_signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+_catalog = st.one_of(
+    st.builds(FunctionSpec.exp, _signed),
+    st.builds(FunctionSpec.power, _signed),
+    st.builds(FunctionSpec.mixed_exp, _signed, _signed),
+    st.builds(FunctionSpec.mixed_power, _signed, _signed),
+    st.just(EGAMMA),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_catalog)
+def test_holomorphy_strip_follows_the_growth_metadata(spec):
+    # the per-kind rule: exp(-x), and exponentials that decay
+    exists = (
+        spec.kind is FunctionKind.EXP_MINUS_X
+        or (spec.kind is FunctionKind.EXP and spec.params[0] > 0)
+        or (spec.kind is FunctionKind.MIXED_EXP and min(spec.params) > 0)
+    )
+    assert exists == (spec.domain_hint is DomainHint.HALF_LINE
+                      and growth_bounds(spec).right_index < 0)
+    if exists:
+        assert holomorphy_strip(spec) == Strip(0.0, math.inf)
+    else:
+        message = f"{spec.kind.value}{spec.params} has no holomorphy strip"
+        with pytest.raises(NoStrip, match=f"^{re.escape(message)}$"):
+            holomorphy_strip(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_catalog, moment=st.booleans(), dx=st.floats(1e-3, 5.0),
+       im=st.floats(-10.0, 10.0))
+def test_fused_integrand_matches_the_unfused_product(spec, moment, dx, im):
+    # native and foreign pairs alike are exp(-t*z) times the source at t,
+    # or at y = exp(-t) for the moment, for z inside the strip
+    kind = TransformKind.MOMENT if moment else TransformKind.LAPLACE
+    z = complex(TransformExpr.numeric(spec, kind).validity.c1 + dx, im)
+    t = np.linspace(0.0, 50.0, 501)
+    # a power of y = 0 or of t = 0 may be inf or nan; those points are skipped
+    with np.errstate(all="ignore"):
+        got = _kernel_integrand(spec, moment, z)(t)
+        want = np.exp(-t * z) * evaluate(spec, np.exp(-t) if moment else t)
+    kept = (np.isfinite(got) & np.isfinite(want)
+            & (np.abs(want) > np.finfo(float).tiny))
+    assert kept.any()
+    assert np.all(np.abs(got[kept] - want[kept]) <= 1e-12 * np.abs(want[kept]))
 
 
 @pytest.mark.parametrize("c", [0.1, 10.0])
