@@ -2,13 +2,16 @@
 
 The catalog is closed on purpose: every entry carries analytically known
 growth bounds, which is what lets contour placement be checked from
-metadata instead of runtime divergence probing.  Five kinds are provided:
+metadata instead of runtime divergence probing.  Its five kinds are the
+rows of one table, ``_CATALOG``: each is a sum, in parameter order, of
+terms base**g * weight(u)**2, base exp(-x) on [0, inf) or y on (0, 1]
+(y = exp(-x) maps one onto the other), weight 1, sin or cos of the argument.
 
     exp         f(x) = exp(-g*x)                 on [0, inf)
     power       F(y) = y**g                      on (0, 1]
     mixedexp    f(x) = exp(-g1*x)*sin(x)**2 + exp(-g2*x)*cos(x)**2
     mixedpower  F(y) = y**g1*sin(y)**2 + y**g2*cos(y)**2
-    expminusx   f(x) = exp(-x)                   (the Gamma-function demo)
+    expminusx   f(x) = exp(-x), exp with g = 1 built in (the Gamma demo)
 
 Evaluation accepts scalars or numpy arrays.  Specs are written as strings
 in a small grammar, one named real per parameter:
@@ -41,16 +44,15 @@ class DomainHint(enum.Enum):
     UNIT_INTERVAL = "unit_interval"
 
 
-# the parameters of each kind, by their names in the spec grammar
-_PARAM_NAMES = {
-    FunctionKind.EXP: ("gamma",),
-    FunctionKind.POWER: ("gamma",),
-    FunctionKind.MIXED_EXP: ("g1", "g2"),
-    FunctionKind.MIXED_POWER: ("g1", "g2"),
-    FunctionKind.EXP_MINUS_X: (),
+# (domain, parameter names in the spec grammar, weight of each term) per
+# kind; a weight of None stands for 1
+_CATALOG = {
+    FunctionKind.EXP: (DomainHint.HALF_LINE, ("gamma",), (None,)),
+    FunctionKind.POWER: (DomainHint.UNIT_INTERVAL, ("gamma",), (None,)),
+    FunctionKind.MIXED_EXP: (DomainHint.HALF_LINE, ("g1", "g2"), (np.sin, np.cos)),
+    FunctionKind.MIXED_POWER: (DomainHint.UNIT_INTERVAL, ("g1", "g2"), (np.sin, np.cos)),
+    FunctionKind.EXP_MINUS_X: (DomainHint.HALF_LINE, (), (None,)),
 }
-
-_POWER_FAMILY = (FunctionKind.POWER, FunctionKind.MIXED_POWER)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class FunctionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        want = len(_PARAM_NAMES[self.kind])
+        want = len(_CATALOG[self.kind][1])
         if len(self.params) != want:
             raise ValueError(
                 f"{self.kind.value} takes exactly {want} parameter(s), "
@@ -95,9 +97,7 @@ class FunctionSpec:
 
     @property
     def domain_hint(self) -> DomainHint:
-        if self.kind in _POWER_FAMILY:
-            return DomainHint.UNIT_INTERVAL
-        return DomainHint.HALF_LINE
+        return _CATALOG[self.kind][0]
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "params": list(self.params)}
@@ -108,8 +108,7 @@ class FunctionSpec:
 
 
 def parse_spec_string(s: str) -> FunctionSpec:
-    """Parse the spec grammar: exp:gamma=<r>, power:gamma=<r>,
-    mixedexp:g1=<r>,g2=<r>, mixedpower:g1=<r>,g2=<r>, expminusx.
+    """Parse the spec grammar of the module docstring.
 
     Whitespace-insensitive; errors carry the 1-based column in the
     whitespace-stripped string.
@@ -122,7 +121,7 @@ def parse_spec_string(s: str) -> FunctionSpec:
         raise ParseError(
             f"unknown function kind {head!r} at column 1", position=1
         ) from None
-    keys = _PARAM_NAMES[kind]
+    keys = _CATALOG[kind][1]
     if not keys:
         if sep:
             raise ParseError(
@@ -166,7 +165,7 @@ def parse_spec_string(s: str) -> FunctionSpec:
 
 def format_spec_string(spec: FunctionSpec) -> str:
     """Inverse of parse_spec_string."""
-    keys = _PARAM_NAMES[spec.kind]
+    keys = _CATALOG[spec.kind][1]
     if not keys:
         return spec.kind.value
     body = ",".join(f"{k}={p!r}" for k, p in zip(keys, spec.params))
@@ -196,35 +195,44 @@ class Strip:
         return self.c1 < re_z < self.c2
 
 
+def _terms(spec: FunctionSpec):
+    """The domain of spec, and its (g, weight) terms in parameter order."""
+    domain, _, weights = _CATALOG[spec.kind]
+    return domain, zip(spec.params or (1.0,), weights)
+
+
+def _term_sum(terms, base, u):
+    """Sum of base(g) * weight(u)**2 over the (g, weight) terms, in order."""
+    out = None
+    for g, w in terms:
+        term = base(g) if w is None else base(g) * w(u) ** 2
+        out = term if out is None else out + term
+    return out
+
+
 def evaluate(spec: FunctionSpec, x):
     """Pointwise value of the catalog function; x may be a scalar or ndarray.
 
     Power-family kinds require x >= 0.
     """
     xa = np.asarray(x, dtype=float)
-    if spec.kind in _POWER_FAMILY and np.any(xa < 0.0):
+    domain, terms = _terms(spec)
+    if domain is DomainHint.HALF_LINE:
+        out = _term_sum(terms, lambda g: np.exp(-g * xa), xa)
+    elif np.any(xa < 0.0):
         raise DomainError(f"{spec.kind.value} requires a nonnegative argument")
-    if spec.kind is FunctionKind.EXP:
-        out = np.exp(-spec.params[0] * xa)
-    elif spec.kind is FunctionKind.POWER:
-        out = xa ** spec.params[0]
-    elif spec.kind is FunctionKind.MIXED_EXP:
-        g1, g2 = spec.params
-        out = np.exp(-g1 * xa) * np.sin(xa) ** 2 + np.exp(-g2 * xa) * np.cos(xa) ** 2
-    elif spec.kind is FunctionKind.MIXED_POWER:
-        g1, g2 = spec.params
-        out = xa ** g1 * np.sin(xa) ** 2 + xa ** g2 * np.cos(xa) ** 2
     else:
-        out = np.exp(-xa)
+        out = _term_sum(terms, lambda g: xa ** g, xa)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
 
 
+def _growth_index(spec: FunctionSpec) -> float:
+    """GrowthBounds.right_index, without building the record."""
+    return -min(spec.params or (1.0,))
+
+
 def growth_bounds(spec: FunctionSpec) -> GrowthBounds:
     """Exact analytic growth indices for a catalog entry."""
-    if spec.kind in (FunctionKind.EXP, FunctionKind.POWER):
-        return GrowthBounds(right_index=-spec.params[0])
-    if spec.kind in (FunctionKind.MIXED_EXP, FunctionKind.MIXED_POWER):
-        return GrowthBounds(right_index=-min(spec.params))
-    return GrowthBounds(right_index=-1.0)
+    return GrowthBounds(right_index=_growth_index(spec))

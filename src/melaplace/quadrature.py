@@ -33,6 +33,7 @@ one; no singular-weight rules are needed anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -121,27 +122,21 @@ class Estimate:
     converged: bool
 
 
-_GL_CACHE: dict = {}
-_PAIR_CACHE: dict = {}
-
-
+@functools.cache
 def _gl(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
+@functools.cache
 def _gl_pair(n: int):
     """Nodes of the order-n and order-2n rules side by side, and a (2, 3n)
     weight matrix whose rows pick out one rule each."""
-    if n not in _PAIR_CACHE:
-        x1, w1 = _gl(n)
-        x2, w2 = _gl(2 * n)
-        weights = np.zeros((2, 3 * n), dtype=complex)
-        weights[0, :n] = w1
-        weights[1, n:] = w2
-        _PAIR_CACHE[n] = (np.concatenate([x1, x2]), weights)
-    return _PAIR_CACHE[n]
+    x1, w1 = _gl(n)
+    x2, w2 = _gl(2 * n)
+    weights = np.zeros((2, 3 * n), dtype=complex)
+    weights[0, :n] = w1
+    weights[1, n:] = w2
+    return np.concatenate([x1, x2]), weights
 
 
 def _modulus(z: complex) -> float:

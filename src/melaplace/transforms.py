@@ -41,8 +41,10 @@ from .functions import (
     FunctionKind,
     FunctionSpec,
     Strip,
+    _growth_index,
+    _term_sum,
+    _terms,
     evaluate,
-    growth_bounds,
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -203,7 +205,7 @@ def _domain(spec: FunctionSpec, kind: TransformKind) -> Strip:
     if kind is TransformKind.MELLIN:
         return holomorphy_strip(spec)
     native = _native(spec, kind is TransformKind.MOMENT)
-    return Strip(growth_bounds(spec).right_index if native else 0.0, math.inf)
+    return Strip(_growth_index(spec) if native else 0.0, math.inf)
 
 
 def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> None:
@@ -218,25 +220,16 @@ def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> No
 def _kernel_integrand(spec: FunctionSpec, moment: bool, z):
     """exp(-t*z) times the source on t in [0, inf), read at x = t for
     Laplace and at y = exp(-t) for the moment, whose y**(z-1) F(y) dy on
-    (0, 1] this substitutes.  A native source folds the kernel into its
-    own exponent: exp(-t*z) and exp(-g*t) taken apart overflow or underflow
-    for Re z near -g even though their product decays.
+    (0, 1] this substitutes.  A native source folds the kernel into the
+    exponent of each term, exp(-(z+g)*t) * weight(u)**2: exp(-t*z) and
+    exp(-g*t) apart overflow or underflow for Re z near -g, while their product decays.
     """
     if not _native(spec, moment):
         return lambda t: np.exp(-t * z) * evaluate(spec, np.exp(-t) if moment else t)
-    if spec.kind not in (FunctionKind.MIXED_EXP, FunctionKind.MIXED_POWER):
-        g = spec.params[0] if spec.params else 1.0
-        return lambda t: np.exp(-(z + g) * t)
-    g1, g2 = spec.params
-
-    def mixed(t):
-        u = np.exp(-t) if moment else t
-        return (
-            np.exp(-(z + g1) * t) * np.sin(u) ** 2
-            + np.exp(-(z + g2) * t) * np.cos(u) ** 2
-        )
-
-    return mixed
+    terms = [(z + g, w) for g, w in _terms(spec)[1]]
+    weighted = moment and any(w for _, w in terms)
+    return lambda t: _term_sum(terms, lambda a: np.exp(-a * t),
+                               np.exp(-t) if weighted else t)
 
 
 def _mellin_tail_integrand(spec: FunctionSpec, z):
@@ -349,8 +342,7 @@ def holomorphy_strip(spec: FunctionSpec) -> Strip:
     (0, +inf); others, and power-like entries, have no strip at all (the
     transform diverges for every z).
     """
-    if (spec.domain_hint is DomainHint.HALF_LINE
-            and growth_bounds(spec).right_index < 0):
+    if spec.domain_hint is DomainHint.HALF_LINE and _growth_index(spec) < 0:
         return Strip(0.0, math.inf)
     raise NoStrip(f"{spec.kind.value}{spec.params} has no holomorphy strip")
 
@@ -373,32 +365,33 @@ def _merge_poles(terms):
     return [(p, r) for p, r in merged if abs(r) > 0.0]
 
 
+# Laplace transform of exp(-g*t) * weight(t)**2 as (Im p, residue) pairs
+# at Re p = -g, per weight.  sin(t)**2 = (1 - cos 2t)/2 and cos(t)**2 =
+# (1 + cos 2t)/2: the cosine line splits into a conjugate pole pair at
+# -g +/- 2i carrying -1/4 (sin) or +1/4 (cos), with 1/2 left on the real
+# pole.  Frozen after cross-checking against direct quadrature at random z.
+_WEIGHT_POLES = {
+    None: ((0.0, 1.0),),
+    np.sin: ((0.0, 0.5), (2.0, -0.25), (-2.0, -0.25)),
+    np.cos: ((0.0, 0.5), (2.0, 0.25), (-2.0, 0.25)),
+}
+
+
 def analytic_transform(spec: FunctionSpec, kind: TransformKind) -> TransformExpr:
     """Exact transform for the cataloged (spec, kind) pairs.
 
-    The mixedexp residues come from sin(x)**2 = (1 - cos 2x)/2 and
-    cos(x)**2 = (1 + cos 2x)/2: each cosine line splits into a conjugate
-    pole pair at -g +/- 2i carrying -1/4 (sin branch) or +1/4 (cos branch),
-    with 1/2 left on the real pole.  Frozen after cross-checking against
-    direct quadrature at random z.
+    Each term exp(-(z+g)*t) * weight(u)**2 of ``_kernel_integrand`` gives
+    the poles of ``_WEIGHT_POLES`` where u = t or the weight is 1; sin or
+    cos of u = exp(-t) has none.  The Mellin transform of exp(-x) is Gamma.
     """
-    if spec.kind is FunctionKind.EXP and kind is TransformKind.LAPLACE:
-        return TransformExpr.rational([(-spec.params[0], 1.0)])
-    if spec.kind is FunctionKind.POWER and kind is TransformKind.MOMENT:
-        return TransformExpr.rational([(-spec.params[0], 1.0)])
-    if spec.kind is FunctionKind.EXP_MINUS_X and kind is TransformKind.LAPLACE:
-        return TransformExpr.rational([(-1.0, 1.0)])
-    if spec.kind is FunctionKind.MIXED_EXP and kind is TransformKind.LAPLACE:
-        g1, g2 = spec.params
-        terms = [
-            (complex(-g1, 0.0), complex(0.5)),
-            (complex(-g1, 2.0), complex(-0.25)),
-            (complex(-g1, -2.0), complex(-0.25)),
-            (complex(-g2, 0.0), complex(0.5)),
-            (complex(-g2, 2.0), complex(0.25)),
-            (complex(-g2, -2.0), complex(0.25)),
-        ]
-        return TransformExpr.rational(_merge_poles(terms))
+    moment = kind is TransformKind.MOMENT
+    terms = tuple(_terms(spec)[1])
+    if (kind is not TransformKind.MELLIN and _native(spec, moment)
+            and not (moment and any(w for _, w in terms))):
+        return TransformExpr.rational(_merge_poles([
+            (complex(-g, im), complex(r))
+            for g, w in terms for im, r in _WEIGHT_POLES[w]
+        ]))
     if spec.kind is FunctionKind.EXP_MINUS_X and kind is TransformKind.MELLIN:
         return TransformExpr.gamma()
     raise NoClosedForm(f"no closed form for ({spec.kind.value}, {kind.value})")

@@ -210,6 +210,8 @@ def test_table_derived_quantities():
     assert table.errors == (1.0, 0.5, 0.25)
     assert table.final_error == 0.25
     assert table.max_spread == 0.75
+    with pytest.raises(ValueError, match="table has no reference value"):
+        ConvergenceTable("T", (1.0,), (1.0,)).errors
 
 
 # ---------------------------------------------------------------------------

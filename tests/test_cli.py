@@ -492,8 +492,20 @@ def test_collapsed_rectangle_exits_two(capsys, argv):
      "strictly increasing"),
     (("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
       "--deltas", "0.5,0.5", "--Ts", "5"), "distinct"),
+    (("roundtrip", "--func", "exp:gamma=1", "--kind", "laplace", "--grid",
+      "a:b:3"), "bad grid literal 'a:b:3'"),
+    (("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
+      "--deltas", "1,x", "--Ts", "5"), "bad real list '1,x'"),
+    (("invert", "--poles", "[[-1,0,1,0],[-1,0,1,0]]", "--kind", "laplace",
+      "--x", "1"), "duplicate pole at (-1+0j)"),
+    (("invert", "--kind", "laplace", "--x", "1"), "provide --func or --poles"),
+    (("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace"),
+     "provide --x or --grid"),
+    (("cauchy-check", "--poles", "[[-1,0,1e308,0]]", "--kind", "laplace", "--z",
+      "1+0i"), "the Cauchy integral overflows at z = (1+0j)"),
 ], ids=["wide-rectangle", "wide-grid", "nan-grid", "delta-check", "big-residue",
-        "big-truth", "repeated-T", "repeated-delta"])
+        "big-truth", "repeated-T", "repeated-delta", "bad-grid", "bad-real-list",
+        "duplicate-pole", "no-transform", "no-argument", "cauchy-overflow"])
 def test_out_of_range_inputs_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -625,6 +637,12 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
         assert out == ""
         assert err.startswith("melaplace transform: cannot read --config")
         assert "Traceback" not in err
+    # valid JSON that is not an object is no config either
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1,2]")
+    code, out, err = run(capsys, "transform", "--config", str(listed),
+                         "--func", "exp:gamma=1", "--kind", "laplace", "--z", "1+0i")
+    assert (code, out, err) == (2, "", "melaplace transform: --config must hold a JSON object\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from melaplace import (
     InverseKind,
     LineSide,
     NotRectangularizable,
+    OutOfDomain,
     PoleHit,
     QuadratureSpec,
     SidePoleConflict,
@@ -65,6 +66,9 @@ def test_bromwich_placement():
     assert line.c_right == pytest.approx(-0.5)
     assert bromwich_for(TransformExpr.gamma(), 1.0, 50.0).c_right == pytest.approx(1.0)
     assert bromwich_for(MIXED, 0.25, 50.0).c_right == pytest.approx(-0.75)
+    # a line whose abscissa overflows lies in no strip
+    with pytest.raises(OutOfDomain, match="line at inf falls outside the strip"):
+        bromwich_for(TransformExpr.rational([(1e308, 1.0)]), 1e308, 50.0)
 
 
 def test_bromwich_numeric_uses_metadata():
@@ -81,6 +85,8 @@ def test_hand_built_transforms_equal_their_constructors():
     rational = TransformExpr(TransformForm.RATIONAL, poles=((-1.0, 1.0),))
     assert rational == ONE_POLE
     assert bromwich_for(rational, 0.5, 50.0) == bromwich_for(ONE_POLE, 0.5, 50.0)
+    with pytest.raises(ValueError, match="numeric form needs a source spec and kind"):
+        TransformExpr(TransformForm.NUMERIC)
 
 
 def test_rectangle_placement():
@@ -153,6 +159,8 @@ def test_contour_validation_and_json():
         Contour(ContourShape.BROMWICH_LINE, 0.0, -1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         Contour(ContourShape.BROMWICH_LINE, 0.0, None, 0.0, 0.5)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        Contour(ContourShape.BROMWICH_LINE, 0.0, None, 1.0, 0.0)
     rect = rectangle_for(MIXED, 0.5, 4.0)
     assert Contour.from_json(rect.to_json()) == rect
     line = bromwich_for(ONE_POLE, 0.5, 25.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from melaplace import (
     DomainError,
@@ -168,3 +169,48 @@ def test_strip_and_bounds_invariants():
     assert [f.name for f in fields(GrowthBounds)] == ["right_index"]
     assert Strip(0.0, math.inf).contains(5.0)
     assert not Strip(0.0, 1.0).contains(1.0)
+
+
+def _per_kind_formula(spec, x):
+    """Each kind's formula written out on its own, as evaluate had it
+    before the kinds became rows of one table."""
+    if spec.kind is FunctionKind.EXP:
+        return np.exp(-spec.params[0] * x)
+    if spec.kind is FunctionKind.POWER:
+        return x ** spec.params[0]
+    if spec.kind is FunctionKind.MIXED_EXP:
+        g1, g2 = spec.params
+        return np.exp(-g1 * x) * np.sin(x) ** 2 + np.exp(-g2 * x) * np.cos(x) ** 2
+    if spec.kind is FunctionKind.MIXED_POWER:
+        g1, g2 = spec.params
+        return x ** g1 * np.sin(x) ** 2 + x ** g2 * np.cos(x) ** 2
+    return np.exp(-x)
+
+
+# rates at 0 and -0 and across 0, with g1 == g2 drawn on purpose
+_rate = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-800.0, 800.0))
+_pair = st.one_of(_rate.map(lambda g: (g, g)), st.tuples(_rate, _rate))
+_kinds = st.one_of(
+    _rate.map(FunctionSpec.exp),
+    _rate.map(FunctionSpec.power),
+    _pair.map(lambda g: FunctionSpec.mixed_exp(*g)),
+    _pair.map(lambda g: FunctionSpec.mixed_power(*g)),
+    st.just(FunctionSpec.exp_minus_x()),
+)
+# NaN aside, every float: 0, -0, subnormals, inf and past-overflow values
+_points = hnp.arrays(np.float64, st.integers(0, 40),
+                     elements=st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_kinds, x=_points)
+def test_evaluate_matches_the_per_kind_formulas_bit_for_bit(spec, x):
+    if spec.domain_hint is DomainHint.UNIT_INTERVAL:
+        # the power family's domain; -0.0 stays
+        x = np.where(x < 0.0, -x, x)
+    with np.errstate(all="ignore"):
+        want = _per_kind_formula(spec, x)
+        assert evaluate(spec, x).tobytes() == want.tobytes()
+        for v in x[:3].tolist():
+            want = float(_per_kind_formula(spec, np.asarray(v)))
+            assert np.float64(evaluate(spec, v)).tobytes() == np.float64(want).tobytes()

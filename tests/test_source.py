@@ -9,6 +9,7 @@ import shlex
 from pathlib import Path
 
 import melaplace
+from melaplace import FunctionKind
 from melaplace.cli import cli_main
 
 PACKAGE = Path(melaplace.__file__).parent
@@ -52,6 +53,24 @@ def test_every_private_helper_is_used():
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     assert sorted(f"{module}:{n}" for module, n in defined if n not in used) == []
+
+
+def test_function_kinds_are_read_from_the_catalog_table():
+    # each kind is one row of functions._CATALOG; outside functions.py only
+    # the Gamma case of analytic_transform names a kind
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "functions.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [
+                (path.name, getattr(top, "name", None), node.attr)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "FunctionKind"
+                and node.attr in FunctionKind.__members__
+            ]
+    assert found == [("transforms.py", "analytic_transform", "EXP_MINUS_X")]
 
 
 # the exact stdout of each `melaplace ...` line of README's sh blocks

@@ -297,6 +297,49 @@ def test_catalog_consistency_against_quadrature():
             assert abs(exact - numeric) <= 10 * 1e-10 * abs(exact)
 
 
+# the (kind, transform) pairs with a closed form, and its form: the Laplace
+# transforms of the half-line kinds and the moment of power are rational,
+# the Mellin transform of exp(-x) is the Gamma function
+_CLOSED_FORMS = {
+    (FunctionKind.EXP, TransformKind.LAPLACE): TransformForm.RATIONAL,
+    (FunctionKind.MIXED_EXP, TransformKind.LAPLACE): TransformForm.RATIONAL,
+    (FunctionKind.EXP_MINUS_X, TransformKind.LAPLACE): TransformForm.RATIONAL,
+    (FunctionKind.POWER, TransformKind.MOMENT): TransformForm.RATIONAL,
+    (FunctionKind.EXP_MINUS_X, TransformKind.MELLIN): TransformForm.NUMERIC,
+}
+_ARITY = {FunctionKind.EXP: 1, FunctionKind.POWER: 1, FunctionKind.MIXED_EXP: 2,
+          FunctionKind.MIXED_POWER: 2, FunctionKind.EXP_MINUS_X: 0}
+_rate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 3.0))
+
+
+@pytest.mark.parametrize("tkind", list(TransformKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("fkind", list(FunctionKind), ids=lambda k: k.value)
+@settings(max_examples=25, deadline=None)
+@given(g1=_rate, g2=_rate, tie=st.booleans(), dx=st.floats(0.2, 3.0),
+       im=st.floats(-4.0, 4.0))
+def test_closed_forms_exist_exactly_for_the_cataloged_pairs(fkind, tkind, g1, g2, tie,
+                                                            dx, im):
+    spec = FunctionSpec(fkind, (g1, g1 if tie else g2)[:_ARITY[fkind]])
+    form = _CLOSED_FORMS.get((fkind, tkind))
+    if form is None:
+        message = f"no closed form for ({fkind.value}, {tkind.value})"
+        with pytest.raises(NoClosedForm, match=f"^{re.escape(message)}$"):
+            analytic_transform(spec, tkind)
+        return
+    t = analytic_transform(spec, tkind)
+    assert t.form is form
+    if form is TransformForm.NUMERIC:
+        assert t == TransformExpr.gamma()
+        return
+    # anywhere inside the strip, the poles sum to the defining integral;
+    # merged poles may move the strip's edge by up to POLE_HIT_TOL
+    edge = TransformExpr.numeric(spec, tkind).validity.c1
+    assert abs(t.validity.c1 - edge) <= POLE_HIT_TOL
+    z = complex(t.validity.c1 + dx, im)
+    exact = eval_transform(t, z)
+    assert abs(exact - transform_estimate(spec, tkind, z).value) <= 1e-9 * abs(exact)
+
+
 def test_gamma_consistency_against_stdlib():
     rng = np.random.default_rng(3)
     for _ in range(8):
