@@ -24,7 +24,9 @@ rule should end, and runs its stop, divergence and budget rules over them
 in order.  A look-ahead panel past the stop is never walked: it never
 raises, and numpy's warnings are off while the engine evaluates.
 ``Estimate.panels_used`` counts the panels walked for the estimate, split
-ones included, not the look-ahead ones.
+ones included, not the look-ahead ones.  A Bromwich line's [0, s] head,
+which a finite integral would refine in passes of its own, rides the
+first tail pass instead (_head_and_tail), with the same bits.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -229,17 +231,16 @@ def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
     return total, err_sum, used, (not capped) and _within(q, err_sum, abs(total))
 
 
-def _prefetch(f, roots, q: QuadratureSpec) -> dict:
-    """The panels of the level-order trees of the root panels (lo, hi) of
-    ``roots``, as ``seen`` of _depth_first, which finds there every panel
-    of a tree that fits the budget.
+def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> dict:
+    """``seen`` of _depth_first, with the panels of the level-order trees
+    of the root panels (lo, hi) of ``roots`` added: the walk finds there
+    every panel of a tree that fits the budget.
 
     One integrand call evaluates every panel of a level.  A panel that
     fails the rule of _depth_first and whose integrand is finite is halved
     into the next level.  A root's tree stops growing once its panels,
     evaluated or waiting, outnumber q.max_panels; _depth_first caps it.
     """
-    seen = {}
     known = [1] * len(roots)
     level = [(i, a, b, 1e-14 * max(1.0, abs(a), abs(b)))
              for i, (a, b) in enumerate(roots) if a != b]
@@ -272,17 +273,19 @@ def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> 
         raise ValueError("integrate_finite requires a <= b")
     a, b = float(a), float(b)
     with np.errstate(all="ignore"):
-        return Estimate(*_depth_first(f, a, b, q, _prefetch(f, [(a, b)], q)))
+        return Estimate(*_depth_first(f, a, b, q, _prefetch(f, [(a, b)], q, {})))
 
 
-def _tail_panels(f, a: float, q: QuadratureSpec):
+def _tail_panels(f, a: float, q: QuadratureSpec, seen: dict, head: list):
     """Yield (value, err_est, panels_used, width, right end) of each
     geometric tail panel from a, in order.
 
-    The panels are prefetched in blocks, one level-order pass each:
-    _FIRST_TAIL_BLOCK panels first, then as many as _next_block expects
-    the stop rule to walk.  A block may hold panels past where the caller
-    stops; those are never walked, and raise nothing.
+    The panels are prefetched in blocks, one level-order pass each, into
+    the cache ``seen``: _FIRST_TAIL_BLOCK panels first, then as many as
+    _next_block expects the stop rule to walk.  The first pass also takes
+    the trees of the ``head`` root panels, which the caller walks from
+    ``seen``.  A block may hold panels past where the caller stops; those
+    are never walked, and raise nothing.
     """
     lo, width = float(a), _FIRST_TAIL_WIDTH
     size, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
@@ -295,7 +298,8 @@ def _tail_panels(f, a: float, q: QuadratureSpec):
             width *= _TAIL_GROWTH
             edges.append(lo)
         roots = list(zip(edges, edges[1:]))
-        seen = _prefetch(f, roots, q)
+        _prefetch(f, roots + head, q, seen)
+        head = []
         for (a_i, b_i), w_i in zip(roots, widths):
             value, err, used, _ = _depth_first(f, a_i, b_i, q, seen)
             previous, last = last, abs(value)
@@ -329,7 +333,24 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     unit length that grows on _DIVERGENT_RISES consecutive panels raises
     TailDivergence.
     """
-    q = q or DEFAULT_QUADRATURE
+    return _halfline(f, a, q or DEFAULT_QUADRATURE, {}, [])
+
+
+def _head_and_tail(f, s: float, q: QuadratureSpec):
+    """integrate_halfline(f, s, q) and integrate_finite(f, 0, s, q) for
+    s > 0, bit for bit, in one level-order pass fewer: the first pass of
+    the tail prefetches the head's tree too.  The head is walked once the
+    tail has stopped, so the tail raises first, as it would alone.
+    """
+    seen = {}
+    tail = _halfline(f, s, q, seen, [(0.0, s)])
+    with np.errstate(all="ignore"):
+        return tail, Estimate(*_depth_first(f, 0.0, s, q, seen))
+
+
+def _halfline(f, a: float, q: QuadratureSpec, seen: dict, head: list) -> Estimate:
+    """integrate_halfline over the panels of _tail_panels(f, a, q, seen,
+    head)."""
     total = 0j
     err_sum = 0.0
     used = 0
@@ -338,7 +359,7 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     live = False
     density = 0.0
     with np.errstate(all="ignore"):
-        for value, err, panels, width, hi in _tail_panels(f, a, q):
+        for value, err, panels, width, hi in _tail_panels(f, a, q, seen, head):
             total += value
             err_sum += err
             used += panels

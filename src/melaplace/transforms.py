@@ -16,7 +16,12 @@ stays on open Bromwich lines.
 
 The y = exp(-t) substitution, which puts the moment and the unit part of
 the Mellin transform on [0, inf), lives in ``_kernel_integrand``; the
-Laplace integrand is the same builder with the source read at t.
+Laplace integrand is the same builder with the source read at t.  Each
+integrand term is one exponential times a squared weight: the kernel
+folds into the source's own exp(-g*x) or y**g base, and a half-line
+source read off its axis, at y = exp(-t) or as the Mellin tail's
+x**(z-1) f(x), is exp(-z*t - g*y) or exp((z-1)*ln x - g*x).  Only the
+Laplace transform of a unit-interval source calls ``evaluate``.
 
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
@@ -50,8 +55,8 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     Estimate,
     QuadratureSpec,
+    _head_and_tail,
     _within,
-    integrate_finite,
     integrate_halfline,
 )
 
@@ -220,21 +225,42 @@ def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> No
 def _kernel_integrand(spec: FunctionSpec, moment: bool, z):
     """exp(-t*z) times the source on t in [0, inf), read at x = t for
     Laplace and at y = exp(-t) for the moment, whose y**(z-1) F(y) dy on
-    (0, 1] this substitutes.  A native source folds the kernel into the
-    exponent of each term, exp(-(z+g)*t) * weight(u)**2: exp(-t*z) and
-    exp(-g*t) apart overflow or underflow for Re z near -g, while their product decays.
+    (0, 1] this substitutes.
+
+    Each term is one exponential times weight(u)**2.  A native source
+    folds the kernel into exp(-(z+g)*t): exp(-t*z) and exp(-g*t) apart
+    overflow or underflow for Re z near -g, while their product decays.  A
+    half-line source read at y folds it into exp(-z*t - g*y), one
+    exponential where two were taken.  Only a unit-interval source read at
+    t, whose base is the power t**g, is evaluated on its own.
     """
+    terms = _terms(spec)[1]
     if not _native(spec, moment):
-        return lambda t: np.exp(-t * z) * evaluate(spec, np.exp(-t) if moment else t)
-    terms = [(z + g, w) for g, w in _terms(spec)[1]]
+        if not moment:
+            return lambda t: np.exp(-t * z) * evaluate(spec, t)
+        terms = list(terms)
+
+        def foreign(t):
+            y, zt = np.exp(-t), -z * t
+            return _term_sum(terms, lambda g: np.exp(zt - g * y), y)
+        return foreign
+    terms = [(z + g, w) for g, w in terms]
     weighted = moment and any(w for _, w in terms)
     return lambda t: _term_sum(terms, lambda a: np.exp(-a * t),
                                np.exp(-t) if weighted else t)
 
 
 def _mellin_tail_integrand(spec: FunctionSpec, z):
-    # x**(z-1) * f(x) on [1, inf)
-    return lambda x: np.exp((z - 1.0) * np.log(x)) * evaluate(spec, x)
+    """x**(z-1) * f(x) on [1, inf) as a function of x and ln x, one
+    exponential exp((z-1)*ln x - g*x) times weight(x)**2 per term:
+    x**(z-1) alone overflows for large Re z long before exp(-g*x) brings
+    the product down."""
+    terms = list(_terms(spec)[1])
+
+    def tail(x, lx):
+        zl = (z - 1.0) * lx
+        return _term_sum(terms, lambda g: np.exp(zl - g * x), x)
+    return tail
 
 
 def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> Estimate:
@@ -243,7 +269,8 @@ def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> 
     unit = integrate_halfline(_kernel_integrand(spec, moment, z), 0.0, q)
     if kind is not TransformKind.MELLIN:
         return unit
-    tail = integrate_halfline(_mellin_tail_integrand(spec, z), 1.0, q)
+    tail_at = _mellin_tail_integrand(spec, z)
+    tail = integrate_halfline(lambda x: tail_at(x, np.log(x)), 1.0, q)
     return Estimate(
         unit.value + tail.value,
         unit.err_est + tail.err_est,
@@ -274,12 +301,15 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
 
     exp(-c*u) g(u) is the fused direct-transform integrand at real z = c,
     since factors taken apart overflow once c < 0.  The u >= 0 side splits
-    at the kernel peak u = s.  Mellin's u < 0 side is one half-line
-    integral in x = exp(-u) from 1, whose doubling panels bracket the peak
-    x = exp(-s); a finite panel over [1, exp(-s)] misses the mass near
-    x = 1 once exp(-s) is large.  Each piece alone is measured against its
-    own value, which the others cancel, so the sum is judged on the summed
-    error.
+    at the kernel peak u = s; for s > 0 its [0, s] head is prefetched in
+    the first pass of the u >= s tail (quadrature._head_and_tail), with the
+    bits of a finite integral of its own.  Mellin's u < 0 side is one
+    half-line integral in x = exp(-u) from 1, whose doubling panels
+    bracket the peak x = exp(-s); a finite panel over [1, exp(-s)] misses
+    the mass near x = 1 once exp(-s) is large.  It takes ln x once per
+    call, for the kernel and the fused tail integrand both.  Each piece
+    alone is measured against its own value, which the others cancel, so
+    the sum is judged on the summed error.
     """
     spec, kind = t.source, t.kind
     _check_strip(t.validity, spec, kind, complex(c))
@@ -289,13 +319,17 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
     def u_side(u):
         return _dirichlet(inner(u), T, s - u)
 
-    pieces = [integrate_halfline(u_side, max(s, 0.0), q)]
     if s > 0.0:
-        pieces.append(integrate_finite(u_side, 0.0, s, q))
+        pieces = list(_head_and_tail(u_side, s, q))
+    else:
+        pieces = [integrate_halfline(u_side, 0.0, q)]
     if kind is TransformKind.MELLIN:
         tail = _mellin_tail_integrand(spec, c)
-        pieces.append(integrate_halfline(
-            lambda x: _dirichlet(tail(x), T, s + np.log(x)), 1.0, q))
+
+        def x_side(x):
+            lx = np.log(x)
+            return _dirichlet(tail(x, lx), T, s + lx)
+        pieces.append(integrate_halfline(x_side, 1.0, q))
     scale = math.exp(c * s)
     value = scale * sum(p.value for p in pieces)
     err = scale * sum(p.err_est for p in pieces)
@@ -353,12 +387,14 @@ def holomorphy_strip(spec: FunctionSpec) -> Strip:
 
 def _merge_poles(terms):
     # coincident locations (e.g. mixedexp with g1 == g2) combine their
-    # residues; vanishing residues drop out
+    # residues at the one with the larger real part, the first on a tie,
+    # so that the validity edge is the integral's own -min(g) in either
+    # parameter order; vanishing residues drop out
     merged: list = []
     for p, r in terms:
         for i, (p0, r0) in enumerate(merged):
             if abs(p - p0) < POLE_HIT_TOL:
-                merged[i] = (p0, r0 + r)
+                merged[i] = (p if p.real > p0.real else p0, r0 + r)
                 break
         else:
             merged.append((p, r))

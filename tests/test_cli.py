@@ -206,6 +206,16 @@ def test_invert_rectangle_without_closed_form_exits_two(capsys):
     assert "cannot be inverted on a rectangle" in err
 
 
+def test_transform_past_the_tail_hump_exits_two(capsys):
+    # Gamma(171) fits float64, but x**170 exp(-x) rises past the panels the
+    # tail rule lets through
+    code, out, err = run(capsys, "transform", "--func", "expminusx", "--kind",
+                         "mellin-transform", "--z", "171")
+    assert code == 2
+    assert out == ""
+    assert err == "melaplace transform: tail panels keep growing past t = 128\n"
+
+
 def test_invert_kernel_overflow_exits_two(capsys):
     code, out, err = run(capsys, "invert", "--poles", "[[-1,0,1,0]]", "--kind",
                          "laplace", "--x=-800")

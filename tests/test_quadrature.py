@@ -26,6 +26,7 @@ from melaplace.quadrature import (
     _MAX_TAIL_PANELS,
     _TAIL_GROWTH,
     _gl_pair,
+    _head_and_tail,
     _within,
 )
 from melaplace.transforms import _dirichlet
@@ -436,6 +437,29 @@ def test_outgrown_tree_keeps_the_depth_first_result():
     assert not table.converged
 
 
+def _head_and_tail_apart(f, s, q):
+    return integrate_halfline(f, s, q), integrate_finite(f, 0.0, s, q)
+
+
+def _exact_pair(integrate, f, s, q):
+    """repr of the (tail, head) Estimates, or the type and message of the
+    error."""
+    with np.errstate(all="ignore"):
+        try:
+            return repr(integrate(f, s, q))
+        except (MelaplaceError, ValueError) as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_integrands(), s=st.floats(1e-3, 30.0), max_panels=_BUDGETS)
+def test_head_prefetched_with_the_tail_changes_no_bit(f, s, max_panels):
+    # the tail still raises first, and a non-finite head raises after it
+    q = QuadratureSpec(max_panels=max_panels)
+    assert (_exact_pair(_head_and_tail, f, s, q)
+            == _exact_pair(_head_and_tail_apart, f, s, q))
+
+
 # ---------------------------------------------------------------------------
 # batching: integrand calls per integral
 # ---------------------------------------------------------------------------
@@ -464,6 +488,19 @@ def test_one_integrand_call_per_refinement_level():
     est = integrate_halfline(f, 1.0)
     assert (est.panels_used, est.converged) == (10, True)
     assert count == [2, 528]
+
+
+def test_head_prefetched_with_the_tail_saves_its_passes():
+    # the four levels of the head [0, 5] of exp(-(0.3 + 25i) t) ride the
+    # first tail pass, which is eight levels deep: the same points in four
+    # calls fewer
+    f, count = _counting(lambda t: np.exp(-(0.3 + 25j) * t))
+    tail, head = _head_and_tail(f, 5.0, Q)
+    assert (tail.panels_used, head.panels_used) == (207, 15)
+    assert count == [8, 10656]
+    count[:] = [0, 0]
+    assert _head_and_tail_apart(f, 5.0, Q) == (tail, head)
+    assert count == [12, 10656]
 
 
 # (calls, points) of integrate_halfline for exp(-(r + i w) t) from 0: a

@@ -73,6 +73,20 @@ def test_function_kinds_are_read_from_the_catalog_table():
     assert found == [("transforms.py", "analytic_transform", "EXP_MINUS_X")]
 
 
+def test_transforms_evaluate_only_the_foreign_laplace_source():
+    # every other integrand folds its source into one exponential per
+    # term; a unit-interval source read at t is the one evaluated apart
+    tree = ast.parse((PACKAGE / "transforms.py").read_text(encoding="utf-8"))
+    found = [
+        (top.name, ast.unparse(node))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "evaluate"
+    ]
+    assert found == [("_kernel_integrand", "evaluate(spec, t)")]
+
+
 # the exact stdout of each `melaplace ...` line of README's sh blocks
 README_OUTPUTS = {
     "transform": """\

@@ -11,17 +11,23 @@ from hypothesis import strategies as st
 
 from melaplace import (
     DomainHint,
+    Estimate,
     FunctionKind,
     FunctionSpec,
+    InverseKind,
+    MelaplaceError,
     NoClosedForm,
     NoStrip,
     OutOfDomain,
     PoleHit,
+    QuadratureSpec,
     Strip,
+    TailDivergence,
     TransformExpr,
     TransformForm,
     TransformKind,
     analytic_transform,
+    bromwich_for,
     eval_transform,
     evaluate,
     growth_bounds,
@@ -29,15 +35,20 @@ from melaplace import (
     integrate_finite,
     integrate_halfline,
     integrate_unit_singular,
+    inverse_eval,
     laplace_transform,
     mellin_moment,
     mellin_transform,
     transform_estimate,
 )
+from melaplace import transforms
+from melaplace.quadrature import _within
 from melaplace.transforms import (
     POLE_HIT_TOL,
     _dirichlet,
     _kernel_integrand,
+    _line_integral,
+    _mellin_tail_integrand,
     rational_values,
 )
 
@@ -215,6 +226,79 @@ def test_fused_integrand_matches_the_unfused_product(spec, moment, dx, im):
     assert np.all(np.abs(got[kept] - want[kept]) <= 1e-12 * np.abs(want[kept]))
 
 
+_decays = st.floats(0.05, 3.0)
+_half_line_sources = st.one_of(
+    st.just(EGAMMA),
+    st.builds(FunctionSpec.exp, _signed),
+    st.builds(FunctionSpec.mixed_exp, _signed, _signed),
+)
+_decaying_sources = st.one_of(
+    st.just(EGAMMA),
+    st.builds(FunctionSpec.exp, _decays),
+    st.builds(FunctionSpec.mixed_exp, _decays, _decays),
+)
+
+
+def _assert_matches_product(got, kernel, source):
+    # the product form rounds each factor on its own, so it is the
+    # reference only where both factors and the product are normal floats
+    tiny = np.finfo(float).tiny
+    want = kernel * source
+    kept = (np.isfinite(want) & (np.abs(want) > tiny)
+            & (np.abs(kernel) > tiny) & (np.abs(source) > tiny))
+    assert kept.any()
+    assert np.all(np.abs(got[kept] - want[kept]) <= 1e-13 * np.abs(want[kept]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_half_line_sources, dx=st.floats(1e-3, 5.0), im=st.floats(-10.0, 10.0),
+       real=st.booleans())
+def test_fused_foreign_moment_matches_its_product_form(spec, dx, im, real):
+    # a half-line source read at y = exp(-t): exp(-z*t - g*y) * weight(y)**2
+    # per term, against exp(-t*z) times the source's own values
+    c = TransformExpr.numeric(spec, TransformKind.MOMENT).validity.c1 + dx
+    z = c if real else complex(c, im)
+    t = np.linspace(0.0, 50.0, 501)
+    got = _kernel_integrand(spec, True, z)(t)
+    _assert_matches_product(got, np.exp(-t * z), evaluate(spec, np.exp(-t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_decaying_sources, dx=st.floats(1e-3, 5.0), im=st.floats(-10.0, 10.0),
+       real=st.booleans())
+def test_fused_mellin_tail_matches_its_product_form(spec, dx, im, real):
+    # exp((z-1)*ln x - g*x) * weight(x)**2 per term, against x**(z-1) as
+    # exp((z-1)*ln x) times the source's own values
+    c = holomorphy_strip(spec).c1 + dx
+    z = c if real else complex(c, im)
+    x = np.linspace(1.0, 2000.0, 2001)
+    lx = np.log(x)
+    with np.errstate(under="ignore"):
+        got = _mellin_tail_integrand(spec, z)(x, lx)
+        _assert_matches_product(got, np.exp((z - 1.0) * lx), evaluate(spec, x))
+
+
+def test_fused_mellin_tail_stays_finite_where_the_power_overflows():
+    # x**170 overflows from x ~ 65 on, and exp(-x) underflows from x ~ 745
+    x = np.linspace(1.0, 2000.0, 19991)
+    lx = np.log(x)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(x ** 170.0).all()
+    with np.errstate(under="ignore"):
+        got = _mellin_tail_integrand(EGAMMA, 171.0)(x, lx)
+        want = np.exp(170.0 * lx - x)
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("z", [80.0, 140.0, 150.0, 171.0])
+def test_gamma_at_large_real_z_meets_only_the_hump_rule(z):
+    # Gamma(z) fits float64 up to z = 171, but x**(z-1) exp(-x) peaks at
+    # x = z - 1, past the six rising panels that the tail rule lets through
+    with pytest.raises(TailDivergence, match="^tail panels keep growing past t = 128$"):
+        eval_transform(TransformExpr.gamma(), z)
+
+
 @pytest.mark.parametrize("c", [0.1, 10.0])
 def test_strip_borders_verified_by_quadrature(c):
     # both defining integrals converge for interior abscissas
@@ -332,12 +416,23 @@ def test_closed_forms_exist_exactly_for_the_cataloged_pairs(fkind, tkind, g1, g2
         assert t == TransformExpr.gamma()
         return
     # anywhere inside the strip, the poles sum to the defining integral;
-    # merged poles may move the strip's edge by up to POLE_HIT_TOL
+    # merged poles keep the rightmost location, so the edges are equal
     edge = TransformExpr.numeric(spec, tkind).validity.c1
-    assert abs(t.validity.c1 - edge) <= POLE_HIT_TOL
+    assert t.validity.c1 == edge
     z = complex(t.validity.c1 + dx, im)
     exact = eval_transform(t, z)
     assert abs(exact - transform_estimate(spec, tkind, z).value) <= 1e-9 * abs(exact)
+
+
+@pytest.mark.parametrize("params", [(5.1e-248, 0.0), (0.0, 5.1e-248)])
+def test_merged_poles_keep_the_rightmost_location(params):
+    # the cos**2 term with g = 0 does not decay: the strip starts at 0, in
+    # either parameter order, where the six poles merge into one
+    spec = FunctionSpec.mixed_exp(*params)
+    t = analytic_transform(spec, TransformKind.LAPLACE)
+    assert t.validity.c1 == 0.0
+    assert t.validity == TransformExpr.numeric(spec, TransformKind.LAPLACE).validity
+    assert t.poles == ((0j, 1 + 0j),)
 
 
 def test_gamma_consistency_against_stdlib():
@@ -667,3 +762,82 @@ def test_dirichlet_kernel_matches_its_sinc_form(T, u):
     sinc = (T / math.pi) * np.sinc(T * u / math.pi)
     kernel = _dirichlet(np.ones(1), T, u)
     assert abs(kernel - sinc)[0] <= 4 * np.spacing(T / math.pi)
+
+
+# ---------------------------------------------------------------------------
+# numeric Bromwich lines
+# ---------------------------------------------------------------------------
+
+LINE_Q = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+MIXED_MOMENT = TransformExpr.numeric(FunctionSpec.mixed_power(0.5, 1.0),
+                                     TransformKind.MOMENT)
+
+
+@pytest.mark.parametrize("t, delta, T, y, calls, points", [
+    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 4, 1392),
+    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 4, 1344),
+    (MIXED_MOMENT, 0.5, 30.0, 0.45, 5, 2544),
+], ids=["gamma-head", "gamma-no-head", "mixedpower-head"])
+def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
+                                             points):
+    # for y < 1 the u >= 0 side splits at u = -ln y > 0: its [0, -ln y]
+    # head took one integrand call of its own, a pass the tail now makes
+    count = [0, 0]
+
+    def counting(g, T, u):
+        count[0] += 1
+        count[1] += u.size
+        return _dirichlet(g, T, u)
+
+    monkeypatch.setattr(transforms, "_dirichlet", counting)
+    inverse_eval(t, InverseKind.MELLIN_KERNEL, bromwich_for(t, delta, T), y, LINE_Q)
+    assert count == [calls, points]
+
+
+def _separate_pieces(t, c, T, s, q):
+    """_line_integral from one integrate_halfline or integrate_finite call
+    per piece on the library's integrands, summed in the same order."""
+    moment = t.kind is not TransformKind.LAPLACE
+    inner = _kernel_integrand(t.source, moment, c)
+    u_side = lambda u: _dirichlet(inner(u), T, s - u)
+    pieces = [integrate_halfline(u_side, max(s, 0.0), q)]
+    if s > 0.0:
+        pieces.append(integrate_finite(u_side, 0.0, s, q))
+    if t.kind is TransformKind.MELLIN:
+        tail = _mellin_tail_integrand(t.source, c)
+        pieces.append(integrate_halfline(
+            lambda x: _dirichlet(tail(x, np.log(x)), T, s + np.log(x)), 1.0, q))
+    scale = math.exp(c * s)
+    value = scale * sum(p.value for p in pieces)
+    err = scale * sum(p.err_est for p in pieces)
+    return Estimate(value, err, sum(p.panels_used for p in pieces),
+                    _within(q, err, abs(value)))
+
+
+def _line_outcome(integrate, *args):
+    """repr of the Estimate, or the type and message of the error."""
+    try:
+        return repr(integrate(*args))
+    except MelaplaceError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _numeric_transforms(draw):
+    """A numeric transform of every (source, kind) pair that has a strip,
+    and an abscissa inside it."""
+    kind = draw(st.sampled_from(list(TransformKind)))
+    sources = _decaying_sources if kind is TransformKind.MELLIN else _catalog
+    t = TransformExpr.numeric(draw(sources), kind)
+    return t, t.validity.c1 + draw(st.floats(0.2, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_numeric_transforms(), s=st.floats(-3.0, 3.0), T=st.floats(1.0, 40.0),
+       max_panels=st.sampled_from([1, 2, 4, 17, 4096]))
+def test_line_integral_matches_its_separate_pieces_bit_for_bit(case, s, T, max_panels):
+    # the [0, s] head prefetched in the tail's first pass changes no bit
+    t, c = case
+    q = QuadratureSpec(max_panels=max_panels)
+    assert (_line_outcome(_line_integral, t, c, T, s, q)
+            == _line_outcome(_separate_pieces, t, c, T, s, q))
