@@ -55,7 +55,7 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     Estimate,
     QuadratureSpec,
-    _head_and_tail,
+    _halfline,
     _within,
     integrate_halfline,
 )
@@ -271,12 +271,11 @@ def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> 
         return unit
     tail_at = _mellin_tail_integrand(spec, z)
     tail = integrate_halfline(lambda x: tail_at(x, np.log(x)), 1.0, q)
-    return Estimate(
-        unit.value + tail.value,
-        unit.err_est + tail.err_est,
-        unit.panels_used + tail.panels_used,
-        unit.converged and tail.converged,
-    )
+    # each half is measured against its own value, which the other may
+    # cancel, so the sum is judged on the summed error
+    value, err = unit.value + tail.value, unit.err_est + tail.err_est
+    return Estimate(value, err, unit.panels_used + tail.panels_used,
+                    _within(q, err, abs(value)))
 
 
 def _dirichlet(g, T: float, u):
@@ -301,8 +300,8 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
 
     exp(-c*u) g(u) is the fused direct-transform integrand at real z = c,
     since factors taken apart overflow once c < 0.  The u >= 0 side splits
-    at the kernel peak u = s; for s > 0 its [0, s] head is prefetched in
-    the first pass of the u >= s tail (quadrature._head_and_tail), with the
+    at the kernel peak u = s; for s > 0 its [0, s] head rides the first
+    pass of the u >= s tail as a head of quadrature._halfline, with the
     bits of a finite integral of its own.  Mellin's u < 0 side is one
     half-line integral in x = exp(-u) from 1, whose doubling panels
     bracket the peak x = exp(-s); a finite panel over [1, exp(-s)] misses
@@ -319,10 +318,8 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
     def u_side(u):
         return _dirichlet(inner(u), T, s - u)
 
-    if s > 0.0:
-        pieces = list(_head_and_tail(u_side, s, q))
-    else:
-        pieces = [integrate_halfline(u_side, 0.0, q)]
+    head = [(0.0, s)] if s > 0.0 else []
+    pieces = _halfline(u_side, s if head else 0.0, q, head)
     if kind is TransformKind.MELLIN:
         tail = _mellin_tail_integrand(spec, c)
 

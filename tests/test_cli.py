@@ -319,7 +319,11 @@ def test_delta_check_strict_exits_three_on_an_unconverged_window(capsys, func,
     # the reproduction carries roundoff above 1e-300
     ("cauchy-check", "--func", "exp:gamma=1", "--kind", "laplace", "--z", "1+0i",
      "--tol", "1e-300"),
-], ids=["transform", "cauchy-check"])
+    # both Mellin halves converge, but their sum is judged on the summed
+    # error, 3.8e-13 against a value of 4e-14
+    ("transform", "--func", "expminusx", "--kind", "mellin-transform",
+     "--z", "0.3759052675882387+19.9396057279115i"),
+], ids=["transform", "cauchy-check", "mellin-sum"])
 def test_strict_exits_three_when_the_check_fails(capsys, argv):
     code, plain, _ = run(capsys, *argv, "--strict")
     assert code == 3
@@ -588,7 +592,10 @@ def test_quad_flag_is_honored(capsys):
     )
     assert code == 0
     assert float(rows_of(out)[1][0][2]) == pytest.approx(0.5, rel=1e-5)
-    for bad in ("{bad json", "[5]", '{"panel_order": 2.5}', '{"tail_growth": 1.5}'):
+    # an infinite tolerance passes any error, and an order-1e5 rule would
+    # ask leggauss for a 320 GB matrix
+    for bad in ("{bad json", "[5]", '{"panel_order": 2.5}', '{"tail_growth": 1.5}',
+                '{"rel_tol": 1e400}', '{"abs_tol": 1e400}', '{"panel_order": 100000}'):
         code, out, err = run(
             capsys, "transform", "--func", "exp:gamma=1", "--kind", "laplace",
             "--z", "1+0i", "--quad", bad,

@@ -26,7 +26,7 @@ from melaplace.quadrature import (
     _MAX_TAIL_PANELS,
     _TAIL_GROWTH,
     _gl_pair,
-    _head_and_tail,
+    _halfline,
     _within,
 )
 from melaplace.transforms import _dirichlet
@@ -193,6 +193,13 @@ def test_spec_validation():
             QuadratureSpec(**bad)
     with pytest.raises(ValueError):
         QuadratureSpec.from_json([5])
+    # tolerances that accept any error, and rules too large to build
+    for bad in (dict(rel_tol=math.inf), dict(abs_tol=math.inf),
+                dict(rel_tol=10**400), dict(panel_order=1025),
+                dict(panel_order=100_000)):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
+    assert QuadratureSpec(panel_order=1024, rel_tol=1e308).panel_order == 1024
 
 
 def test_spec_json_roundtrip():
@@ -435,6 +442,73 @@ def test_outgrown_tree_keeps_the_depth_first_result():
     table = delta_check(x, g, [20.0, 80.0])
     assert list(table.results) == values
     assert not table.converged
+
+
+# ---------------------------------------------------------------------------
+# one panel's bits
+# ---------------------------------------------------------------------------
+
+def _python_abs(z):
+    """CPython's abs(z), with C99's cabs where CPython raises OverflowError:
+    on finite parts whose modulus overflows, and on NaN parts after an
+    earlier libm call left errno set."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.nan if math.isnan(z.real) or math.isnan(z.imag) else math.inf
+
+
+def _panel_rows(rng, count, size):
+    """count rows of size complex values: ordinary, near 1e308, subnormal,
+    or with an inf or NaN part."""
+    rows = []
+    for kind in rng.integers(0, 4, count):
+        row = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)
+        if kind == 1:
+            row *= 10.0 ** rng.uniform(307.0, 308.2)
+        elif kind == 2:
+            row *= 10.0 ** rng.uniform(-320.0, -300.0)
+        elif kind == 3:
+            where = rng.integers(0, size, rng.integers(1, 3))
+            part = rng.choice([np.inf, -np.inf, np.nan])
+            row[where] = complex(part, 0.5) if rng.integers(2) else complex(0.5, part)
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_panels_keep_the_bits_of_one_row_at_a_time(seed):
+    # each panel's value and error are those of its own row, with Python's
+    # abs, bit for bit, and near overflow nothing raises; an error off by
+    # one ulp flips split decisions, which tolerance-based tests let pass
+    rng = np.random.default_rng(seed)
+    order = int(rng.choice([2, 3, 8, 16]))
+    count = int(rng.integers(1, 7))
+    rows = _panel_rows(rng, count, 3 * order)
+    mid = rng.uniform(-5.0, 5.0, count).tolist()
+    half = (10.0 ** rng.uniform(-12.0, 3.0, count)).tolist()
+    _, weights = _gl_pair(order)
+    with np.errstate(all="ignore"):
+        fine, err, bad = quadrature._panels(lambda t: rows.ravel(), mid, half, order)
+        for i, row in enumerate(rows):
+            coarse_i, fine_i = (weights @ row).tolist()
+            assert repr(fine[i]) == repr(half[i] * fine_i)
+            assert repr(err[i]) == repr(half[i] * _python_abs(fine_i - coarse_i))
+            assert (i in bad) == (not np.isfinite(row).all())
+
+
+def test_panel_error_near_overflow_raises_nothing():
+    # the two rules of a coarse panel differ by more than the largest
+    # float, where CPython's abs raises OverflowError; the integral is
+    # 1.5e308 (1 + i) sin(300) / 300
+    est = integrate_finite(lambda t: 1.5e308 * (1 + 1j) * np.cos(300.0 * t), 0.0, 1.0)
+    assert (est.panels_used, est.converged) == (31, True)
+    assert abs(est.value.real / (1.5e308 * math.sin(300.0) / 300.0) - 1.0) <= 1e-11
+    assert est.value.imag == est.value.real
+
+
+def _head_and_tail(f, s, q):
+    return tuple(_halfline(f, s, q, [(0.0, s)]))
 
 
 def _head_and_tail_apart(f, s, q):

@@ -87,6 +87,27 @@ def test_transforms_evaluate_only_the_foreign_laplace_source():
     assert found == [("_kernel_integrand", "evaluate(spec, t)")]
 
 
+def test_quadrature_takes_no_numpy_abs():
+    # panel errors carry the bits of CPython's complex abs: np.abs differs
+    # from it on 34,863 of 100,000 normal random values, by up to 2 ulp,
+    # while np.hypot(re, im) agrees on every one and never raises.  An
+    # error one ulp off flips split decisions that no tolerance-based test
+    # sees
+    tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
+    found = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy") and node.attr in ("abs", "absolute")
+    ] + [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        for alias in node.names if alias.name in ("abs", "absolute")
+    ]
+    assert found == []
+
+
 # the exact stdout of each `melaplace ...` line of README's sh blocks
 README_OUTPUTS = {
     "transform": """\

@@ -148,6 +148,25 @@ def test_mellin_scan_of_humped_integrands_never_raises():
             )
 
 
+def test_mellin_estimate_is_judged_on_its_summed_error():
+    # the unit and tail halves each converge, but cancel to 4e-14 with a
+    # summed error of 3.8e-13, over abs_tol and 9x the value: Gamma there
+    # is -1.1545e-14+4.1604e-14j (mpmath), 7.5% away
+    z = 0.3759052675882387 + 19.9396057279115j
+    q = QuadratureSpec()
+    est = transform_estimate(EGAMMA, TransformKind.MELLIN, z, q)
+    unit = integrate_halfline(_kernel_integrand(EGAMMA, True, z), 0.0, q)
+    tail_at = _mellin_tail_integrand(EGAMMA, z)
+    tail = integrate_halfline(lambda x: tail_at(x, np.log(x)), 1.0, q)
+    assert unit.converged and tail.converged
+    assert (est.value, est.err_est, est.panels_used) == (
+        unit.value + tail.value, unit.err_est + tail.err_est,
+        unit.panels_used + tail.panels_used)
+    assert not _within(q, est.err_est, abs(est.value))
+    assert not est.converged
+    assert transform_estimate(EGAMMA, TransformKind.MELLIN, 2.5 + 3j, q).converged
+
+
 def test_split_identity_parts_match_direct_quadrature():
     # unit-interval part and half-line part each against a plain finite
     # integral computed without the exp substitution
