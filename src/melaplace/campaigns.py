@@ -21,7 +21,7 @@ from .contours import (
     rectangle_for,
 )
 from .errors import DomainError, EmptyGrid
-from .functions import DomainHint, FunctionSpec, _growth_index, evaluate
+from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
 from .quadrature import QuadratureSpec, integrate_finite
 from .transforms import (
     InverseKind,
@@ -184,7 +184,7 @@ def _delta_window(g: FunctionSpec, x: float) -> tuple:
         # one unit past the standard interval keeps the edge ringing of the
         # sharp cutoff away from the probe point
         return 0.0, 2.0
-    decay = -_growth_index(g)
+    decay = -growth_bounds(g).right_index
     if decay > 0.0:
         return 0.0, max(x + 5.0, 37.0 / decay)
     if decay == 0.0:

@@ -2,7 +2,8 @@
 
 Every command is a thin wrapper over one library operation and writes CSV
 (header always included) to stdout or --out; --json swaps stdout for a
-machine-readable summary document.  Examples:
+machine-readable summary document.  Each CSV cell, and each cell of the
+--json rows, is the value formatted with .17g.  Examples:
 
     melaplace transform --func exp:gamma=1 --kind laplace --z 1+0i
     melaplace invert --poles "[[-1,0,1,0]]" --kind laplace --contour rect --x -2
@@ -64,10 +65,6 @@ _INVERSE_KINDS = {
     "laplace": InverseKind.LAPLACE_KERNEL,
     "mellin": InverseKind.MELLIN_KERNEL,
 }
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def parse_complex(text: str) -> complex:
@@ -158,8 +155,10 @@ def _build_transform(ns):
 # ---------------------------------------------------------------------------
 
 def _emit(ns, header, rows, summary, ok) -> int:
-    """Write the rows as CSV and/or JSON; return the exit code, which
-    --strict makes EXIT_NOT_CONVERGED when the command's check failed."""
+    """Write the rows of numbers as CSV and/or JSON, each cell formatted
+    with .17g; return the exit code, which --strict makes
+    EXIT_NOT_CONVERGED when the command's check failed."""
+    rows = [[format(float(x), ".17g") for x in row] for row in rows]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -172,7 +171,7 @@ def _emit(ns, header, rows, summary, ok) -> int:
         doc = {
             "command": ns.command,
             "header": list(header),
-            "rows": [list(r) for r in rows],
+            "rows": rows,
             # strict JSON has no inf or nan
             "summary": {
                 k: None if isinstance(v, float) and not math.isfinite(v) else v
@@ -208,15 +207,7 @@ def _cmd_transform(ns) -> int:
         z = parse_complex(literal)
         est = transform_estimate(spec, kind, z, q)
         all_converged = all_converged and est.converged
-        rows.append(
-            (
-                _fmt(z.real),
-                _fmt(z.imag),
-                _fmt(est.value.real),
-                _fmt(est.value.imag),
-                _fmt(est.err_est),
-            )
-        )
+        rows.append((z.real, z.imag, est.value.real, est.value.imag, est.err_est))
     return _emit(ns, ("re_z", "im_z", "re_val", "im_val", "err_est"), rows,
                  {"converged": all_converged}, all_converged)
 
@@ -244,7 +235,7 @@ def _cmd_invert(ns) -> int:
     all_converged = True
     for arg, (val, converged) in zip(args, _contour_sums(t, kind, contour, args, q)):
         all_converged = all_converged and converged
-        rows.append((_fmt(arg), _fmt(val.real), _fmt(val.imag)))
+        rows.append((arg, val.real, val.imag))
     return _emit(ns, ("arg", "re_val", "im_val"), rows,
                  {"contour": contour.to_json(), "converged": all_converged},
                  all_converged)
@@ -263,15 +254,10 @@ def _cmd_roundtrip(ns) -> int:
         delta=ns.delta,
         half_height=ns.T,
     )
-    rows = [
-        (_fmt(r.arg), _fmt(r.truth), _fmt(r.recovered), _fmt(r.abs_err),
-         _fmt(r.rel_err))
-        for r in report.rows
-    ]
     return _emit(
         ns,
         ("arg", "truth", "recovered", "abs_err", "rel_err"),
-        rows,
+        report.rows,
         {
             "passed": report.passed,
             "converged": report.converged,
@@ -290,10 +276,8 @@ def _cmd_delta_check(ns) -> int:
         _parse_real(_require(ns, "x"), "x"), spec, _parse_reals(_require(ns, "T")),
         _quad_from(ns),
     )
-    rows = [
-        (_fmt(T), _fmt(val.real), _fmt(err))
-        for T, val, err in zip(table.values, table.results, table.errors)
-    ]
+    rows = [(T, val.real, err)
+            for T, val, err in zip(table.values, table.results, table.errors)]
     return _emit(ns, ("T", "value", "abs_err"), rows,
                  {"reference": table.reference, "final_error": table.final_error,
                   "converged": table.converged}, table.converged)
@@ -309,10 +293,8 @@ def _cmd_sweep(ns) -> int:
         _parse_reals(_require(ns, "Ts")),
         _quad_from(ns),
     )
-    rows = [
-        (_fmt(d), _fmt(T), _fmt(val.real), _fmt(val.imag))
-        for (d, T), val in zip(table.values, table.results)
-    ]
+    rows = [(d, T, val.real, val.imag)
+            for (d, T), val in zip(table.values, table.results)]
     tol = ns.tol if ns.tol is not None else 1e-7
     # "not >" lets a nan spread pass
     return _emit(ns, ("delta", "half_height", "re_val", "im_val"), rows,
@@ -330,10 +312,7 @@ def _cmd_cauchy_check(ns) -> int:
         rhs = eval_transform(t, z, q)
         err = abs(lhs - rhs)
         worst = max(worst, err)
-        rows.append(
-            (_fmt(z.real), _fmt(z.imag), _fmt(lhs.real), _fmt(lhs.imag),
-             _fmt(rhs.real), _fmt(rhs.imag), _fmt(err))
-        )
+        rows.append((z.real, z.imag, lhs.real, lhs.imag, rhs.real, rhs.imag, err))
     tol = ns.tol if ns.tol is not None else RECTANGLE_TOL
     return _emit(
         ns,

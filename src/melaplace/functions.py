@@ -228,11 +228,6 @@ def evaluate(spec: FunctionSpec, x):
     return out
 
 
-def _growth_index(spec: FunctionSpec) -> float:
-    """GrowthBounds.right_index, without building the record."""
-    return -min(spec.params or (1.0,))
-
-
 def growth_bounds(spec: FunctionSpec) -> GrowthBounds:
     """Exact analytic growth indices for a catalog entry."""
-    return GrowthBounds(right_index=_growth_index(spec))
+    return GrowthBounds(right_index=-min(spec.params or (1.0,)))

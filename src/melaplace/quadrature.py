@@ -35,6 +35,7 @@ one; no singular-weight rules are needed anywhere.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -42,7 +43,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand, TailDivergence
+from .errors import DomainError, NonFiniteIntegrand, TailDivergence
 
 # first geometric panel width on half-line integrals
 _FIRST_TAIL_WIDTH = 1.0
@@ -149,9 +150,10 @@ def _gl_pair(n: int):
 
 def _panels(f, mid, half, order: int):
     """Order-2n values of f over the panels mid[i] +/- half[i], their
-    distances from the order-n values (two lists), and {i: first node of
-    panel i at which f is not finite} for the panels where it is not.
-    One integrand call covers the nodes of every panel.
+    moduli and their distances from the order-n values (three lists), and
+    {i: the error that panel i raises when walked}: NonFiniteIntegrand at
+    its first node where f is not finite, else DomainError where its value
+    is not finite.  One integrand call covers the nodes of every panel.
     """
     nodes, weights = _gl_pair(order)
     h = np.array(half)
@@ -167,20 +169,31 @@ def _panels(f, mid, half, order: int):
         coarse, fine = vals.dot(weights.T).T
     else:
         coarse, fine = vals.dot(weights[0]), vals.dot(weights[1])
-    # np.hypot(re, im) has the bits of CPython's complex abs and never
-    # raises; np.abs differs from it by up to 2 ulp
+    # np.hypot(re, im) has the bits of CPython's complex abs and gives inf
+    # where abs raises OverflowError; np.abs differs from it by up to 2 ulp
     d = fine - coarse
     err = (h * np.hypot(d.real, d.imag)).tolist()
-    bad = {}
-    # a value that is not finite leaves both sums, so err, non-finite
-    if not math.isfinite(sum(err)):
+    # CPython's float * complex: numpy's gives -0.0 where a part underflows
+    # and CPython's +0.0, on 706 of 200,000 random products
+    values = [w * v for w, v in zip(half, fine.tolist())]
+    # _abs of each value, with a Python call per value only where abs raises
+    try:
+        moduli = [abs(v) for v in values]
+    except OverflowError:
+        moduli = [_abs(v) for v in values]
+    faults = {}
+    # a node value that is not finite leaves both sums, so err and moduli,
+    # non-finite
+    if not math.isfinite(sum(err) + sum(moduli)):
         for i, row in enumerate(vals):
             finite = np.isfinite(row)
             if not finite.all():
-                bad[i] = float(xs[i][~finite][0])
-    # CPython's float * complex: numpy's gives -0.0 where a part underflows
-    # and CPython's +0.0, on 706 of 200,000 random products
-    return [w * v for w, v in zip(half, fine.tolist())], err, bad
+                faults[i] = NonFiniteIntegrand(
+                    f"integrand not finite near t = {float(xs[i][~finite][0])!r}")
+            elif not cmath.isfinite(values[i]):
+                faults[i] = DomainError(
+                    f"panel sum past the largest float near t = {mid[i]!r}")
+    return values, moduli, err, faults
 
 
 def _within(q: QuadratureSpec, err: float, scale: float) -> bool:
@@ -188,16 +201,27 @@ def _within(q: QuadratureSpec, err: float, scale: float) -> bool:
     return err <= q.abs_tol or err <= q.rel_tol * scale
 
 
+def _abs(z: complex) -> float:
+    """abs(z), or np.hypot of its parts where CPython's complex abs raises
+    OverflowError: inf for finite parts whose modulus passes the largest
+    float, nan for a NaN part after a libm call left errno set."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return float(np.hypot(z.real, z.imag))
+
+
 def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
     """(value, err_est, panels_used, converged) of the adaptive integral of
     f over [a, b], taken one panel at a time: the one loop that sums panels,
-    applies the budget, judges convergence and raises NonFiniteIntegrand.
+    applies the budget, judges convergence and raises the error of the
+    first panel in walk order that has one (see _panels).
 
     The leftmost open panel is kept when its two rules agree or it is too
     narrow to split, else halved.  A panel whose halves the budget cannot
     hold is kept as it is, and the estimate is unconverged.  Panels found
-    in ``seen``, which maps (lo, hi) to (value, error, first non-finite
-    node or None), are not evaluated again; the others take one integrand
+    in ``seen``, which maps (lo, hi) to (value, modulus, error, error to
+    raise or None), are not evaluated again; the others take one integrand
     call each.  An empty interval is 0 from no panel.
     """
     if a == b:
@@ -212,13 +236,14 @@ def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
         lo, hi = stack.pop()
         panel = seen.get((lo, hi))
         if panel is None:
-            fine, err, bad = _panels(f, [0.5 * (lo + hi)], [0.5 * (hi - lo)], q.panel_order)
-            panel = fine[0], err[0], bad.get(0)
-        fine, err, bad_x = panel
-        if bad_x is not None:
-            raise NonFiniteIntegrand(f"integrand not finite near t = {bad_x!r}")
+            fine, moduli, err, faults = _panels(f, [0.5 * (lo + hi)], [0.5 * (hi - lo)],
+                                                q.panel_order)
+            panel = fine[0], moduli[0], err[0], faults.get(0)
+        fine, mod, err, fault = panel
+        if fault is not None:
+            raise fault
         used += 1
-        if not (_within(q, err, abs(fine)) or (hi - lo) <= width_floor):
+        if not (_within(q, err, mod) or (hi - lo) <= width_floor):
             if used + len(stack) + 2 <= q.max_panels:
                 mid = 0.5 * (lo + hi)
                 stack.append((mid, hi))
@@ -227,7 +252,7 @@ def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
             capped = True
         total += fine
         err_sum += err
-    return total, err_sum, used, (not capped) and _within(q, err_sum, abs(total))
+    return total, err_sum, used, (not capped) and _within(q, err_sum, _abs(total))
 
 
 def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> dict:
@@ -236,7 +261,7 @@ def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> dict:
     every panel of a tree that fits the budget.
 
     One integrand call evaluates every panel of a level.  A panel that
-    fails the rule of _depth_first and whose integrand is finite is halved
+    fails the rule of _depth_first and has no error to raise is halved
     into the next level.  A root's tree stops growing once its panels,
     evaluated or waiting, outnumber q.max_panels; _depth_first caps it.
     """
@@ -244,14 +269,14 @@ def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> dict:
     level = [(i, a, b, 1e-14 * max(1.0, abs(a), abs(b)))
              for i, (a, b) in enumerate(roots) if a != b]
     while level:
-        fine, err, bad = _panels(f, [0.5 * (lo + hi) for _, lo, hi, _ in level],
-                                 [0.5 * (hi - lo) for _, lo, hi, _ in level],
-                                 q.panel_order)
+        fine, moduli, err, faults = _panels(f, [0.5 * (lo + hi) for _, lo, hi, _ in level],
+                                            [0.5 * (hi - lo) for _, lo, hi, _ in level],
+                                            q.panel_order)
         deeper = []
-        for j, ((i, lo, hi, floor), v, e) in enumerate(zip(level, fine, err)):
-            bad_x = bad.get(j)
-            seen[lo, hi] = v, e, bad_x
-            if bad_x is not None or _within(q, e, abs(v)) or hi - lo <= floor:
+        for j, ((i, lo, hi, floor), v, m, e) in enumerate(zip(level, fine, moduli, err)):
+            fault = faults.get(j)
+            seen[lo, hi] = v, m, e, fault
+            if fault is not None or _within(q, e, m) or hi - lo <= floor:
                 continue
             known[i] += 2
             mid = 0.5 * (lo + hi)
@@ -260,24 +285,34 @@ def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> dict:
     return seen
 
 
+def _bound(name: str, value) -> float:
+    """value as a float; ValueError naming the bound unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"integration bound {name} must be finite, got {value!r}")
+    return value
+
+
 def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> Estimate:
     """Adaptive integral of f over [a, b].
 
     Panels failing the order-n vs order-2n comparison are halved until the
     panel budget runs out; converged reports whether the final accumulated
-    error estimate meets tolerance.
+    error estimate meets tolerance.  a and b must be finite.  A panel at
+    whose nodes f is not finite raises NonFiniteIntegrand, and one whose
+    value overflows though f is finite raises DomainError.
     """
     q = q or DEFAULT_QUADRATURE
+    a, b = _bound("a", a), _bound("b", b)
     if a > b:
         raise ValueError("integrate_finite requires a <= b")
-    a, b = float(a), float(b)
     with np.errstate(all="ignore"):
         return Estimate(*_depth_first(f, a, b, q, _prefetch(f, [(a, b)], q, {})))
 
 
 def _tail_panels(f, a: float, q: QuadratureSpec, seen: dict, heads: list):
-    """Yield (value, err_est, panels_used, width, right end) of each
-    geometric tail panel from a, in order.
+    """Yield (value, modulus, err_est, panels_used, width, right end) of
+    each geometric tail panel from a, in order.
 
     The panels are prefetched in blocks, one level-order pass each, into
     the cache ``seen``: _FIRST_TAIL_BLOCK panels first, then as many as
@@ -301,8 +336,8 @@ def _tail_panels(f, a: float, q: QuadratureSpec, seen: dict, heads: list):
         heads = []
         for (a_i, b_i), w_i in zip(roots, widths):
             value, err, used, _ = _depth_first(f, a_i, b_i, q, seen)
-            previous, last = last, abs(value)
-            yield value, err, used, w_i, b_i
+            previous, last = last, _abs(value)
+            yield value, last, err, used, w_i, b_i
         size, left = _next_block(size, previous, last, q.abs_tol), left - len(widths)
 
 
@@ -330,9 +365,9 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     The loop stops once two consecutive panels are negligible both
     absolutely and relative to the running total.  A mean magnitude per
     unit length that grows on _DIVERGENT_RISES consecutive panels raises
-    TailDivergence.
+    TailDivergence.  a must be finite; panels raise as in integrate_finite.
     """
-    return _halfline(f, a, q or DEFAULT_QUADRATURE)[0]
+    return _halfline(f, _bound("a", a), q or DEFAULT_QUADRATURE)[0]
 
 
 def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
@@ -351,12 +386,11 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
     live = False
     density = 0.0
     with np.errstate(all="ignore"):
-        for value, err, panels, width, hi in _tail_panels(f, a, q, seen, list(heads)):
+        for value, mag, err, panels, width, hi in _tail_panels(f, a, q, seen, list(heads)):
             total += value
             err_sum += err
             used += panels
-            mag = abs(value)
-            size = abs(total)
+            size = _abs(total)
             negligible = mag <= q.abs_tol and (mag <= q.rel_tol * size or size <= q.abs_tol)
             quiet = quiet + 1 if negligible else 0
             if quiet >= 2:
@@ -374,7 +408,7 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
         # the last panel's magnitude stands for the tail left out, also when
         # the panel budget cut the tail off before it went quiet
         err_sum += mag
-        converged = quiet >= 2 and _within(q, err_sum, abs(total))
+        converged = quiet >= 2 and _within(q, err_sum, _abs(total))
         return [Estimate(total, err_sum, used, converged),
                 *(Estimate(*_depth_first(f, lo, hi, q, seen)) for lo, hi in heads)]
 

@@ -46,10 +46,10 @@ from .functions import (
     FunctionKind,
     FunctionSpec,
     Strip,
-    _growth_index,
     _term_sum,
     _terms,
     evaluate,
+    growth_bounds,
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -210,7 +210,7 @@ def _domain(spec: FunctionSpec, kind: TransformKind) -> Strip:
     if kind is TransformKind.MELLIN:
         return holomorphy_strip(spec)
     native = _native(spec, kind is TransformKind.MOMENT)
-    return Strip(_growth_index(spec) if native else 0.0, math.inf)
+    return Strip(growth_bounds(spec).right_index if native else 0.0, math.inf)
 
 
 def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> None:
@@ -261,21 +261,6 @@ def _mellin_tail_integrand(spec: FunctionSpec, z):
         zl = (z - 1.0) * lx
         return _term_sum(terms, lambda g: np.exp(zl - g * x), x)
     return tail
-
-
-def _estimate(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec) -> Estimate:
-    """Direct transform at one z; the caller has checked the domain."""
-    moment = kind is not TransformKind.LAPLACE
-    unit = integrate_halfline(_kernel_integrand(spec, moment, z), 0.0, q)
-    if kind is not TransformKind.MELLIN:
-        return unit
-    tail_at = _mellin_tail_integrand(spec, z)
-    tail = integrate_halfline(lambda x: tail_at(x, np.log(x)), 1.0, q)
-    # each half is measured against its own value, which the other may
-    # cancel, so the sum is judged on the summed error
-    value, err = unit.value + tail.value, unit.err_est + tail.err_est
-    return Estimate(value, err, unit.panels_used + tail.panels_used,
-                    _within(q, err, abs(value)))
 
 
 def _dirichlet(g, T: float, u):
@@ -347,7 +332,18 @@ def transform_estimate(
     """
     z = complex(z)
     _check_strip(_domain(spec, kind), spec, kind, z)
-    return _estimate(spec, kind, z, q or DEFAULT_QUADRATURE)
+    q = q or DEFAULT_QUADRATURE
+    moment = kind is not TransformKind.LAPLACE
+    unit = integrate_halfline(_kernel_integrand(spec, moment, z), 0.0, q)
+    if kind is not TransformKind.MELLIN:
+        return unit
+    tail_at = _mellin_tail_integrand(spec, z)
+    tail = integrate_halfline(lambda x: tail_at(x, np.log(x)), 1.0, q)
+    # each half is measured against its own value, which the other may
+    # cancel, so the sum is judged on the summed error
+    value, err = unit.value + tail.value, unit.err_est + tail.err_est
+    return Estimate(value, err, unit.panels_used + tail.panels_used,
+                    _within(q, err, abs(value)))
 
 
 def laplace_transform(spec, z, q=None) -> complex:
@@ -373,7 +369,7 @@ def holomorphy_strip(spec: FunctionSpec) -> Strip:
     (0, +inf); others, and power-like entries, have no strip at all (the
     transform diverges for every z).
     """
-    if spec.domain_hint is DomainHint.HALF_LINE and _growth_index(spec) < 0:
+    if spec.domain_hint is DomainHint.HALF_LINE and growth_bounds(spec).right_index < 0:
         return Strip(0.0, math.inf)
     raise NoStrip(f"{spec.kind.value}{spec.params} has no holomorphy strip")
 
@@ -471,8 +467,7 @@ def eval_transform(t: TransformExpr, z: complex, q: QuadratureSpec | None = None
     if t.form is TransformForm.RATIONAL:
         value = complex(rational_values(t, np.array([w]))[0])
     else:
-        _check_strip(t.validity, t.source, t.kind, w)
-        value = complex(_estimate(t.source, t.kind, w, q or DEFAULT_QUADRATURE).value)
+        value = transform_estimate(t.source, t.kind, w, q).value
     if not cmath.isfinite(value):
         raise DomainError(f"the {t.form.value} transform overflows at z = {z}")
     return value

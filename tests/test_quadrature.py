@@ -1,3 +1,4 @@
+import cmath
 import math
 from unittest import mock
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melaplace import (
+    DomainError,
     FunctionSpec,
     MelaplaceError,
     NonFiniteIntegrand,
@@ -59,6 +61,15 @@ def test_empty_interval():
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
         integrate_finite(lambda t: t, 1.0, 0.0)
+    # a bound that is not finite is the caller's error, not the integrand's
+    f = lambda t: np.exp(-np.abs(t))
+    for call, bound in [(lambda: integrate_halfline(f, -math.inf), "a"),
+                        (lambda: integrate_halfline(f, math.nan), "a"),
+                        (lambda: integrate_finite(f, 0.0, math.inf), "b"),
+                        (lambda: integrate_finite(f, 0.0, math.nan), "b"),
+                        (lambda: integrate_finite(f, -math.inf, 0.0), "a")]:
+        with pytest.raises(ValueError, match=f"bound {bound} must be finite"):
+            call()
 
 
 def test_halfline_unit_mass():
@@ -489,12 +500,18 @@ def test_panels_keep_the_bits_of_one_row_at_a_time(seed):
     half = (10.0 ** rng.uniform(-12.0, 3.0, count)).tolist()
     _, weights = _gl_pair(order)
     with np.errstate(all="ignore"):
-        fine, err, bad = quadrature._panels(lambda t: rows.ravel(), mid, half, order)
+        fine, moduli, err, faults = quadrature._panels(lambda t: rows.ravel(), mid, half,
+                                                       order)
         for i, row in enumerate(rows):
             coarse_i, fine_i = (weights @ row).tolist()
             assert repr(fine[i]) == repr(half[i] * fine_i)
             assert repr(err[i]) == repr(half[i] * _python_abs(fine_i - coarse_i))
-            assert (i in bad) == (not np.isfinite(row).all())
+            finite = np.isfinite(row).all()
+            assert isinstance(faults.get(i), NonFiniteIntegrand) == (not finite)
+            assert isinstance(faults.get(i), DomainError) == (
+                finite and not cmath.isfinite(fine[i]))
+            if i not in faults:
+                assert repr(moduli[i]) == repr(_python_abs(fine[i]))
 
 
 def test_panel_error_near_overflow_raises_nothing():
@@ -505,6 +522,26 @@ def test_panel_error_near_overflow_raises_nothing():
     assert (est.panels_used, est.converged) == (31, True)
     assert abs(est.value.real / (1.5e308 * math.sin(300.0) / 300.0) - 1.0) <= 1e-11
     assert est.value.imag == est.value.real
+
+
+def test_panel_modulus_past_the_largest_float_raises_nothing():
+    # the one panel's value is 1.3e308 (1 + i), whose modulus CPython's abs
+    # cannot return
+    est = integrate_finite(lambda t: 1.3e306 * (1 + 1j) * np.ones_like(t), 0.0, 100.0)
+    assert (est.panels_used, est.converged) == (1, True)
+    assert abs(est.value.real / 1.3e308 - 1.0) <= 1e-15
+    assert est.value.imag == est.value.real
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda: integrate_finite(lambda t: 1.5e308 * (1 + 1j) * np.ones_like(t), 0.0, 1.0),
+    lambda: integrate_halfline(lambda t: 1.5e308 * (1 + 1j) * np.exp(-t), 0.0),
+])
+def test_panel_sum_past_the_largest_float_is_a_domain_error(integrate):
+    # every node value is finite, but the first panel's order-2n sum is
+    # not; halving it would walk the whole budget to a nan estimate
+    with pytest.raises(DomainError, match="near t = 0.5$"):
+        integrate()
 
 
 def _head_and_tail(f, s, q):

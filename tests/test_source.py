@@ -2,8 +2,10 @@
 
 import ast
 import contextlib
+import csv
 import inspect
 import io
+import json
 import re
 import shlex
 from pathlib import Path
@@ -87,6 +89,23 @@ def test_transforms_evaluate_only_the_foreign_laplace_source():
     assert found == [("_kernel_integrand", "evaluate(spec, t)")]
 
 
+def test_cli_cells_are_formatted_only_in_emit():
+    # every CSV and --json cell is the value formatted with .17g, in one
+    # place: a command hands _emit plain numbers
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [
+                (path.name, getattr(top, "name", None), ast.unparse(node))
+                for node in ast.walk(top)
+                # the spec alone, in format(), an f-string or str.format, or
+                # after %; a docstring may name it
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.search(r"(^|[%:])\.17g", node.value)
+            ]
+    assert found == [("cli.py", "_emit", "'.17g'")]
+
+
 def test_quadrature_takes_no_numpy_abs():
     # panel errors carry the bits of CPython's complex abs: np.abs differs
     # from it on 34,863 of 100,000 normal random values, by up to 2 ulp,
@@ -154,7 +173,7 @@ re_z,im_z,re_lhs,im_lhs,re_rhs,im_rhs,abs_err
 def test_readme_cli_examples_run():
     # every `melaplace ...` line of README's sh blocks exits 0 and prints
     # the CSV header that README's table gives for its command, and the
-    # rows pinned above
+    # rows pinned above; with --json it prints the same header and cells
     text = README.read_text(encoding="utf-8")
     headers = dict(re.findall(r"^\| `([a-z-]+)` +\| `([^`]+)` +\|$", text, re.M))
     examples = [
@@ -172,6 +191,13 @@ def test_readme_cli_examples_run():
         assert code == 0, line
         assert out.getvalue().splitlines()[0] == headers[argv[0]], line
         assert out.getvalue() == README_OUTPUTS[argv[0]], line
+        # --json carries the same cells as the CSV
+        doc = io.StringIO()
+        with contextlib.redirect_stdout(doc):
+            assert cli_main(argv + ["--json"]) == 0, line
+        got = json.loads(doc.getvalue())
+        want = list(csv.reader(io.StringIO(out.getvalue())))
+        assert [got["header"], *got["rows"]] == want, line
 
 
 # every public name of the package and of each of its modules; a class's
