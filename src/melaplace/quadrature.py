@@ -86,6 +86,9 @@ class QuadratureSpec:
     max_panels: int = 4096
 
     def __post_init__(self):
+        # bool is an int, so JSON true would pass as 1 everywhere
+        if any(isinstance(v, (bool, np.bool_)) for v in vars(self).values()):
+            raise ValueError("QuadratureSpec fields must be numbers, not booleans")
         integers = (int, np.integer)
         if not (isinstance(self.panel_order, integers)
                 and isinstance(self.max_panels, integers)):

@@ -18,10 +18,15 @@ The y = exp(-t) substitution, which puts the moment and the unit part of
 the Mellin transform on [0, inf), lives in ``_kernel_integrand``; the
 Laplace integrand is the same builder with the source read at t.  Each
 integrand term is one exponential times a squared weight: the kernel
-folds into the source's own exp(-g*x) or y**g base, and a half-line
-source read off its axis, at y = exp(-t) or as the Mellin tail's
-x**(z-1) f(x), is exp(-z*t - g*y) or exp((z-1)*ln x - g*x).  Only the
-Laplace transform of a unit-interval source calls ``evaluate``.
+folds into the source's own exp(-g*x) or y**g base.  ``_off_axis`` is the
+one form of a half-line source read off its axis, at y = exp(-t) or as
+the Mellin tail's x**(z-1) f(x): exp(-z*t - g*y) or exp((z-1)*ln x - g*x).
+Only the Laplace transform of a unit-interval source calls ``evaluate``.
+
+``_pieces`` is the one home of the two-sided integral behind every
+numeric transform value and numeric Bromwich line: the u >= 0 half-line,
+plus Mellin's x >= 1 side at u = -ln x, each optionally times a kernel
+of u; ``_summed`` judges their sum.
 
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
@@ -57,7 +62,6 @@ from .quadrature import (
     QuadratureSpec,
     _halfline,
     _within,
-    integrate_halfline,
 )
 
 # poles closer than this are "the same point" for evaluation purposes
@@ -213,15 +217,6 @@ def _domain(spec: FunctionSpec, kind: TransformKind) -> Strip:
     return Strip(growth_bounds(spec).right_index if native else 0.0, math.inf)
 
 
-def _check_strip(strip: Strip, spec: FunctionSpec, kind: TransformKind, z) -> None:
-    """Raise OutOfDomain unless z lies inside the strip where the direct
-    transform converges."""
-    if not strip.contains(z.real):
-        bounds = (f"Re z > {strip.c1:g}" if strip.c2 == math.inf
-                  else f"{strip.c1:g} < Re z < {strip.c2:g}")
-        raise OutOfDomain(f"{kind.value} transform of {spec.kind.value} needs {bounds}")
-
-
 def _kernel_integrand(spec: FunctionSpec, moment: bool, z):
     """exp(-t*z) times the source on t in [0, inf), read at x = t for
     Laplace and at y = exp(-t) for the moment, whose y**(z-1) F(y) dy on
@@ -230,37 +225,75 @@ def _kernel_integrand(spec: FunctionSpec, moment: bool, z):
     Each term is one exponential times weight(u)**2.  A native source
     folds the kernel into exp(-(z+g)*t): exp(-t*z) and exp(-g*t) apart
     overflow or underflow for Re z near -g, while their product decays.  A
-    half-line source read at y folds it into exp(-z*t - g*y), one
-    exponential where two were taken.  Only a unit-interval source read at
-    t, whose base is the power t**g, is evaluated on its own.
+    half-line source read at y is the off-axis form at exponent -z*t.
+    Only a unit-interval source read at t, whose base is the power t**g,
+    is evaluated on its own.
     """
-    terms = _terms(spec)[1]
     if not _native(spec, moment):
         if not moment:
             return lambda t: np.exp(-t * z) * evaluate(spec, t)
-        terms = list(terms)
-
-        def foreign(t):
-            y, zt = np.exp(-t), -z * t
-            return _term_sum(terms, lambda g: np.exp(zt - g * y), y)
-        return foreign
-    terms = [(z + g, w) for g, w in terms]
+        off = _off_axis(spec)
+        return lambda t: off(-z * t, np.exp(-t))
+    terms = [(z + g, w) for g, w in _terms(spec)[1]]
     weighted = moment and any(w for _, w in terms)
     return lambda t: _term_sum(terms, lambda a: np.exp(-a * t),
                                np.exp(-t) if weighted else t)
 
 
-def _mellin_tail_integrand(spec: FunctionSpec, z):
-    """x**(z-1) * f(x) on [1, inf) as a function of x and ln x, one
-    exponential exp((z-1)*ln x - g*x) times weight(x)**2 per term:
-    x**(z-1) alone overflows for large Re z long before exp(-g*x) brings
-    the product down."""
+def _off_axis(spec: FunctionSpec):
+    """(zl, x) -> sum of exp(zl - g*x) * weight(x)**2 over the terms of a
+    half-line source: the source read at x times the kernel exp(zl) in one
+    exponential, since the kernel alone overflows for large Re z."""
     terms = list(_terms(spec)[1])
+    return lambda zl, x: _term_sum(terms, lambda g: np.exp(zl - g * x), x)
 
-    def tail(x, lx):
-        zl = (z - 1.0) * lx
-        return _term_sum(terms, lambda g: np.exp(zl - g * x), x)
-    return tail
+
+# a Mellin x side whose hump (Re z - 1)/g_min lies past this starts its
+# tail at twice the hump: quadrature._DIVERGENT_RISES lets a tail rise
+# only until x ~ 60
+_HUMP_REACH = 60.0
+
+
+def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
+            kernel=None, s: float = 0.0) -> list:
+    """The half-line Estimates of the direct transform at z, each integrand
+    times kernel(values, u) when one is given; OutOfDomain outside the strip.
+
+    The u >= 0 side runs from s with [0, s] as a head when s > 0, else
+    from 0.  Mellin's x >= 1 side, at u = -ln x, is the off-axis form at
+    exponent (z-1)*ln x; it runs from X = 2 (Re z - 1)/g_min with [1, X]
+    as a head when that hump lies past _HUMP_REACH.
+    """
+    strip = _domain(spec, kind)
+    if not strip.contains(z.real):
+        bounds = (f"Re z > {strip.c1:g}" if strip.c2 == math.inf
+                  else f"{strip.c1:g} < Re z < {strip.c2:g}")
+        raise OutOfDomain(f"{kind.value} transform of {spec.kind.value} needs {bounds}")
+    inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
+    u_side = inner if kernel is None else lambda u: kernel(inner(u), u)
+    head = [(0.0, s)] if s > 0.0 else []
+    pieces = _halfline(u_side, s if head else 0.0, q, head)
+    if kind is TransformKind.MELLIN:
+        off, zm = _off_axis(spec), z - 1.0
+
+        def x_side(x):
+            lx = np.log(x)
+            values = off(zm * lx, x)
+            return values if kernel is None else kernel(values, -lx)
+        hump = (z.real - 1.0) / -growth_bounds(spec).right_index
+        far = 2.0 * hump if hump > _HUMP_REACH else 1.0
+        pieces += _halfline(x_side, far, q, [(1.0, far)] if far > 1.0 else [])
+    return pieces
+
+
+def _summed(pieces: list, q: QuadratureSpec, scale: float = 1.0) -> Estimate:
+    """scale times the sum of pieces, judged on the summed error: each
+    piece alone is measured against its own value, which the others may
+    cancel."""
+    value = scale * sum(p.value for p in pieces)
+    err = scale * sum(p.err_est for p in pieces)
+    return Estimate(value, err, sum(p.panels_used for p in pieces),
+                    _within(q, err, abs(value)))
 
 
 def _dirichlet(g, T: float, u):
@@ -281,42 +314,17 @@ def _dirichlet(g, T: float, u):
 def _line_integral(t: TransformExpr, c: float, T: float, s: float,
                    q: QuadratureSpec | None = None) -> Estimate:
     """(1/2pi i) * integral of exp(s*z) * t(z) over [c - iT, c + iT] for a
-    numeric t: the Dirichlet integral of the ``contours`` docstring.
-
-    exp(-c*u) g(u) is the fused direct-transform integrand at real z = c,
-    since factors taken apart overflow once c < 0.  The u >= 0 side splits
-    at the kernel peak u = s; for s > 0 its [0, s] head rides the first
-    pass of the u >= s tail as a head of quadrature._halfline, with the
-    bits of a finite integral of its own.  Mellin's u < 0 side is one
-    half-line integral in x = exp(-u) from 1, whose doubling panels
-    bracket the peak x = exp(-s); a finite panel over [1, exp(-s)] misses
-    the mass near x = 1 once exp(-s) is large.  It takes ln x once per
-    call, for the kernel and the fused tail integrand both.  Each piece
-    alone is measured against its own value, which the others cancel, so
-    the sum is judged on the summed error.
+    numeric t: the Dirichlet integral of the ``contours`` docstring, the
+    direct transform's pieces at real z = c against the kernel
+    sin(T*(s-u))/(pi*(s-u)), split at its peak u = s, times exp(c*s).
+    Mellin's x side is not split at the peak x = exp(-s): its doubling
+    panels bracket it, where one finite panel over [1, exp(-s)] would miss
+    the mass near x = 1.
     """
-    spec, kind = t.source, t.kind
-    _check_strip(t.validity, spec, kind, complex(c))
     q = q or DEFAULT_QUADRATURE
-    inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, c)
-
-    def u_side(u):
-        return _dirichlet(inner(u), T, s - u)
-
-    head = [(0.0, s)] if s > 0.0 else []
-    pieces = _halfline(u_side, s if head else 0.0, q, head)
-    if kind is TransformKind.MELLIN:
-        tail = _mellin_tail_integrand(spec, c)
-
-        def x_side(x):
-            lx = np.log(x)
-            return _dirichlet(tail(x, lx), T, s + lx)
-        pieces.append(integrate_halfline(x_side, 1.0, q))
-    scale = math.exp(c * s)
-    value = scale * sum(p.value for p in pieces)
-    err = scale * sum(p.err_est for p in pieces)
-    return Estimate(value, err, sum(p.panels_used for p in pieces),
-                    _within(q, err, abs(value)))
+    return _summed(_pieces(t.source, t.kind, c, q,
+                           lambda g, u: _dirichlet(g, T, s - u), s),
+                   q, math.exp(c * s))
 
 
 def transform_estimate(
@@ -330,20 +338,9 @@ def transform_estimate(
     quadrature node; the Mellin transform adds the plain half-line part
     over [1, inf).
     """
-    z = complex(z)
-    _check_strip(_domain(spec, kind), spec, kind, z)
     q = q or DEFAULT_QUADRATURE
-    moment = kind is not TransformKind.LAPLACE
-    unit = integrate_halfline(_kernel_integrand(spec, moment, z), 0.0, q)
-    if kind is not TransformKind.MELLIN:
-        return unit
-    tail_at = _mellin_tail_integrand(spec, z)
-    tail = integrate_halfline(lambda x: tail_at(x, np.log(x)), 1.0, q)
-    # each half is measured against its own value, which the other may
-    # cancel, so the sum is judged on the summed error
-    value, err = unit.value + tail.value, unit.err_est + tail.err_est
-    return Estimate(value, err, unit.panels_used + tail.panels_used,
-                    _within(q, err, abs(value)))
+    pieces = _pieces(spec, kind, complex(z), q)
+    return pieces[0] if len(pieces) == 1 else _summed(pieces, q)
 
 
 def laplace_transform(spec, z, q=None) -> complex:

@@ -206,14 +206,15 @@ def test_invert_rectangle_without_closed_form_exits_two(capsys):
     assert "cannot be inverted on a rectangle" in err
 
 
-def test_transform_past_the_tail_hump_exits_two(capsys):
+def test_transform_past_the_tail_hump_prints_gamma(capsys):
     # Gamma(171) fits float64, but x**170 exp(-x) rises past the panels the
-    # tail rule lets through
+    # tail rule lets through: the tail starts past the hump
     code, out, err = run(capsys, "transform", "--func", "expminusx", "--kind",
-                         "mellin-transform", "--z", "171")
-    assert code == 2
-    assert out == ""
-    assert err == "melaplace transform: tail panels keep growing past t = 128\n"
+                         "mellin-transform", "--z", "171", "--strict")
+    assert code == 0
+    assert err == ""
+    assert rows_of(out)[1][0][2] == "7.2574156153079529e+306"
+    assert float(rows_of(out)[1][0][2]) == pytest.approx(math.gamma(171), rel=1e-13)
 
 
 def test_invert_kernel_overflow_exits_two(capsys):
@@ -594,8 +595,12 @@ def test_quad_flag_is_honored(capsys):
     assert float(rows_of(out)[1][0][2]) == pytest.approx(0.5, rel=1e-5)
     # an infinite tolerance passes any error, and an order-1e5 rule would
     # ask leggauss for a 320 GB matrix
+    # JSON true is a Python bool, which is an int: rel_tol and abs_tol true
+    # passed a 0.066 error on a 0.5 value, max_panels true ran one panel
     for bad in ("{bad json", "[5]", '{"panel_order": 2.5}', '{"tail_growth": 1.5}',
-                '{"rel_tol": 1e400}', '{"abs_tol": 1e400}', '{"panel_order": 100000}'):
+                '{"rel_tol": 1e400}', '{"abs_tol": 1e400}', '{"panel_order": 100000}',
+                '{"rel_tol": true, "abs_tol": true}', '{"max_panels": true}',
+                '{"panel_order": true}', '{"abs_tol": false}'):
         code, out, err = run(
             capsys, "transform", "--func", "exp:gamma=1", "--kind", "laplace",
             "--z", "1+0i", "--quad", bad,

@@ -199,6 +199,13 @@ def test_spec_validation():
         dict(max_panels=0),
         dict(panel_order=2.5),
         dict(max_panels=100.0),
+        # bool is an int and np.bool_ is not, but neither is a number here
+        dict(panel_order=True),
+        dict(max_panels=True),
+        dict(rel_tol=True),
+        dict(abs_tol=True),
+        dict(max_panels=np.bool_(True)),
+        dict(rel_tol=np.bool_(True)),
     ):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)

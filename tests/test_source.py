@@ -89,6 +89,21 @@ def test_transforms_evaluate_only_the_foreign_laplace_source():
     assert found == [("_kernel_integrand", "evaluate(spec, t)")]
 
 
+def test_transform_integrals_are_built_only_in_pieces_and_judged_only_in_summed():
+    # every numeric transform value and numeric Bromwich line runs its
+    # half-lines in one place and judges their sum in one other
+    tree = ast.parse((PACKAGE / "transforms.py").read_text(encoding="utf-8"))
+    found = sorted({
+        (top.name, node.func.id)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("_halfline", "integrate_halfline", "integrate_finite",
+                             "_within")
+    })
+    assert found == [("_pieces", "_halfline"), ("_summed", "_within")]
+
+
 def test_cli_cells_are_formatted_only_in_emit():
     # every CSV and --json cell is the value formatted with .17g, in one
     # place: a command hands _emit plain numbers

@@ -22,7 +22,6 @@ from melaplace import (
     PoleHit,
     QuadratureSpec,
     Strip,
-    TailDivergence,
     TransformExpr,
     TransformForm,
     TransformKind,
@@ -45,10 +44,12 @@ from melaplace import transforms
 from melaplace.quadrature import _within
 from melaplace.transforms import (
     POLE_HIT_TOL,
+    _HUMP_REACH,
     _dirichlet,
+    _domain,
     _kernel_integrand,
     _line_integral,
-    _mellin_tail_integrand,
+    _off_axis,
     rational_values,
 )
 
@@ -156,8 +157,8 @@ def test_mellin_estimate_is_judged_on_its_summed_error():
     q = QuadratureSpec()
     est = transform_estimate(EGAMMA, TransformKind.MELLIN, z, q)
     unit = integrate_halfline(_kernel_integrand(EGAMMA, True, z), 0.0, q)
-    tail_at = _mellin_tail_integrand(EGAMMA, z)
-    tail = integrate_halfline(lambda x: tail_at(x, np.log(x)), 1.0, q)
+    tail_at = _off_axis(EGAMMA)
+    tail = integrate_halfline(lambda x: tail_at((z - 1.0) * np.log(x), x), 1.0, q)
     assert unit.converged and tail.converged
     assert (est.value, est.err_est, est.panels_used) == (
         unit.value + tail.value, unit.err_est + tail.err_est,
@@ -293,7 +294,7 @@ def test_fused_mellin_tail_matches_its_product_form(spec, dx, im, real):
     x = np.linspace(1.0, 2000.0, 2001)
     lx = np.log(x)
     with np.errstate(under="ignore"):
-        got = _mellin_tail_integrand(spec, z)(x, lx)
+        got = _off_axis(spec)((z - 1.0) * lx, x)
         _assert_matches_product(got, np.exp((z - 1.0) * lx), evaluate(spec, x))
 
 
@@ -304,7 +305,7 @@ def test_fused_mellin_tail_stays_finite_where_the_power_overflows():
     with np.errstate(over="ignore"):
         assert not np.isfinite(x ** 170.0).all()
     with np.errstate(under="ignore"):
-        got = _mellin_tail_integrand(EGAMMA, 171.0)(x, lx)
+        got = _off_axis(EGAMMA)((171.0 - 1.0) * lx, x)
         want = np.exp(170.0 * lx - x)
     assert np.isfinite(got).all()
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
@@ -313,9 +314,11 @@ def test_fused_mellin_tail_stays_finite_where_the_power_overflows():
 @pytest.mark.parametrize("z", [80.0, 140.0, 150.0, 171.0])
 def test_gamma_at_large_real_z_meets_only_the_hump_rule(z):
     # Gamma(z) fits float64 up to z = 171, but x**(z-1) exp(-x) peaks at
-    # x = z - 1, past the six rising panels that the tail rule lets through
-    with pytest.raises(TailDivergence, match="^tail panels keep growing past t = 128$"):
-        eval_transform(TransformExpr.gamma(), z)
+    # x = z - 1, past the six rising panels that the tail rule lets through;
+    # the x side therefore runs its tail from twice the hump, with [1, X]
+    # as a head
+    got = eval_transform(TransformExpr.gamma(), z)
+    assert abs(got - math.gamma(z)) <= 1e-13 * math.gamma(z)
 
 
 @pytest.mark.parametrize("c", [0.1, 10.0])
@@ -813,24 +816,49 @@ def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
     assert count == [calls, points]
 
 
-def _separate_pieces(t, c, T, s, q):
-    """_line_integral from one integrate_halfline or integrate_finite call
-    per piece on the library's integrands, summed in the same order."""
-    moment = t.kind is not TransformKind.LAPLACE
-    inner = _kernel_integrand(t.source, moment, c)
-    u_side = lambda u: _dirichlet(inner(u), T, s - u)
+def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
+    """The pieces of transforms._pieces, from one integrate_halfline or
+    integrate_finite call per piece on the library's integrands, in the
+    same order; times the Dirichlet kernel about u = s when T is given."""
+    inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
+    off = _off_axis(spec)
+    if T is None:
+        u_side = inner
+        x_side = lambda x: off((z - 1.0) * np.log(x), x)
+    else:
+        u_side = lambda u: _dirichlet(inner(u), T, s - u)
+        x_side = lambda x: _dirichlet(off((z - 1.0) * np.log(x), x), T, s + np.log(x))
     pieces = [integrate_halfline(u_side, max(s, 0.0), q)]
     if s > 0.0:
         pieces.append(integrate_finite(u_side, 0.0, s, q))
-    if t.kind is TransformKind.MELLIN:
-        tail = _mellin_tail_integrand(t.source, c)
-        pieces.append(integrate_halfline(
-            lambda x: _dirichlet(tail(x, np.log(x)), T, s + np.log(x)), 1.0, q))
-    scale = math.exp(c * s)
+    if kind is TransformKind.MELLIN:
+        # past the hump the tail starts at twice it, after a finite [1, X]
+        hump = (z.real - 1.0) / min(spec.params or (1.0,))
+        far = 2.0 * hump if hump > _HUMP_REACH else 1.0
+        pieces.append(integrate_halfline(x_side, far, q))
+        if far > 1.0:
+            pieces.append(integrate_finite(x_side, 1.0, far, q))
+    return pieces
+
+
+def _separate_sum(pieces, q, scale=1.0):
+    """The pieces summed in order, times scale, judged on the summed error."""
     value = scale * sum(p.value for p in pieces)
     err = scale * sum(p.err_est for p in pieces)
     return Estimate(value, err, sum(p.panels_used for p in pieces),
                     _within(q, err, abs(value)))
+
+
+def _separate_line(t, c, T, s, q):
+    """_line_integral from separate pieces."""
+    return _separate_sum(_separate_pieces(t.source, t.kind, c, q, T, s), q,
+                         math.exp(c * s))
+
+
+def _separate_transform(spec, kind, z, q):
+    """transform_estimate from separate pieces; one piece stands as it is."""
+    pieces = _separate_pieces(spec, kind, z, q)
+    return pieces[0] if len(pieces) == 1 else _separate_sum(pieces, q)
 
 
 def _line_outcome(integrate, *args):
@@ -859,4 +887,40 @@ def test_line_integral_matches_its_separate_pieces_bit_for_bit(case, s, T, max_p
     t, c = case
     q = QuadratureSpec(max_panels=max_panels)
     assert (_line_outcome(_line_integral, t, c, T, s, q)
-            == _line_outcome(_separate_pieces, t, c, T, s, q))
+            == _line_outcome(_separate_line, t, c, T, s, q))
+
+
+@pytest.mark.parametrize("c, s", [(80.0, 0.7), (171.0, -1.0), (150.0, 0.0)])
+def test_line_past_the_mellin_hump_matches_its_separate_pieces(c, s):
+    # the x side of a line placed right of Gamma's hump splits as the
+    # direct transform does
+    q = QuadratureSpec(max_panels=64)
+    t = TransformExpr.gamma()
+    got = _line_outcome(_line_integral, t, c, 10.0, s, q)
+    assert got == _line_outcome(_separate_line, t, c, 10.0, s, q)
+    assert got.startswith("Estimate(")
+
+
+@st.composite
+def _direct_cases(draw):
+    """A (source, kind) pair with a strip and a z inside it, Re z up to
+    171 past the strip's edge, so that Mellin humps pass _HUMP_REACH."""
+    kind = draw(st.sampled_from(list(TransformKind)))
+    sources = _decaying_sources if kind is TransformKind.MELLIN else _catalog
+    spec = draw(sources)
+    re = _domain(spec, kind).c1 + draw(st.one_of(st.floats(0.2, 2.0),
+                                                  st.floats(2.0, 171.0)))
+    return spec, kind, complex(re, draw(st.floats(-20.0, 20.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_direct_cases(), order=st.integers(4, 16),
+       max_panels=st.sampled_from([1, 2, 4, 17, 64, 4096]))
+def test_transform_estimate_matches_its_separate_pieces_bit_for_bit(case, order,
+                                                                    max_panels):
+    # one engine call per side, the x side's head riding its tail's first
+    # pass, changes no bit against one call per piece
+    spec, kind, z = case
+    q = QuadratureSpec(panel_order=order, max_panels=max_panels)
+    assert (_line_outcome(transform_estimate, spec, kind, z, q)
+            == _line_outcome(_separate_transform, spec, kind, z, q))
