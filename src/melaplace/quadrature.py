@@ -11,22 +11,24 @@ Integrands must be vectorized and pointwise: they receive a 1-D float
 ndarray of nodes and return a vector of (possibly complex) values, one
 per node, each depending on its own node alone; any other shape raises
 ValueError.  The engine relies on that to evaluate many panels in one
-call.  Results come from a depth-first walk alone, which sums the panels
-of an interval left to right, applies the budget and judges convergence.
-Level order only prefetches panels for it: one integrand call takes every
-panel of a level, and the panels that fail tolerance are halved into the
-next, until a tree outgrows ``max_panels``.  The walk finds there every
-panel of a tree that fits the budget, and evaluates any other one by
-one.  A half-line integral prefetches its geometric panels ahead of
-need, one level-order pass per block: _FIRST_TAIL_BLOCK panels first,
-then blocks sized from the decay of the last two panels to where the stop
-rule should end, and runs its stop, divergence and budget rules over them
-in order.  A look-ahead panel past the stop is never walked: it never
-raises, and numpy's warnings are off while the engine evaluates.
-``Estimate.panels_used`` counts the panels walked for the estimate, split
-ones included, not the look-ahead ones.  Finite heads, such as a
-Bromwich line's [0, s], ride the first tail pass (_halfline's heads)
-with the bits of integrate_finite.
+call.  The refinement trees of an integral's root panels are evaluated
+in level order, one integrand call taking every panel of a level, and a
+panel that fails tolerance is halved into the next.  The rule is a
+depth-first walk (_depth_first) that sums the panels of an interval
+left to right, applies the budget and judges convergence, and a tree
+that fits ``max_panels`` is one that walk cannot cap: its result is read
+off the tree, bit for bit, with no walk.  Only a tree that outgrows the
+budget is walked; the walk finds its evaluated panels there and
+evaluates any other one by one.  A half-line integral prefetches its
+geometric panels ahead of need, one level-order pass per block:
+_FIRST_TAIL_BLOCK panels first, then blocks sized from the decay of the
+last two panels to where the stop rule should end, and runs its stop,
+divergence and budget rules over them in order.  A look-ahead panel past
+the stop is never read: it never raises, and numpy's warnings are off
+while the engine evaluates.  ``Estimate.panels_used`` counts the panels
+of the estimate, split ones included, not the look-ahead ones.  Finite
+heads, such as a Bromwich line's [0, s], ride the first tail pass
+(_halfline's heads) with the bits of integrate_finite.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -214,11 +216,19 @@ def _abs(z: complex) -> float:
         return float(np.hypot(z.real, z.imag))
 
 
+def _width_floor(a: float, b: float) -> float:
+    """Width at or below which a panel of the tree of root [a, b] is kept
+    whatever its error."""
+    return 1e-14 * max(1.0, abs(a), abs(b))
+
+
 def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
     """(value, err_est, panels_used, converged) of the adaptive integral of
-    f over [a, b], taken one panel at a time: the one loop that sums panels,
+    f over [a, b], taken one panel at a time: the rule that sums panels,
     applies the budget, judges convergence and raises the error of the
-    first panel in walk order that has one (see _panels).
+    first panel in walk order that has one (see _panels).  _prefetch reads
+    this result off a tree that fits the budget; only other trees are
+    walked here.
 
     The leftmost open panel is kept when its two rules agree or it is too
     narrow to split, else halved.  A panel whose halves the budget cannot
@@ -234,7 +244,7 @@ def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
     err_sum = 0.0
     used = 0
     capped = False
-    width_floor = 1e-14 * max(1.0, abs(a), abs(b))
+    width_floor = _width_floor(a, b)
     while stack:
         lo, hi = stack.pop()
         panel = seen.get((lo, hi))
@@ -258,34 +268,101 @@ def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
     return total, err_sum, used, (not capped) and _within(q, err_sum, _abs(total))
 
 
-def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> dict:
-    """``seen`` of _depth_first, with the panels of the level-order trees
-    of the root panels (lo, hi) of ``roots`` added: the walk finds there
-    every panel of a tree that fits the budget.
+def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> list:
+    """The result of _depth_first over each root panel (lo, hi) of
+    ``roots``, read off its level-order tree: (value, err_est, panels_used,
+    converged), the error to raise, or None for a tree that outgrew
+    q.max_panels, whose panels go into ``seen`` for _depth_first.
 
-    One integrand call evaluates every panel of a level.  A panel that
-    fails the rule of _depth_first and has no error to raise is halved
-    into the next level.  A root's tree stops growing once its panels,
-    evaluated or waiting, outnumber q.max_panels; _depth_first caps it.
+    One integrand call evaluates every panel of a level, and a panel that
+    fails the rule of _depth_first with no error to raise is halved into
+    the next.  A tree stops growing once its panels, evaluated or waiting,
+    outnumber q.max_panels.  A tree that fits is one _depth_first cannot
+    cap, since every panel the walk counts, holds or adds is one of the
+    tree's: its value and error are its leaves summed left to right, its
+    panels are the tree's, and it raises the error of its leftmost leaf
+    that has one.  A split that does not fall strictly inside its panel,
+    as at an overflowing midpoint, sends its tree to the walk too.
     """
-    known = [1] * len(roots)
-    level = [(i, a, b, 1e-14 * max(1.0, abs(a), abs(b)))
-             for i, (a, b) in enumerate(roots) if a != b]
-    while level:
-        fine, moduli, err, faults = _panels(f, [0.5 * (lo + hi) for _, lo, hi, _ in level],
-                                            [0.5 * (hi - lo) for _, lo, hi, _ in level],
-                                            q.panel_order)
-        deeper = []
-        for j, ((i, lo, hi, floor), v, m, e) in enumerate(zip(level, fine, moduli, err)):
-            fault = faults.get(j)
-            seen[lo, hi] = v, m, e, fault
-            if fault is not None or _within(q, e, m) or hi - lo <= floor:
+    abs_tol, rel_tol, budget = q.abs_tol, q.rel_tol, q.max_panels
+    results = [None] * len(roots)
+    sizes = [1] * len(roots)
+    leaves = {}
+    walked = set()
+    levels = []
+    owner, los, his = [], [], []
+    for i, (a, b) in enumerate(roots):
+        if a == b:
+            results[i] = 0j, 0.0, 0, True
+        else:
+            owner.append(i)
+            los.append(a)
+            his.append(b)
+    while owner:
+        values, moduli, errs, faults = _panels(
+            f, [0.5 * (lo + hi) for lo, hi in zip(los, his)],
+            [0.5 * (hi - lo) for lo, hi in zip(los, his)], q.panel_order)
+        levels.append((owner, los, his, values, moduli, errs, faults))
+        deeper, next_los, next_his = [], [], []
+        for j, (i, lo, hi, v, m, e) in enumerate(zip(owner, los, his, values, moduli, errs)):
+            # the rule of _depth_first, inline: this loop runs once a panel
+            ok = e <= abs_tol or e <= rel_tol * m
+            fault = faults.get(j) if faults else None
+            if ok or fault is not None or hi - lo <= _width_floor(*roots[i]):
+                if sizes[i] == 1:
+                    # a tree of its root alone
+                    results[i] = (0j + v, 0.0 + e, 1, ok) if fault is None else fault
+                else:
+                    leaves.setdefault(i, []).append((lo, v, e, fault))
                 continue
-            known[i] += 2
+            sizes[i] += 2
             mid = 0.5 * (lo + hi)
-            deeper += (i, lo, mid, floor), (i, mid, hi, floor)
-        level = [p for p in deeper if known[p[0]] <= q.max_panels]
-    return seen
+            if sizes[i] > budget or not lo < mid < hi:
+                walked.add(i)
+            deeper += i, i
+            next_los += lo, mid
+            next_his += mid, hi
+        if walked:
+            keep = [k for k, i in enumerate(deeper) if sizes[i] <= budget]
+            deeper = [deeper[k] for k in keep]
+            next_los = [next_los[k] for k in keep]
+            next_his = [next_his[k] for k in keep]
+        owner, los, his = deeper, next_los, next_his
+    for i, tree in leaves.items():
+        if i not in walked:
+            results[i] = _leaf_sum(q, tree, sizes[i])
+    if walked:
+        for owner, los, his, values, moduli, errs, faults in levels:
+            for j, i in enumerate(owner):
+                if i in walked:
+                    seen[los[j], his[j]] = values[j], moduli[j], errs[j], faults.get(j)
+    return results
+
+
+def _leaf_sum(q: QuadratureSpec, leaves: list, size: int):
+    """_depth_first's result over a tree of ``size`` panels that fits the
+    budget, from its (lo, value, err_est, error to raise or None) leaves."""
+    # each split falls strictly inside its panel, so no two leaves share lo
+    leaves.sort()
+    total = 0j
+    err_sum = 0.0
+    for _, value, err, fault in leaves:
+        if fault is not None:
+            return fault
+        total += value
+        err_sum += err
+    return total, err_sum, size, _within(q, err_sum, _abs(total))
+
+
+def _walk(f, a: float, b: float, q: QuadratureSpec, seen: dict, result):
+    """_depth_first's result over [a, b] from its entry ``result`` of
+    _prefetch: the entry itself, its error raised, or, for a tree that
+    outgrew the budget, the walk over the panels in ``seen``."""
+    if result is None:
+        return _depth_first(f, a, b, q, seen)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _bound(name: str, value) -> float:
@@ -310,38 +387,8 @@ def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> 
     if a > b:
         raise ValueError("integrate_finite requires a <= b")
     with np.errstate(all="ignore"):
-        return Estimate(*_depth_first(f, a, b, q, _prefetch(f, [(a, b)], q, {})))
-
-
-def _tail_panels(f, a: float, q: QuadratureSpec, seen: dict, heads: list):
-    """Yield (value, modulus, err_est, panels_used, width, right end) of
-    each geometric tail panel from a, in order.
-
-    The panels are prefetched in blocks, one level-order pass each, into
-    the cache ``seen``: _FIRST_TAIL_BLOCK panels first, then as many as
-    _next_block expects the stop rule to walk.  The first pass also takes
-    the trees of the ``heads`` root panels, which the caller walks from
-    ``seen``.  A block may hold panels past where the caller stops; those
-    are never walked, and raise nothing.
-    """
-    lo, width = float(a), _FIRST_TAIL_WIDTH
-    size, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
-    previous = last = 0.0
-    while left:
-        edges, widths = [lo], []
-        for _ in range(min(size, left)):
-            widths.append(width)
-            lo += width
-            width *= _TAIL_GROWTH
-            edges.append(lo)
-        roots = list(zip(edges, edges[1:]))
-        _prefetch(f, roots + heads, q, seen)
-        heads = []
-        for (a_i, b_i), w_i in zip(roots, widths):
-            value, err, used, _ = _depth_first(f, a_i, b_i, q, seen)
-            previous, last = last, _abs(value)
-            yield value, last, err, used, w_i, b_i
-        size, left = _next_block(size, previous, last, q.abs_tol), left - len(widths)
+        seen = {}
+        return Estimate(*_walk(f, a, b, q, seen, _prefetch(f, [(a, b)], q, seen)[0]))
 
 
 def _next_block(size: int, previous: float, last: float, tol: float) -> int:
@@ -375,11 +422,19 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
 
 def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
     """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
-    q) for each (lo, hi) of ``heads``, bit for bit: the first pass of the
-    tail prefetches the heads' trees too, in no pass of their own.  The
-    heads are walked once the tail has stopped, so the tail raises first,
-    as it would alone.
+    q) for each (lo, hi) of ``heads``, bit for bit.
+
+    The geometric panels from a are prefetched in blocks, one level-order
+    pass each: _FIRST_TAIL_BLOCK panels first, then as many as _next_block
+    expects the stop rule to walk.  The first pass also takes the heads'
+    trees, in no pass of their own.  The stop, divergence and budget rules
+    run over each block's panels in order; a panel past where they stop is
+    never read, and raises nothing.  The heads are walked once the tail
+    has stopped, so the tail raises first, as it would alone.
     """
+    abs_tol, rel_tol = q.abs_tol, q.rel_tol
+    heads = list(heads)
+    riders, head_results = heads, []
     seen = {}
     total = 0j
     err_sum = 0.0
@@ -388,32 +443,56 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
     rises = 0
     live = False
     density = 0.0
+    mag = 0.0
+    lo, width = float(a), _FIRST_TAIL_WIDTH
+    block, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
     with np.errstate(all="ignore"):
-        for value, mag, err, panels, width, hi in _tail_panels(f, a, q, seen, list(heads)):
-            total += value
-            err_sum += err
-            used += panels
-            size = _abs(total)
-            negligible = mag <= q.abs_tol and (mag <= q.rel_tol * size or size <= q.abs_tol)
-            quiet = quiet + 1 if negligible else 0
-            if quiet >= 2:
-                break
-            # widths grow geometrically, so divergence is judged on the mean
-            # magnitude per unit length, not on the raw panel integral
-            was_live, previous = live, density
-            live = mag > q.abs_tol
-            density = mag / width
-            rises = rises + 1 if live and was_live and density > previous else 0
-            if rises >= _DIVERGENT_RISES:
-                raise TailDivergence(f"tail panels keep growing past t = {hi:g}")
-            if used >= q.max_panels:
-                break
+        while left:
+            roots, widths = [], []
+            for _ in range(min(block, left)):
+                widths.append(width)
+                hi = lo + width
+                roots.append((lo, hi))
+                lo = hi
+                width *= _TAIL_GROWTH
+            results = _prefetch(f, roots + riders, q, seen)
+            if riders:
+                head_results, riders = results[len(roots):], []
+            for (a_i, b_i), w_i, result in zip(roots, widths, results):
+                value, err, panels, _ = _walk(f, a_i, b_i, q, seen, result)
+                total += value
+                err_sum += err
+                used += panels
+                previous = mag
+                try:
+                    mag, scale = abs(value), abs(total)
+                except OverflowError:
+                    mag, scale = _abs(value), _abs(total)
+                negligible = mag <= abs_tol and (mag <= rel_tol * scale or scale <= abs_tol)
+                quiet = quiet + 1 if negligible else 0
+                if quiet >= 2:
+                    break
+                # widths grow geometrically, so divergence is judged on the
+                # mean magnitude per unit length, not on the raw panel integral
+                was_live, before = live, density
+                live = mag > abs_tol
+                density = mag / w_i
+                rises = rises + 1 if live and was_live and density > before else 0
+                if rises >= _DIVERGENT_RISES:
+                    raise TailDivergence(f"tail panels keep growing past t = {b_i:g}")
+                if used >= q.max_panels:
+                    break
+            else:
+                block, left = _next_block(block, previous, mag, abs_tol), left - len(roots)
+                continue
+            break
         # the last panel's magnitude stands for the tail left out, also when
         # the panel budget cut the tail off before it went quiet
         err_sum += mag
         converged = quiet >= 2 and _within(q, err_sum, _abs(total))
         return [Estimate(total, err_sum, used, converged),
-                *(Estimate(*_depth_first(f, lo, hi, q, seen)) for lo, hi in heads)]
+                *(Estimate(*_walk(f, lo, hi, q, seen, result))
+                  for (lo, hi), result in zip(heads, head_results))]
 
 
 def integrate_unit_singular(f, sigma: float, q: QuadratureSpec | None = None) -> Estimate:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,7 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     Estimate,
     QuadratureSpec,
+    _abs,
     _halfline,
     _within,
 )
@@ -262,13 +264,22 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     The u >= 0 side runs from s with [0, s] as a head when s > 0, else
     from 0.  Mellin's x >= 1 side, at u = -ln x, is the off-axis form at
     exponent (z-1)*ln x; it runs from X = 2 (Re z - 1)/g_min with [1, X]
-    as a head when that hump lies past _HUMP_REACH.
+    as a head when that hump lies past _HUMP_REACH.  A Mellin integrand
+    whose peak at the hump passes the largest float is a DomainError.
     """
     strip = _domain(spec, kind)
     if not strip.contains(z.real):
         bounds = (f"Re z > {strip.c1:g}" if strip.c2 == math.inf
                   else f"{strip.c1:g} < Re z < {strip.c2:g}")
         raise OutOfDomain(f"{kind.value} transform of {spec.kind.value} needs {bounds}")
+    if kind is TransformKind.MELLIN:
+        hump = (z.real - 1.0) / -growth_bounds(spec).right_index
+        # x**(z-1) exp(-g_min*x) peaks at the hump, at exp((Re z - 1)(ln hump - 1))
+        peak = (z.real - 1.0) * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
+        if peak > math.log(sys.float_info.max):
+            raise DomainError(
+                f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
+                f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
     u_side = inner if kernel is None else lambda u: kernel(inner(u), u)
     head = [(0.0, s)] if s > 0.0 else []
@@ -280,7 +291,6 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
             lx = np.log(x)
             values = off(zm * lx, x)
             return values if kernel is None else kernel(values, -lx)
-        hump = (z.real - 1.0) / -growth_bounds(spec).right_index
         far = 2.0 * hump if hump > _HUMP_REACH else 1.0
         pieces += _halfline(x_side, far, q, [(1.0, far)] if far > 1.0 else [])
     return pieces
@@ -289,11 +299,24 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
 def _summed(pieces: list, q: QuadratureSpec, scale: float = 1.0) -> Estimate:
     """scale times the sum of pieces, judged on the summed error: each
     piece alone is measured against its own value, which the others may
-    cancel."""
-    value = scale * sum(p.value for p in pieces)
+    cancel.  A piece that did not converge, as one its budget stopped,
+    passes only where its own error meets tolerance on the sum before the
+    scale, which on a numeric line may shrink any error below abs_tol.  A
+    value whose modulus passes the largest float is a DomainError.
+    """
+    total = sum(p.value for p in pieces)
+    value = scale * total
     err = scale * sum(p.err_est for p in pieces)
+    try:
+        size = abs(value)
+    except OverflowError:
+        size = math.inf
+    # finite pieces whose sum overflows leave an inf, or inf - inf = nan, part
+    if not size < math.inf:
+        raise DomainError(f"transform value {value!r} passes the largest float")
     return Estimate(value, err, sum(p.panels_used for p in pieces),
-                    _within(q, err, abs(value)))
+                    all(p.converged or _within(q, p.err_est, _abs(total)) for p in pieces)
+                    and _within(q, err, size))
 
 
 def _dirichlet(g, T: float, u):

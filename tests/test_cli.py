@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melaplace import (
+    DomainError,
     FunctionSpec,
     InverseKind,
     TransformKind,
     cauchy_reproduction,
     eval_transform,
+    parse_spec_string,
     rectangle_for,
     transform_estimate,
     transform_for,
@@ -215,6 +217,24 @@ def test_transform_past_the_tail_hump_prints_gamma(capsys):
     assert err == ""
     assert rows_of(out)[1][0][2] == "7.2574156153079529e+306"
     assert float(rows_of(out)[1][0][2]) == pytest.approx(math.gamma(171), rel=1e-13)
+
+
+@pytest.mark.parametrize("func, z, words", [
+    # x**119 exp(-0.05 x) peaks near exp(806) at x = 2380
+    ("exp:gamma=0.05", "120", "integrand peaks near exp(806.2) at x = 2380"),
+    # the transform passes the largest float though its integrand does
+    # not: the modulus of the sum overflows, or the sum itself
+    ("expminusx", "171.80321244645367+16.643895166716398i", "passes the largest float"),
+    ("exp:gamma=8.843980413691996", "287.0841475254686", "passes the largest float"),
+])
+def test_transform_past_the_largest_float_is_a_domain_error(capsys, func, z, words):
+    code, out, err = run(capsys, "transform", "--func", func, "--kind",
+                         "mellin-transform", "--z", z)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("melaplace transform: ") and words in err
+    with pytest.raises(DomainError, match="largest float"):
+        transform_estimate(parse_spec_string(func), TransformKind.MELLIN, parse_complex(z))
 
 
 def test_invert_kernel_overflow_exits_two(capsys):

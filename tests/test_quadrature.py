@@ -578,6 +578,78 @@ def test_head_prefetched_with_the_tail_changes_no_bit(f, s, max_panels):
             == _exact_pair(_head_and_tail_apart, f, s, q))
 
 
+def _entry_outcome(f, root, q, seen, entry):
+    """repr of the result the engine takes from the _prefetch entry of
+    root, or the type and message of the error."""
+    try:
+        return repr(quadrature._walk(f, *root, q, seen, entry))
+    except (MelaplaceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _walk_outcome(f, root, q):
+    """repr of _depth_first over root from no prefetched panel, or the type
+    and message of the error."""
+    try:
+        return repr(quadrature._depth_first(f, *root, q, {}))
+    except (MelaplaceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_ROOTS = st.lists(
+    st.tuples(st.floats(-5.0, 20.0), st.just(0.0) | st.floats(0.0, 40.0))
+    .map(lambda p: (p[0], p[0] + p[1])), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_integrands(), roots=_ROOTS, pick=st.integers(0, 3),
+       shift=st.sampled_from([-1, 0, 1]), fallback=st.integers(1, 64),
+       order=st.sampled_from([4, 8, 16]))
+def test_prefetched_trees_equal_their_walk_bit_for_bit(f, roots, pick, shift, fallback,
+                                                       order):
+    # budgets one below, at and one above the size of one root's tree: a
+    # tree that fits gives the walk's result, or its error, without a walk
+    pick %= len(roots)
+    with np.errstate(all="ignore"):
+        sized = quadrature._prefetch(f, roots, QuadratureSpec(panel_order=order), {})
+        fits = isinstance(sized[pick], tuple)
+        size = sized[pick][2] if fits else fallback
+        q = QuadratureSpec(panel_order=order, max_panels=max(1, size + shift))
+        seen = {}
+        entries = quadrature._prefetch(f, roots, q, seen)
+        for root, entry in zip(roots, entries):
+            assert _entry_outcome(f, root, q, seen, entry) == _walk_outcome(f, root, q)
+    if fits:
+        assert (entries[pick] is None) == (size > q.max_panels)
+
+
+def test_one_panel_tree_sums_from_zero():
+    # the one panel's value underflows to (-0+0j); the walk adds it to 0j
+    f = lambda t: np.full(t.shape, -1e-320 + 0j)
+    assert repr(quadrature._panels(f, [5e-6], [5e-6], Q.panel_order)[0]) == "[(-0+0j)]"
+    seen = {}
+    entries = quadrature._prefetch(f, [(0.0, 1e-5)], Q, seen)
+    assert _entry_outcome(f, (0.0, 1e-5), Q, seen, entries[0]) == _walk_outcome(
+        f, (0.0, 1e-5), Q) == repr((0j, 0.0, 1, True))
+
+
+@pytest.mark.parametrize("a, b", [(1e308, 1.5e308), (-1.5e308, -1e308)])
+def test_split_past_the_largest_float_is_walked(a, b):
+    # a + b overflows, so the split of [a, b] falls on an infinite end: the
+    # leaves' left ends no longer give their order, and the walk raises the
+    # error of the leftmost.  Only a tolerance below rounding splits a
+    # constant there
+    f = lambda t: np.ones_like(t)
+    q = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300)
+    with np.errstate(all="ignore"):
+        seen = {}
+        entries = quadrature._prefetch(f, [(a, b)], q, seen)
+        assert entries == [None] and len(seen) == 3
+        outcome = _entry_outcome(f, (a, b), q, seen, None)
+        assert outcome == _walk_outcome(f, (a, b), q)
+    assert outcome[0] is DomainError
+
+
 # ---------------------------------------------------------------------------
 # batching: integrand calls per integral
 # ---------------------------------------------------------------------------

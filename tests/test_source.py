@@ -142,6 +142,31 @@ def test_quadrature_takes_no_numpy_abs():
     assert found == []
 
 
+def test_quadrature_walks_only_the_trees_that_outgrow_their_budget():
+    # _prefetch returns the result of every tree that fits the budget, and
+    # _walk hands only the others, whose _prefetch entry is None, to
+    # _depth_first.  _prefetch judges its panels inline, not with a _within
+    # call each, and the half-line loop reads its blocks with no generator
+    tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+    def called(top, name):
+        return [node for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name]
+
+    assert len(called(tree, "_depth_first")) == 1
+    assert [
+        (name, ast.unparse(node.test))
+        for name, top in functions.items()
+        for node in ast.walk(top)
+        if isinstance(node, ast.If) and any(called(stmt, "_depth_first") for stmt in node.body)
+    ] == [("_walk", "result is None")]
+    assert "_tail_panels" not in functions
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree))
+    assert called(functions["_prefetch"], "_within") == []
+
+
 # the exact stdout of each `melaplace ...` line of README's sh blocks
 README_OUTPUTS = {
     "transform": """\

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melaplace import (
+    DomainError,
     DomainHint,
     Estimate,
     FunctionKind,
@@ -819,7 +821,16 @@ def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
 def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
     """The pieces of transforms._pieces, from one integrate_halfline or
     integrate_finite call per piece on the library's integrands, in the
-    same order; times the Dirichlet kernel about u = s when T is given."""
+    same order; times the Dirichlet kernel about u = s when T is given.
+    A Mellin integrand whose peak at the hump passes the largest float
+    raises before any piece."""
+    if kind is TransformKind.MELLIN:
+        hump = (z.real - 1.0) / min(spec.params or (1.0,))
+        peak = (z.real - 1.0) * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
+        if peak > math.log(sys.float_info.max):
+            raise DomainError(
+                f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
+                f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
     off = _off_axis(spec)
     if T is None:
@@ -833,7 +844,6 @@ def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
         pieces.append(integrate_finite(u_side, 0.0, s, q))
     if kind is TransformKind.MELLIN:
         # past the hump the tail starts at twice it, after a finite [1, X]
-        hump = (z.real - 1.0) / min(spec.params or (1.0,))
         far = 2.0 * hump if hump > _HUMP_REACH else 1.0
         pieces.append(integrate_halfline(x_side, far, q))
         if far > 1.0:
@@ -842,11 +852,21 @@ def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
 
 
 def _separate_sum(pieces, q, scale=1.0):
-    """The pieces summed in order, times scale, judged on the summed error."""
-    value = scale * sum(p.value for p in pieces)
+    """The pieces summed in order, times scale, judged on the summed error;
+    a piece that did not converge passes where its error meets tolerance
+    on the sum before the scale.  A sum past the largest float raises."""
+    total = sum(p.value for p in pieces)
+    value = scale * total
     err = scale * sum(p.err_est for p in pieces)
+    try:
+        size = abs(value)
+    except OverflowError:
+        size = math.inf
+    if not size < math.inf:
+        raise DomainError(f"transform value {value!r} passes the largest float")
     return Estimate(value, err, sum(p.panels_used for p in pieces),
-                    _within(q, err, abs(value)))
+                    all(p.converged or _within(q, p.err_est, abs(total)) for p in pieces)
+                    and _within(q, err, size))
 
 
 def _separate_line(t, c, T, s, q):
