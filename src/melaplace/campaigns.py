@@ -26,7 +26,9 @@ from .quadrature import QuadratureSpec, integrate_finite
 from .transforms import (
     InverseKind,
     TransformExpr,
+    TransformKind,
     _dirichlet,
+    _line_integral,
     transform_for,
 )
 
@@ -180,14 +182,12 @@ def roundtrip(
 
 
 def _delta_window(g: FunctionSpec, x: float) -> tuple:
+    """The finite window of a delta check whose source does not decay."""
     if g.domain_hint is DomainHint.UNIT_INTERVAL:
         # one unit past the standard interval keeps the edge ringing of the
         # sharp cutoff away from the probe point
         return 0.0, 2.0
-    decay = -growth_bounds(g).right_index
-    if decay > 0.0:
-        return 0.0, max(x + 5.0, 37.0 / decay)
-    if decay == 0.0:
+    if growth_bounds(g).right_index == 0.0:
         return 0.0, x + _OSCILLATORY_WINDOW
     raise DomainError("delta check needs a non-growing function")
 
@@ -201,25 +201,28 @@ def delta_check(
     """Weak-form Dirichlet-kernel test of the delta identity.
 
     Convolves g with sin(T(x-y))/(pi(x-y)) over its domain and tabulates the
-    approach to g(x) as the cutoff T grows; open-line inverses of numeric
-    transforms integrate the same kernel.  Functions without decay are
-    integrated over a finite window since the sinc tail is only
-    conditionally convergent.  The cutoffs must be positive, finite and
-    strictly increasing.  The table's ``converged`` says whether every
-    window integral met the tolerance of q.
+    approach to g(x) as the cutoff T grows.  A decaying half-line g runs on
+    the Bromwich line that the test stands for: the line integral of its
+    numeric Laplace transform at c = 0, the identity of the ``contours``
+    docstring, with its half-line and the head [0, x] split at the kernel
+    peak.  Functions without decay are integrated over a finite window
+    since the sinc tail is only conditionally convergent.  The cutoffs must
+    be positive, finite and strictly increasing.  The table's ``converged``
+    says whether every integral met the tolerance of q.
     """
     x = float(x)
     Ts = [_positive("T", T, None) for T in T_values]
     if not Ts:
         raise EmptyGrid("delta check needs at least one T")
     _require_increasing(Ts, "cutoffs T", DomainError)
-    lo, hi = _delta_window(g, x)
-    estimates = []
-    for T in Ts:
-        def integrand(y, T=T):
-            return _dirichlet(evaluate(g, y), T, x - y)
-
-        estimates.append(integrate_finite(integrand, lo, hi, q))
+    if g.domain_hint is DomainHint.HALF_LINE and growth_bounds(g).right_index < 0.0:
+        line = TransformExpr.numeric(g, TransformKind.LAPLACE)
+        estimates = [_line_integral(line, 0.0, T, x, q) for T in Ts]
+    else:
+        lo, hi = _delta_window(g, x)
+        estimates = [
+            integrate_finite(lambda y, T=T: _dirichlet(evaluate(g, y), T, x - y), lo, hi, q)
+            for T in Ts]
     return ConvergenceTable("T", tuple(Ts), tuple(e.value.real for e in estimates),
                             reference=_exact(g, x),
                             converged=all(e.converged for e in estimates))

@@ -11,24 +11,22 @@ Integrands must be vectorized and pointwise: they receive a 1-D float
 ndarray of nodes and return a vector of (possibly complex) values, one
 per node, each depending on its own node alone; any other shape raises
 ValueError.  The engine relies on that to evaluate many panels in one
-call.  The refinement trees of an integral's root panels are evaluated
-in level order, one integrand call taking every panel of a level, and a
-panel that fails tolerance is halved into the next.  The rule is a
-depth-first walk (_depth_first) that sums the panels of an interval
-left to right, applies the budget and judges convergence, and a tree
-that fits ``max_panels`` is one that walk cannot cap: its result is read
-off the tree, bit for bit, with no walk.  Only a tree that outgrows the
-budget is walked; the walk finds its evaluated panels there and
-evaluates any other one by one.  A half-line integral prefetches its
-geometric panels ahead of need, one level-order pass per block:
-_FIRST_TAIL_BLOCK panels first, then blocks sized from the decay of the
-last two panels to where the stop rule should end, and runs its stop,
-divergence and budget rules over them in order.  A look-ahead panel past
-the stop is never read: it never raises, and numpy's warnings are off
-while the engine evaluates.  ``Estimate.panels_used`` counts the panels
-of the estimate, split ones included, not the look-ahead ones.  Finite
-heads, such as a Bromwich line's [0, s], ride the first tail pass
-(_halfline's heads) with the bits of integrate_finite.
+call.  The refinement trees of an integral's root panels grow in level
+order (_trees), one integrand call taking every panel of a level.  A
+panel that fails tolerance is halved into the next level while its tree,
+with both halves, holds at most ``max_panels`` panels, judged left to
+right within each level: a tree that outgrows its budget spends it level
+by level, keeps the panels it cannot split, and its estimate is
+unconverged.  A half-line integral evaluates its geometric panels ahead
+of need, one level-order pass per block: _FIRST_TAIL_BLOCK panels first,
+then blocks sized from the decay of the last two panels to where the
+stop rule should end, and runs its stop, divergence and budget rules
+over them in order.  A look-ahead panel past the stop is never read: it
+never raises, and numpy's warnings are off while the engine evaluates.
+``Estimate.panels_used`` counts the panels of the estimate, split ones
+included, not the look-ahead ones.  Finite heads, such as a Bromwich
+line's [0, s], ride the first tail pass (_halfline's heads) with the bits
+of integrate_finite.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -156,7 +154,7 @@ def _gl_pair(n: int):
 def _panels(f, mid, half, order: int):
     """Order-2n values of f over the panels mid[i] +/- half[i], their
     moduli and their distances from the order-n values (three lists), and
-    {i: the error that panel i raises when walked}: NonFiniteIntegrand at
+    {i: the error that panel i raises}: NonFiniteIntegrand at
     its first node where f is not finite, else DomainError where its value
     is not finite.  One integrand call covers the nodes of every panel.
     """
@@ -216,80 +214,29 @@ def _abs(z: complex) -> float:
         return float(np.hypot(z.real, z.imag))
 
 
-def _width_floor(a: float, b: float) -> float:
-    """Width at or below which a panel of the tree of root [a, b] is kept
-    whatever its error."""
-    return 1e-14 * max(1.0, abs(a), abs(b))
+def _trees(f, roots, q: QuadratureSpec) -> list:
+    """The adaptive integral of f over each root panel (lo, hi) of
+    ``roots``: (value, err_est, panels_used, converged), or the error it
+    raises.  An empty root is 0 from no panel.
 
-
-def _depth_first(f, a: float, b: float, q: QuadratureSpec, seen: dict):
-    """(value, err_est, panels_used, converged) of the adaptive integral of
-    f over [a, b], taken one panel at a time: the rule that sums panels,
-    applies the budget, judges convergence and raises the error of the
-    first panel in walk order that has one (see _panels).  _prefetch reads
-    this result off a tree that fits the budget; only other trees are
-    walked here.
-
-    The leftmost open panel is kept when its two rules agree or it is too
-    narrow to split, else halved.  A panel whose halves the budget cannot
-    hold is kept as it is, and the estimate is unconverged.  Panels found
-    in ``seen``, which maps (lo, hi) to (value, modulus, error, error to
-    raise or None), are not evaluated again; the others take one integrand
-    call each.  An empty interval is 0 from no panel.
-    """
-    if a == b:
-        return 0j, 0.0, 0, True
-    stack = [(a, b)]
-    total = 0j
-    err_sum = 0.0
-    used = 0
-    capped = False
-    width_floor = _width_floor(a, b)
-    while stack:
-        lo, hi = stack.pop()
-        panel = seen.get((lo, hi))
-        if panel is None:
-            fine, moduli, err, faults = _panels(f, [0.5 * (lo + hi)], [0.5 * (hi - lo)],
-                                                q.panel_order)
-            panel = fine[0], moduli[0], err[0], faults.get(0)
-        fine, mod, err, fault = panel
-        if fault is not None:
-            raise fault
-        used += 1
-        if not (_within(q, err, mod) or (hi - lo) <= width_floor):
-            if used + len(stack) + 2 <= q.max_panels:
-                mid = 0.5 * (lo + hi)
-                stack.append((mid, hi))
-                stack.append((lo, mid))
-                continue
-            capped = True
-        total += fine
-        err_sum += err
-    return total, err_sum, used, (not capped) and _within(q, err_sum, _abs(total))
-
-
-def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> list:
-    """The result of _depth_first over each root panel (lo, hi) of
-    ``roots``, read off its level-order tree: (value, err_est, panels_used,
-    converged), the error to raise, or None for a tree that outgrew
-    q.max_panels, whose panels go into ``seen`` for _depth_first.
-
-    One integrand call evaluates every panel of a level, and a panel that
-    fails the rule of _depth_first with no error to raise is halved into
-    the next.  A tree stops growing once its panels, evaluated or waiting,
-    outnumber q.max_panels.  A tree that fits is one _depth_first cannot
-    cap, since every panel the walk counts, holds or adds is one of the
-    tree's: its value and error are its leaves summed left to right, its
-    panels are the tree's, and it raises the error of its leftmost leaf
-    that has one.  A split that does not fall strictly inside its panel,
-    as at an overflowing midpoint, sends its tree to the walk too.
+    The trees grow in level order, one integrand call evaluating every
+    panel of a level.  A panel is kept as a leaf when its two rules agree,
+    when it is at most 1e-14 max(1, |a|, |b|) wide for its root [a, b], or
+    when it has an error to raise (see _panels).  Any other panel is halved
+    into the next level while its tree, with both halves, holds at most
+    q.max_panels panels, judged left to right within each level.  One the
+    budget leaves unsplit, or whose midpoint does not fall strictly inside
+    it (lo + hi overflows), is kept as a capped leaf, and its root's
+    estimate is unconverged.  A root's value and error are its leaves
+    summed left to right, and it raises the error of its leftmost leaf
+    that has one.
     """
     abs_tol, rel_tol, budget = q.abs_tol, q.rel_tol, q.max_panels
     results = [None] * len(roots)
     sizes = [1] * len(roots)
+    floors = [1e-14 * max(1.0, abs(a), abs(b)) for a, b in roots]
     leaves = {}
-    walked = set()
-    levels = []
+    capped = set()
     owner, los, his = [], [], []
     for i, (a, b) in enumerate(roots):
         if a == b:
@@ -302,46 +249,35 @@ def _prefetch(f, roots, q: QuadratureSpec, seen: dict) -> list:
         values, moduli, errs, faults = _panels(
             f, [0.5 * (lo + hi) for lo, hi in zip(los, his)],
             [0.5 * (hi - lo) for lo, hi in zip(los, his)], q.panel_order)
-        levels.append((owner, los, his, values, moduli, errs, faults))
         deeper, next_los, next_his = [], [], []
         for j, (i, lo, hi, v, m, e) in enumerate(zip(owner, los, his, values, moduli, errs)):
-            # the rule of _depth_first, inline: this loop runs once a panel
+            # _within, inline: this loop runs once a panel
             ok = e <= abs_tol or e <= rel_tol * m
             fault = faults.get(j) if faults else None
-            if ok or fault is not None or hi - lo <= _width_floor(*roots[i]):
-                if sizes[i] == 1:
-                    # a tree of its root alone
-                    results[i] = (0j + v, 0.0 + e, 1, ok) if fault is None else fault
-                else:
-                    leaves.setdefault(i, []).append((lo, v, e, fault))
-                continue
-            sizes[i] += 2
-            mid = 0.5 * (lo + hi)
-            if sizes[i] > budget or not lo < mid < hi:
-                walked.add(i)
-            deeper += i, i
-            next_los += lo, mid
-            next_his += mid, hi
-        if walked:
-            keep = [k for k, i in enumerate(deeper) if sizes[i] <= budget]
-            deeper = [deeper[k] for k in keep]
-            next_los = [next_los[k] for k in keep]
-            next_his = [next_his[k] for k in keep]
+            if not (ok or fault is not None or hi - lo <= floors[i]):
+                mid = 0.5 * (lo + hi)
+                if sizes[i] + 2 <= budget and lo < mid < hi:
+                    sizes[i] += 2
+                    deeper += i, i
+                    next_los += lo, mid
+                    next_his += mid, hi
+                    continue
+                capped.add(i)
+            if sizes[i] == 1:
+                # a tree of its root alone, which ok judges
+                results[i] = (0j + v, 0.0 + e, 1, ok) if fault is None else fault
+            else:
+                leaves.setdefault(i, []).append((lo, v, e, fault))
         owner, los, his = deeper, next_los, next_his
     for i, tree in leaves.items():
-        if i not in walked:
-            results[i] = _leaf_sum(q, tree, sizes[i])
-    if walked:
-        for owner, los, his, values, moduli, errs, faults in levels:
-            for j, i in enumerate(owner):
-                if i in walked:
-                    seen[los[j], his[j]] = values[j], moduli[j], errs[j], faults.get(j)
+        results[i] = _leaf_sum(q, tree, sizes[i], i not in capped)
     return results
 
 
-def _leaf_sum(q: QuadratureSpec, leaves: list, size: int):
-    """_depth_first's result over a tree of ``size`` panels that fits the
-    budget, from its (lo, value, err_est, error to raise or None) leaves."""
+def _leaf_sum(q: QuadratureSpec, leaves: list, size: int, whole: bool):
+    """The _trees entry of a tree of ``size`` panels from its (lo, value,
+    err_est, error to raise or None) leaves; ``whole`` is False for a tree
+    with a capped leaf."""
     # each split falls strictly inside its panel, so no two leaves share lo
     leaves.sort()
     total = 0j
@@ -351,18 +287,15 @@ def _leaf_sum(q: QuadratureSpec, leaves: list, size: int):
             return fault
         total += value
         err_sum += err
-    return total, err_sum, size, _within(q, err_sum, _abs(total))
+    return total, err_sum, size, whole and _within(q, err_sum, _abs(total))
 
 
-def _walk(f, a: float, b: float, q: QuadratureSpec, seen: dict, result):
-    """_depth_first's result over [a, b] from its entry ``result`` of
-    _prefetch: the entry itself, its error raised, or, for a tree that
-    outgrew the budget, the walk over the panels in ``seen``."""
-    if result is None:
-        return _depth_first(f, a, b, q, seen)
-    if isinstance(result, Exception):
-        raise result
-    return result
+def _result(entry):
+    """A _trees entry (value, err_est, panels_used, converged), or its
+    error raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def _bound(name: str, value) -> float:
@@ -387,13 +320,12 @@ def integrate_finite(f, a: float, b: float, q: QuadratureSpec | None = None) -> 
     if a > b:
         raise ValueError("integrate_finite requires a <= b")
     with np.errstate(all="ignore"):
-        seen = {}
-        return Estimate(*_walk(f, a, b, q, seen, _prefetch(f, [(a, b)], q, seen)[0]))
+        return Estimate(*_result(_trees(f, [(a, b)], q)[0]))
 
 
 def _next_block(size: int, previous: float, last: float, tol: float) -> int:
     """Panels of the look-ahead block after one of ``size`` panels, from
-    the magnitudes of the last two panels walked: at their rate of decay,
+    the magnitudes of the last two panels read: at their rate of decay,
     enough to reach the first panel below tol and one more, so that the
     stop rule finds its two quiet panels there; at least 1, at most 2*size.
 
@@ -401,7 +333,7 @@ def _next_block(size: int, previous: float, last: float, tol: float) -> int:
     length) is a constant ratio of panel magnitudes.  The block doubles
     where the magnitude did not fall, as on a hump, an oscillation, a
     non-finite or a zero panel, and where both panels are below tol but
-    the stop rule, relative to a small total, still walks on.
+    the stop rule, relative to a small total, still reads on.
     """
     if not (0.0 < last < previous < math.inf and previous > tol):
         return 2 * size
@@ -424,18 +356,16 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
     """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
     q) for each (lo, hi) of ``heads``, bit for bit.
 
-    The geometric panels from a are prefetched in blocks, one level-order
+    The geometric panels from a are evaluated in blocks, one level-order
     pass each: _FIRST_TAIL_BLOCK panels first, then as many as _next_block
-    expects the stop rule to walk.  The first pass also takes the heads'
+    expects the stop rule to read.  The first pass also takes the heads'
     trees, in no pass of their own.  The stop, divergence and budget rules
     run over each block's panels in order; a panel past where they stop is
-    never read, and raises nothing.  The heads are walked once the tail
-    has stopped, so the tail raises first, as it would alone.
+    never read, and raises nothing.  The heads are read once the tail has
+    stopped, so the tail raises first, as it would alone.
     """
     abs_tol, rel_tol = q.abs_tol, q.rel_tol
-    heads = list(heads)
-    riders, head_results = heads, []
-    seen = {}
+    riders, head_results = list(heads), []
     total = 0j
     err_sum = 0.0
     used = 0
@@ -455,11 +385,11 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
                 roots.append((lo, hi))
                 lo = hi
                 width *= _TAIL_GROWTH
-            results = _prefetch(f, roots + riders, q, seen)
+            results = _trees(f, roots + riders, q)
             if riders:
                 head_results, riders = results[len(roots):], []
-            for (a_i, b_i), w_i, result in zip(roots, widths, results):
-                value, err, panels, _ = _walk(f, a_i, b_i, q, seen, result)
+            for (_, b_i), w_i, result in zip(roots, widths, results):
+                value, err, panels, _ = _result(result)
                 total += value
                 err_sum += err
                 used += panels
@@ -491,8 +421,7 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
         err_sum += mag
         converged = quiet >= 2 and _within(q, err_sum, _abs(total))
         return [Estimate(total, err_sum, used, converged),
-                *(Estimate(*_walk(f, lo, hi, q, seen, result))
-                  for (lo, hi), result in zip(heads, head_results))]
+                *(Estimate(*_result(result)) for result in head_results)]
 
 
 def integrate_unit_singular(f, sigma: float, q: QuadratureSpec | None = None) -> Estimate:

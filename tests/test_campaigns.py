@@ -109,6 +109,19 @@ def test_delta_check_exponential_table():
     assert table.reference == pytest.approx(math.exp(-1.0))
 
 
+def test_delta_check_slow_decay_reads_its_line():
+    # exp(-g y) against the kernel over [0, inf) is
+    # exp(-g x)/pi (atan(T/g) + int_0^x exp(g v) sin(T v)/v dv), here from
+    # mpmath at 30 digits.  Most of the mass lies far right of the kernel
+    # peak, and the half-line stops on its panel budget, unconverged
+    table = delta_check(1.0, FunctionSpec.exp(0.001), [20.0, 80.0])
+    for got, want in zip(table.results, (0.991821824031115661, 0.999488916240887289)):
+        assert got.real == pytest.approx(want, abs=1e-7)
+    assert not table.converged
+    table = delta_check(1.0, FunctionSpec.exp(0.01), [80.0])
+    assert table.results[0].real == pytest.approx(0.990537806908702398, abs=1e-10)
+
+
 def test_delta_check_constant_window_table():
     table = delta_check(1.0, FunctionSpec.exp(0.0), [20.0, 40.0, 80.0])
     for got, want in zip(table.results, (0.992878741, 1.005150436, 1.000508188)):

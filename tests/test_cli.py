@@ -323,7 +323,8 @@ def test_delta_check_command(capsys):
                                               ("exp:gamma=0.001", False)])
 def test_delta_check_strict_exits_three_on_an_unconverged_window(capsys, func,
                                                                  converged):
-    # the window [0, 37000] of exp(-0.001 y) outgrows the 4096-panel budget
+    # the line integral of exp(-0.001 y) against the kernel stops its
+    # half-line on the 4096-panel budget
     argv = ["delta-check", "--func", func, "--x", "1", "--T", "20,80", "--strict"]
     code, plain, _ = run(capsys, *argv)
     assert code == (0 if converged else 3)

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 from unittest import mock
 
@@ -14,13 +15,11 @@ from melaplace import (
     NonFiniteIntegrand,
     QuadratureSpec,
     TailDivergence,
-    delta_check,
     integrate_finite,
     integrate_halfline,
     integrate_unit_singular,
 )
 from melaplace import quadrature
-from melaplace.campaigns import _delta_window
 from melaplace.functions import evaluate
 from melaplace.quadrature import (
     _DIVERGENT_RISES,
@@ -258,31 +257,44 @@ def _reference_panel(f, a, b, order):
 
 
 def _reference_finite(f, a, b, q=Q):
+    """The adaptive integral, one panel per integrand call: panels are
+    taken first in first out, so level by level, and a failing panel splits
+    while the panels evaluated and waiting, with its two halves, number at
+    most max_panels.  The kept panels are summed by left end, and the
+    leftmost that is not finite raises."""
     if a > b:
         raise ValueError("integrate_finite requires a <= b")
     if a == b:
         return 0j, 0.0, 0, True
-    stack = [(float(a), float(b))]
-    total = 0j
-    err_sum = 0.0
+    queue = collections.deque([(float(a), float(b))])
+    kept = []
     used = 0
     capped = False
     width_floor = 1e-14 * max(1.0, abs(a), abs(b))
-    while stack:
-        lo, hi = stack.pop()
-        fine, err = _reference_panel(f, lo, hi, q.panel_order)
+    while queue:
+        lo, hi = queue.popleft()
         used += 1
+        try:
+            fine, err = _reference_panel(f, lo, hi, q.panel_order)
+        except NonFiniteIntegrand as exc:
+            kept.append((lo, 0j, 0.0, exc))
+            continue
+        mid = 0.5 * (lo + hi)
         if _within(q, err, abs(fine)) or (hi - lo) <= width_floor:
-            total += fine
-            err_sum += err
-        elif used + len(stack) + 2 > q.max_panels:
-            total += fine
-            err_sum += err
+            kept.append((lo, fine, err, None))
+        elif used + len(queue) + 2 > q.max_panels or not lo < mid < hi:
+            kept.append((lo, fine, err, None))
             capped = True
         else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
+            queue.append((lo, mid))
+            queue.append((mid, hi))
+    total = 0j
+    err_sum = 0.0
+    for _, fine, err, exc in sorted(kept, key=lambda panel: panel[0]):
+        if exc is not None:
+            raise exc
+        total += fine
+        err_sum += err
     return total, err_sum, used, (not capped) and _within(q, err_sum, abs(total))
 
 
@@ -398,8 +410,8 @@ def _exact_outcome(f, a, q):
 @settings(max_examples=100, deadline=None)
 @given(f=_integrands(), a=st.floats(0.0, 10.0), max_panels=_BUDGETS)
 def test_lookahead_block_size_never_changes_a_result(f, a, max_panels):
-    # the walk alone decides a result, and a panel's bits do not depend on
-    # the level-order pass that evaluated it
+    # the stop rule alone decides a result, and a panel's bits do not
+    # depend on the level-order pass that evaluated it
     q = QuadratureSpec(max_panels=max_panels)
     outcomes = []
     for first in (1, 4, 8, 64):
@@ -442,24 +454,6 @@ def test_infinite_values_raise_nonfinite_not_overflow():
         got = _outcome(integrate_halfline, f, 0.0, q)
         assert got is NonFiniteIntegrand
         _assert_same(got, _outcome(_reference_halfline, f, 0.0, q))
-
-
-def test_outgrown_tree_keeps_the_depth_first_result():
-    # the delta-check window [0, 37000] of exp(-0.001 y) needs more than
-    # the 4096-panel budget: a level-by-level cap would keep other panels
-    g, x = FunctionSpec.exp(0.001), 1.0
-    lo, hi = _delta_window(g, x)
-    values = []
-    for T in (20.0, 80.0):
-        f = lambda y, T=T: _dirichlet(evaluate(g, y), T, x - y)
-        got = _outcome(integrate_finite, f, lo, hi)
-        want = _outcome(_reference_finite, f, lo, hi)
-        _assert_same(got, want)
-        assert got[2:] == (4095, False)
-        values.append(got[0].real)
-    table = delta_check(x, g, [20.0, 80.0])
-    assert list(table.results) == values
-    assert not table.converged
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +540,7 @@ def test_panel_modulus_past_the_largest_float_raises_nothing():
 ])
 def test_panel_sum_past_the_largest_float_is_a_domain_error(integrate):
     # every node value is finite, but the first panel's order-2n sum is
-    # not; halving it would walk the whole budget to a nan estimate
+    # not; halving it would spend the whole budget on a nan estimate
     with pytest.raises(DomainError, match="near t = 0.5$"):
         integrate()
 
@@ -578,20 +572,11 @@ def test_head_prefetched_with_the_tail_changes_no_bit(f, s, max_panels):
             == _exact_pair(_head_and_tail_apart, f, s, q))
 
 
-def _entry_outcome(f, root, q, seen, entry):
-    """repr of the result the engine takes from the _prefetch entry of
-    root, or the type and message of the error."""
+def _exact_entry(integrate, *args):
+    """repr of the (value, err_est, panels_used, converged) result, or the
+    type and message of the error."""
     try:
-        return repr(quadrature._walk(f, *root, q, seen, entry))
-    except (MelaplaceError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def _walk_outcome(f, root, q):
-    """repr of _depth_first over root from no prefetched panel, or the type
-    and message of the error."""
-    try:
-        return repr(quadrature._depth_first(f, *root, q, {}))
+        return repr(integrate(*args))
     except (MelaplaceError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -605,49 +590,43 @@ _ROOTS = st.lists(
 @given(f=_integrands(), roots=_ROOTS, pick=st.integers(0, 3),
        shift=st.sampled_from([-1, 0, 1]), fallback=st.integers(1, 64),
        order=st.sampled_from([4, 8, 16]))
-def test_prefetched_trees_equal_their_walk_bit_for_bit(f, roots, pick, shift, fallback,
-                                                       order):
-    # budgets one below, at and one above the size of one root's tree: a
-    # tree that fits gives the walk's result, or its error, without a walk
+def test_trees_equal_the_one_panel_loop_bit_for_bit(f, roots, pick, shift, fallback,
+                                                    order):
+    # budgets one below, at and one above the size of one root's tree: each
+    # root of one level-order pass reads as the one-panel loop over it
+    # alone, capped or not, and raises the same error
     pick %= len(roots)
     with np.errstate(all="ignore"):
-        sized = quadrature._prefetch(f, roots, QuadratureSpec(panel_order=order), {})
-        fits = isinstance(sized[pick], tuple)
-        size = sized[pick][2] if fits else fallback
+        sized = quadrature._trees(f, roots, QuadratureSpec(panel_order=order))
+        size = sized[pick][2] if isinstance(sized[pick], tuple) else fallback
         q = QuadratureSpec(panel_order=order, max_panels=max(1, size + shift))
-        seen = {}
-        entries = quadrature._prefetch(f, roots, q, seen)
+        entries = quadrature._trees(f, roots, q)
         for root, entry in zip(roots, entries):
-            assert _entry_outcome(f, root, q, seen, entry) == _walk_outcome(f, root, q)
-    if fits:
-        assert (entries[pick] is None) == (size > q.max_panels)
+            assert (_exact_entry(quadrature._result, entry)
+                    == _exact_entry(_reference_finite, f, *root, q))
 
 
 def test_one_panel_tree_sums_from_zero():
-    # the one panel's value underflows to (-0+0j); the walk adds it to 0j
+    # the one panel's value underflows to (-0+0j); its tree adds it to 0j
     f = lambda t: np.full(t.shape, -1e-320 + 0j)
     assert repr(quadrature._panels(f, [5e-6], [5e-6], Q.panel_order)[0]) == "[(-0+0j)]"
-    seen = {}
-    entries = quadrature._prefetch(f, [(0.0, 1e-5)], Q, seen)
-    assert _entry_outcome(f, (0.0, 1e-5), Q, seen, entries[0]) == _walk_outcome(
-        f, (0.0, 1e-5), Q) == repr((0j, 0.0, 1, True))
+    assert (repr(quadrature._trees(f, [(0.0, 1e-5)], Q)[0])
+            == repr(_reference_finite(f, 0.0, 1e-5))
+            == repr((0j, 0.0, 1, True)))
 
 
 @pytest.mark.parametrize("a, b", [(1e308, 1.5e308), (-1.5e308, -1e308)])
 def test_split_past_the_largest_float_is_walked(a, b):
-    # a + b overflows, so the split of [a, b] falls on an infinite end: the
-    # leaves' left ends no longer give their order, and the walk raises the
-    # error of the leftmost.  Only a tolerance below rounding splits a
-    # constant there
+    # a + b overflows, so the split of [a, b] would fall on an infinite end:
+    # the panel is kept as a capped leaf instead.  Only a tolerance below
+    # rounding fails a constant there
     f = lambda t: np.ones_like(t)
     q = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300)
+    est = integrate_finite(f, a, b, q)
+    assert repr(est.value) == "(4.999999999999999e+307+0j)"
+    assert (est.panels_used, est.converged) == (1, False)
     with np.errstate(all="ignore"):
-        seen = {}
-        entries = quadrature._prefetch(f, [(a, b)], q, seen)
-        assert entries == [None] and len(seen) == 3
-        outcome = _entry_outcome(f, (a, b), q, seen, None)
-        assert outcome == _walk_outcome(f, (a, b), q)
-    assert outcome[0] is DomainError
+        assert _outcome(integrate_finite, f, a, b, q) == _reference_finite(f, a, b, q)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +652,7 @@ def test_one_integrand_call_per_refinement_level():
     assert (est.panels_used, est.converged) == (31, True)
     assert count == [5, 1488]
     # the first block of eight geometric panels, then a block of three
-    # sized from the decay of panels 7 and 8: the walk stops on its second
+    # sized from the decay of panels 7 and 8: the stop rule ends on its second
     f, count = _counting(lambda x: x**3 * np.exp(-0.2 * x))
     est = integrate_halfline(f, 1.0)
     assert (est.panels_used, est.converged) == (10, True)
@@ -694,7 +673,7 @@ def test_head_prefetched_with_the_tail_saves_its_passes():
 
 
 # (calls, points) of integrate_halfline for exp(-(r + i w) t) from 0: a
-# look-ahead that refines panels the stop rule never walks shows up here
+# look-ahead that refines panels the stop rule never reads shows up here
 _TAIL_COSTS = {
     (0.05, 0.0): (2, 864), (0.05, 3.0): (13, 9024), (0.05, 8.0): (15, 22272),
     (0.2, 0.0): (2, 480), (0.2, 3.0): (5, 2208), (0.2, 8.0): (7, 5472),
@@ -712,16 +691,18 @@ def test_halfline_lookahead_cost_is_pinned(r, w):
     assert tuple(count) == _TAIL_COSTS[r, w]
 
 
-def test_outgrown_tree_is_finished_one_panel_per_call():
-    # the 4096-panel budget stops the level-order prefetch of the
-    # delta-check window of exp(-0.001 y); the depth-first walk evaluates
-    # the panels it still needs one call each
-    g, x = FunctionSpec.exp(0.001), 1.0
-    lo, hi = _delta_window(g, x)
+def test_outgrown_tree_takes_one_integrand_call_per_level():
+    # exp(-0.001 y) against the Dirichlet kernel at T = 80 over [0, 37000]
+    # outgrows the 4096-panel budget, which its tree spends level by level:
+    # one integrand call each, on the panels of the level
+    x = 1.0
+    g = FunctionSpec.exp(0.001)
     f, count = _counting(lambda y: _dirichlet(evaluate(g, y), 80.0, x - y))
-    est = integrate_finite(f, lo, hi)
+    est = integrate_finite(f, 0.0, 37000.0)
     assert (est.panels_used, est.converged) == (4095, False)
-    assert count == [4032, 300240]
+    assert count == [13, 196560]
+    _assert_same(_outcome(integrate_finite, f, 0.0, 37000.0),
+                 _outcome(_reference_finite, f, 0.0, 37000.0))
 
 
 @pytest.mark.parametrize("a", [1e17, 2.0**60])

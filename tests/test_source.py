@@ -142,11 +142,11 @@ def test_quadrature_takes_no_numpy_abs():
     assert found == []
 
 
-def test_quadrature_walks_only_the_trees_that_outgrow_their_budget():
-    # _prefetch returns the result of every tree that fits the budget, and
-    # _walk hands only the others, whose _prefetch entry is None, to
-    # _depth_first.  _prefetch judges its panels inline, not with a _within
-    # call each, and the half-line loop reads its blocks with no generator
+def test_quadrature_has_one_refinement_loop():
+    # every integral refines its panels in _trees, the one caller of
+    # _panels, which judges them inline, not with a _within call each; no
+    # depth-first walk is left, and the half-line loop reads its blocks
+    # with no generator
     tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
     functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
 
@@ -155,16 +155,11 @@ def test_quadrature_walks_only_the_trees_that_outgrow_their_budget():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == name]
 
-    assert len(called(tree, "_depth_first")) == 1
-    assert [
-        (name, ast.unparse(node.test))
-        for name, top in functions.items()
-        for node in ast.walk(top)
-        if isinstance(node, ast.If) and any(called(stmt, "_depth_first") for stmt in node.body)
-    ] == [("_walk", "result is None")]
-    assert "_tail_panels" not in functions
+    assert [name for name, top in functions.items() if called(top, "_panels")] == ["_trees"]
+    assert len(called(tree, "_panels")) == 1
+    assert not {"_depth_first", "_walk", "_prefetch", "_tail_panels"} & set(functions)
     assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree))
-    assert called(functions["_prefetch"], "_within") == []
+    assert called(functions["_trees"], "_within") == []
 
 
 # the exact stdout of each `melaplace ...` line of README's sh blocks
@@ -187,9 +182,9 @@ arg,truth,recovered,abs_err,rel_err
 """,
     "delta-check": """\
 T,value,abs_err
-20,0.36140395968426475,0.0064754814871775812
-40,0.37318364969355067,0.0053042085221083335
-80,0.36831857413250857,0.00043913296106623534
+20,0.36140395968426442,0.0064754814871779143
+40,0.3731836496935515,0.0053042085221091662
+80,0.3683185741329818,0.0004391329615394679
 """,
     "sweep": """\
 delta,half_height,re_val,im_val
