@@ -63,7 +63,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +80,13 @@ from .transforms import (
     InverseKind,
     TransformExpr,
     TransformForm,
+    _EXP_LIMIT,
     _line_integral,
     rational_values,
 )
 
 _BASE_PANEL_WIDTH = math.pi / 4
 _MIN_PANEL_WIDTH = 1e-3
-# exp(s) overflows for real s above this
-_EXP_LIMIT = math.log(sys.float_info.max)
 
 # pole clearance of an auto-placed contour, and an open line's half-height,
 # when the caller passes None

@@ -14,7 +14,9 @@ class NonFiniteIntegrand(MelaplaceError):
 
 
 class TailDivergence(MelaplaceError):
-    """Half-line tail keeps growing; the integral does not converge."""
+    """The integral does not converge: a half-line tail is still not
+    negligible at t ~ 1.3e154, or an endpoint exponent is outside the
+    convergence region."""
 
 
 class OutOfDomain(MelaplaceError):

@@ -4,8 +4,11 @@ One engine sits under every integral in the package.  A panel is accepted
 when the difference between its order-n and order-2n Gauss-Legendre values
 meets tolerance, otherwise it is halved; half-line integrals are summed
 over geometrically widening panels until the tail stops contributing.
-Both rules of a panel come from the same integrand values, on the union
-of their nodes.
+That stop rule is the only convergence test: a half-line integrand is
+trusted to lie in its strip, and one whose tail is still not negligible
+when the _MAX_TAIL_PANELS panels run out raises TailDivergence.  Both
+rules of a panel come from the same integrand values, on the union of
+their nodes.
 
 Integrands must be vectorized and pointwise: they receive a 1-D float
 ndarray of nodes and return a vector of (possibly complex) values, one
@@ -20,9 +23,9 @@ by level, keeps the panels it cannot split, and its estimate is
 unconverged.  A half-line integral evaluates its geometric panels ahead
 of need, one level-order pass per block: _FIRST_TAIL_BLOCK panels first,
 then blocks sized from the decay of the last two panels to where the
-stop rule should end, and runs its stop, divergence and budget rules
-over them in order.  A look-ahead panel past the stop is never read: it
-never raises, and numpy's warnings are off while the engine evaluates.
+stop rule should end, and runs its stop and budget rules over them in
+order.  A look-ahead panel past the stop is never read: it never
+raises, and numpy's warnings are off while the engine evaluates.
 ``Estimate.panels_used`` counts the panels of the estimate, split ones
 included, not the look-ahead ones.  Finite heads, such as a Bromwich
 line's [0, s], ride the first tail pass (_halfline's heads) with the bits
@@ -47,15 +50,10 @@ from .errors import DomainError, NonFiniteIntegrand, TailDivergence
 
 # first geometric panel width on half-line integrals
 _FIRST_TAIL_WIDTH = 1.0
-# hard cap on geometric tail panels; widths doubling from 1 reach t ~ 1.3e154
+# hard cap on geometric tail panels; widths doubling from 1 reach t ~ 1.3e154,
+# and a tail still not negligible there raises TailDivergence
 _MAX_TAIL_PANELS = 512
-# consecutive growing tail panels that mean divergence.  A convergent hump
-# such as x**a * exp(-g*x) grows until x = a/g, which widths doubling from 1
-# reach after about log2(a/g) panels; six rises let humps peaking before
-# x ~ 60 pass while exp(t) and t**0.5 are still caught before t = 130
-_DIVERGENT_RISES = 6
-# width ratio of consecutive tail panels; _DIVERGENT_RISES is calibrated for
-# doubling, and a slower growth mistakes a hump for divergence
+# width ratio of consecutive tail panels
 _TAIL_GROWTH = 2.0
 # geometric tail panels refined together in a half-line integral's first
 # look-ahead block.  Eight panels doubling from width 1 reach t = 255: a
@@ -205,13 +203,14 @@ def _within(q: QuadratureSpec, err: float, scale: float) -> bool:
 
 
 def _abs(z: complex) -> float:
-    """abs(z), or np.hypot of its parts where CPython's complex abs raises
+    """abs(z), or math.hypot of its parts where CPython's complex abs raises
     OverflowError: inf for finite parts whose modulus passes the largest
-    float, nan for a NaN part after a libm call left errno set."""
+    float, nan for a NaN part after a libm call left errno set.  No numpy
+    warning is raised, so it serves outside the engine's error state too."""
     try:
         return abs(z)
     except OverflowError:
-        return float(np.hypot(z.real, z.imag))
+        return math.hypot(z.real, z.imag)
 
 
 def _trees(f, roots, q: QuadratureSpec) -> list:
@@ -226,10 +225,11 @@ def _trees(f, roots, q: QuadratureSpec) -> list:
     into the next level while its tree, with both halves, holds at most
     q.max_panels panels, judged left to right within each level.  One the
     budget leaves unsplit, or whose midpoint does not fall strictly inside
-    it (lo + hi overflows), is kept as a capped leaf, and its root's
-    estimate is unconverged.  A root's value and error are its leaves
-    summed left to right, and it raises the error of its leftmost leaf
-    that has one.
+    it, is kept as a capped leaf, and its root's estimate is unconverged.
+    The midpoint is 0.5*lo + 0.5*hi and the half-width 0.5*hi - 0.5*lo,
+    which stay finite near the largest float, where lo + hi overflows.  A
+    root's value and error are its leaves summed left to right, and it
+    raises the error of its leftmost leaf that has one.
     """
     abs_tol, rel_tol, budget = q.abs_tol, q.rel_tol, q.max_panels
     results = [None] * len(roots)
@@ -247,15 +247,15 @@ def _trees(f, roots, q: QuadratureSpec) -> list:
             his.append(b)
     while owner:
         values, moduli, errs, faults = _panels(
-            f, [0.5 * (lo + hi) for lo, hi in zip(los, his)],
-            [0.5 * (hi - lo) for lo, hi in zip(los, his)], q.panel_order)
+            f, [0.5 * lo + 0.5 * hi for lo, hi in zip(los, his)],
+            [0.5 * hi - 0.5 * lo for lo, hi in zip(los, his)], q.panel_order)
         deeper, next_los, next_his = [], [], []
         for j, (i, lo, hi, v, m, e) in enumerate(zip(owner, los, his, values, moduli, errs)):
             # _within, inline: this loop runs once a panel
             ok = e <= abs_tol or e <= rel_tol * m
             fault = faults.get(j) if faults else None
             if not (ok or fault is not None or hi - lo <= floors[i]):
-                mid = 0.5 * (lo + hi)
+                mid = 0.5 * lo + 0.5 * hi
                 if sizes[i] + 2 <= budget and lo < mid < hi:
                     sizes[i] += 2
                     deeper += i, i
@@ -345,9 +345,10 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     """Integral of f over [a, inf) by geometrically widening panels.
 
     The loop stops once two consecutive panels are negligible both
-    absolutely and relative to the running total.  A mean magnitude per
-    unit length that grows on _DIVERGENT_RISES consecutive panels raises
-    TailDivergence.  a must be finite; panels raise as in integrate_finite.
+    absolutely and relative to the running total.  A tail that is still
+    not negligible when the _MAX_TAIL_PANELS panels run out, at t ~
+    1.3e154 from a = 0, raises TailDivergence.  a must be finite; panels
+    raise as in integrate_finite.
     """
     return _halfline(f, _bound("a", a), q or DEFAULT_QUADRATURE)[0]
 
@@ -359,9 +360,9 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
     The geometric panels from a are evaluated in blocks, one level-order
     pass each: _FIRST_TAIL_BLOCK panels first, then as many as _next_block
     expects the stop rule to read.  The first pass also takes the heads'
-    trees, in no pass of their own.  The stop, divergence and budget rules
-    run over each block's panels in order; a panel past where they stop is
-    never read, and raises nothing.  The heads are read once the tail has
+    trees, in no pass of their own.  The stop and budget rules run over
+    each block's panels in order; a panel past where they stop is never
+    read, and raises nothing.  The heads are read once the tail has
     stopped, so the tail raises first, as it would alone.
     """
     abs_tol, rel_tol = q.abs_tol, q.rel_tol
@@ -370,17 +371,13 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
     err_sum = 0.0
     used = 0
     quiet = 0
-    rises = 0
-    live = False
-    density = 0.0
     mag = 0.0
     lo, width = float(a), _FIRST_TAIL_WIDTH
     block, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
     with np.errstate(all="ignore"):
         while left:
-            roots, widths = [], []
+            roots = []
             for _ in range(min(block, left)):
-                widths.append(width)
                 hi = lo + width
                 roots.append((lo, hi))
                 lo = hi
@@ -388,7 +385,7 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
             results = _trees(f, roots + riders, q)
             if riders:
                 head_results, riders = results[len(roots):], []
-            for (_, b_i), w_i, result in zip(roots, widths, results):
+            for result in results[:len(roots)]:
                 value, err, panels, _ = _result(result)
                 total += value
                 err_sum += err
@@ -400,22 +397,14 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
                     mag, scale = _abs(value), _abs(total)
                 negligible = mag <= abs_tol and (mag <= rel_tol * scale or scale <= abs_tol)
                 quiet = quiet + 1 if negligible else 0
-                if quiet >= 2:
-                    break
-                # widths grow geometrically, so divergence is judged on the
-                # mean magnitude per unit length, not on the raw panel integral
-                was_live, before = live, density
-                live = mag > abs_tol
-                density = mag / w_i
-                rises = rises + 1 if live and was_live and density > before else 0
-                if rises >= _DIVERGENT_RISES:
-                    raise TailDivergence(f"tail panels keep growing past t = {b_i:g}")
-                if used >= q.max_panels:
+                if quiet >= 2 or used >= q.max_panels:
                     break
             else:
                 block, left = _next_block(block, previous, mag, abs_tol), left - len(roots)
                 continue
             break
+        else:
+            raise TailDivergence(f"tail panels still not negligible at t = {lo:g}")
         # the last panel's magnitude stands for the tail left out, also when
         # the panel budget cut the tail off before it went quiet
         err_sum += mag

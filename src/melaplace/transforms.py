@@ -68,6 +68,8 @@ from .quadrature import (
 
 # poles closer than this are "the same point" for evaluation purposes
 POLE_HIT_TOL = 1e-12
+# exp(s) overflows for real s above this
+_EXP_LIMIT = math.log(sys.float_info.max)
 
 
 class TransformKind(enum.Enum):
@@ -250,12 +252,6 @@ def _off_axis(spec: FunctionSpec):
     return lambda zl, x: _term_sum(terms, lambda g: np.exp(zl - g * x), x)
 
 
-# a Mellin x side whose hump (Re z - 1)/g_min lies past this starts its
-# tail at twice the hump: quadrature._DIVERGENT_RISES lets a tail rise
-# only until x ~ 60
-_HUMP_REACH = 60.0
-
-
 def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
             kernel=None, s: float = 0.0) -> list:
     """The half-line Estimates of the direct transform at z, each integrand
@@ -263,9 +259,10 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
 
     The u >= 0 side runs from s with [0, s] as a head when s > 0, else
     from 0.  Mellin's x >= 1 side, at u = -ln x, is the off-axis form at
-    exponent (z-1)*ln x; it runs from X = 2 (Re z - 1)/g_min with [1, X]
-    as a head when that hump lies past _HUMP_REACH.  A Mellin integrand
-    whose peak at the hump passes the largest float is a DomainError.
+    exponent (z-1)*ln x, one tail from x = 1: it rises until the hump
+    x = (Re z - 1)/g_min, and the tail's stop rule reads on past it.  A
+    Mellin integrand whose peak at the hump passes the largest float is a
+    DomainError.
     """
     strip = _domain(spec, kind)
     if not strip.contains(z.real):
@@ -276,7 +273,7 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
         hump = (z.real - 1.0) / -growth_bounds(spec).right_index
         # x**(z-1) exp(-g_min*x) peaks at the hump, at exp((Re z - 1)(ln hump - 1))
         peak = (z.real - 1.0) * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
-        if peak > math.log(sys.float_info.max):
+        if peak > _EXP_LIMIT:
             raise DomainError(
                 f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
                 f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
@@ -291,8 +288,7 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
             lx = np.log(x)
             values = off(zm * lx, x)
             return values if kernel is None else kernel(values, -lx)
-        far = 2.0 * hump if hump > _HUMP_REACH else 1.0
-        pieces += _halfline(x_side, far, q, [(1.0, far)] if far > 1.0 else [])
+        pieces += _halfline(x_side, 1.0, q)
     return pieces
 
 
@@ -307,10 +303,7 @@ def _summed(pieces: list, q: QuadratureSpec, scale: float = 1.0) -> Estimate:
     total = sum(p.value for p in pieces)
     value = scale * total
     err = scale * sum(p.err_est for p in pieces)
-    try:
-        size = abs(value)
-    except OverflowError:
-        size = math.inf
+    size = _abs(value)
     # finite pieces whose sum overflows leave an inf, or inf - inf = nan, part
     if not size < math.inf:
         raise DomainError(f"transform value {value!r} passes the largest float")

@@ -46,7 +46,6 @@ from melaplace import transforms
 from melaplace.quadrature import _within
 from melaplace.transforms import (
     POLE_HIT_TOL,
-    _HUMP_REACH,
     _dirichlet,
     _domain,
     _kernel_integrand,
@@ -135,7 +134,7 @@ def test_mellin_transform_strip_guard():
 
 def test_mellin_of_slowly_decaying_exponential():
     # x**(s-1) exp(-g x) rises until x = (s-1)/g ~ 8.8 before it decays,
-    # a hump the tail's divergence test must let through
+    # a hump the tail's stop rule must read past
     g, s = 0.258, 3.278
     got = mellin_transform(FunctionSpec.exp(g), s)
     assert got == pytest.approx(math.gamma(s) * g ** -s, rel=1e-9)
@@ -313,14 +312,13 @@ def test_fused_mellin_tail_stays_finite_where_the_power_overflows():
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
-@pytest.mark.parametrize("z", [80.0, 140.0, 150.0, 171.0])
-def test_gamma_at_large_real_z_meets_only_the_hump_rule(z):
-    # Gamma(z) fits float64 up to z = 171, but x**(z-1) exp(-x) peaks at
-    # x = z - 1, past the six rising panels that the tail rule lets through;
-    # the x side therefore runs its tail from twice the hump, with [1, X]
-    # as a head
-    got = eval_transform(TransformExpr.gamma(), z)
-    assert abs(got - math.gamma(z)) <= 1e-13 * math.gamma(z)
+def test_gamma_at_real_z_up_to_171_matches_math_gamma():
+    # Gamma(z) fits float64 up to z = 171, and x**(z-1) exp(-x) peaks at
+    # x = z - 1: the x side's one tail from x = 1 reads on past the hump
+    t = TransformExpr.gamma()
+    for z in np.linspace(1.0, 171.0, 341):
+        want = math.gamma(z)
+        assert abs(eval_transform(t, z) - want) <= 4e-14 * want, z
 
 
 @pytest.mark.parametrize("c", [0.1, 10.0])
@@ -843,11 +841,7 @@ def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
     if s > 0.0:
         pieces.append(integrate_finite(u_side, 0.0, s, q))
     if kind is TransformKind.MELLIN:
-        # past the hump the tail starts at twice it, after a finite [1, X]
-        far = 2.0 * hump if hump > _HUMP_REACH else 1.0
-        pieces.append(integrate_halfline(x_side, far, q))
-        if far > 1.0:
-            pieces.append(integrate_finite(x_side, 1.0, far, q))
+        pieces.append(integrate_halfline(x_side, 1.0, q))
     return pieces
 
 
@@ -912,8 +906,8 @@ def test_line_integral_matches_its_separate_pieces_bit_for_bit(case, s, T, max_p
 
 @pytest.mark.parametrize("c, s", [(80.0, 0.7), (171.0, -1.0), (150.0, 0.0)])
 def test_line_past_the_mellin_hump_matches_its_separate_pieces(c, s):
-    # the x side of a line placed right of Gamma's hump splits as the
-    # direct transform does
+    # the x side of a line placed right of Gamma's hump is one tail from
+    # x = 1, as in the direct transform
     q = QuadratureSpec(max_panels=64)
     t = TransformExpr.gamma()
     got = _line_outcome(_line_integral, t, c, 10.0, s, q)
@@ -924,7 +918,7 @@ def test_line_past_the_mellin_hump_matches_its_separate_pieces(c, s):
 @st.composite
 def _direct_cases(draw):
     """A (source, kind) pair with a strip and a z inside it, Re z up to
-    171 past the strip's edge, so that Mellin humps pass _HUMP_REACH."""
+    171 past the strip's edge, so that Mellin humps lie far out."""
     kind = draw(st.sampled_from(list(TransformKind)))
     sources = _decaying_sources if kind is TransformKind.MELLIN else _catalog
     spec = draw(sources)
