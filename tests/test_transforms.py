@@ -312,6 +312,15 @@ def test_fused_mellin_tail_stays_finite_where_the_power_overflows():
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
+@pytest.mark.parametrize("z", [80.0, 140.0, 150.0, 171.0])
+def test_gamma_at_large_real_z_meets_only_the_hump_rule(z):
+    # x**(z-1) exp(-x) rises until its hump at x = z - 1, far out for these
+    # z; the tail's one stop rule, two negligible panels in a row, reads past
+    # the rise without a split at the hump
+    got = eval_transform(TransformExpr.gamma(), z)
+    assert abs(got - math.gamma(z)) <= 1e-13 * math.gamma(z)
+
+
 def test_gamma_at_real_z_up_to_171_matches_math_gamma():
     # Gamma(z) fits float64 up to z = 171, and x**(z-1) exp(-x) peaks at
     # x = z - 1: the x side's one tail from x = 1 reads on past the hump
