@@ -39,7 +39,7 @@ import sys
 import numpy as np
 
 from .campaigns import RECTANGLE_TOL, delta_check, invariance_sweep, roundtrip
-from .contours import _cauchy_sums, _contour_sums, bromwich_for, rectangle_for
+from .contours import _cauchy_sums, _contour_sums, _positive, bromwich_for, rectangle_for
 from .errors import MelaplaceError, ParseError
 from .functions import parse_spec_string
 from .quadrature import QuadratureSpec
@@ -76,8 +76,12 @@ def parse_complex(text: str) -> complex:
         raise ParseError(f"bad complex literal {text!r}") from None
 
 
+# the most points a --grid may ask for: 10**6 floats take 8 MB
+_MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(text: str):
-    """Inclusive linear grid start:stop:count."""
+    """Inclusive linear grid start:stop:count, count at most _MAX_GRID_POINTS."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ParseError(f"grid must be start:stop:count, got {text!r}")
@@ -86,8 +90,8 @@ def parse_grid(text: str):
         count = int(parts[2])
     except ValueError:
         raise ParseError(f"bad grid literal {text!r}") from None
-    if count < 1:
-        raise ParseError("grid count must be at least 1")
+    if not 1 <= count <= _MAX_GRID_POINTS:
+        raise ParseError(f"grid count must be from 1 to {_MAX_GRID_POINTS}, got {count}")
     if not math.isfinite(stop - start):
         raise ParseError(
             f"grid ends must be finite and less than the largest float apart, "
@@ -103,17 +107,6 @@ def _parse_real(text, option: str) -> float:
         raise ParseError(f"bad real literal {text!r} for --{option}") from None
     if not math.isfinite(value):
         raise ParseError(f"--{option} must be finite, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a positive finite real."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -284,6 +277,7 @@ def _cmd_delta_check(ns) -> int:
 
 
 def _cmd_sweep(ns) -> int:
+    tol = _positive("tol", ns.tol, 1e-7)
     kind, t = _build_transform(ns)
     table = invariance_sweep(
         t,
@@ -295,13 +289,13 @@ def _cmd_sweep(ns) -> int:
     )
     rows = [(d, T, val.real, val.imag)
             for (d, T), val in zip(table.values, table.results)]
-    tol = ns.tol if ns.tol is not None else 1e-7
     # "not >" lets a nan spread pass
     return _emit(ns, ("delta", "half_height", "re_val", "im_val"), rows,
                  {"max_spread": table.max_spread}, not table.max_spread > tol)
 
 
 def _cmd_cauchy_check(ns) -> int:
+    tol = _positive("tol", ns.tol, RECTANGLE_TOL)
     kind, t = _build_transform(ns)
     q = _quad_from(ns)
     rect = rectangle_for(t, ns.delta, ns.T)
@@ -313,7 +307,6 @@ def _cmd_cauchy_check(ns) -> int:
         err = abs(lhs - rhs)
         worst = max(worst, err)
         rows.append((z.real, z.imag, lhs.real, lhs.imag, rhs.real, rhs.imag, err))
-    tol = ns.tol if ns.tol is not None else RECTANGLE_TOL
     return _emit(
         ns,
         ("re_z", "im_z", "re_lhs", "im_lhs", "re_rhs", "im_rhs", "abs_err"),
@@ -384,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="start:stop:count")
     p.add_argument("--delta", type=float)
     p.add_argument("--T", type=float)
-    p.add_argument("--tol", type=_tolerance,
+    p.add_argument("--tol", type=float,
                    help="pass tolerance (default 1e-6 on a rectangle, 5e-2 on a line)")
 
     p = sub.add_parser("delta-check", parents=[common],
@@ -401,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="evaluation point")
     p.add_argument("--deltas", help="comma-separated offsets")
     p.add_argument("--Ts", help="comma-separated half-heights")
-    p.add_argument("--tol", type=_tolerance, help="largest spread that passes (default 1e-7)")
+    p.add_argument("--tol", type=float, help="largest spread that passes (default 1e-7)")
 
     p = sub.add_parser("cauchy-check", parents=[common],
                        help="closed-contour reproduction of the transform")
@@ -411,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", action="append", help="points right of the rectangle")
     p.add_argument("--delta", type=float)
     p.add_argument("--T", type=float)
-    p.add_argument("--tol", type=_tolerance, help="largest error that passes (default 1e-6)")
+    p.add_argument("--tol", type=float, help="largest error that passes (default 1e-6)")
 
     return parser
 

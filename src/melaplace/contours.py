@@ -9,11 +9,12 @@ as free parameters and the horizontal edges are integrated exactly rather
 than dropped.
 
 Orientation is fixed counterclockwise: right edge upward, top edge
-leftward, left edge downward, bottom edge rightward.  Panel widths along
-every edge are capped at min(pi/4, 2*delta): pi/4 keeps exp(i*x*Im z)
-oscillation resolvable at order 16 for |x| up to ~8, and 2*delta keeps
-Gauss-Legendre convergence geometric despite poles sitting delta away from
-the edges.  Wider arguments need a caller-supplied denser QuadratureSpec.
+leftward, left edge downward, bottom edge rightward.  One rule lays out
+every edge: ceil(L / w) Gauss-Legendre panels on length L, with w =
+min(pi/4, 2*delta): pi/4 keeps exp(i*x*Im z) oscillation resolvable at
+order 16 for |x| up to ~8, and 2*delta keeps convergence geometric despite
+poles sitting delta away from the edges.  A summed path of more than
+q.max_panels panels is a DomainError, never a coarser sum.
 
 An inverse runs in two steps.  The per-contour step builds the nodes and
 weights of all its edges in one array pass, and takes the transform values
@@ -86,7 +87,6 @@ from .transforms import (
 )
 
 _BASE_PANEL_WIDTH = math.pi / 4
-_MIN_PANEL_WIDTH = 1e-3
 
 # pole clearance of an auto-placed contour, and an open line's half-height,
 # when the caller passes None
@@ -110,8 +110,8 @@ class Contour:
 
     c_right is the (right) vertical abscissa; rectangles add c_left.
     half_height T spans the vertical edges over [c - iT, c + iT]; delta is
-    the pole clearance used when the contour was auto-placed and doubles as
-    the panel-width limiter during discretization.
+    the pole clearance used when the contour was auto-placed and sets the
+    panel width min(pi/4, 2*delta) during discretization.
     """
 
     shape: ContourShape
@@ -214,47 +214,12 @@ def rectangle_for(
 # discretization
 # ---------------------------------------------------------------------------
 
-def _polyline(corners, budgets, width: float, order: int):
-    """Nodes and weights along corners[0] -> corners[1] -> ..., edge k
-    holding at most budgets[k] panels.
-
-    The panel constants of every edge are listed first; one array pass
-    then builds every panel.  Panel k of an edge of length L from z0 in
-    unit direction d, cut into n panels, maps the Gauss-Legendre node x to
-    z0 + (k*(L/n) + half*(1 + x))*d with weight w*half*d, half = 0.5*L/n.
-    """
-    offsets, halves, starts, directions = [], [], [], []
-    for z0, z1, budget in zip(corners, corners[1:], budgets):
-        length = abs(z1 - z0)
-        if not length < math.inf:
-            raise DomainError(
-                f"the contour edge from {z0} to {z1} is longer than any float"
-            )
-        # min before ceil: length / width may overflow to inf
-        n = max(1, math.ceil(min(length / width, budget)))
-        step = length / n
-        offsets += [k * step for k in range(n)]
-        halves += [0.5 * length / n] * n
-        starts += [z0] * n
-        directions += [(z1 - z0) / length] * n
-    xs, ws = _gl(order)
-    half = np.array(halves)[:, None]
-    direction = np.array(directions)[:, None]
-    s = np.array(offsets)[:, None] + half * (1.0 + xs)
-    nodes = np.array(starts)[:, None] + s * direction
-    weights = ws * half * direction
-    return nodes.ravel(), weights.ravel()
-
-
-def _panel_width(c: Contour) -> float:
-    return max(min(_BASE_PANEL_WIDTH, 2.0 * c.delta), _MIN_PANEL_WIDTH)
-
-
 def discretize(c: Contour, q: QuadratureSpec | None = None):
     """Nodes and weights realizing the oriented path integral as a weighted
     sum: sum(w * g(z)) approximates the integral of g along the contour.
 
-    Returns a pair of parallel complex ndarrays (nodes, weights).
+    Returns a pair of parallel complex ndarrays (nodes, weights); more
+    than q.max_panels panels of width min(pi/4, 2*delta) are a DomainError.
     """
     return _path(c, q or DEFAULT_QUADRATURE, False)
 
@@ -262,22 +227,48 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
 def _path(c: Contour, q: QuadratureSpec, upper: bool):
     """Nodes and weights of c, or when upper of its part with Im z >= 0,
     oriented as in c: [c, c + iT] for a line; the right half-edge, the top
-    edge and the left half-edge for a rectangle.  A half-edge takes half
-    its edge's panel budget; the panel width is the same either way."""
+    edge and the left half-edge for a rectangle.
+
+    An edge of length L holds n = ceil(L / w) panels, w = min(pi/4,
+    2*delta); more than q.max_panels in all raise DomainError before any
+    array is built.  One array pass then maps the Gauss-Legendre node x of
+    panel k of the edge from z0 in unit direction d to
+    z0 + (k*(L/n) + half*(1 + x))*d, weight w*half*d, half = 0.5*L/n.
+    """
     T = c.half_height
     bottom = 0.0 if upper else -T
-    line = c.shape is ContourShape.BROMWICH_LINE
-    edge = q.max_panels if line else max(1, q.max_panels // 4)
-    side = max(1, edge // 2) if upper else edge
     corners = [complex(c.c_right, bottom), complex(c.c_right, T)]
-    budgets = [side]
-    if not line:
+    if c.shape is ContourShape.RECTANGLE:
         corners += [complex(c.c_left, T), complex(c.c_left, bottom)]
-        budgets += [edge, side]
         if not upper:
             corners.append(complex(c.c_right, -T))
-            budgets.append(edge)
-    return _polyline(corners, budgets, _panel_width(c), q.panel_order)
+    width = min(_BASE_PANEL_WIDTH, 2.0 * c.delta)
+    offsets, halves, starts, directions = [], [], [], []
+    for z0, z1 in zip(corners, corners[1:]):
+        length = abs(z1 - z0)
+        if not length < math.inf:
+            raise DomainError(
+                f"the contour edge from {z0} to {z1} is longer than any float"
+            )
+        # compare before ceil: length / width may overflow to inf
+        if not length / width <= q.max_panels - len(offsets):
+            raise DomainError(
+                f"the contour needs more than max_panels = {q.max_panels} "
+                f"panels of width {width:g}"
+            )
+        n = math.ceil(length / width)
+        step = length / n
+        offsets += [k * step for k in range(n)]
+        halves += [0.5 * length / n] * n
+        starts += [z0] * n
+        directions += [(z1 - z0) / length] * n
+    xs, ws = _gl(q.panel_order)
+    half = np.array(halves)[:, None]
+    direction = np.array(directions)[:, None]
+    s = np.array(offsets)[:, None] + half * (1.0 + xs)
+    nodes = np.array(starts)[:, None] + s * direction
+    weights = ws * half * direction
+    return nodes.ravel(), weights.ravel()
 
 
 def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
@@ -344,7 +335,8 @@ def inverse_eval(
     On a rectangle enclosing all poles of a rational transform the result
     matches the residue series independently of T and delta; on an open
     line it carries the usual O(1/T) truncation error.  For a
-    conjugate-symmetric transform the imaginary part is exactly 0.
+    conjugate-symmetric transform the imaginary part is exactly 0.  A
+    rational sum past q.max_panels panels is a DomainError, as in discretize.
     """
     return next(_contour_sums(t, kind, c, (float(arg),), q))[0]
 
@@ -395,7 +387,7 @@ def _cauchy_sums(t: TransformExpr, rect: Contour, zs,
                 f"need Re z > {rect.c_right:g}, got {z.real:g}"
             )
         if vals is None:
-            nodes, weights = discretize(rect, q)
+            nodes, weights = _path(rect, q or DEFAULT_QUADRATURE, False)
             vals = rational_values(t, nodes)
         total = complex(np.dot(weights, vals / (z - nodes)))
         if not cmath.isfinite(total):

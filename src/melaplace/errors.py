@@ -14,9 +14,9 @@ class NonFiniteIntegrand(MelaplaceError):
 
 
 class TailDivergence(MelaplaceError):
-    """The integral does not converge: a half-line tail is still not
-    negligible at t ~ 1.3e154, or an endpoint exponent is outside the
-    convergence region."""
+    """The integral diverges, or decays too slowly to resolve: a half-line
+    tail is still not negligible at t ~ 1.3e154, or an endpoint exponent is
+    outside the convergence region."""
 
 
 class OutOfDomain(MelaplaceError):

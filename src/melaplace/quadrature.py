@@ -75,7 +75,8 @@ class QuadratureSpec:
     that budget of its own, and stops after the panel on which its total
     reaches max_panels.  Each piece of a line integral has its own
     budget, so the mixedpower moment line at T = 30 with max_panels = 4
-    reports 7 panels.
+    reports 7 panels.  A rational contour sum is not adaptive: max_panels
+    bounds its fixed panels, and a path that needs more is a DomainError.
     """
 
     panel_order: int = 16
@@ -347,7 +348,8 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     The loop stops once two consecutive panels are negligible both
     absolutely and relative to the running total.  A tail that is still
     not negligible when the _MAX_TAIL_PANELS panels run out, at t ~
-    1.3e154 from a = 0, raises TailDivergence.  a must be finite; panels
+    1.3e154 from a = 0, raises TailDivergence: the integral diverges, or
+    decays too slowly to resolve.  a must be finite; panels
     raise as in integrate_finite.
     """
     return _halfline(f, _bound("a", a), q or DEFAULT_QUADRATURE)[0]
@@ -404,7 +406,8 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
                 continue
             break
         else:
-            raise TailDivergence(f"tail panels still not negligible at t = {lo:g}")
+            raise TailDivergence("the integral diverges, or decays too slowly to "
+                                 f"resolve: tail panels still not negligible at t = {lo:g}")
         # the last panel's magnitude stands for the tail left out, also when
         # the panel budget cut the tail off before it went quiet
         err_sum += mag

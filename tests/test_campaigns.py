@@ -73,8 +73,12 @@ def test_roundtrip_reports_an_unconverged_line():
         report = roundtrip(spec, MEL, args, use_rectangle=False, half_height=30.0, q=q)
         assert report.passed
         assert report.converged is converged
-    # rational sums carry no estimate and count as converged
-    assert roundtrip(FunctionSpec.exp(1.0), LAP, [1.0], q=QuadratureSpec(max_panels=4)).converged
+    # rational sums carry no estimate and count as converged; the upper
+    # half of their rectangle takes 6 panels, and a budget short of that
+    # is a DomainError
+    assert roundtrip(FunctionSpec.exp(1.0), LAP, [1.0], q=QuadratureSpec(max_panels=6)).converged
+    with pytest.raises(DomainError, match="more than max_panels = 4 panels"):
+        roundtrip(FunctionSpec.exp(1.0), LAP, [1.0], q=QuadratureSpec(max_panels=4))
 
 
 def test_roundtrip_errors():

@@ -13,11 +13,13 @@ from melaplace import (
     DomainError,
     FunctionSpec,
     InverseKind,
+    ParseError,
     TransformKind,
     cauchy_reproduction,
     eval_transform,
     parse_spec_string,
     rectangle_for,
+    residue_inverse,
     transform_estimate,
     transform_for,
 )
@@ -71,6 +73,22 @@ def test_parse_grid():
         parse_grid("1:2")
     with pytest.raises(ParseError):
         parse_grid("1:2:0")
+
+
+def test_grid_count_past_the_cap_is_rejected_before_any_allocation(capsys, monkeypatch):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", no_linspace)
+    with pytest.raises(ParseError, match="grid count must be from 1 to 1000000, got 1000001"):
+        parse_grid("0:1:1000001")
+    code, out, err = run(capsys, "roundtrip", "--func", "exp:gamma=1", "--kind",
+                         "laplace", "--grid", "0:1:1000001")
+    assert code == 2
+    assert out == ""
+    assert "grid count must be from 1 to 1000000" in err
+    monkeypatch.undo()
+    assert len(parse_grid("0:1:1000000")) == 1000000
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +210,42 @@ def test_invert_strict_exits_three_on_an_unconverged_line(capsys, quad, converge
 
 
 def test_rational_inverses_count_as_converged(capsys):
-    code, out, _ = run(capsys, "invert", "--poles", "[[-1,0,1,0]]", "--kind",
-                       "laplace", "--contour", "rect", "--x", "-2", "--strict",
-                       "--json", "--quad", '{"max_panels": 4}')
+    # the upper half of this rectangle takes 6 panels
+    argv = ("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--contour",
+            "rect", "--x", "-2", "--strict", "--json")
+    code, out, _ = run(capsys, *argv, "--quad", '{"max_panels": 6}')
     assert code == 0
     assert strict_json(out)["summary"]["converged"] is True
+    code, out, err = run(capsys, *argv, "--quad", '{"max_panels": 4}')
+    assert code == 2
+    assert out == ""
+    assert "more than max_panels = 4 panels" in err
+
+
+_FINE_RECTANGLE = ("invert", "--func", "mixedexp:g1=1,g2=0.5", "--kind", "laplace",
+                   "--contour", "rect", "--x", "1", "--delta", "1e-4", "--strict")
+
+
+@pytest.mark.parametrize("extra", [(), ("--T", "10000"), ("--quad", '{"max_panels": 4}')],
+                         ids=["default", "tall", "small-budget"])
+def test_rectangle_past_its_panel_budget_exits_two(capsys, extra):
+    # panels of width 2e-4 overrun the budget; a coarser layout would read
+    # up to 26% off the residue series, and pass as converged
+    code, out, err = run(capsys, *_FINE_RECTANGLE, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("melaplace invert: ") and "max_panels" in err
+    assert "width 0.0002" in err
+
+
+def test_rectangle_with_a_budget_that_fits_matches_the_oracle(capsys):
+    code, out, _ = run(capsys, *_FINE_RECTANGLE, "--quad", '{"max_panels": 40000}')
+    assert code == 0
+    kind = InverseKind.LAPLACE_KERNEL
+    t = transform_for(parse_spec_string("mixedexp:g1=1,g2=0.5"), kind)
+    truth = residue_inverse(t, kind, 1.0).real
+    assert truth == pytest.approx(0.43754807562501913, abs=1e-15)
+    assert float(rows_of(out)[1][0][1]) == pytest.approx(truth, abs=1e-12)
 
 
 def test_invert_rectangle_without_closed_form_exits_two(capsys):
@@ -455,6 +504,8 @@ _EXACT_RUNS = {
                   "--grid", "1:2:2", "--strict"),
     "sweep": ("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
               "--deltas", "0.5", "--Ts", "5", "--strict"),
+    "cauchy-check": ("cauchy-check", "--func", "exp:gamma=1", "--kind", "laplace",
+                     "--z", "1+0i", "--strict"),
 }
 
 
@@ -464,17 +515,20 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, command, tol):
     argv = _EXACT_RUNS[command]
     # these runs are exact to about 1e-16, so a valid tolerance passes
     assert run(capsys, *argv, "--tol=1e-6")[0] == 0
+    # --tol parses as a float, and the command checks it as it checks delta
+    message = ("argument --tol: invalid float value" if tol == "abc"
+               else f"melaplace {command}: tol must be positive and finite")
     code, out, err = run(capsys, *argv, f"--tol={tol}")
     assert code == 2
     assert out == ""
-    assert "argument --tol: must be positive and finite" in err
+    assert message in err
     assert "Traceback" not in err
     # a --config value goes through the same check
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"tol": tol}))
     code, out, err = run(capsys, *argv, "--config", str(config))
     assert code == 2
-    assert "argument --tol: must be positive and finite" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

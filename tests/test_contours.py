@@ -193,13 +193,11 @@ def test_line_weights_sum_to_length():
     assert weights.sum() == pytest.approx(2j * 7.0, rel=1e-13)
 
 
-def _edge_reference(z0, z1, width, order, budget):
-    """One edge built on its own, with np.arange and np.tile: the per-edge
-    formula that the one-pass _polyline must match byte for byte."""
+def _edge_reference(z0, z1, n_panels, order):
+    """One edge of n_panels panels built on its own, with np.arange and
+    np.tile: the per-edge formula that the one-pass _path must match byte
+    for byte."""
     length = abs(z1 - z0)
-    if not length < math.inf:
-        raise DomainError(f"the contour edge from {z0} to {z1} is longer than any float")
-    n_panels = max(1, math.ceil(min(length / width, budget)))
     direction = (z1 - z0) / length
     xs, ws = _gl(order)
     offsets = np.arange(n_panels) * (length / n_panels)
@@ -209,25 +207,28 @@ def _edge_reference(z0, z1, width, order, budget):
 
 
 def _path_reference(c, q, upper):
-    """discretize(c, q), or contours._path(c, q, True) when upper, edge by edge."""
+    """discretize(c, q), or contours._path(c, q, True) when upper, edge by
+    edge; None where the path needs more than q.max_panels panels of width
+    min(pi/4, 2*delta), or where an edge is longer than any float."""
     T, right, left = c.half_height, c.c_right, c.c_left
     if c.shape is ContourShape.BROMWICH_LINE:
         corners = [complex(right, 0.0 if upper else -T), complex(right, T)]
-        budgets = [max(1, q.max_panels // 2) if upper else q.max_panels]
+    elif upper:
+        corners = [complex(right, 0.0), complex(right, T), complex(left, T),
+                   complex(left, 0.0)]
     else:
-        edge = max(1, q.max_panels // 4)
-        if upper:
-            corners = [complex(right, 0.0), complex(right, T), complex(left, T),
-                       complex(left, 0.0)]
-            budgets = [max(1, edge // 2), edge, max(1, edge // 2)]
-        else:
-            corners = [complex(right, -T), complex(right, T), complex(left, T),
-                       complex(left, -T), complex(right, -T)]
-            budgets = [edge] * 4
-    parts = [
-        _edge_reference(z0, z1, contours._panel_width(c), q.panel_order, budget)
-        for z0, z1, budget in zip(corners, corners[1:], budgets)
-    ]
+        corners = [complex(right, -T), complex(right, T), complex(left, T),
+                   complex(left, -T), complex(right, -T)]
+    width = min(math.pi / 4, 2.0 * c.delta)
+    edges = list(zip(corners, corners[1:]))
+    needed = [abs(z1 - z0) / width for z0, z1 in edges]
+    if not sum(needed) < math.inf:
+        return None
+    counts = [math.ceil(n) for n in needed]
+    if sum(counts) > q.max_panels:
+        return None
+    parts = [_edge_reference(z0, z1, n, q.panel_order)
+             for (z0, z1), n in zip(edges, counts)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -241,19 +242,32 @@ def _assert_same_bytes(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-@settings(max_examples=150, deadline=None)
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
 @given(shape=st.sampled_from(list(ContourShape)), upper=st.booleans(),
        c_right=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0),
-       T=st.floats(0.01, 50.0), delta=st.floats(0.01, 2.0),
+       T=_log_uniform(1e-3, 1e308), delta=_log_uniform(1e-320, 2.0),
        order=st.integers(4, 32),
        max_panels=st.one_of(st.just(1), st.integers(2, 64), st.just(4096)))
 def test_one_pass_nodes_match_the_per_edge_build(shape, upper, c_right, width, T,
                                                  delta, order, max_panels):
-    # max_panels from 1 up to 64 binds on most edges; 4096 on none
+    # a small max_panels or delta, or a large T, overruns the budget, and
+    # nothing but DomainError may escape then; every other draw builds the
+    # reference's bytes
     left = c_right - width if shape is ContourShape.RECTANGLE else None
     c = Contour(shape, c_right, left, T, delta)
     q = QuadratureSpec(panel_order=order, max_panels=max_panels)
-    _assert_same_bytes(_build(c, q, upper), _path_reference(c, q, upper))
+    want = _path_reference(c, q, upper)
+    if want is None:
+        with pytest.raises(DomainError, match="max_panels|longer than any float"):
+            _build(c, q, upper)
+        return
+    got = _build(c, q, upper)
+    assert got[0].size <= max_panels * order
+    _assert_same_bytes(got, want)
 
 
 @pytest.mark.parametrize("upper", [False, True])
@@ -261,12 +275,11 @@ def test_one_pass_build_keeps_the_edge_overflow_message(upper):
     # the right edge is short; the top edge from 1e308 to -1e308 is not
     c = Contour(ContourShape.RECTANGLE, 1e308, -1e308, 5.0, 0.5)
     q = QuadratureSpec()
-    with pytest.raises(DomainError) as want:
-        _path_reference(c, q, upper)
+    assert _path_reference(c, q, upper) is None
     with pytest.raises(DomainError) as got:
         _build(c, q, upper)
-    assert str(got.value) == str(want.value)
-    assert "from (1e+308+5j) to (-1e+308+5j)" in str(got.value)
+    assert str(got.value) == ("the contour edge from (1e+308+5j) to (-1e+308+5j) "
+                              "is longer than any float")
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +396,10 @@ def test_edge_longer_than_any_float_is_a_domain_error():
     lop = TransformExpr.rational([(complex(-1.0, 1e308), 1.0)])
     with pytest.raises(DomainError, match="longer than any float"):
         inverse_eval(lop, LAP, rectangle_for(lop, 0.5, None), 0.0)
-    # its upper half alone is long, but fits: the panel budget caps it
+    # its upper half alone fits a float, but not the panel budget
     tall = bromwich_for(ONE_POLE, 0.5, 1e308)
-    assert inverse_eval(ONE_POLE, LAP, tall, 0.0).imag == 0.0
+    with pytest.raises(DomainError, match="more than max_panels = 4096 panels"):
+        inverse_eval(ONE_POLE, LAP, tall, 0.0)
 
 
 def test_sums_past_the_float_range_are_domain_errors():

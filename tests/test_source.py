@@ -162,6 +162,16 @@ def test_quadrature_has_one_refinement_loop():
     assert called(functions["_trees"], "_within") == []
 
 
+def test_contours_have_one_panel_rule():
+    # _path lays out every contour on one width and one budget: no width
+    # floor and no per-edge budgets in a helper of their own
+    tree = ast.parse((PACKAGE / "contours.py").read_text(encoding="utf-8"))
+    defined = {target.id for top in tree.body if isinstance(top, ast.Assign)
+               for target in top.targets if isinstance(target, ast.Name)}
+    defined |= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert not {"_MIN_PANEL_WIDTH", "_polyline", "_panel_width"} & defined
+
+
 # the exact stdout of each `melaplace ...` line of README's sh blocks
 README_OUTPUTS = {
     "transform": """\

@@ -23,6 +23,7 @@ from melaplace import (
     OutOfDomain,
     PoleHit,
     QuadratureSpec,
+    TailDivergence,
     Strip,
     TransformExpr,
     TransformForm,
@@ -130,6 +131,16 @@ def test_mellin_transform_strip_guard():
         mellin_transform(EGAMMA, -0.5)
     with pytest.raises(NoStrip):
         mellin_transform(POW_HALF, 1.0)
+
+
+def test_laplace_next_to_the_strip_edge_decays_too_slowly_to_resolve():
+    # int exp(-1e-170 t) dt = 1e170 converges, but its tail is not yet
+    # negligible where the doubling panels run out, at t ~ 1.3e154: the
+    # error says so rather than calling the integral divergent
+    with pytest.raises(TailDivergence, match=r"^the integral diverges, or decays too "
+                       r"slowly to resolve: tail panels still not negligible at "
+                       r"t = 1\.34078e\+154$"):
+        transform_estimate(FunctionSpec.exp(0.0), TransformKind.LAPLACE, 1e-170)
 
 
 def test_mellin_of_slowly_decaying_exponential():
