@@ -15,9 +15,11 @@ machine-readable summary document.  Each CSV cell, and each cell of the
 Exit codes: 0 success, 2 validation/parse error, 3 convergence failure
 (only with --strict).  A JSON --config file may supply any long flag; flags
 given on the command line win.  A value may start with "-" in either form,
-"--grid -4:4:5" or "--grid=-4:4:5".  Commands run with numpy's floating-point
-warnings off: an overflow on the way to a finite answer, as in
-exp(-(g*x)) = 0 once g*x overflows, is no error, and an integrand value,
+"--grid -4:4:5" or "--grid=-4:4:5": a token that starts with a single "-",
+other than -h, is the value of the long option (or its abbreviation) just
+before it.  Commands run with numpy's floating-point warnings off: an
+overflow on the way to a finite answer, as in exp(-(g*x)) = 0 once g*x
+overflows, is no error, and an integrand value,
 inverse, Cauchy sum, transform value or truth that overflow leaves inf or
 nan exits 2 with the typed error raised where it is made.
 
@@ -29,6 +31,7 @@ the transform values on it once, then sum once per argument.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -68,12 +71,16 @@ _INVERSE_KINDS = {
 
 
 def parse_complex(text: str) -> complex:
-    """Complex CLI literal a+bi / a-bi (no spaces); plain reals also parse."""
+    """Finite complex CLI literal a+bi / a-bi (no spaces); plain reals also
+    parse."""
     s = str(text).strip()
     try:
-        return complex(s.replace("i", "j"))
+        value = complex(s[:-1] + "j" if s.endswith("i") else s)
     except ValueError:
         raise ParseError(f"bad complex literal {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"complex literal must be finite, got {text!r}")
+    return value
 
 
 # the most points a --grid may ask for: 10**6 floats take 8 MB
@@ -437,30 +444,17 @@ def _apply_config(parser, ns) -> None:
             setattr(ns, attr, getattr(config, attr))
 
 
-@functools.cache
-def _takes_value() -> dict:
-    """{command: {option string: whether it takes a value}}."""
-    commands = next(a.choices for a in build_parser()._actions
-                    if isinstance(a.choices, dict))
-    return {command: {name: a.nargs != 0 for a in sub._actions for name in a.option_strings}
-            for command, sub in commands.items()}
-
-
 def _join_dash_values(argv: list) -> list:
-    """argv with each value-taking option joined to a next token that
-    starts with "-" and names no option: "--grid -4:4:5" becomes
-    "--grid=-4:4:5", which argparse would otherwise read as two options
-    (it takes only plain negative numbers such as -2 for values)."""
-    options = _takes_value().get(argv[0], {}) if argv else {}
-
-    def names_option(token):
-        name = token.split("=", 1)[0]
-        return name in options or (name.startswith("--")
-                                   and any(o.startswith(name) for o in options))
-
+    """argv with each token that starts with a single "-", other than
+    "-h", joined as a value to the "--option" before it when that holds no
+    "=": "--grid -4:4:5" and "--gri -4:4:5" become "--grid=-4:4:5" and
+    "--gri=-4:4:5", which argparse would otherwise read as two options (it
+    takes only plain negative numbers such as -2 for values).  Every option
+    but -h is long, so such a token names no option."""
     out = []
     for token in argv:
-        if out and options.get(out[-1]) and token.startswith("-") and not names_option(token):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and not token.startswith("--") and token != "-h"):
             out[-1] += "=" + token
         else:
             out.append(token)

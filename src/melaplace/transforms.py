@@ -255,7 +255,8 @@ def _off_axis(spec: FunctionSpec):
 def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
             kernel=None, s: float = 0.0) -> list:
     """The half-line Estimates of the direct transform at z, each integrand
-    times kernel(values, u) when one is given; OutOfDomain outside the strip.
+    times kernel(values, u) when one is given; OutOfDomain at a z that is
+    not finite or is outside the strip.
 
     The u >= 0 side runs from s with [0, s] as a head when s > 0, else
     from 0.  Mellin's x >= 1 side, at u = -ln x, is the off-axis form at
@@ -264,6 +265,8 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     Mellin integrand whose peak at the hump passes the largest float is a
     DomainError.
     """
+    if not cmath.isfinite(z):
+        raise OutOfDomain(f"{kind.value} transform needs a finite z, got {z!r}")
     strip = _domain(spec, kind)
     if not strip.contains(z.real):
         bounds = (f"Re z > {strip.c1:g}" if strip.c2 == math.inf

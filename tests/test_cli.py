@@ -65,6 +65,13 @@ def test_parse_complex_literals():
         parse_complex("1 + 2i")
 
 
+@pytest.mark.parametrize("text", ["1e400+0i", "1+1e400i", "1+nani", "inf+0i", "nan",
+                                  "-inf-infi"])
+def test_parse_complex_rejects_a_non_finite_part(text):
+    with pytest.raises(ParseError, match=r"^complex literal must be finite, got "):
+        parse_complex(text)
+
+
 def test_parse_grid():
     assert parse_grid("0.25:4:4") == [0.25, 1.5, 2.75, 4.0]
     assert parse_grid("1:1:1") == [1.0]
@@ -159,6 +166,9 @@ def test_invert_grid_and_bromwich(capsys):
     (("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--contour", "rect"),
      "--x", "-4e1"),
     (("transform", "--func", "exp:gamma=1", "--kind", "laplace"), "--z", "-0.5+2i"),
+    # an abbreviation of the option takes the value too
+    (("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace", "--contour", "rect"),
+     "--gri", "-4:4:3"),
 ])
 def test_values_starting_with_a_dash_in_either_form(capsys, argv, option, value):
     joined = run(capsys, *argv, f"{option}={value}")
@@ -167,6 +177,25 @@ def test_values_starting_with_a_dash_in_either_form(capsys, argv, option, value)
     # a next token that names an option is still no value
     code, _, err = run(capsys, *argv, option, "--json")
     assert code == 2 and "expected one argument" in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--json", "--strict"])
+def test_dash_token_after_a_flag_without_a_value_exits_two(capsys, flag):
+    # "-2" is read as the flag's value, which it does not take; "--help -2"
+    # exits 2 and prints no help
+    code, out, err = run(capsys, "invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace",
+                         "--x", "1", flag, "-2")
+    assert code == 2 and out == ""
+    assert "ignored explicit argument '-2'" in err
+
+
+@pytest.mark.parametrize("command", ["transform", "cauchy-check"])
+@pytest.mark.parametrize("z", ["1e400+0i", "1+1e400i", "1+nani", "inf+0i"])
+def test_non_finite_complex_literal_exits_two(capsys, command, z):
+    code, out, err = run(capsys, command, "--func", "exp:gamma=1", "--kind", "laplace",
+                         "--z", z, "--strict")
+    assert (code, out) == (2, "")
+    assert err == f"melaplace {command}: complex literal must be finite, got {z!r}\n"
 
 
 def test_symmetric_inverses_print_a_zero_imaginary_part(capsys):

@@ -25,6 +25,7 @@ from melaplace.quadrature import (
     _FIRST_TAIL_WIDTH,
     _MAX_TAIL_PANELS,
     _TAIL_GROWTH,
+    _gl,
     _gl_pair,
     _halfline,
     _within,
@@ -91,6 +92,25 @@ def test_halfline_divergence_detected():
                            r"slowly to resolve: tail panels still not negligible at "
                            r"t = 1\.34078e\+154$"):
             integrate_halfline(f, 0.0)
+
+
+def test_fault_below_the_root_is_raised_from_its_leftmost_leaf():
+    # 0.25 + 0.25 x[3] is a node of [0, 1]'s left child but not of the
+    # root, so the root splits and the children's leaves report the fault;
+    # a nan at the same node of the right child does not win over it
+    x = _gl(16)[0]
+    left, right = 0.25 + 0.25 * x[3], 0.75 + 0.25 * x[3]
+
+    def f(t):
+        values = np.sin(40.0 * t)
+        values[t == left] = np.inf
+        values[t == right] = np.nan
+        return values
+
+    with pytest.raises(NonFiniteIntegrand, match=r"^integrand not finite near "
+                       r"t = 0\.06114889791124925$"):
+        integrate_finite(f, 0.0, 1.0)
+    assert left == 0.06114889791124925
 
 
 def test_halfline_humped_integrand_is_not_divergent():

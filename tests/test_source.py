@@ -6,8 +6,11 @@ import csv
 import inspect
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import melaplace
@@ -172,6 +175,20 @@ def test_contours_have_one_panel_rule():
     assert not {"_MIN_PANEL_WIDTH", "_polyline", "_panel_width"} & defined
 
 
+def test_no_module_reads_a_private_attribute_of_another_object():
+    # the package reads other objects, argparse's parsers included, only
+    # through their public names
+    found = [
+        f"{path.name}:{node.lineno}:{ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert found == []
+
+
 # the exact stdout of each `melaplace ...` line of README's sh blocks
 README_OUTPUTS = {
     "transform": """\
@@ -243,6 +260,32 @@ def test_readme_cli_examples_run():
         got = json.loads(doc.getvalue())
         want = list(csv.reader(io.StringIO(out.getvalue())))
         assert [got["header"], *got["rows"]] == want, line
+
+
+def _run_module(*argv):
+    """`python -W error -m melaplace argv` on the source tree."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "melaplace", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli():
+    # __main__ and console_main, as a shell runs them, with every warning
+    # an error
+    line = re.search(r"^melaplace transform .*$", README.read_text(encoding="utf-8"), re.M)
+    done = _run_module(*shlex.split(line.group())[1:])
+    assert (done.returncode, done.stdout, done.stderr) == (0, README_OUTPUTS["transform"], "")
+
+    done = _run_module("invert", "--poles", "[[-1,0,1,0]]", "--kind", "laplace",
+                       "--contour", "rect", "--x", "abc")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("melaplace invert: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+    done = _run_module("roundtrip", "--func", "mixedpower:g1=0.5,g2=1", "--kind", "mellin",
+                       "--contour", "bromwich", "--grid", "0.2:0.9:8", "--T", "10",
+                       "--strict")
+    assert done.returncode == 3 and "Traceback" not in done.stderr
 
 
 # every public name of the package and of each of its modules; a class's

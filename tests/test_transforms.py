@@ -95,6 +95,15 @@ def test_laplace_domain_guard():
         laplace_transform(EXP1, complex(-1.5, 3.0))
 
 
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("z", [1e400, complex(1.0, 1e400), complex(1.0, math.nan),
+                               complex(math.nan, 0.0), complex(-math.inf, 0.0)])
+def test_non_finite_z_is_named_before_the_strip_test(kind, z):
+    # 1e400 is inf, which no strip test of Re z > c would name
+    with pytest.raises(OutOfDomain, match=f"^{kind.value} transform needs a finite z, "):
+        transform_estimate(FunctionSpec.exp(1.0), kind, z)
+
+
 def test_moment_of_power():
     assert mellin_moment(POW_HALF, 1.5) == pytest.approx(0.5, rel=1e-9)
     assert mellin_moment(FunctionSpec.power(0.0), 1.0) == pytest.approx(1.0, rel=1e-9)
