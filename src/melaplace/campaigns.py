@@ -207,10 +207,12 @@ def delta_check(
     docstring, with its half-line and the head [0, x] split at the kernel
     peak.  Functions without decay are integrated over a finite window
     since the sinc tail is only conditionally convergent.  The cutoffs must
-    be positive, finite and strictly increasing.  The table's ``converged``
-    says whether every integral met the tolerance of q.
+    be positive, finite and strictly increasing, and x finite.  The
+    table's ``converged`` says whether every integral met the tolerance of q.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"delta check needs a finite x, got {x!r}")
     Ts = [_positive("T", T, None) for T in T_values]
     if not Ts:
         raise EmptyGrid("delta check needs at least one T")

@@ -125,18 +125,15 @@ def _parse_reals(text: str):
 
 
 def _parse_poles(text: str) -> TransformExpr:
+    malformed = f"--poles expects JSON [[re,im,res_re,res_im],...], got {text!r}"
     try:
-        raw = json.loads(text)
-        poles = [
-            (complex(float(e[0]), float(e[1])), complex(float(e[2]), float(e[3])))
-            for e in raw
-        ]
-    except (ValueError, TypeError, IndexError):
-        raise ParseError(
-            f"--poles expects JSON [[re,im,res_re,res_im],...], got {text!r}"
-        ) from None
+        poles = json.loads(text)
+    except ValueError:
+        raise ParseError(malformed) from None
     try:
-        return TransformExpr.rational(poles)
+        return TransformExpr.from_json({"form": "rational", "poles": poles})
+    except ParseError:
+        raise ParseError(malformed) from None
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

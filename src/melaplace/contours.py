@@ -374,7 +374,8 @@ def single_line_eval(
 def _cauchy_sums(t: TransformExpr, rect: Contour, zs,
                  q: QuadratureSpec | None):
     """Yield cauchy_reproduction at each of zs in turn, with rect
-    discretized and the transform evaluated on it once for all of them."""
+    discretized and the transform evaluated on it once for all of them;
+    OutOfDomain at a z that is not finite."""
     if t.form is not TransformForm.RATIONAL:
         raise NotRectangularizable("Cauchy reproduction requires a rational form")
     if rect.shape is not ContourShape.RECTANGLE:
@@ -382,6 +383,8 @@ def _cauchy_sums(t: TransformExpr, rect: Contour, zs,
     vals = None
     for z in zs:
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise OutOfDomain(f"Cauchy reproduction needs a finite z, got {z!r}")
         if not z.real > rect.c_right:
             raise ZInsideRectangle(
                 f"need Re z > {rect.c_right:g}, got {z.real:g}"

@@ -99,13 +99,6 @@ class FunctionSpec:
     def domain_hint(self) -> DomainHint:
         return _CATALOG[self.kind][0]
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "params": list(self.params)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FunctionSpec":
-        return cls(FunctionKind(doc["kind"]), tuple(doc.get("params", ())))
-
 
 def parse_spec_string(s: str) -> FunctionSpec:
     """Parse the spec grammar of the module docstring.

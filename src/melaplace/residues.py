@@ -20,7 +20,9 @@ from .transforms import InverseKind, TransformExpr, TransformForm
 
 def _kernel_scale(kind: InverseKind, arg: float) -> float:
     """s with kernel(z, arg) = exp(s*z): arg for exp(x*z), -ln(arg) for
-    y**(-z)."""
+    y**(-z); DomainError at an arg that is not finite."""
+    if not math.isfinite(arg):
+        raise DomainError(f"the {kind.value} kernel needs a finite argument, got {arg!r}")
     if kind is InverseKind.LAPLACE_KERNEL:
         return arg
     if arg <= 0.0:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoClosedForm, NoStrip, OutOfDomain, PoleHit
+from .errors import DomainError, NoClosedForm, NoStrip, OutOfDomain, ParseError, PoleHit
 from .functions import (
     DomainHint,
     FunctionKind,
@@ -55,7 +55,9 @@ from .functions import (
     _term_sum,
     _terms,
     evaluate,
+    format_spec_string,
     growth_bounds,
+    parse_spec_string,
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -94,7 +96,8 @@ class TransformForm(enum.Enum):
 class TransformExpr:
     """A transform in the complex z-plane.
 
-    Rational: value is sum(res/(z - pole)); poles pairwise distinct.
+    Rational: value is sum(res/(z - pole)); poles and residues finite,
+    poles pairwise distinct.
     Numeric: value computed by direct quadrature of ``source``.
 
     ``validity`` is derived, never passed: where the defining integral
@@ -119,6 +122,8 @@ class TransformExpr:
             if not self.poles:
                 raise ValueError("rational form needs at least one pole")
             poles = tuple((complex(p), complex(r)) for p, r in self.poles)
+            if not all(cmath.isfinite(p) and cmath.isfinite(r) for p, r in poles):
+                raise ValueError("poles and residues must be finite")
             for i, (p, _) in enumerate(poles):
                 for q, _ in poles[i + 1:]:
                     # math.hypot gives inf where abs(p - q) raises OverflowError
@@ -152,33 +157,28 @@ class TransformExpr:
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
+        """The CLI's text forms: poles as the --poles list [[re, im,
+        res_re, res_im], ...], a numeric source as its --func spec string."""
         if self.form is TransformForm.RATIONAL:
-            return {
-                "form": "rational",
-                "poles": [
-                    {"re": p.real, "im": p.imag, "res_re": r.real, "res_im": r.imag}
-                    for p, r in self.poles
-                ],
-            }
-        return {
-            "form": "numeric",
-            "source": self.source.to_json(),
-            "kind": self.kind.value,
-        }
+            return {"form": "rational",
+                    "poles": [[p.real, p.imag, r.real, r.imag] for p, r in self.poles]}
+        return {"form": "numeric", "source": format_spec_string(self.source),
+                "kind": self.kind.value}
 
     @classmethod
     def from_json(cls, doc: dict) -> "TransformExpr":
+        """Inverse of to_json, and the one reader of a pole list: an entry
+        whose first four items float() cannot read is a ParseError."""
         form = doc["form"]
         if form == "rational":
-            poles = [
-                (complex(e["re"], e["im"]), complex(e["res_re"], e["res_im"]))
-                for e in doc["poles"]
-            ]
+            try:
+                poles = [(complex(float(e[0]), float(e[1])),
+                          complex(float(e[2]), float(e[3]))) for e in doc["poles"]]
+            except (ValueError, TypeError, LookupError, OverflowError):
+                raise ParseError("poles must be [[re, im, res_re, res_im], ...]") from None
             return cls.rational(poles)
         if form == "numeric":
-            return cls.numeric(
-                FunctionSpec.from_json(doc["source"]), TransformKind(doc["kind"])
-            )
+            return cls.numeric(parse_spec_string(doc["source"]), TransformKind(doc["kind"]))
         raise ValueError(f"unknown transform form {form!r}")
 
 
@@ -477,10 +477,13 @@ def rational_values(t: TransformExpr, zs: np.ndarray) -> np.ndarray:
 
 
 def eval_transform(t: TransformExpr, z: complex, q: QuadratureSpec | None = None) -> complex:
-    """Value of any TransformExpr at one complex point; DomainError when
-    it is past the float64 range."""
+    """Value of any TransformExpr at one complex point; OutOfDomain at a z
+    that is not finite, DomainError when the value is past the float64
+    range."""
     w = complex(z)
     if t.form is TransformForm.RATIONAL:
+        if not cmath.isfinite(w):
+            raise OutOfDomain(f"rational transform needs a finite z, got {w!r}")
         value = complex(rational_values(t, np.array([w]))[0])
     else:
         value = transform_estimate(t.source, t.kind, w, q).value

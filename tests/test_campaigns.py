@@ -167,6 +167,14 @@ def test_delta_check_rejects_bad_cutoffs(cutoff):
         delta_check(1.0, FunctionSpec.exp(1.0), [cutoff, 40.0])
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("spec", [FunctionSpec.exp(1.0), FunctionSpec.power(1.0)])
+def test_delta_check_rejects_a_non_finite_x(spec, x):
+    # before any integral: a nan x made the integrand nan
+    with pytest.raises(DomainError, match="^delta check needs a finite x, got "):
+        delta_check(x, spec, [10.0])
+
+
 @pytest.mark.parametrize("cutoffs", [[20.0, 20.0], [40.0, 20.0]])
 def test_delta_check_rejects_cutoffs_that_do_not_increase(cutoffs):
     with pytest.raises(DomainError, match="strictly increasing"):

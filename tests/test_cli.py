@@ -14,7 +14,9 @@ from melaplace import (
     FunctionSpec,
     InverseKind,
     ParseError,
+    TransformExpr,
     TransformKind,
+    analytic_transform,
     cauchy_reproduction,
     eval_transform,
     parse_spec_string,
@@ -148,6 +150,36 @@ def test_invert_rectangle_from_pole_list(capsys):
     header, rows = rows_of(out)
     assert header == ["arg", "re_val", "im_val"]
     assert float(rows[0][1]) == pytest.approx(math.exp(2.0), rel=1e-8)
+
+
+def test_transform_json_poles_are_a_poles_value(capsys):
+    # TransformExpr.to_json writes the --poles list, and from_json reads it
+    t = analytic_transform(FunctionSpec.mixed_exp(1.0, 0.5), TransformKind.LAPLACE)
+    hand = ("[[-1,0,0.5,0],[-1,2,-0.25,0],[-1,-2,-0.25,0],"
+            "[-0.5,0,0.5,0],[-0.5,2,0.25,0],[-0.5,-2,0.25,0]]")
+    written = json.dumps(t.to_json()["poles"], allow_nan=False)
+    assert TransformExpr.from_json({"form": "rational", "poles": json.loads(hand)}) == t
+    invert = ("invert", "--kind", "laplace", "--contour", "rect", "--grid=-2:2:5")
+    want = run(capsys, *invert, "--poles", hand)
+    assert want[0] == 0 and want[1].count("\n") == 6
+    assert run(capsys, *invert, "--poles", written) == want
+
+
+@pytest.mark.parametrize("poles,message", [
+    ('[{"a":1}]', "--poles expects JSON [[re,im,res_re,res_im],...], got '[{\"a\":1}]'"),
+    ("[[1,2,3]]", "--poles expects JSON [[re,im,res_re,res_im],...], got '[[1,2,3]]'"),
+    ("[[1" + "0" * 400 + ",0,1,0]]", "--poles expects JSON [[re,im,res_re,res_im],...]"),
+    ("[[1e400,0,1,0]]", "poles and residues must be finite"),
+    ("[[-1,0,NaN,0]]", "poles and residues must be finite"),
+    ("[]", "rational form needs at least one pole"),
+], ids=["dict", "three-items", "huge-int", "inf", "nan", "empty"])
+def test_malformed_or_non_finite_poles_exit_two(capsys, poles, message):
+    # a dict entry raised a bare KeyError, an infinite pole "strip requires
+    # c1 < c2"
+    code, out, err = run(capsys, "invert", "--poles", poles, "--kind", "laplace",
+                         "--contour", "rect", "--x", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"melaplace invert: {message}") and err.count("\n") == 1
 
 
 def test_invert_grid_and_bromwich(capsys):

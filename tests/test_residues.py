@@ -44,6 +44,15 @@ def test_mellin_kernel_rejects_nonpositive_arg():
             residue_inverse(t, MEL, bad)
 
 
+@pytest.mark.parametrize("kind", [LAP, MEL])
+@pytest.mark.parametrize("arg", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_is_named(kind, arg):
+    # nan and -inf read as imaginary leakage; at +inf exp(-inf) gave 0.0
+    t = TransformExpr.rational([(-1.0, 1.0)])
+    with pytest.raises(DomainError, match=f"^the {kind.value} kernel needs a finite"):
+        residue_inverse(t, kind, arg)
+
+
 def test_real_part_returned_for_symmetric_input():
     t = analytic_transform(FunctionSpec.mixed_exp(1.0, 2.0), TransformKind.LAPLACE)
     out = residue_inverse(t, LAP, 1.3)

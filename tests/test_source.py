@@ -124,6 +124,41 @@ def test_cli_cells_are_formatted_only_in_emit():
     assert found == [("cli.py", "_emit", "'.17g'")]
 
 
+def _functions(tree):
+    """(name, node) of each top-level function and method, a method's name
+    written Class.method."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{node.name}", node) for node in top.body
+                        if isinstance(node, ast.FunctionDef))
+
+
+def test_pole_lists_are_read_only_in_transform_from_json():
+    # a pole-list entry [re, im, res_re, res_im] becomes a pole and a
+    # residue in one place, which the CLI's --poles calls; a spec's one
+    # text form is its spec string, so FunctionSpec has no JSON of its own
+    def item(node):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "float" and node.args:
+            node = node.args[0]
+        return isinstance(node, ast.Subscript)
+
+    functions = {path.name: dict(_functions(ast.parse(path.read_text(encoding="utf-8"))))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    found = [
+        (module, name)
+        for module, defined in functions.items()
+        for name, function in defined.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "complex"
+        and len(node.args) == 2 and all(item(arg) for arg in node.args)
+    ]
+    assert found == [("transforms.py", "TransformExpr.from_json")] * 2
+    assert "TransformExpr.from_json" in ast.unparse(functions["cli.py"]["_parse_poles"])
+    assert not {"FunctionSpec.to_json", "FunctionSpec.from_json"} & set(functions["functions.py"])
+
+
 def test_quadrature_takes_no_numpy_abs():
     # panel errors carry the bits of CPython's complex abs: np.abs differs
     # from it on 34,863 of 100,000 normal random values, by up to 2 ulp,
@@ -342,11 +377,10 @@ PUBLIC_API = {
         FunctionKind.EXP FunctionKind.EXP_MINUS_X FunctionKind.MIXED_EXP
         FunctionKind.MIXED_POWER FunctionKind.POWER FunctionSpec
         FunctionSpec.domain_hint FunctionSpec.exp FunctionSpec.exp_minus_x
-        FunctionSpec.from_json FunctionSpec.kind FunctionSpec.mixed_exp
-        FunctionSpec.mixed_power FunctionSpec.params FunctionSpec.power
-        FunctionSpec.to_json GrowthBounds GrowthBounds.right_index Strip
-        Strip.c1 Strip.c2 Strip.contains evaluate format_spec_string
-        growth_bounds parse_spec_string
+        FunctionSpec.kind FunctionSpec.mixed_exp FunctionSpec.mixed_power
+        FunctionSpec.params FunctionSpec.power GrowthBounds
+        GrowthBounds.right_index Strip Strip.c1 Strip.c2 Strip.contains
+        evaluate format_spec_string growth_bounds parse_spec_string
     """,
     "melaplace.quadrature": """
         DEFAULT_QUADRATURE Estimate Estimate.converged Estimate.err_est

@@ -21,6 +21,7 @@ from melaplace import (
     NoClosedForm,
     NoStrip,
     OutOfDomain,
+    ParseError,
     PoleHit,
     QuadratureSpec,
     TailDivergence,
@@ -102,6 +103,31 @@ def test_non_finite_z_is_named_before_the_strip_test(kind, z):
     # 1e400 is inf, which no strip test of Re z > c would name
     with pytest.raises(OutOfDomain, match=f"^{kind.value} transform needs a finite z, "):
         transform_estimate(FunctionSpec.exp(1.0), kind, z)
+
+
+@pytest.mark.parametrize("z", [complex(1.0, math.nan), complex(math.nan, 0.0),
+                               complex(math.inf, 0.0), complex(1.0, -math.inf)])
+def test_rational_form_names_a_non_finite_z(z):
+    # before any numpy work, so no overflow is blamed and no warning leaks
+    with pytest.raises(OutOfDomain, match="^rational transform needs a finite z, "):
+        eval_transform(TransformExpr.rational([(-1.0, 1.0)]), z)
+
+
+@pytest.mark.parametrize("pole,residue", [
+    (complex(math.nan), 1.0), (1e400, 1.0), (-1.0, complex(0.0, -math.inf)),
+    (-1.0, math.nan)])
+def test_non_finite_poles_and_residues_are_named(pole, residue):
+    # the strip of a nan pole would fail as "strip requires c1 < c2"
+    with pytest.raises(ValueError, match="^poles and residues must be finite$"):
+        TransformExpr.rational([(-2.0, 1.0), (pole, residue)])
+
+
+@pytest.mark.parametrize("poles", [
+    [{"a": 1}], [[1, 2, 3]], [["x", 0, 1, 0]], [None], 5, [[10**400, 0, 1, 0]]],
+    ids=["dict", "three-items", "text", "null", "number", "huge-int"])
+def test_pole_list_reader_names_a_malformed_entry(poles):
+    with pytest.raises(ParseError, match=r"^poles must be \[\[re, im, res_re, res_im\], "):
+        TransformExpr.from_json({"form": "rational", "poles": poles})
 
 
 def test_moment_of_power():
@@ -609,16 +635,14 @@ def test_conjugate_symmetry_is_derived_at_construction():
 def test_json_roundtrip_all_forms():
     rational = analytic_transform(MIXED, TransformKind.LAPLACE)
     doc = rational.to_json()
-    assert doc["form"] == "rational" and len(doc["poles"]) == 6
+    # the poles are the CLI's --poles list, the source its --func string
+    assert doc["form"] == "rational"
+    assert doc["poles"] == [[p.real, p.imag, r.real, r.imag] for p, r in rational.poles]
     assert TransformExpr.from_json(doc).poles == rational.poles
 
     numeric = TransformExpr.numeric(POW_HALF, TransformKind.MOMENT)
     doc = numeric.to_json()
-    assert doc == {
-        "form": "numeric",
-        "source": {"kind": "power", "params": [0.5]},
-        "kind": "moment",
-    }
+    assert doc == {"form": "numeric", "source": "power:gamma=0.5", "kind": "moment"}
     back = TransformExpr.from_json(doc)
     assert back.source == POW_HALF and back.kind is TransformKind.MOMENT
 
@@ -629,10 +653,7 @@ def test_json_roundtrip_all_forms():
 def test_gamma_json_form_is_not_read():
     # the Gamma function is written as its numeric form
     assert TransformExpr.gamma().to_json() == {
-        "form": "numeric",
-        "source": {"kind": "expminusx", "params": []},
-        "kind": "mellin",
-    }
+        "form": "numeric", "source": "expminusx", "kind": "mellin"}
     with pytest.raises(ValueError, match="unknown transform form 'gamma'"):
         TransformExpr.from_json({"form": "gamma"})
 
