@@ -162,8 +162,12 @@ def _emit(ns, header, rows, summary, ok) -> int:
     writer.writerows(rows)
     text = buf.getvalue()
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ParseError(f"cannot write --out {ns.out!r}: {reason}") from None
     if ns.json:
         doc = {
             "command": ns.command,
@@ -430,6 +434,11 @@ def _apply_config(parser, ns) -> None:
         # keys that name no option of this command are ignored
         if key == "command" or not hasattr(ns, key):
             continue
+        # a list of scalars repeats its flag; an object, or a list that
+        # holds a list or an object, is one JSON value
+        nested = isinstance(value, list) and any(isinstance(v, (list, dict)) for v in value)
+        if isinstance(value, dict) or nested:
+            value = json.dumps(value)
         for v in value if isinstance(value, list) else [value]:
             if v is True:
                 argv.append(f"--{key}")

@@ -16,9 +16,9 @@ order 16 for |x| up to ~8, and 2*delta keeps convergence geometric despite
 poles sitting delta away from the edges.  A summed path of more than
 q.max_panels panels is a DomainError, never a coarser sum.
 
-An inverse runs in two steps.  The per-contour step builds the nodes and
-weights of all its edges in one array pass, and takes the transform values
-at the nodes from one batched call, ``transforms.rational_values``, whose
+An inverse runs in two steps.  The per-contour step, ``_record``, builds
+the nodes and weights of all its edges in one array pass, and the values
+at the nodes in one batched ``transforms.rational_values`` call, whose
 sum runs pole by pole in memory linear in the nodes.  The per-argument
 step is one kernel-weighted sum over those arrays.  ``inverse_eval``
 takes both steps for one argument; a round trip or a CLI ``invert`` over
@@ -271,25 +271,31 @@ def _path(c: Contour, q: QuadratureSpec, upper: bool):
     return nodes.ravel(), weights.ravel()
 
 
+def _record(t: TransformExpr, c: Contour, q: QuadratureSpec | None, upper: bool):
+    """(nodes, weights, values) of c, or of its upper half when upper; a
+    numeric t has no nodes and raises NotRectangularizable, as in
+    rectangle_for, before any is built."""
+    if t.form is not TransformForm.RATIONAL:
+        raise NotRectangularizable(
+            f"{t.form.value} transforms cannot be inverted on a rectangle"
+        )
+    nodes, weights = _path(c, q or DEFAULT_QUADRATURE, upper)
+    return nodes, weights, rational_values(t, nodes)
+
+
 def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
                   q: QuadratureSpec | None):
     """Yield (inverse, converged) at each of args in turn.
 
-    The nodes, weights and transform values of c (of its upper half when t
-    is conjugate-symmetric) are built when the first argument needs them
-    and serve every later one; each argument then takes one kernel-weighted
-    sum, which carries no error estimate and counts as converged.  A
-    numeric transform on an open line has no nodes: each argument takes
-    one line integral, converged when its quadrature met tolerance, and
-    on a rectangle raises NotRectangularizable, as in rectangle_for.  A
-    sum that comes out inf or nan is a DomainError.
+    The record of c (of its upper half when t is conjugate-symmetric) is
+    built when the first argument needs it and serves every later one;
+    each argument then takes one kernel-weighted sum, which carries no
+    error estimate and counts as converged.  A numeric transform on an
+    open line has no nodes: each argument takes one line integral,
+    converged when its quadrature met tolerance.  A sum that comes out inf
+    or nan is a DomainError.
     """
-    numeric = t.form is TransformForm.NUMERIC
-    if numeric and c.shape is not ContourShape.BROMWICH_LINE:
-        raise NotRectangularizable(
-            f"{t.form.value} transforms cannot be inverted on a rectangle"
-        )
-    vals = None
+    record = None
     for arg in args:
         scale = _kernel_scale(kind, arg)
         # the kernel's real exponent peaks on a vertical edge, its phase
@@ -300,14 +306,11 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
                 f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
             )
         converged = True
-        if numeric:
+        if t.form is TransformForm.NUMERIC and c.shape is ContourShape.BROMWICH_LINE:
             est = _line_integral(t, c.c_right, c.half_height, scale, q)
             value, converged = complex(est.value.real), est.converged
         else:
-            if vals is None:
-                nodes, weights = _path(c, q or DEFAULT_QUADRATURE,
-                                       t.conjugate_symmetric)
-                vals = rational_values(t, nodes)
+            nodes, weights, vals = record = record or _record(t, c, q, t.conjugate_symmetric)
             total = complex(np.dot(weights, np.exp(scale * nodes) * vals))
             if t.conjugate_symmetric:
                 # the lower half is the mirror image of the upper half,
@@ -373,14 +376,12 @@ def single_line_eval(
 
 def _cauchy_sums(t: TransformExpr, rect: Contour, zs,
                  q: QuadratureSpec | None):
-    """Yield cauchy_reproduction at each of zs in turn, with rect
-    discretized and the transform evaluated on it once for all of them;
-    OutOfDomain at a z that is not finite."""
-    if t.form is not TransformForm.RATIONAL:
-        raise NotRectangularizable("Cauchy reproduction requires a rational form")
+    """Yield cauchy_reproduction at each of zs in turn, with the record of
+    rect built once for all of them; OutOfDomain at a z that is not
+    finite."""
     if rect.shape is not ContourShape.RECTANGLE:
         raise ValueError("cauchy_reproduction expects a rectangle")
-    vals = None
+    record = None
     for z in zs:
         z = complex(z)
         if not cmath.isfinite(z):
@@ -389,9 +390,7 @@ def _cauchy_sums(t: TransformExpr, rect: Contour, zs,
             raise ZInsideRectangle(
                 f"need Re z > {rect.c_right:g}, got {z.real:g}"
             )
-        if vals is None:
-            nodes, weights = _path(rect, q or DEFAULT_QUADRATURE, False)
-            vals = rational_values(t, nodes)
+        nodes, weights, vals = record = record or _record(t, rect, q, False)
         total = complex(np.dot(weights, vals / (z - nodes)))
         if not cmath.isfinite(total):
             raise DomainError(f"the Cauchy integral overflows at z = {z}")

@@ -100,6 +100,8 @@ class TransformExpr:
     poles pairwise distinct.
     Numeric: value computed by direct quadrature of ``source``.
 
+    ``form`` is derived, never passed: poles make a rational form, a
+    source and a kind a numeric one, and both at once are a ValueError.
     ``validity`` is derived, never passed: where the defining integral
     converges (a half-plane is stored as a strip with c2 = +inf).  For a
     rational form it is the half-plane right of the rightmost pole, though
@@ -110,7 +112,7 @@ class TransformExpr:
     plays no part in equality, hashing, repr or JSON.
     """
 
-    form: TransformForm
+    form: TransformForm = field(init=False)
     poles: tuple = ()
     source: FunctionSpec | None = None
     kind: TransformKind | None = None
@@ -118,7 +120,12 @@ class TransformExpr:
     conjugate_symmetric: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.form is TransformForm.RATIONAL:
+        numeric = self.source is not None or self.kind is not None
+        if numeric and self.poles:
+            raise ValueError("a transform takes poles or a source spec and kind, not both")
+        form = TransformForm.NUMERIC if numeric else TransformForm.RATIONAL
+        object.__setattr__(self, "form", form)
+        if form is TransformForm.RATIONAL:
             if not self.poles:
                 raise ValueError("rational form needs at least one pole")
             poles = tuple((complex(p), complex(r)) for p, r in self.poles)
@@ -144,11 +151,11 @@ class TransformExpr:
     # -- constructors --------------------------------------------------
     @classmethod
     def rational(cls, poles) -> "TransformExpr":
-        return cls(TransformForm.RATIONAL, poles=tuple(poles))
+        return cls(poles=tuple(poles))
 
     @classmethod
     def numeric(cls, spec: FunctionSpec, kind: TransformKind) -> "TransformExpr":
-        return cls(TransformForm.NUMERIC, source=spec, kind=kind)
+        return cls(source=spec, kind=kind)
 
     @classmethod
     def gamma(cls) -> "TransformExpr":
@@ -387,7 +394,7 @@ def holomorphy_strip(spec: FunctionSpec) -> Strip:
     """
     if spec.domain_hint is DomainHint.HALF_LINE and growth_bounds(spec).right_index < 0:
         return Strip(0.0, math.inf)
-    raise NoStrip(f"{spec.kind.value}{spec.params} has no holomorphy strip")
+    raise NoStrip(f"{format_spec_string(spec)} has no holomorphy strip")
 
 
 # ---------------------------------------------------------------------------

@@ -722,6 +722,20 @@ def test_out_file_silences_stdout(tmp_path, capsys):
     assert target.read_text().startswith("arg,")
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a missing directory and a directory are no file to write
+    for target, reason in ((tmp_path / "missing" / "rows.csv", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        for extra in ((), ("--json",)):
+            code, out, err = run(
+                capsys, "transform", "--func", "exp:gamma=1", "--kind", "laplace",
+                "--z", "1+0i", "--out", str(target), *extra,
+            )
+            assert (code, out) == (2, "")
+            assert err == f"melaplace transform: cannot write --out {str(target)!r}: {reason}\n"
+            assert "Traceback" not in err
+
+
 def test_quad_flag_is_honored(capsys):
     code, out, _ = run(
         capsys, "transform", "--func", "exp:gamma=1", "--kind", "laplace",
@@ -777,6 +791,22 @@ def test_config_supplies_defaults_and_flags_override(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["summary"]["contour"]["shape"] == "rectangle"
     assert [r[0] for r in doc["rows"]] == ["-2"]
+    # a list that holds lists, and an object, are one JSON value each: the
+    # pole list TransformExpr.to_json writes, and a QuadratureSpec
+    config.write_text(json.dumps({
+        "poles": TransformExpr.rational([(-1, 1)]).to_json()["poles"], "kind": "laplace",
+        "quad": {"max_panels": 64}, "x": [1, 2], "json": True,
+    }))
+    code, out, _ = run(capsys, "invert", "--config", str(config), "--contour", "rect")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r[0] for r in doc["rows"]] == ["1", "2"]
+    assert [float(r[1]) for r in doc["rows"]] == pytest.approx(
+        [math.exp(-1.0), math.exp(-2.0)], rel=1e-12)
+    config.write_text(json.dumps({"quad": {"max_panels": 1}, "kind": "laplace"}))
+    code, out, err = run(capsys, "invert", "--config", str(config), "--contour", "rect",
+                         "--poles", "[[-1,0,1,0]]", "--x", "1")
+    assert (code, out) == (2, "") and "max_panels = 1" in err
     # values from a config are checked like flags
     config.write_text(json.dumps({"kind": "laplace", "contour": "circle"}))
     code, out, _ = run(capsys, "invert", "--config", str(config),

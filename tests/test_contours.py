@@ -77,16 +77,27 @@ def test_bromwich_numeric_uses_metadata():
 
 
 def test_hand_built_transforms_equal_their_constructors():
-    hand = TransformExpr(TransformForm.NUMERIC, source=FunctionSpec.exp(1.0),
-                         kind=TransformKind.LAPLACE)
+    hand = TransformExpr(source=FunctionSpec.exp(1.0), kind=TransformKind.LAPLACE)
+    assert hand.form is TransformForm.NUMERIC
     assert hand == TransformExpr.numeric(FunctionSpec.exp(1.0), TransformKind.LAPLACE)
     assert hand.validity == Strip(-1.0, math.inf)
     assert bromwich_for(hand, 0.5, 50.0).c_right == pytest.approx(-0.5)
-    rational = TransformExpr(TransformForm.RATIONAL, poles=((-1.0, 1.0),))
+    rational = TransformExpr(poles=((-1.0, 1.0),))
+    assert rational.form is TransformForm.RATIONAL
     assert rational == ONE_POLE
     assert bromwich_for(rational, 0.5, 50.0) == bromwich_for(ONE_POLE, 0.5, 50.0)
     with pytest.raises(ValueError, match="numeric form needs a source spec and kind"):
-        TransformExpr(TransformForm.NUMERIC)
+        TransformExpr(source=FunctionSpec.exp(1.0))
+    with pytest.raises(ValueError, match="numeric form needs a source spec and kind"):
+        TransformExpr(kind=TransformKind.LAPLACE)
+    with pytest.raises(ValueError, match="rational form needs at least one pole"):
+        TransformExpr()
+    # the form is derived, never passed, and poles with a source are no form
+    with pytest.raises(TypeError):
+        TransformExpr(TransformForm.RATIONAL, poles=((-1.0, 1.0),))
+    with pytest.raises(ValueError, match="poles or a source spec and kind, not both"):
+        TransformExpr(poles=((-1.0, 1.0),), source=FunctionSpec.exp(2.0),
+                      kind=TransformKind.MELLIN)
 
 
 def test_rectangle_placement():
@@ -150,6 +161,13 @@ def test_numeric_transform_on_a_hand_built_rectangle_is_rejected(rect, monkeypat
         inverse_eval(t, LAP, rect, 1.0)
     with pytest.raises(NotRectangularizable):
         next(contours._contour_sums(t, LAP, rect, [1.0, 2.0], None))
+    with pytest.raises(NotRectangularizable, match="^numeric transforms cannot be inverted"):
+        cauchy_reproduction(t, rect, 5.0)
+    # the first argument's kernel is checked before the form
+    with pytest.raises(DomainError, match="kernel overflows"):
+        inverse_eval(t, LAP, rect, 1e4)
+    with pytest.raises(ValueError, match="expects a rectangle"):
+        cauchy_reproduction(t, bromwich_for(t, 0.5, 10.0), 5.0)
 
 
 def test_contour_validation_and_json():
@@ -863,6 +881,36 @@ def test_cauchy_sums_match_per_point_reproduction():
     ]
     with pytest.raises(ZInsideRectangle):
         list(contours._cauchy_sums(MIXED, rect, [1.0, -5.0], None))
+
+
+def test_each_contour_sum_builds_its_record_once(monkeypatch):
+    built = []
+
+    def counting(name, fn):
+        def call(*args):
+            built.append(name)
+            return fn(*args)
+        monkeypatch.setattr(contours, name, call)
+
+    counting("_path", contours._path)
+    counting("rational_values", rational_values)
+    rect = rectangle_for(MIXED, 0.5, 5.0)
+    lop = TransformExpr.rational([(complex(-1.0, 2.0), 1.0)])
+    for t, c in ((MIXED, rect), (lop, rectangle_for(lop)), (ONE_POLE, bromwich_for(ONE_POLE))):
+        built.clear()
+        assert len(list(contours._contour_sums(t, LAP, c, [-2.0, -1.0, 0.0, 1.0, 2.0], None))) == 5
+        assert built == ["_path", "rational_values"]
+    built.clear()
+    assert len(list(contours._cauchy_sums(MIXED, rect, [1.0, 2j + 3.0, 5.0], None))) == 3
+    assert built == ["_path", "rational_values"]
+    # a first argument that raises builds nothing: a kernel overflow, a z
+    # inside the rectangle
+    built.clear()
+    with pytest.raises(DomainError, match="kernel overflows"):
+        list(contours._contour_sums(MIXED, LAP, rect, [-800.0, 1.0], None))
+    with pytest.raises(ZInsideRectangle):
+        list(contours._cauchy_sums(MIXED, rect, [-5.0, 1.0], None))
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,22 @@ def test_contours_have_one_panel_rule():
     assert not {"_MIN_PANEL_WIDTH", "_polyline", "_panel_width"} & defined
 
 
+def test_contour_sums_build_only_through_the_record():
+    # every rational contour sum takes its nodes, weights and transform
+    # values from _record, the one per-contour step; discretize keeps its
+    # own path
+    tree = ast.parse((PACKAGE / "contours.py").read_text(encoding="utf-8"))
+    found = sorted({
+        (node.func.id, name)
+        for name, function in _functions(tree)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("_path", "rational_values")
+    })
+    assert found == [("_path", "_record"), ("_path", "discretize"),
+                     ("rational_values", "_record")]
+
+
 def test_no_module_reads_a_private_attribute_of_another_object():
     # the package reads other objects, argparse's parsers included, only
     # through their public names

@@ -33,6 +33,7 @@ from melaplace import (
     bromwich_for,
     eval_transform,
     evaluate,
+    format_spec_string,
     growth_bounds,
     holomorphy_strip,
     integrate_finite,
@@ -242,6 +243,9 @@ def test_strips():
     for bad in (POW_HALF, FunctionSpec.mixed_power(1.0, 2.0), FunctionSpec.exp(0.0)):
         with pytest.raises(NoStrip):
             holomorphy_strip(bad)
+    # the spec is named by its spec string
+    with pytest.raises(NoStrip, match=r"^power:gamma=0\.5 has no holomorphy strip$"):
+        holomorphy_strip(POW_HALF)
 
 
 # every catalog kind, with parameters on both sides of 0 and at 0 itself
@@ -269,7 +273,7 @@ def test_holomorphy_strip_follows_the_growth_metadata(spec):
     if exists:
         assert holomorphy_strip(spec) == Strip(0.0, math.inf)
     else:
-        message = f"{spec.kind.value}{spec.params} has no holomorphy strip"
+        message = f"{format_spec_string(spec)} has no holomorphy strip"
         with pytest.raises(NoStrip, match=f"^{re.escape(message)}$"):
             holomorphy_strip(spec)
 
