@@ -22,12 +22,11 @@ from .contours import (
 )
 from .errors import DomainError, EmptyGrid
 from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
-from .quadrature import QuadratureSpec, integrate_finite
+from .quadrature import QuadratureSpec, _dirichlet, integrate_finite
 from .transforms import (
     InverseKind,
     TransformExpr,
     TransformKind,
-    _dirichlet,
     _line_integral,
     transform_for,
 )

@@ -13,8 +13,10 @@ machine-readable summary document.  Each CSV cell, and each cell of the
     melaplace cauchy-check --func exp:gamma=1 --kind laplace --z 1+0i
 
 Exit codes: 0 success, 2 validation/parse error, 3 convergence failure
-(only with --strict).  A JSON --config file may supply any long flag; flags
-given on the command line win.  A value may start with "-" in either form,
+(only with --strict), 1 when the reader of stdout closed it early (as
+``| head`` may), with no traceback.  A JSON --config file may supply any
+long flag; flags given on the command line win.  A value may start with
+"-" in either form,
 "--grid -4:4:5" or "--grid=-4:4:5": a token that starts with a single "-",
 other than -h, is the value of the long option (or its abbreviation) just
 before it.  Commands run with numpy's floating-point warnings off: an
@@ -37,6 +39,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -179,7 +182,9 @@ def _emit(ns, header, rows, summary, ok) -> int:
                 for k, v in summary.items()
             },
         }
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        # one write, as the CSV's: a reader that closes stdout early meets
+        # both forms alike
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     elif not ns.out:
         sys.stdout.write(text)
     return EXIT_NOT_CONVERGED if ns.strict and not ok else EXIT_OK
@@ -483,7 +488,17 @@ def cli_main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        # a reader that closed stdout raises here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python docs' note on SIGPIPE (signal module): stdout goes to
+        # devnull, so that the flush at exit raises nothing more, and the
+        # exit code is 1, as Python's own on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

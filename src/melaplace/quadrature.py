@@ -27,9 +27,20 @@ stop rule should end, and runs its stop and budget rules over them in
 order.  A look-ahead panel past the stop is never read: it never
 raises, and numpy's warnings are off while the engine evaluates.
 ``Estimate.panels_used`` counts the panels of the estimate, split ones
-included, not the look-ahead ones.  Finite heads, such as a Bromwich
-line's [0, s], ride the first tail pass (_halfline's heads) with the bits
-of integrate_finite.
+included, not the look-ahead ones.  Finite heads ride the first tail pass
+(_halfline's heads) with the bits of integrate_finite.
+
+A numeric Bromwich line integrates its source g against the Dirichlet
+kernel sin(T*(s - u))/(pi*(s - u)), which the engine applies itself
+(_Dirichlet) on the roots that _peak_roots lays: a peak root of one
+kernel period about u = s, and roots doubling away from it on both
+sides, the tail's panels among them.  A panel of half-width h at least
+h from s with T*h >= 2n (n = panel_order) takes a Filon-type rule:
+g/(pi*(s - u)) interpolated at the pair's nodes, the oscillation
+integrated exactly by its Legendre moments.  So its two rules cannot
+alias the kernel into agreement, and a line costs about as many panels
+at T = 1000 as at T = 50.  Every other panel, and every root of a call
+without a kernel, takes the plain Gauss-Legendre pair.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -75,7 +86,7 @@ class QuadratureSpec:
     that budget of its own, and stops after the panel on which its total
     reaches max_panels.  Each piece of a line integral has its own
     budget, so the mixedpower moment line at T = 30 with max_panels = 4
-    reports 7 panels.  A rational contour sum is not adaptive: max_panels
+    reports 11 panels.  A rational contour sum is not adaptive: max_panels
     bounds its fixed panels, and a path that needs more is a DomainError.
     """
 
@@ -150,12 +161,133 @@ def _gl_pair(n: int):
     return np.concatenate([x1, x2]), weights
 
 
-def _panels(f, mid, half, order: int):
+def _dirichlet(g, T: float, u):
+    """g times the Dirichlet kernel sin(T*u)/(pi*u) at an array of u.
+
+    Where |T*u| < 1e-8 the kernel is its limit T/pi, which the quotient
+    rounds to there anyway; this covers u = 0, and u so small that T*u or
+    pi*u is subnormal and the quotient loses its digits.
+    """
+    tu = T * u
+    num, den = np.sin(tu), math.pi * u
+    peak = (tu < 1e-8) & (tu > -1e-8)
+    if peak.any():
+        num[peak], den[peak] = T, math.pi
+    return g * (num / den)
+
+
+@functools.cache
+def _filon_basis(n: int):
+    """The Filon rules of _Dirichlet on the nodes of _gl_pair(n), and the
+    2k+1 of the recurrence for j_k, k < 2n.
+
+    The order-m Gauss-Legendre values of p at nodes x_j, weights w_j, give
+    its degree m-1 interpolant's Legendre coefficients
+    c_k = (2k+1)/2 sum_j w_j P_k(x_j) p(x_j) exactly, and the moments
+    int_{-1}^{1} P_k(x) exp(-i w x) dx = 2 (-i)^k j_k(w) integrate that
+    interpolant against the oscillation exactly.  The matrix maps j_k(w)
+    to each node's Filon weight against exp(-i w x), over its
+    Gauss-Legendre weight, so that _gl_pair's rows sum the rule: the
+    order-n rule's on the first n nodes and the order-2n rule's on the
+    last 2n, real and imaginary parts side by side.
+    """
+    x1, w1 = _gl(n)
+    x2, w2 = _gl(2 * n)
+    k = np.arange(2 * n)
+    # (2k+1)/2 from c_k times 2 (-i)**k from the moment
+    scale = (2 * k + 1) * (-1j) ** k
+    legvander = np.polynomial.legendre.legvander
+    weights = np.zeros((3 * n, 2 * n), dtype=complex)
+    weights[:n, :n] = legvander(x1, n - 1) * scale[:n]
+    weights[n:] = legvander(x2, 2 * n - 1) * scale
+    # a real product viewed as complex gives the complex weights
+    moments = np.empty((6 * n, 2 * n))
+    moments[0::2], moments[1::2] = weights.real, weights.imag
+    return moments, [2.0 * k + 1.0 for k in range(1, 2 * n - 1)]
+
+
+def _filon_row(w: float, n: int):
+    """The 3n node weights of both Filon rules of _filon_basis(n) against
+    exp(-i w x) on [-1, 1], over their Gauss-Legendre weights, for w >= 2n.
+
+    The spherical Bessel functions j_k(w), k < 2n, come from the upward
+    recurrence j_{k+1} = (2k+1)/w j_k - j_{k-1}, which is stable while
+    k < w, so no backward (Miller) recurrence is needed.
+    """
+    moments, factors = _filon_basis(n)
+    r = 1.0 / w
+    sin, cos = math.sin(w), math.cos(w)
+    a, b = sin * r, (sin * r - cos) * r
+    j = [a, b]
+    for c in factors:
+        a, b = b, c * r * b - a
+        j.append(b)
+    return moments.dot(np.array(j)).view(complex)
+
+
+class _Dirichlet:
+    """The Dirichlet kernel sin(T*(s - u))/(pi*(s - u)) of the roots of
+    one _trees or _halfline call, applied by the engine to an integrand g.
+
+    A panel of half-width h that lies at least h from the peak u = s and
+    has T*h >= 2n (n = panel_order) takes a Filon-type rule (Iserles &
+    Norsett, Proc. R. Soc. A 461, 2005): the smooth factor
+    g(u)/(pi*(s - u)) is interpolated at the panel's order-n and order-2n
+    Gauss-Legendre nodes, and each interpolant is integrated against the
+    oscillation exactly, so the two rules never alias it and their
+    difference stays the panel's error estimate.  Its weight rows are
+    cached per half-width, for the call.  Any other panel takes the
+    Gauss-Legendre pair on g times the kernel; on the roots of _peak_roots
+    it spans fewer than 2n/pi kernel periods, which the order-2n rule
+    resolves and the order-n rule sees as an error where it does not.
+    """
+
+    def __init__(self, T: float, s: float):
+        self.T, self.s, self.rows = T, s, {}
+
+    def weigh(self, vals, xs, mid, half, order: int):
+        """The rows of vals, g at the nodes xs of the panels mid[i] +/-
+        half[i], as values that _gl_pair's weights sum into each panel's
+        two rules: g times the kernel, or on a Filon panel g/(pi*(s - u))
+        times the Filon weight over the Gauss-Legendre one."""
+        T, s = self.T, self.s
+        d = s - xs
+        weighted = _dirichlet(vals, T, d)
+        if T * max(half) < 2 * order:
+            return weighted
+        # every root of _peak_roots lies at least its half-width from the
+        # peak, unless pi/T is near the rounding of s, where nodes may
+        # round onto it; a phase past the largest float leaves the panel to
+        # the plain pair, whose kernel values are then not finite
+        filon = [i for i, (m, h) in enumerate(zip(mid, half))
+                 if 2 * order <= T * h and 2 * h <= abs(s - m)
+                 and math.isfinite(T * (s - m))]
+        if filon:
+            rows, phases = [], []
+            for i in filon:
+                row = self.rows.get(half[i])
+                if row is None:
+                    row = self.rows[half[i]] = _filon_row(T * half[i], order)
+                rows.append(row)
+                # at u = mid + h*x, sin(T*(s - u)) = Im(exp(i*theta) exp(-i*w*x)),
+                # theta = T*(s - mid), w = T*h
+                theta = T * (s - mid[i])
+                phases.append(complex(math.cos(theta), math.sin(theta)))
+            kernel = (np.array(phases)[:, None] * np.array(rows)).imag
+            if filon[-1] - filon[0] == len(filon) - 1:
+                # a run of panels, as the far end of a tail block is: a view
+                filon = slice(filon[0], filon[-1] + 1)
+            weighted[filon] = vals[filon] / (math.pi * d[filon]) * kernel
+        return weighted
+
+
+def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None):
     """Order-2n values of f over the panels mid[i] +/- half[i], their
     moduli and their distances from the order-n values (three lists), and
     {i: the error that panel i raises}: NonFiniteIntegrand at
     its first node where f is not finite, else DomainError where its value
     is not finite.  One integrand call covers the nodes of every panel.
+    A kernel, when given, weights f as _Dirichlet.weigh says.
     """
     nodes, weights = _gl_pair(order)
     h = np.array(half)
@@ -164,6 +296,8 @@ def _panels(f, mid, half, order: int):
     if vals.shape != (xs.size,):
         raise ValueError(f"integrand gave shape {vals.shape} for {xs.size} nodes")
     vals = vals.reshape(xs.shape)
+    if kernel is not None:
+        vals = kernel.weigh(vals, xs, mid, half, order)
     # each panel keeps the bits of its own product weights @ row: numpy
     # gives a single row those bits through a (1, 3n) @ (3n, 2) product,
     # and many rows through one matrix-vector product per rule
@@ -214,7 +348,7 @@ def _abs(z: complex) -> float:
         return math.hypot(z.real, z.imag)
 
 
-def _trees(f, roots, q: QuadratureSpec) -> list:
+def _trees(f, roots, q: QuadratureSpec, kernel: _Dirichlet | None = None) -> list:
     """The adaptive integral of f over each root panel (lo, hi) of
     ``roots``: (value, err_est, panels_used, converged), or the error it
     raises.  An empty root is 0 from no panel.
@@ -249,7 +383,8 @@ def _trees(f, roots, q: QuadratureSpec) -> list:
     while owner:
         values, moduli, errs, faults = _panels(
             f, [0.5 * lo + 0.5 * hi for lo, hi in zip(los, his)],
-            [0.5 * hi - 0.5 * lo for lo, hi in zip(los, his)], q.panel_order)
+            [0.5 * hi - 0.5 * lo for lo, hi in zip(los, his)], q.panel_order,
+            kernel)
         deeper, next_los, next_his = [], [], []
         for j, (i, lo, hi, v, m, e) in enumerate(zip(owner, los, his, values, moduli, errs)):
             # _within, inline: this loop runs once a panel
@@ -355,9 +490,12 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     return _halfline(f, _bound("a", a), q or DEFAULT_QUADRATURE)[0]
 
 
-def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
+def _halfline(f, a: float, q: QuadratureSpec, heads=(),
+              kernel: _Dirichlet | None = None, width: float = _FIRST_TAIL_WIDTH) -> list:
     """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
-    q) for each (lo, hi) of ``heads``, bit for bit.
+    q) for each (lo, hi) of ``heads``, bit for bit.  With a kernel, each
+    panel weighs f as _Dirichlet.weigh says, and the tail's first panel is
+    ``width`` wide.
 
     The geometric panels from a are evaluated in blocks, one level-order
     pass each: _FIRST_TAIL_BLOCK panels first, then as many as _next_block
@@ -374,7 +512,7 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
     used = 0
     quiet = 0
     mag = 0.0
-    lo, width = float(a), _FIRST_TAIL_WIDTH
+    lo = float(a)
     block, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
     with np.errstate(all="ignore"):
         while left:
@@ -384,7 +522,7 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
                 roots.append((lo, hi))
                 lo = hi
                 width *= _TAIL_GROWTH
-            results = _trees(f, roots + riders, q)
+            results = _trees(f, roots + riders, q, kernel)
             if riders:
                 head_results, riders = results[len(roots):], []
             for result in results[:len(roots)]:
@@ -414,6 +552,45 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=()) -> list:
         converged = quiet >= 2 and _within(q, err_sum, _abs(total))
         return [Estimate(total, err_sum, used, converged),
                 *(Estimate(*_result(result)) for result in head_results)]
+
+
+def _peak_roots(T: float, s: float):
+    """(a, width, heads) of the u >= 0 side of the kernel _Dirichlet(T, s):
+    its tail starts at a with panels width wide, after the finite roots
+    heads.
+
+    A peak root [s - r, s + r], r = min(1/2, pi/T), takes the kernel's
+    central lobe; it is at most _FIRST_TAIL_WIDTH wide, as a plain tail's
+    first panel is.  Roots run out from it on both sides, 2r wide and
+    doubling: down to 0 on the left, where the last one takes the rest if
+    that is narrower than itself; on the right as heads while narrower
+    than 1/2, then as the tail, so that the tail's first block reaches at
+    least 127 past the peak, where a plain tail's reaches 255.  With
+    r = pi/T a root of half-width h = r 2^k has T h = pi 2^k: the roots
+    next to the peak keep the Gauss-Legendre pair, and those with
+    T h >= 2n take Filon panels.  Roots are clipped to u >= 0: those
+    wholly below it are dropped, and one that straddles it starts at 0.
+    A lobe that rounding at s leaves with no width is a DomainError: no
+    float lies inside it.
+    """
+    cap = 0.5 * _FIRST_TAIL_WIDTH
+    r = min(cap, math.pi / T)
+    if not s - r < s < s + r:
+        raise DomainError(f"the kernel at T = {T:g} has its central lobe, pi/T wide, "
+                          f"inside the rounding of its peak at {s:g}")
+    heads = [(max(s - r, 0.0), s + r)] if s + r > 0.0 else []
+    lo, width = s - r, 2.0 * r
+    while lo > 0.0:
+        edge = lo - width if lo - width >= width else 0.0
+        heads.append((edge, lo))
+        lo, width = edge, width * _TAIL_GROWTH
+    hi, width = s + r, 2.0 * r
+    while hi + width <= 0.0:
+        hi, width = hi + width, width * _TAIL_GROWTH
+    while width < cap:
+        heads.append((max(hi, 0.0), hi + width))
+        hi, width = hi + width, width * _TAIL_GROWTH
+    return max(hi, 0.0), width, heads
 
 
 def integrate_unit_singular(f, sigma: float, q: QuadratureSpec | None = None) -> Estimate:

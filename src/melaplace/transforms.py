@@ -25,8 +25,12 @@ Only the Laplace transform of a unit-interval source calls ``evaluate``.
 
 ``_pieces`` is the one home of the two-sided integral behind every
 numeric transform value and numeric Bromwich line: the u >= 0 half-line,
-plus Mellin's x >= 1 side at u = -ln x, each optionally times a kernel
-of u; ``_summed`` judges their sum.
+plus Mellin's x >= 1 side at u = -ln x, each optionally against the
+Dirichlet kernel of a line; ``_summed`` judges their sum.  On the u side
+the quadrature engine applies the kernel itself, with Filon panels away
+from its peak (``quadrature._Dirichlet``), so a line's cost there does
+not grow with T; Mellin's x side keeps the kernel in its integrand, on
+plain Gauss-Legendre panels in x.
 
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
@@ -64,7 +68,10 @@ from .quadrature import (
     Estimate,
     QuadratureSpec,
     _abs,
+    _dirichlet,
+    _Dirichlet,
     _halfline,
+    _peak_roots,
     _within,
 )
 
@@ -260,14 +267,18 @@ def _off_axis(spec: FunctionSpec):
 
 
 def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
-            kernel=None, s: float = 0.0) -> list:
+            T: float | None = None, s: float = 0.0) -> list:
     """The half-line Estimates of the direct transform at z, each integrand
-    times kernel(values, u) when one is given; OutOfDomain at a z that is
-    not finite or is outside the strip.
+    times the Dirichlet kernel sin(T*(s-u))/(pi*(s-u)) when T is given;
+    OutOfDomain at a z that is not finite or is outside the strip.
 
-    The u >= 0 side runs from s with [0, s] as a head when s > 0, else
-    from 0.  Mellin's x >= 1 side, at u = -ln x, is the off-axis form at
-    exponent (z-1)*ln x, one tail from x = 1: it rises until the hump
+    Without a kernel the u >= 0 side is one tail from 0.  With one, the
+    engine applies the kernel (quadrature._Dirichlet) to the roots of
+    _peak_roots: a peak root about u = s, roots doubling away from it on
+    both sides, and the tail beyond them, so that panels wide against the
+    kernel's period take the Filon rule.  Mellin's x >= 1 side, at
+    u = -ln x, is the off-axis form at exponent (z-1)*ln x, one tail from
+    x = 1, with the kernel on its plain panels: it rises until the hump
     x = (Re z - 1)/g_min, and the tail's stop rule reads on past it.  A
     Mellin integrand whose peak at the hump passes the largest float is a
     DomainError.
@@ -288,16 +299,18 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
                 f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
                 f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
-    u_side = inner if kernel is None else lambda u: kernel(inner(u), u)
-    head = [(0.0, s)] if s > 0.0 else []
-    pieces = _halfline(u_side, s if head else 0.0, q, head)
+    if T is None:
+        pieces = _halfline(inner, 0.0, q)
+    else:
+        start, width, heads = _peak_roots(T, s)
+        pieces = _halfline(inner, start, q, heads, _Dirichlet(T, s), width)
     if kind is TransformKind.MELLIN:
         off, zm = _off_axis(spec), z - 1.0
 
         def x_side(x):
             lx = np.log(x)
             values = off(zm * lx, x)
-            return values if kernel is None else kernel(values, -lx)
+            return values if T is None else _dirichlet(values, T, s + lx)
         pieces += _halfline(x_side, 1.0, q)
     return pieces
 
@@ -322,35 +335,18 @@ def _summed(pieces: list, q: QuadratureSpec, scale: float = 1.0) -> Estimate:
                     and _within(q, err, size))
 
 
-def _dirichlet(g, T: float, u):
-    """g times the Dirichlet kernel sin(T*u)/(pi*u) at an array of u.
-
-    Where |T*u| < 1e-8 the kernel is its limit T/pi, which the quotient
-    rounds to there anyway; this covers u = 0, and u so small that T*u or
-    pi*u is subnormal and the quotient loses its digits.
-    """
-    tu = T * u
-    num, den = np.sin(tu), math.pi * u
-    peak = np.abs(tu) < 1e-8
-    if peak.any():
-        num[peak], den[peak] = T, math.pi
-    return g * (num / den)
-
-
 def _line_integral(t: TransformExpr, c: float, T: float, s: float,
                    q: QuadratureSpec | None = None) -> Estimate:
     """(1/2pi i) * integral of exp(s*z) * t(z) over [c - iT, c + iT] for a
     numeric t: the Dirichlet integral of the ``contours`` docstring, the
     direct transform's pieces at real z = c against the kernel
-    sin(T*(s-u))/(pi*(s-u)), split at its peak u = s, times exp(c*s).
-    Mellin's x side is not split at the peak x = exp(-s): its doubling
-    panels bracket it, where one finite panel over [1, exp(-s)] would miss
-    the mass near x = 1.
+    sin(T*(s-u))/(pi*(s-u)), with a root about its peak u = s, times
+    exp(c*s).  Mellin's x side is not split at the peak x = exp(-s): its
+    doubling panels bracket it, where one finite panel over [1, exp(-s)]
+    would miss the mass near x = 1.
     """
     q = q or DEFAULT_QUADRATURE
-    return _summed(_pieces(t.source, t.kind, c, q,
-                           lambda g, u: _dirichlet(g, T, s - u), s),
-                   q, math.exp(c * s))
+    return _summed(_pieces(t.source, t.kind, c, q, T, s), q, math.exp(c * s))
 
 
 def transform_estimate(

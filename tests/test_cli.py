@@ -429,16 +429,29 @@ def test_delta_check_command(capsys):
     assert float(rows[-1][2]) <= 5e-2
 
 
+# the line values of exp(-g y) against the kernel at x = 1, T = 20 and 80:
+# for g = 0.001 the references of delta_check's slow-decay test, for g = 1
+# the truncated-line oracle of tests/test_contours.py
+_DELTA_LINES = {"exp:gamma=0.001": (0.9918218240311156, 0.9994889162408874),
+                "exp:gamma=1": (0.3614039596842624, 0.36831857413291846)}
+
+
 @pytest.mark.parametrize("func, converged", [("exp:gamma=1", True),
+                                              ("exp:gamma=0.001", True),
                                               ("exp:gamma=0.001", False)])
 def test_delta_check_strict_exits_three_on_an_unconverged_window(capsys, func,
                                                                  converged):
-    # the line integral of exp(-0.001 y) against the kernel stops its
-    # half-line on the 4096-panel budget
-    argv = ["delta-check", "--func", func, "--x", "1", "--T", "20,80", "--strict"]
+    # the Filon panels take the slowly decaying exp(-0.001 y) in 20 and 40
+    # panels; a two-panel budget stops its half-line short of the stop rule
+    budget = () if converged else ("--quad", '{"max_panels":2}')
+    argv = ["delta-check", "--func", func, "--x", "1", "--T", "20,80", *budget, "--strict"]
     code, plain, _ = run(capsys, *argv)
     assert code == (0 if converged else 3)
     assert run(capsys, *argv[:-1])[:2] == (0, plain)
+    if converged:
+        _, rows = rows_of(plain)
+        assert [float(row[1]) for row in rows] == pytest.approx(_DELTA_LINES[func],
+                                                                abs=1e-10)
     code, out, _ = run(capsys, *argv, "--json")
     assert code == (0 if converged else 3)
     assert strict_json(out)["summary"]["converged"] is converged

@@ -1058,32 +1058,36 @@ def test_rational_lines_match_the_truncated_line(poles, kernel, delta, T):
 _decays = st.floats(0.0, 3.0)
 
 
-def _numeric_line_error(spec, delta, s, T):
-    """The Dirichlet-kernel line of the numeric Laplace form of spec, delta
-    right of its strip edge, as (estimate, error against the closed form of
-    its rational twin, sum |r exp(p s)|)."""
-    numeric = TransformExpr.numeric(spec, TransformKind.LAPLACE)
-    poles = analytic_transform(spec, TransformKind.LAPLACE).poles
+def _numeric_line_error(spec, kind, delta, s, T):
+    """The Dirichlet-kernel line of the numeric form of spec, delta right
+    of its strip edge, as (estimate, error against the closed form of its
+    rational twin, sum |r exp(p s)|); s = -ln y for a moment line."""
+    numeric = TransformExpr.numeric(spec, kind)
+    poles = analytic_transform(spec, kind).poles
     c = numeric.validity.c1 + delta
     est = _line_integral(numeric, c, T, s)
     return (est, abs(est.value - _truncated_line(poles, c, T, s)),
             sum(abs(r) * math.exp(p.real * s) for p, r in poles))
 
 
-@settings(max_examples=40, deadline=None)
-@given(spec=st.one_of(st.builds(FunctionSpec.exp, _decays),
-                      st.builds(FunctionSpec.mixed_exp, _decays, _decays)),
-       delta=st.floats(0.1, 1.0), s=st.floats(-2.0, 3.0))
-def test_numeric_lines_match_the_truncated_line(spec, delta, s):
-    # an independent check of the Dirichlet-kernel engine; at T = 200 and
-    # 1000 see the pinned cases below
-    est, err, scale = _numeric_line_error(spec, delta, s, 10.0)
+_numeric_twins = st.one_of(
+    st.tuples(st.one_of(st.builds(FunctionSpec.exp, _decays),
+                        st.builds(FunctionSpec.mixed_exp, _decays, _decays)),
+              st.just(TransformKind.LAPLACE)),
+    st.tuples(st.builds(FunctionSpec.power, _decays), st.just(TransformKind.MOMENT)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin=_numeric_twins, delta=st.floats(0.1, 1.0), s=st.floats(-2.0, 3.0),
+       T=st.floats(10.0, 1000.0))
+def test_numeric_lines_match_the_truncated_line(twin, delta, s, T):
+    # an independent check of the Dirichlet-kernel engine, converged or
+    # not: Laplace lines of exp and mixedexp, and moment lines of power
+    spec, kind = twin
+    est, err, scale = _numeric_line_error(spec, kind, delta, s, T)
     assert err <= 1e-10 * scale
 
 
-@pytest.mark.xfail(strict=True, reason="the order-16/32 panel pair underrates the "
-                   "error of the oscillating Dirichlet kernel: these lines claim "
-                   "convergence while 1.4e-9 and 2.5e-9 (of the term scale) off")
 @pytest.mark.parametrize("spec,delta,s,T", [
     (FunctionSpec.mixed_exp(1.6970252347758308, 2.4984932900006194), 1.0,
      2.1854427662644813, 200.0),
@@ -1091,5 +1095,7 @@ def test_numeric_lines_match_the_truncated_line(spec, delta, s):
      1000.0),
 ], ids=["T=200", "T=1000"])
 def test_converged_numeric_lines_match_the_truncated_line(spec, delta, s, T):
-    est, err, scale = _numeric_line_error(spec, delta, s, T)
-    assert not est.converged or err <= 1e-10 * scale
+    # Gauss-Legendre panels over hundreds of kernel periods claimed these
+    # lines converged while 1.4e-9 and 2.5e-9 (of the term scale) off
+    est, err, scale = _numeric_line_error(spec, TransformKind.LAPLACE, delta, s, T)
+    assert est.converged and err <= 1e-10 * scale

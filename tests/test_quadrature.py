@@ -25,9 +25,12 @@ from melaplace.quadrature import (
     _FIRST_TAIL_WIDTH,
     _MAX_TAIL_PANELS,
     _TAIL_GROWTH,
+    _Dirichlet,
+    _filon_row,
     _gl,
     _gl_pair,
     _halfline,
+    _peak_roots,
     _within,
 )
 from melaplace.transforms import _dirichlet
@@ -756,3 +759,81 @@ def test_halfline_from_where_unit_panels_vanish(a):
     f = lambda t: np.exp(a - t)
     _assert_same(_outcome(integrate_halfline, f, a),
                  _outcome(_reference_halfline, f, a))
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet kernel: Filon panels and the peak layout
+# ---------------------------------------------------------------------------
+
+def _power_moments(w, count):
+    """int_{-1}^{1} x**p exp(-i w x) dx for p < count, by parts:
+    I_p = (exp(-i w) - (-1)**p exp(i w))/(-i w) + p/(i w) I_{p-1}, which
+    loses no digits while p < w."""
+    moments = [2.0 * math.sin(w) / w]
+    for p in range(1, count):
+        ends = (cmath.exp(-1j * w) - (-1) ** p * cmath.exp(1j * w)) / (-1j * w)
+        moments.append(ends + p / (1j * w) * moments[-1])
+    return moments
+
+
+@pytest.mark.parametrize("order", [4, 16, 32])
+@pytest.mark.parametrize("ratio", [1.0, 1.7, 40.0, 1e4])
+def test_filon_rules_integrate_their_polynomials_exactly(order, ratio):
+    # each Filon rule takes a polynomial below its node count against
+    # exp(-i w x) exactly, from w = 2n on: the order-n rule x**(n-1), the
+    # order-2n rule x**(2n-1)
+    w = 2 * order * ratio
+    nodes, weights = _gl_pair(order)
+    row = _filon_row(w, order) * weights.real.sum(axis=0)
+    want = _power_moments(w, 2 * order)
+    for power, part in [(order - 1, slice(None, order)),
+                        (2 * order - 1, slice(order, None))]:
+        got = np.sum(row[part] * nodes[part] ** power)
+        assert abs(got - want[power]) <= 1e-13 * max(1.0, abs(want[power]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_integrands(), roots=_ROOTS, share=st.floats(0.01, 0.99), s=st.floats(-5.0, 60.0))
+def test_kernel_panels_below_the_filon_width_are_the_plain_pair(f, roots, share, s):
+    # a kernel whose panels are all narrower than 2n/T on each side takes
+    # the plain pair on f times the kernel, bit for bit
+    widest = max(0.5 * (b - a) for a, b in roots)
+    T = share * 2 * Q.panel_order / widest if widest > 0.0 else share
+    with np.errstate(all="ignore"):
+        got = quadrature._trees(f, roots, Q, _Dirichlet(T, s))
+        want = quadrature._trees(lambda u: _dirichlet(f(u), T, s - u), roots, Q)
+    assert ([_exact_entry(quadrature._result, e) for e in got]
+            == [_exact_entry(quadrature._result, e) for e in want])
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(0.1, 1e8), s=st.floats(-50.0, 50.0))
+def test_peak_roots_tile_the_half_line_about_the_peak(T, s):
+    # the roots and the tail's first panel tile [0, inf) in order from 0,
+    # without gap: a peak root one kernel period (at most 1) wide, roots
+    # at most doubling away from it but where clipped at 0, each but the
+    # peak at least its half-width from it, and a tail panel at least 1/2
+    # wide
+    r = min(0.5, math.pi / T)
+    start, width, heads = _peak_roots(T, s)
+    roots = sorted(heads) + [(start, start + width)]
+    assert roots[0][0] == 0.0
+    assert all(a[1] == b[0] for a, b in zip(roots, roots[1:]))
+    if s + r > 0.0:
+        assert (max(s - r, 0.0), s + r) in heads
+    # edges near s carry its rounding
+    slack = 4 * math.ulp(abs(s) + width)
+    right = [b - a for a, b in roots if a >= s + r and a > 0.0]
+    assert all(w2 <= 2.0 * w1 + slack for w1, w2 in zip(right, right[1:]))
+    left = [b - a for a, b in roots if 0.0 < a and b <= s - r]
+    assert all(w1 <= 2.0 * w2 + slack for w1, w2 in zip(left, left[1:]))
+    others = [(a, b) for a, b in roots if (a, b) != (max(s - r, 0.0), s + r)]
+    assert all(abs(s - 0.5 * (a + b)) >= 0.5 * (b - a) - slack for a, b in others)
+    assert width >= 0.5
+
+
+def test_a_peak_lost_in_rounding_is_a_domain_error():
+    # pi/T = 3e-20 is below half the spacing of floats at 30
+    with pytest.raises(DomainError, match="central lobe"):
+        _peak_roots(1e20, 30.0)
+    assert _peak_roots(1e20, 0.0)[2][0] == (0.0, math.pi / 1e20)

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import melaplace
 from melaplace import FunctionKind
 from melaplace.cli import cli_main
@@ -260,9 +262,9 @@ arg,truth,recovered,abs_err,rel_err
 """,
     "delta-check": """\
 T,value,abs_err
-20,0.36140395968426442,0.0064754814871779143
-40,0.3731836496935515,0.0053042085221091662
-80,0.3683185741329818,0.0004391329615394679
+20,0.36140395968426209,0.0064754814871802457
+40,0.37318364969354717,0.0053042085221048363
+80,0.36831857413291791,0.00043913296147557457
 """,
     "sweep": """\
 delta,half_height,re_val,im_val
@@ -337,6 +339,39 @@ def test_module_entry_point_runs_the_cli():
                        "--contour", "bromwich", "--grid", "0.2:0.9:8", "--T", "10",
                        "--strict")
     assert done.returncode == 3 and "Traceback" not in done.stderr
+
+
+def _closed_stdout_run(grid, first_line, *extra):
+    """(exit code, stderr) of `python -W error -m melaplace invert` over
+    --grid, its stdout a pipe whose reader closes after the first line,
+    or before the command starts when first_line is False."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    argv = [sys.executable, "-W", "error", "-m", "melaplace", "invert", "--func",
+            "mixedexp:g1=1,g2=0.5", "--kind", "laplace", "--contour", "rect",
+            "--grid", grid, *extra]
+    read, write = os.pipe()
+    if not first_line:
+        os.close(read)
+    with subprocess.Popen(argv, stdout=write, stderr=subprocess.PIPE, env=env) as child:
+        os.close(write)
+        if first_line:
+            with os.fdopen(read, "rb") as reader:
+                reader.readline()
+        stderr = child.stderr.read().decode()
+        return child.wait(timeout=120), stderr
+
+
+@pytest.mark.parametrize("grid, first_line", [("-4:4:5", False), ("-4:4:40000", True)],
+                         ids=["closed-before", "closed-after-first-line"])
+def test_closed_stdout_ends_csv_and_json_alike_with_no_traceback(grid, first_line):
+    # the reader of a pipe, such as `| head -1`, may close it before the
+    # command writes (exit 1 on the broken pipe) or while it writes its
+    # 1.6 MB of CSV or 3 MB of JSON, past a pipe's capacity
+    csv_run = _closed_stdout_run(grid, first_line)
+    json_run = _closed_stdout_run(grid, first_line, "--json")
+    assert csv_run == (json_run[0], "") and json_run[1] == ""
+    if not first_line:
+        assert csv_run[0] == 1
 
 
 # every public name of the package and of each of its modules; a class's

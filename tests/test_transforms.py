@@ -45,8 +45,8 @@ from melaplace import (
     mellin_transform,
     transform_estimate,
 )
-from melaplace import transforms
-from melaplace.quadrature import _within
+from melaplace import quadrature, transforms
+from melaplace.quadrature import _Dirichlet, _halfline, _peak_roots, _within
 from melaplace.transforms import (
     POLE_HIT_TOL,
     _dirichlet,
@@ -54,6 +54,7 @@ from melaplace.transforms import (
     _kernel_integrand,
     _line_integral,
     _off_axis,
+    _pieces,
     rational_values,
 )
 
@@ -850,14 +851,15 @@ MIXED_MOMENT = TransformExpr.numeric(FunctionSpec.mixed_power(0.5, 1.0),
 
 
 @pytest.mark.parametrize("t, delta, T, y, calls, points", [
-    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 4, 1392),
-    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 4, 1344),
-    (MIXED_MOMENT, 0.5, 30.0, 0.45, 5, 2544),
+    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 3, 960),
+    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 3, 864),
+    (MIXED_MOMENT, 0.5, 30.0, 0.45, 2, 720),
 ], ids=["gamma-head", "gamma-no-head", "mixedpower-head"])
 def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
                                              points):
-    # for y < 1 the u >= 0 side splits at u = -ln y > 0: its [0, -ln y]
-    # head took one integrand call of its own, a pass the tail now makes
+    # the peak root about u = -ln y and the roots left of it ride the first
+    # pass of the tail, which runs on from the peak: for y > 1 the peak
+    # lies on the x side, and the u side has no head
     count = [0, 0]
 
     def counting(g, T, u):
@@ -865,17 +867,19 @@ def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
         count[1] += u.size
         return _dirichlet(g, T, u)
 
+    monkeypatch.setattr(quadrature, "_dirichlet", counting)
     monkeypatch.setattr(transforms, "_dirichlet", counting)
     inverse_eval(t, InverseKind.MELLIN_KERNEL, bromwich_for(t, delta, T), y, LINE_Q)
     assert count == [calls, points]
 
 
 def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
-    """The pieces of transforms._pieces, from one integrate_halfline or
-    integrate_finite call per piece on the library's integrands, in the
-    same order; times the Dirichlet kernel about u = s when T is given.
-    A Mellin integrand whose peak at the hump passes the largest float
-    raises before any piece."""
+    """The pieces of transforms._pieces, from one engine call per piece on
+    the library's integrands, in the same order; with the Dirichlet kernel
+    about u = s when T is given, on the u side through the roots of
+    _peak_roots, each head a tree of its own, and on the x side in the
+    integrand.  A Mellin integrand whose peak at the hump passes the
+    largest float raises before any piece."""
     if kind is TransformKind.MELLIN:
         hump = (z.real - 1.0) / min(spec.params or (1.0,))
         peak = (z.real - 1.0) * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
@@ -886,14 +890,16 @@ def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
     off = _off_axis(spec)
     if T is None:
-        u_side = inner
+        pieces = [integrate_halfline(inner, 0.0, q)]
         x_side = lambda x: off((z - 1.0) * np.log(x), x)
     else:
-        u_side = lambda u: _dirichlet(inner(u), T, s - u)
+        start, width, heads = _peak_roots(T, s)
+        pieces = _halfline(inner, start, q, (), _Dirichlet(T, s), width)
+        with np.errstate(all="ignore"):
+            for head in heads:
+                entry = quadrature._trees(inner, [head], q, _Dirichlet(T, s))[0]
+                pieces.append(Estimate(*quadrature._result(entry)))
         x_side = lambda x: _dirichlet(off((z - 1.0) * np.log(x), x), T, s + np.log(x))
-    pieces = [integrate_halfline(u_side, max(s, 0.0), q)]
-    if s > 0.0:
-        pieces.append(integrate_finite(u_side, 0.0, s, q))
     if kind is TransformKind.MELLIN:
         pieces.append(integrate_halfline(x_side, 1.0, q))
     return pieces
@@ -948,14 +954,43 @@ def _numeric_transforms(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_numeric_transforms(), s=st.floats(-3.0, 3.0), T=st.floats(1.0, 40.0),
+@given(case=_numeric_transforms(), s=st.floats(-3.0, 3.0), T=st.floats(1.0, 1000.0),
        max_panels=st.sampled_from([1, 2, 4, 17, 4096]))
 def test_line_integral_matches_its_separate_pieces_bit_for_bit(case, s, T, max_panels):
-    # the [0, s] head prefetched in the tail's first pass changes no bit
+    # the heads prefetched in the tail's first pass change no bit
     t, c = case
     q = QuadratureSpec(max_panels=max_panels)
     assert (_line_outcome(_line_integral, t, c, T, s, q)
             == _line_outcome(_separate_line, t, c, T, s, q))
+
+
+def _u_side_panels(t, c, T, s):
+    """Panels of the pieces of a numeric line at the default spec, but
+    for Mellin's x >= 1 side, the last piece, which stays in x."""
+    pieces = _pieces(t.source, t.kind, c, QuadratureSpec(), T, s)
+    if t.kind is TransformKind.MELLIN:
+        pieces = pieces[:-1]
+    return sum(p.panels_used for p in pieces)
+
+
+@pytest.mark.parametrize("t, c, s", [
+    (MIXED_MOMENT, 0.5, -math.log(0.45)),
+    (TransformExpr.numeric(FunctionSpec.mixed_exp(1.0, 0.5), TransformKind.LAPLACE),
+     0.0, 1.3),
+    (TransformExpr.gamma(), 1.0, math.log(2.0)),
+], ids=["mixedpower-moment", "mixedexp-laplace", "gamma-u-side"])
+def test_line_cost_is_flat_in_T(t, c, s):
+    # Filon panels take the kernel's oscillation exactly, so a panel far
+    # from the peak holds any number of periods: the u side of a line
+    # takes 21, 33 and 22 panels at T = 50 and 38, 48 and 38 at T = 1000,
+    # where Gauss-Legendre panels took the first two lines from 61 and 179
+    # panels to 1,135 and 2,917.
+    # Mellin's x side is excluded: it keeps Gauss-Legendre panels in x,
+    # and the Gamma line's goes 15 -> 317 panels over the same range
+    assert _u_side_panels(t, c, 1000.0, s) <= 2 * _u_side_panels(t, c, 50.0, s)
+    if t.kind is not TransformKind.MELLIN:
+        assert (_line_integral(t, c, 1000.0, s).panels_used
+                == _u_side_panels(t, c, 1000.0, s))
 
 
 @pytest.mark.parametrize("c, s", [(80.0, 0.7), (171.0, -1.0), (150.0, 0.0)])
