@@ -28,19 +28,25 @@ order.  A look-ahead panel past the stop is never read: it never
 raises, and numpy's warnings are off while the engine evaluates.
 ``Estimate.panels_used`` counts the panels of the estimate, split ones
 included, not the look-ahead ones.  Finite heads ride the first tail pass
-(_halfline's heads) with the bits of integrate_finite.
+(_halfline's heads) with the bits of integrate_finite.  An integral over
+the whole line runs a second tail toward -inf in the same passes, with
+stop and budget rules of its own (_Tail), so each tail reads as it would
+alone.
 
 A numeric Bromwich line integrates its source g against the Dirichlet
 kernel sin(T*(s - u))/(pi*(s - u)), which the engine applies itself
 (_Dirichlet) on the roots that _peak_roots lays: a peak root of one
 kernel period about u = s, and roots doubling away from it on both
-sides, the tail's panels among them.  A panel of half-width h at least
-h from s with T*h >= 2n (n = panel_order) takes a Filon-type rule:
-g/(pi*(s - u)) interpolated at the pair's nodes, the oscillation
-integrated exactly by its Legendre moments.  So its two rules cannot
-alias the kernel into agreement, and a line costs about as many panels
-at T = 1000 as at T = 50.  Every other panel, and every root of a call
-without a kernel, takes the plain Gauss-Legendre pair.
+sides, the tails' panels among them, over u >= 0 or, for a Mellin line,
+over every real u.  A panel of half-width h at least h from s with
+T*h >= 2n (n = panel_order) takes a Filon-type rule: g/(pi*(s - u))
+interpolated at the pair's nodes, the oscillation integrated exactly by
+its Legendre moments.  So its two rules cannot alias the kernel into
+agreement, and a line costs about as many panels at T = 1000 as at
+T = 50.  A Filon weight row depends on T*h and n alone, and one bounded
+table (_filon_row) keeps the rows for the process.  Every other panel,
+and every root of a call without a kernel, takes the plain
+Gauss-Legendre pair.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -57,7 +63,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteIntegrand, TailDivergence
+from .errors import DomainError, MelaplaceError, NonFiniteIntegrand, TailDivergence
 
 # first geometric panel width on half-line integrals
 _FIRST_TAIL_WIDTH = 1.0
@@ -206,9 +212,19 @@ def _filon_basis(n: int):
     return moments, [2.0 * k + 1.0 for k in range(1, 2 * n - 1)]
 
 
+# Filon weight rows kept by _filon_row for the whole process.  A row is 3n
+# complex values, 48 KiB at panel_order 1024, so the table holds at most
+# 3 MiB of rows there, and 48 KiB at the default order 16.  The half-widths
+# of _peak_roots give w = T*h = pi*2**k up to a few ulps, so lines at any
+# T >= 2*pi share a few dozen rows
+_FILON_ROWS = 64
+
+
+@functools.lru_cache(maxsize=_FILON_ROWS)
 def _filon_row(w: float, n: int):
     """The 3n node weights of both Filon rules of _filon_basis(n) against
-    exp(-i w x) on [-1, 1], over their Gauss-Legendre weights, for w >= 2n.
+    exp(-i w x) on [-1, 1], over their Gauss-Legendre weights, for w >= 2n;
+    read-only, since the table hands the same row to every caller.
 
     The spherical Bessel functions j_k(w), k < 2n, come from the upward
     recurrence j_{k+1} = (2k+1)/w j_k - j_{k-1}, which is stable while
@@ -222,7 +238,9 @@ def _filon_row(w: float, n: int):
     for c in factors:
         a, b = b, c * r * b - a
         j.append(b)
-    return moments.dot(np.array(j)).view(complex)
+    row = moments.dot(np.array(j)).view(complex)
+    row.flags.writeable = False
+    return row
 
 
 class _Dirichlet:
@@ -235,15 +253,16 @@ class _Dirichlet:
     g(u)/(pi*(s - u)) is interpolated at the panel's order-n and order-2n
     Gauss-Legendre nodes, and each interpolant is integrated against the
     oscillation exactly, so the two rules never alias it and their
-    difference stays the panel's error estimate.  Its weight rows are
-    cached per half-width, for the call.  Any other panel takes the
-    Gauss-Legendre pair on g times the kernel; on the roots of _peak_roots
-    it spans fewer than 2n/pi kernel periods, which the order-2n rule
-    resolves and the order-n rule sees as an error where it does not.
+    difference stays the panel's error estimate.  Its weight rows come
+    from _filon_row's table, shared by every call.  Any other panel takes
+    the Gauss-Legendre pair on g times the kernel; on the roots of
+    _peak_roots it spans fewer than 2n/pi kernel periods, which the
+    order-2n rule resolves and the order-n rule sees as an error where it
+    does not.
     """
 
     def __init__(self, T: float, s: float):
-        self.T, self.s, self.rows = T, s, {}
+        self.T, self.s = T, s
 
     def weigh(self, vals, xs, mid, half, order: int):
         """The rows of vals, g at the nodes xs of the panels mid[i] +/-
@@ -265,10 +284,7 @@ class _Dirichlet:
         if filon:
             rows, phases = [], []
             for i in filon:
-                row = self.rows.get(half[i])
-                if row is None:
-                    row = self.rows[half[i]] = _filon_row(T * half[i], order)
-                rows.append(row)
+                rows.append(_filon_row(T * half[i], order))
                 # at u = mid + h*x, sin(T*(s - u)) = Im(exp(i*theta) exp(-i*w*x)),
                 # theta = T*(s - mid), w = T*h
                 theta = T * (s - mid[i])
@@ -369,7 +385,6 @@ def _trees(f, roots, q: QuadratureSpec, kernel: _Dirichlet | None = None) -> lis
     abs_tol, rel_tol, budget = q.abs_tol, q.rel_tol, q.max_panels
     results = [None] * len(roots)
     sizes = [1] * len(roots)
-    floors = [1e-14 * max(1.0, abs(a), abs(b)) for a, b in roots]
     leaves = {}
     capped = set()
     owner, los, his = [], [], []
@@ -390,7 +405,9 @@ def _trees(f, roots, q: QuadratureSpec, kernel: _Dirichlet | None = None) -> lis
             # _within, inline: this loop runs once a panel
             ok = e <= abs_tol or e <= rel_tol * m
             fault = faults.get(j) if faults else None
-            if not (ok or fault is not None or hi - lo <= floors[i]):
+            # the width floor, read only for a panel that would split
+            if not (ok or fault is not None
+                    or hi - lo <= 1e-14 * max(1.0, abs(roots[i][0]), abs(roots[i][1]))):
                 mid = 0.5 * lo + 0.5 * hi
                 if sizes[i] + 2 <= budget and lo < mid < hi:
                     sizes[i] += 2
@@ -490,42 +507,46 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     return _halfline(f, _bound("a", a), q or DEFAULT_QUADRATURE)[0]
 
 
-def _halfline(f, a: float, q: QuadratureSpec, heads=(),
-              kernel: _Dirichlet | None = None, width: float = _FIRST_TAIL_WIDTH) -> list:
-    """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
-    q) for each (lo, hi) of ``heads``, bit for bit.  With a kernel, each
-    panel weighs f as _Dirichlet.weigh says, and the tail's first panel is
-    ``width`` wide.
-
-    The geometric panels from a are evaluated in blocks, one level-order
-    pass each: _FIRST_TAIL_BLOCK panels first, then as many as _next_block
-    expects the stop rule to read.  The first pass also takes the heads'
-    trees, in no pass of their own.  The stop and budget rules run over
-    each block's panels in order; a panel past where they stop is never
-    read, and raises nothing.  The heads are read once the tail has
-    stopped, so the tail raises first, as it would alone.
+class _Tail:
+    """The stop and budget rules of one geometric tail of _halfline.  Its
+    panels run from a toward +inf, or toward -inf when width is negative,
+    each _TAIL_GROWTH times as wide as the last.  roots gives the next
+    block of them, and read runs the rules over their _trees entries until
+    ``outcome`` holds the tail's Estimate or the error it raises.
     """
-    abs_tol, rel_tol = q.abs_tol, q.rel_tol
-    riders, head_results = list(heads), []
-    total = 0j
-    err_sum = 0.0
-    used = 0
-    quiet = 0
-    mag = 0.0
-    lo = float(a)
-    block, left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
-    with np.errstate(all="ignore"):
-        while left:
-            roots = []
-            for _ in range(min(block, left)):
-                hi = lo + width
-                roots.append((lo, hi))
-                lo = hi
-                width *= _TAIL_GROWTH
-            results = _trees(f, roots + riders, q, kernel)
-            if riders:
-                head_results, riders = results[len(roots):], []
-            for result in results[:len(roots)]:
+
+    __slots__ = ("q", "lo", "width", "block", "left", "total", "err_sum", "used",
+                 "quiet", "mag", "outcome")
+
+    def __init__(self, a: float, width: float, q: QuadratureSpec):
+        self.q, self.lo, self.width = q, float(a), width
+        self.block, self.left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
+        self.total, self.err_sum, self.used, self.quiet, self.mag = 0j, 0.0, 0, 0, 0.0
+        self.outcome = None
+
+    def roots(self) -> list:
+        """The next block of root panels, (lo, hi) each, outward in order."""
+        lo, width = self.lo, self.width
+        roots = []
+        for _ in range(min(self.block, self.left)):
+            hi = lo + width
+            roots.append((lo, hi) if width > 0.0 else (hi, lo))
+            lo = hi
+            width *= _TAIL_GROWTH
+        self.lo, self.width = lo, width
+        return roots
+
+    def read(self, results) -> None:
+        """Runs the rules in order over results, the _trees entries of the
+        block from roots, and sets ``outcome`` where they stop: the error
+        of an entry read, or TailDivergence when the block was the last
+        that _MAX_TAIL_PANELS allows."""
+        q = self.q
+        abs_tol, rel_tol = q.abs_tol, q.rel_tol
+        total, err_sum, used, quiet, mag = (self.total, self.err_sum, self.used,
+                                            self.quiet, self.mag)
+        try:
+            for result in results:
                 value, err, panels, _ = _result(result)
                 total += value
                 err_sum += err
@@ -538,46 +559,104 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=(),
                 negligible = mag <= abs_tol and (mag <= rel_tol * scale or scale <= abs_tol)
                 quiet = quiet + 1 if negligible else 0
                 if quiet >= 2 or used >= q.max_panels:
-                    break
-            else:
-                block, left = _next_block(block, previous, mag, abs_tol), left - len(roots)
-                continue
-            break
-        else:
-            raise TailDivergence("the integral diverges, or decays too slowly to "
-                                 f"resolve: tail panels still not negligible at t = {lo:g}")
-        # the last panel's magnitude stands for the tail left out, also when
-        # the panel budget cut the tail off before it went quiet
-        err_sum += mag
-        converged = quiet >= 2 and _within(q, err_sum, _abs(total))
-        return [Estimate(total, err_sum, used, converged),
-                *(Estimate(*_result(result)) for result in head_results)]
+                    # the last panel's magnitude stands for the tail left
+                    # out, also when the panel budget cut the tail off
+                    # before it went quiet
+                    err_sum += mag
+                    self.outcome = Estimate(total, err_sum, used,
+                                            quiet >= 2 and _within(q, err_sum, _abs(total)))
+                    return
+        except MelaplaceError as exc:
+            self.outcome = exc
+            return
+        self.left -= len(results)
+        if not self.left:
+            self.outcome = TailDivergence(
+                "the integral diverges, or decays too slowly to resolve: tail panels "
+                f"still not negligible at t = {self.lo:g}")
+            return
+        self.total, self.err_sum, self.used, self.quiet, self.mag = (total, err_sum, used,
+                                                                     quiet, mag)
+        self.block = _next_block(self.block, previous, mag, abs_tol)
 
 
-def _peak_roots(T: float, s: float):
-    """(a, width, heads) of the u >= 0 side of the kernel _Dirichlet(T, s):
-    its tail starts at a with panels width wide, after the finite roots
-    heads.
+def _halfline(f, a: float, q: QuadratureSpec, heads=(),
+              kernel: _Dirichlet | None = None, width: float = _FIRST_TAIL_WIDTH,
+              left: float | None = None) -> list:
+    """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
+    q) for each (lo, hi) of ``heads``, bit for bit.  With a kernel, each
+    panel weighs f as _Dirichlet.weigh says.  The tail's first panel is
+    ``width`` wide, and a negative width runs it toward -inf.  With
+    ``left``, a second tail runs from left the other way, its first panel
+    -width wide, and its Estimate follows the first's.
+
+    Each tail's geometric panels are evaluated in blocks (_Tail):
+    _FIRST_TAIL_BLOCK panels first, then as many as _next_block expects
+    its stop rule to read.  One level-order pass takes the next block of
+    every tail still running, and the first pass also takes the heads'
+    trees, so no tail or head has a pass of its own.  The stop and budget
+    rules run over each block's panels in order; a panel past where they
+    stop is never read, and raises nothing.  A tail that raises stops, and
+    its error waits until every tail has stopped; the heads are read
+    last.  So the first tail raises first, then the second, then the
+    heads, as each would alone.
+    """
+    tails = [_Tail(a, width, q)]
+    if left is not None:
+        tails.append(_Tail(left, -width, q))
+    running = tails
+    riders, head_results = list(heads), []
+    with np.errstate(all="ignore"):
+        while running:
+            roots, sizes = [], []
+            for tail in running:
+                block = tail.roots()
+                roots += block
+                sizes.append(len(block))
+            results = _trees(f, roots + riders, q, kernel)
+            if riders:
+                head_results, riders = results[len(roots):], []
+            start = 0
+            for tail, size in zip(running, sizes):
+                tail.read(results[start:start + size])
+                start += size
+            running = [tail for tail in running if tail.outcome is None]
+        return ([_result(tail.outcome) for tail in tails]
+                + [Estimate(*_result(result)) for result in head_results])
+
+
+def _peak_roots(T: float, s: float, whole: bool = False):
+    """(a, width, heads, left) of the kernel _Dirichlet(T, s) over u >= 0,
+    or over every real u when ``whole``: its tail starts at a with panels
+    width wide, after the finite roots heads, and on the whole line a
+    second tail runs from left toward -inf, its panels as wide; left is
+    None otherwise.  These are _halfline's arguments.
 
     A peak root [s - r, s + r], r = min(1/2, pi/T), takes the kernel's
     central lobe; it is at most _FIRST_TAIL_WIDTH wide, as a plain tail's
     first panel is.  Roots run out from it on both sides, 2r wide and
-    doubling: down to 0 on the left, where the last one takes the rest if
-    that is narrower than itself; on the right as heads while narrower
-    than 1/2, then as the tail, so that the tail's first block reaches at
-    least 127 past the peak, where a plain tail's reaches 255.  With
-    r = pi/T a root of half-width h = r 2^k has T h = pi 2^k: the roots
-    next to the peak keep the Gauss-Legendre pair, and those with
-    T h >= 2n take Filon panels.  Roots are clipped to u >= 0: those
-    wholly below it are dropped, and one that straddles it starts at 0.
-    A lobe that rounding at s leaves with no width is a DomainError: no
-    float lies inside it.
+    doubling, as heads while narrower than 1/2 and then as a tail, so that
+    a tail's first block reaches at least 127 past the peak, where a plain
+    tail's reaches 255.  With r = pi/T a root of half-width h = r 2^k has
+    T h = pi 2^k: the roots next to the peak keep the Gauss-Legendre pair,
+    and those with T h >= 2n take Filon panels.  Over u >= 0 the roots are
+    clipped at 0: those wholly below it are dropped, one that straddles it
+    starts at 0, and the left ones run on as heads down to 0, the last
+    taking the rest if that is narrower than itself.  A lobe that rounding
+    at s leaves with no width is a DomainError: no float lies inside it.
     """
     cap = 0.5 * _FIRST_TAIL_WIDTH
     r = min(cap, math.pi / T)
     if not s - r < s < s + r:
         raise DomainError(f"the kernel at T = {T:g} has its central lobe, pi/T wide, "
                           f"inside the rounding of its peak at {s:g}")
+    if whole:
+        heads = [(s - r, s + r)]
+        lo, hi, width = s - r, s + r, 2.0 * r
+        while width < cap:
+            heads += (lo - width, lo), (hi, hi + width)
+            lo, hi, width = lo - width, hi + width, width * _TAIL_GROWTH
+        return hi, width, heads, lo
     heads = [(max(s - r, 0.0), s + r)] if s + r > 0.0 else []
     lo, width = s - r, 2.0 * r
     while lo > 0.0:
@@ -590,7 +669,7 @@ def _peak_roots(T: float, s: float):
     while width < cap:
         heads.append((max(hi, 0.0), hi + width))
         hi, width = hi + width, width * _TAIL_GROWTH
-    return max(hi, 0.0), width, heads
+    return max(hi, 0.0), width, heads, None
 
 
 def integrate_unit_singular(f, sigma: float, q: QuadratureSpec | None = None) -> Estimate:

@@ -25,12 +25,12 @@ Only the Laplace transform of a unit-interval source calls ``evaluate``.
 
 ``_pieces`` is the one home of the two-sided integral behind every
 numeric transform value and numeric Bromwich line: the u >= 0 half-line,
-plus Mellin's x >= 1 side at u = -ln x, each optionally against the
-Dirichlet kernel of a line; ``_summed`` judges their sum.  On the u side
-the quadrature engine applies the kernel itself, with Filon panels away
-from its peak (``quadrature._Dirichlet``), so a line's cost there does
-not grow with T; Mellin's x side keeps the kernel in its integrand, on
-plain Gauss-Legendre panels in x.
+plus Mellin's x >= 1 side; ``_summed`` judges their sum.  A direct
+Mellin transform integrates that side in x.  A line integrates against
+the Dirichlet kernel, which the quadrature engine applies itself, with
+Filon panels away from its peak (``quadrature._Dirichlet``), so a line's
+cost does not grow with T; a Mellin line takes its x >= 1 side at
+u = -ln x <= 0, one integral over every real u.
 
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
@@ -68,7 +68,6 @@ from .quadrature import (
     Estimate,
     QuadratureSpec,
     _abs,
-    _dirichlet,
     _Dirichlet,
     _halfline,
     _peak_roots,
@@ -272,16 +271,22 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     times the Dirichlet kernel sin(T*(s-u))/(pi*(s-u)) when T is given;
     OutOfDomain at a z that is not finite or is outside the strip.
 
-    Without a kernel the u >= 0 side is one tail from 0.  With one, the
-    engine applies the kernel (quadrature._Dirichlet) to the roots of
-    _peak_roots: a peak root about u = s, roots doubling away from it on
-    both sides, and the tail beyond them, so that panels wide against the
-    kernel's period take the Filon rule.  Mellin's x >= 1 side, at
-    u = -ln x, is the off-axis form at exponent (z-1)*ln x, one tail from
-    x = 1, with the kernel on its plain panels: it rises until the hump
-    x = (Re z - 1)/g_min, and the tail's stop rule reads on past it.  A
-    Mellin integrand whose peak at the hump passes the largest float is a
-    DomainError.
+    Without a kernel the u >= 0 side is one tail from 0, and Mellin's
+    x >= 1 side is the off-axis form at exponent (z-1)*ln x, one tail
+    from x = 1: a source smooth in x takes fewer panels in x than in
+    u = -ln x.  With a kernel, the engine applies it
+    (quadrature._Dirichlet) to the roots of _peak_roots: a peak root about
+    u = s, roots doubling away from it on both sides, and a tail beyond
+    them, so that panels wide against the kernel's period take the Filon
+    rule.  A Mellin line's integrand exp(-z*u) f(exp(-u)) holds for every
+    real u, its x >= 1 side at u <= 0 with the Jacobian x, so its roots
+    cover the whole line, with a second tail toward -inf.
+
+    A Mellin integrand rises until its hump and the tail's stop rule
+    reads on past it: x**(z-1) exp(-g_min*x) in x peaks at
+    x = (Re z - 1)/g_min, and x**z exp(-g_min*x) in u one factor x higher,
+    at x = Re z/g_min, where a line's kernel multiplies it by up to T/pi.
+    One whose peak passes the largest float is a DomainError.
     """
     if not cmath.isfinite(z):
         raise OutOfDomain(f"{kind.value} transform needs a finite z, got {z!r}")
@@ -290,28 +295,27 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
         bounds = (f"Re z > {strip.c1:g}" if strip.c2 == math.inf
                   else f"{strip.c1:g} < Re z < {strip.c2:g}")
         raise OutOfDomain(f"{kind.value} transform of {spec.kind.value} needs {bounds}")
-    if kind is TransformKind.MELLIN:
-        hump = (z.real - 1.0) / -growth_bounds(spec).right_index
-        # x**(z-1) exp(-g_min*x) peaks at the hump, at exp((Re z - 1)(ln hump - 1))
-        peak = (z.real - 1.0) * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
+    mellin = kind is TransformKind.MELLIN
+    if mellin:
+        power = z.real if T is not None else z.real - 1.0
+        hump = power / -growth_bounds(spec).right_index
+        # x**power exp(-g_min*x) peaks at the hump, at exp(power (ln hump - 1)),
+        # times the kernel's peak T/pi where it exceeds 1
+        peak = power * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
+        if T is not None and T > math.pi:
+            peak += math.log(T / math.pi)
         if peak > _EXP_LIMIT:
             raise DomainError(
                 f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
                 f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
-    if T is None:
-        pieces = _halfline(inner, 0.0, q)
-    else:
-        start, width, heads = _peak_roots(T, s)
-        pieces = _halfline(inner, start, q, heads, _Dirichlet(T, s), width)
-    if kind is TransformKind.MELLIN:
+    if T is not None:
+        start, width, heads, left = _peak_roots(T, s, mellin)
+        return _halfline(inner, start, q, heads, _Dirichlet(T, s), width, left)
+    pieces = _halfline(inner, 0.0, q)
+    if mellin:
         off, zm = _off_axis(spec), z - 1.0
-
-        def x_side(x):
-            lx = np.log(x)
-            values = off(zm * lx, x)
-            return values if T is None else _dirichlet(values, T, s + lx)
-        pieces += _halfline(x_side, 1.0, q)
+        pieces += _halfline(lambda x: off(zm * np.log(x), x), 1.0, q)
     return pieces
 
 
@@ -339,11 +343,11 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
                    q: QuadratureSpec | None = None) -> Estimate:
     """(1/2pi i) * integral of exp(s*z) * t(z) over [c - iT, c + iT] for a
     numeric t: the Dirichlet integral of the ``contours`` docstring, the
-    direct transform's pieces at real z = c against the kernel
+    direct transform's integrand at real z = c against the kernel
     sin(T*(s-u))/(pi*(s-u)), with a root about its peak u = s, times
-    exp(c*s).  Mellin's x side is not split at the peak x = exp(-s): its
-    doubling panels bracket it, where one finite panel over [1, exp(-s)]
-    would miss the mass near x = 1.
+    exp(c*s).  A Mellin line is one integral over every real u, its
+    x >= 1 side at u <= 0: its roots double away from the peak on both
+    sides into a tail each, with no split at u = 0.
     """
     q = q or DEFAULT_QUADRATURE
     return _summed(_pieces(t.source, t.kind, c, q, T, s), q, math.exp(c * s))

@@ -701,15 +701,16 @@ def test_numeric_line_estimate_is_judged_on_its_summed_error():
 
 
 def test_numeric_line_honours_each_piece_flag():
-    # both pieces stop on their two-panel budget, far from tolerance, and
-    # exp(c*s) = exp(-150) scales their sum and error below abs_tol
+    # both tails stop on their two-panel budget, far from tolerance, and
+    # exp(c*s) = exp(-200) scales the sum of the pieces, the one-panel peak
+    # root with them, and their error below abs_tol
     gamma = TransformExpr.gamma()
     q = QuadratureSpec(max_panels=2)
-    est = _line_integral(gamma, 50.0, 10.0, -3.0, q)
+    est = _line_integral(gamma, 50.0, 10.0, -4.0, q)
     assert (est.value, est.err_est, est.panels_used) == (
-        -4.1086501740296945e-40 + 0j, 4.1086501740296985e-40, 4)
+        1.780417902123402e-24 + 0j, 6.422630280184586e-33, 5)
     assert est.err_est <= q.abs_tol and not est.converged
-    assert _line_integral(gamma, 50.0, 10.0, -3.0).converged
+    assert _line_integral(gamma, 50.0, 10.0, -4.0).converged
 
 
 _decays = st.floats(0.2, 3.0)

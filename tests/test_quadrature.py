@@ -22,10 +22,12 @@ from melaplace import (
 from melaplace import quadrature
 from melaplace.functions import evaluate
 from melaplace.quadrature import (
+    _FILON_ROWS,
     _FIRST_TAIL_WIDTH,
     _MAX_TAIL_PANELS,
     _TAIL_GROWTH,
     _Dirichlet,
+    _dirichlet,
     _filon_row,
     _gl,
     _gl_pair,
@@ -33,7 +35,6 @@ from melaplace.quadrature import (
     _peak_roots,
     _within,
 )
-from melaplace.transforms import _dirichlet
 
 Q = QuadratureSpec()
 
@@ -792,6 +793,22 @@ def test_filon_rules_integrate_their_polynomials_exactly(order, ratio):
         assert abs(got - want[power]) <= 1e-13 * max(1.0, abs(want[power]))
 
 
+def test_filon_rows_come_from_one_bounded_read_only_table():
+    # a row depends on (w, n) alone, so the table hands out the bits of a
+    # fresh computation, also once it has filled past its bound and
+    # dropped rows; every caller shares a row, so none may write to it
+    fresh = _filon_row.__wrapped__
+    ws = [32.0 * (1.0 + k / 7.0) for k in range(3 * _FILON_ROWS)]
+    for w in ws + ws[-5:] + ws[:5]:
+        row = _filon_row(w, 16)
+        assert row.tobytes() == fresh(w, 16).tobytes()
+        assert not row.flags.writeable
+        assert _filon_row.cache_info().currsize <= _FILON_ROWS
+    assert _filon_row.cache_info().maxsize == _FILON_ROWS
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(f=_integrands(), roots=_ROOTS, share=st.floats(0.01, 0.99), s=st.floats(-5.0, 60.0))
 def test_kernel_panels_below_the_filon_width_are_the_plain_pair(f, roots, share, s):
@@ -815,7 +832,8 @@ def test_peak_roots_tile_the_half_line_about_the_peak(T, s):
     # peak at least its half-width from it, and a tail panel at least 1/2
     # wide
     r = min(0.5, math.pi / T)
-    start, width, heads = _peak_roots(T, s)
+    start, width, heads, left = _peak_roots(T, s)
+    assert left is None
     roots = sorted(heads) + [(start, start + width)]
     assert roots[0][0] == 0.0
     assert all(a[1] == b[0] for a, b in zip(roots, roots[1:]))
@@ -830,6 +848,30 @@ def test_peak_roots_tile_the_half_line_about_the_peak(T, s):
     others = [(a, b) for a, b in roots if (a, b) != (max(s - r, 0.0), s + r)]
     assert all(abs(s - 0.5 * (a + b)) >= 0.5 * (b - a) - slack for a, b in others)
     assert width >= 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(0.1, 1e8), s=st.floats(-50.0, 50.0))
+def test_whole_line_peak_roots_mirror_about_the_peak(T, s):
+    # over every real u the first panels of both tails and the heads tile
+    # the line without gap, in order: the peak root one kernel period (at
+    # most 1) wide, and roots doubling away from it with the same widths
+    # on both sides, each at least its half-width from the peak, until
+    # both tails start with the same panel width, at least 1/2
+    r = min(0.5, math.pi / T)
+    start, width, heads, left = _peak_roots(T, s, whole=True)
+    assert heads[0] == (s - r, s + r)
+    roots = [(left - width, left)] + sorted(heads) + [(start, start + width)]
+    assert all(a[1] == b[0] for a, b in zip(roots, roots[1:]))
+    slack = 4 * math.ulp(abs(s) + width)
+    widths = [b - a for a, b in roots]
+    assert all(abs(w1 - w2) <= slack for w1, w2 in zip(widths, reversed(widths)))
+    half = len(widths) // 2
+    assert all(abs(w2 - 2.0 * w1) <= slack
+               for w1, w2 in zip(widths[half + 1:], widths[half + 2:]))
+    assert all(abs(s - 0.5 * (a + b)) >= 0.5 * (b - a) - slack for a, b in roots[1:-1]
+               if (a, b) != heads[0])
+    assert 0.5 <= width < 1.0 + slack
 
 
 def test_a_peak_lost_in_rounding_is_a_domain_error():

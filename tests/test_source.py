@@ -109,6 +109,38 @@ def test_transform_integrals_are_built_only_in_pieces_and_judged_only_in_summed(
     assert found == [("_pieces", "_halfline"), ("_summed", "_within")]
 
 
+def test_the_engine_alone_applies_a_line_kernel():
+    # every numeric line runs its Dirichlet kernel through
+    # quadrature._Dirichlet: transforms neither imports nor calls
+    # _dirichlet, which only delta_check's finite window in campaigns
+    # still multiplies into its integrand
+    found = sorted({
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "_dirichlet")
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "_dirichlet" for alias in node.names))
+    })
+    assert found == ["campaigns.py", "quadrature.py"]
+
+
+def test_the_kernel_keeps_no_rows_of_its_own():
+    # _filon_row's one bounded table holds every Filon row for the
+    # process; _Dirichlet holds only its kernel's T and s, no per-call cache
+    tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
+    kernel = next(top for top in tree.body
+                  if isinstance(top, ast.ClassDef) and top.name == "_Dirichlet")
+    assigned = {
+        target.attr
+        for node in ast.walk(kernel) if isinstance(node, ast.Assign)
+        for element in node.targets
+        for target in (element.elts if isinstance(element, ast.Tuple) else [element])
+        if isinstance(target, ast.Attribute)
+    }
+    assert assigned == {"T", "s"}
+
+
 def test_cli_cells_are_formatted_only_in_emit():
     # every CSV and --json cell is the value formatted with .17g, in one
     # place: a command hands _emit plain numbers

@@ -45,11 +45,10 @@ from melaplace import (
     mellin_transform,
     transform_estimate,
 )
-from melaplace import quadrature, transforms
-from melaplace.quadrature import _Dirichlet, _halfline, _peak_roots, _within
+from melaplace import quadrature
+from melaplace.quadrature import _Dirichlet, _dirichlet, _halfline, _peak_roots, _within
 from melaplace.transforms import (
     POLE_HIT_TOL,
-    _dirichlet,
     _domain,
     _kernel_integrand,
     _line_integral,
@@ -851,15 +850,16 @@ MIXED_MOMENT = TransformExpr.numeric(FunctionSpec.mixed_power(0.5, 1.0),
 
 
 @pytest.mark.parametrize("t, delta, T, y, calls, points", [
-    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 3, 960),
-    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 3, 864),
+    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 2, 1008),
+    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 2, 912),
     (MIXED_MOMENT, 0.5, 30.0, 0.45, 2, 720),
 ], ids=["gamma-head", "gamma-no-head", "mixedpower-head"])
 def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
                                              points):
     # the peak root about u = -ln y and the roots left of it ride the first
-    # pass of the tail, which runs on from the peak: for y > 1 the peak
-    # lies on the x side, and the u side has no head
+    # pass of the tail, which runs on from the peak.  A Gamma line runs
+    # over every real u, so its peak root is a head wherever y lies, and
+    # its tail toward -inf, Mellin's x >= 1 side, shares the same passes
     count = [0, 0]
 
     def counting(g, T, u):
@@ -868,40 +868,45 @@ def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
         return _dirichlet(g, T, u)
 
     monkeypatch.setattr(quadrature, "_dirichlet", counting)
-    monkeypatch.setattr(transforms, "_dirichlet", counting)
     inverse_eval(t, InverseKind.MELLIN_KERNEL, bromwich_for(t, delta, T), y, LINE_Q)
     assert count == [calls, points]
 
 
 def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
     """The pieces of transforms._pieces, from one engine call per piece on
-    the library's integrands, in the same order; with the Dirichlet kernel
-    about u = s when T is given, on the u side through the roots of
-    _peak_roots, each head a tree of its own, and on the x side in the
-    integrand.  A Mellin integrand whose peak at the hump passes the
-    largest float raises before any piece."""
-    if kind is TransformKind.MELLIN:
-        hump = (z.real - 1.0) / min(spec.params or (1.0,))
-        peak = (z.real - 1.0) * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
+    the library's integrands, in the same order.  With the Dirichlet
+    kernel about u = s when T is given, through the roots of _peak_roots
+    (over every real u for a Mellin line): each tail alone, the one toward
+    +inf first, then each head a tree of its own.  A Mellin integrand
+    whose peak at the hump passes the largest float raises before any
+    piece: x**(c-1) exp(-g x) in x, x**c exp(-g x) times the kernel's
+    peak T/pi on a line."""
+    mellin = kind is TransformKind.MELLIN
+    if mellin:
+        power = z.real if T is not None else z.real - 1.0
+        hump = power / min(spec.params or (1.0,))
+        peak = power * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
+        if T is not None and T > math.pi:
+            peak += math.log(T / math.pi)
         if peak > math.log(sys.float_info.max):
             raise DomainError(
                 f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
                 f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
-    off = _off_axis(spec)
     if T is None:
         pieces = [integrate_halfline(inner, 0.0, q)]
-        x_side = lambda x: off((z - 1.0) * np.log(x), x)
-    else:
-        start, width, heads = _peak_roots(T, s)
-        pieces = _halfline(inner, start, q, (), _Dirichlet(T, s), width)
-        with np.errstate(all="ignore"):
-            for head in heads:
-                entry = quadrature._trees(inner, [head], q, _Dirichlet(T, s))[0]
-                pieces.append(Estimate(*quadrature._result(entry)))
-        x_side = lambda x: _dirichlet(off((z - 1.0) * np.log(x), x), T, s + np.log(x))
-    if kind is TransformKind.MELLIN:
-        pieces.append(integrate_halfline(x_side, 1.0, q))
+        if mellin:
+            off = _off_axis(spec)
+            pieces.append(integrate_halfline(lambda x: off((z - 1.0) * np.log(x), x), 1.0, q))
+        return pieces
+    start, width, heads, left = _peak_roots(T, s, mellin)
+    pieces = _halfline(inner, start, q, (), _Dirichlet(T, s), width)
+    if left is not None:
+        pieces += _halfline(inner, left, q, (), _Dirichlet(T, s), -width)
+    with np.errstate(all="ignore"):
+        for head in heads:
+            entry = quadrature._trees(inner, [head], q, _Dirichlet(T, s))[0]
+            pieces.append(Estimate(*quadrature._result(entry)))
     return pieces
 
 
@@ -964,33 +969,31 @@ def test_line_integral_matches_its_separate_pieces_bit_for_bit(case, s, T, max_p
             == _line_outcome(_separate_line, t, c, T, s, q))
 
 
-def _u_side_panels(t, c, T, s):
-    """Panels of the pieces of a numeric line at the default spec, but
-    for Mellin's x >= 1 side, the last piece, which stays in x."""
-    pieces = _pieces(t.source, t.kind, c, QuadratureSpec(), T, s)
-    if t.kind is TransformKind.MELLIN:
-        pieces = pieces[:-1]
-    return sum(p.panels_used for p in pieces)
-
-
 @pytest.mark.parametrize("t, c, s", [
     (MIXED_MOMENT, 0.5, -math.log(0.45)),
     (TransformExpr.numeric(FunctionSpec.mixed_exp(1.0, 0.5), TransformKind.LAPLACE),
      0.0, 1.3),
     (TransformExpr.gamma(), 1.0, math.log(2.0)),
-], ids=["mixedpower-moment", "mixedexp-laplace", "gamma-u-side"])
+], ids=["mixedpower-moment", "mixedexp-laplace", "gamma-line"])
 def test_line_cost_is_flat_in_T(t, c, s):
     # Filon panels take the kernel's oscillation exactly, so a panel far
-    # from the peak holds any number of periods: the u side of a line
-    # takes 21, 33 and 22 panels at T = 50 and 38, 48 and 38 at T = 1000,
-    # where Gauss-Legendre panels took the first two lines from 61 and 179
-    # panels to 1,135 and 2,917.
-    # Mellin's x side is excluded: it keeps Gauss-Legendre panels in x,
-    # and the Gamma line's goes 15 -> 317 panels over the same range
-    assert _u_side_panels(t, c, 1000.0, s) <= 2 * _u_side_panels(t, c, 50.0, s)
-    if t.kind is not TransformKind.MELLIN:
-        assert (_line_integral(t, c, 1000.0, s).panels_used
-                == _u_side_panels(t, c, 1000.0, s))
+    # from the peak holds any number of periods: these lines take 21, 33
+    # and 43 panels at T = 50 and 38, 48 and 45 at T = 1000, where
+    # Gauss-Legendre panels took the first two from 61 and 179 panels to
+    # 1,135 and 2,917.  The Gamma line runs over every real u, its x >= 1
+    # side at u <= 0 on Filon panels too; with that side in x, the whole
+    # line took 37 and 355 panels
+    panels = lambda T: _line_integral(t, c, T, s).panels_used
+    assert panels(1000.0) <= 2 * panels(50.0)
+
+
+def test_a_second_line_at_the_same_T_and_s_builds_no_filon_row():
+    # the Filon rows of a line outlive it in the process's one table
+    gamma = TransformExpr.gamma()
+    _line_integral(gamma, 1.0, 200.0, 0.7)
+    built = quadrature._filon_row.cache_info().misses
+    _line_integral(gamma, 1.0, 200.0, 0.7)
+    assert quadrature._filon_row.cache_info().misses == built
 
 
 @pytest.mark.parametrize("c, s", [(80.0, 0.7), (171.0, -1.0), (150.0, 0.0)])
@@ -1002,6 +1005,67 @@ def test_line_past_the_mellin_hump_matches_its_separate_pieces(c, s):
     got = _line_outcome(_line_integral, t, c, 10.0, s, q)
     assert got == _line_outcome(_separate_line, t, c, 10.0, s, q)
     assert got.startswith("Estimate(")
+
+
+def _hump_edge(T):
+    """The abscissae just below and just above the edge past which a
+    Gamma line's integrand, x**c exp(-x) times the kernel's peak T/pi,
+    peaks beyond the largest float: c (ln c - 1) + ln(T/pi) = ln(max)."""
+    limit = math.log(sys.float_info.max) - math.log(T / math.pi)
+    below, above = 100.0, 200.0
+    while math.nextafter(below, above) < above:
+        mid = 0.5 * (below + above)
+        if mid * (math.log(mid) - 1.0) > limit:
+            above = mid
+        else:
+            below = mid
+    return below, above
+
+
+@pytest.mark.parametrize("T", [10.0, 1000.0])
+def test_mellin_line_past_its_hump_edge_names_the_peak(T):
+    # a line integrates x**c exp(-x) in u = -ln x, one factor x above the
+    # x**(c-1) exp(-x) of a direct transform, so it peaks at x = c, and the
+    # kernel multiplies it by up to T/pi: at c = 172 a line on the old
+    # x-form rule met an overflowing node and raised NonFiniteIntegrand
+    # on a finite source.  Past the edge every line is a DomainError
+    # that names the peak; below it none meets a node past the largest
+    # float
+    gamma = TransformExpr.gamma()
+    below, above = _hump_edge(T)
+    for c in (above, 172.0):
+        for s in (0.0, -2.0, -math.log(c), 1.0):
+            with pytest.raises(DomainError, match=rf"integrand peaks near exp\(7\d\d\.\d\) "
+                                                  rf"at x = {c:g}$"):
+                _line_integral(gamma, c, T, s)
+    for s in (0.0, -2.0, -math.log(below)):
+        try:
+            _line_integral(gamma, below, T, s)
+        except DomainError as exc:
+            # only the sum of a panel about the peak may pass the largest
+            # float, which the panel's message places
+            assert re.fullmatch(r"panel sum past the largest float near t = -5\.1\d*",
+                                str(exc))
+    assert _line_integral(gamma, below, 10.0, 0.0).converged
+
+
+_mellin_sources = st.one_of(st.just((FunctionSpec.exp_minus_x(), 1.0)),
+                            st.floats(0.2, 3.0).map(lambda g: (FunctionSpec.exp(g), g)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=_mellin_sources, c=st.floats(0.2, 3.0), T=st.floats(50.0, 1000.0),
+       y=st.floats(0.1, 10.0))
+def test_converged_mellin_lines_match_their_source(source, c, T, y):
+    # the Mellin transform of exp(-g x) is Gamma(z) g**-z, and
+    # |Gamma(c + iT)| ~ sqrt(2 pi) T**(c - 1/2) exp(-pi T/2) makes the
+    # line's truncation below 1e-20 here, even at g y = 0.02 and c = 3, so
+    # exp(-g y) itself is the oracle of a converged line
+    spec, g = source
+    line = TransformExpr.numeric(spec, TransformKind.MELLIN)
+    est = _line_integral(line, c, T, -math.log(y))
+    if est.converged:
+        assert abs(est.value - math.exp(-g * y)) <= 1e-12
 
 
 @st.composite
