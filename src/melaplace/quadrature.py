@@ -277,7 +277,8 @@ class _Dirichlet:
         # every root of _peak_roots lies at least its half-width from the
         # peak, unless pi/T is near the rounding of s, where nodes may
         # round onto it; a phase past the largest float leaves the panel to
-        # the plain pair, whose kernel values are then not finite
+        # the plain pair, whose kernel values and so its value are then
+        # not finite
         filon = [i for i, (m, h) in enumerate(zip(mid, half))
                  if 2 * order <= T * h and 2 * h <= abs(s - m)
                  and math.isfinite(T * (s - m))]
@@ -303,7 +304,9 @@ def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None):
     {i: the error that panel i raises}: NonFiniteIntegrand at
     its first node where f is not finite, else DomainError where its value
     is not finite.  One integrand call covers the nodes of every panel.
-    A kernel, when given, weights f as _Dirichlet.weigh says.
+    A kernel, when given, weights f as _Dirichlet.weigh says, and f
+    finite at every node but past the largest float times the kernel is
+    such a DomainError.
     """
     nodes, weights = _gl_pair(order)
     h = np.array(half)
@@ -311,7 +314,7 @@ def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None):
     vals = np.asarray(f(xs.ravel()), dtype=complex)
     if vals.shape != (xs.size,):
         raise ValueError(f"integrand gave shape {vals.shape} for {xs.size} nodes")
-    vals = vals.reshape(xs.shape)
+    vals = source = vals.reshape(xs.shape)
     if kernel is not None:
         vals = kernel.weigh(vals, xs, mid, half, order)
     # each panel keeps the bits of its own product weights @ row: numpy
@@ -337,7 +340,7 @@ def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None):
     # a node value that is not finite leaves both sums, so err and moduli,
     # non-finite
     if not math.isfinite(sum(err) + sum(moduli)):
-        for i, row in enumerate(vals):
+        for i, row in enumerate(source):
             finite = np.isfinite(row)
             if not finite.all():
                 faults[i] = NonFiniteIntegrand(
@@ -512,17 +515,27 @@ class _Tail:
     panels run from a toward +inf, or toward -inf when width is negative,
     each _TAIL_GROWTH times as wide as the last.  roots gives the next
     block of them, and read runs the rules over their _trees entries until
-    ``outcome`` holds the tail's Estimate or the error it raises.
+    ``outcome`` holds the tail's Estimate or the error it raises.  With
+    ``past``, no panel counts as quiet up to the one that reaches past.
     """
 
     __slots__ = ("q", "lo", "width", "block", "left", "total", "err_sum", "used",
-                 "quiet", "mag", "outcome")
+                 "quiet", "mag", "hold", "outcome")
 
-    def __init__(self, a: float, width: float, q: QuadratureSpec):
+    def __init__(self, a: float, width: float, q: QuadratureSpec,
+                 past: float | None = None):
         self.q, self.lo, self.width = q, float(a), width
         self.block, self.left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
         self.total, self.err_sum, self.used, self.quiet, self.mag = 0j, 0.0, 0, 0, 0.0
         self.outcome = None
+        # the panels short of past, and the one that reaches it, as roots lays them
+        self.hold = 0
+        if past is not None:
+            edge = self.lo
+            while edge < past if width > 0.0 else edge > past:
+                edge += width
+                width *= _TAIL_GROWTH
+                self.hold += 1
 
     def roots(self) -> list:
         """The next block of root panels, (lo, hi) each, outward in order."""
@@ -543,8 +556,8 @@ class _Tail:
         that _MAX_TAIL_PANELS allows."""
         q = self.q
         abs_tol, rel_tol = q.abs_tol, q.rel_tol
-        total, err_sum, used, quiet, mag = (self.total, self.err_sum, self.used,
-                                            self.quiet, self.mag)
+        total, err_sum, used, quiet, mag, hold = (self.total, self.err_sum, self.used,
+                                                  self.quiet, self.mag, self.hold)
         try:
             for result in results:
                 value, err, panels, _ = _result(result)
@@ -556,7 +569,12 @@ class _Tail:
                     mag, scale = abs(value), abs(total)
                 except OverflowError:
                     mag, scale = _abs(value), _abs(total)
-                negligible = mag <= abs_tol and (mag <= rel_tol * scale or scale <= abs_tol)
+                if hold:
+                    hold -= 1
+                    negligible = False
+                else:
+                    negligible = mag <= abs_tol and (mag <= rel_tol * scale
+                                                     or scale <= abs_tol)
                 quiet = quiet + 1 if negligible else 0
                 if quiet >= 2 or used >= q.max_panels:
                     # the last panel's magnitude stands for the tail left
@@ -575,20 +593,24 @@ class _Tail:
                 "the integral diverges, or decays too slowly to resolve: tail panels "
                 f"still not negligible at t = {self.lo:g}")
             return
-        self.total, self.err_sum, self.used, self.quiet, self.mag = (total, err_sum, used,
-                                                                     quiet, mag)
+        self.total, self.err_sum, self.used, self.quiet, self.mag, self.hold = (
+            total, err_sum, used, quiet, mag, hold)
         self.block = _next_block(self.block, previous, mag, abs_tol)
 
 
 def _halfline(f, a: float, q: QuadratureSpec, heads=(),
               kernel: _Dirichlet | None = None, width: float = _FIRST_TAIL_WIDTH,
-              left: float | None = None) -> list:
+              left: float | None = None, span: tuple | None = None) -> list:
     """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
     q) for each (lo, hi) of ``heads``, bit for bit.  With a kernel, each
     panel weighs f as _Dirichlet.weigh says.  The tail's first panel is
     ``width`` wide, and a negative width runs it toward -inf.  With
     ``left``, a second tail runs from left the other way, its first panel
-    -width wide, and its Estimate follows the first's.
+    -width wide, and its Estimate follows the first's.  With span =
+    (lo, hi), where f holds its mass, a tail toward +inf counts no panel
+    as quiet up to the one that reaches hi, and one toward -inf none up
+    to the one that reaches lo: a tail that starts short of the mass
+    reads on across it, however small f is on the way.
 
     Each tail's geometric panels are evaluated in blocks (_Tail):
     _FIRST_TAIL_BLOCK panels first, then as many as _next_block expects
@@ -601,9 +623,10 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=(),
     last.  So the first tail raises first, then the second, then the
     heads, as each would alone.
     """
-    tails = [_Tail(a, width, q)]
+    lo, hi = span or (None, None)
+    tails = [_Tail(a, width, q, hi if width > 0.0 else lo)]
     if left is not None:
-        tails.append(_Tail(left, -width, q))
+        tails.append(_Tail(left, -width, q, lo if width > 0.0 else hi))
     running = tails
     riders, head_results = list(heads), []
     with np.errstate(all="ignore"):

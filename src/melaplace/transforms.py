@@ -285,8 +285,13 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     A Mellin integrand rises until its hump and the tail's stop rule
     reads on past it: x**(z-1) exp(-g_min*x) in x peaks at
     x = (Re z - 1)/g_min, and x**z exp(-g_min*x) in u one factor x higher,
-    at x = Re z/g_min, where a line's kernel multiplies it by up to T/pi.
-    One whose peak passes the largest float is a DomainError.
+    at x = Re z/g_min, where a line's kernel multiplies it by at most
+    min(T, 1/|s - u|)/pi.  One whose peak passes the largest float is a
+    DomainError.  A line's terms x**z exp(-g*x) peak at u = ln(g/Re z),
+    and its tails read on across those humps wherever s lies (_halfline's
+    span); past u = -ln(largest float), x = exp(-u) is inf, where the
+    source has decayed to 0 but a sin or cos weight of x is nan, so a
+    weighted source's integrand is 0 there.
     """
     if not cmath.isfinite(z):
         raise OutOfDomain(f"{kind.value} transform needs a finite z, got {z!r}")
@@ -300,10 +305,14 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
         power = z.real if T is not None else z.real - 1.0
         hump = power / -growth_bounds(spec).right_index
         # x**power exp(-g_min*x) peaks at the hump, at exp(power (ln hump - 1)),
-        # times the kernel's peak T/pi where it exceeds 1
+        # times the kernel there where it exceeds 1
         peak = power * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
-        if T is not None and T > math.pi:
-            peak += math.log(T / math.pi)
+        if T is not None:
+            # the hump lies at u = -ln(hump), |s + ln(hump)| from the kernel's peak
+            d = abs(s + math.log(hump))
+            kernel = T / math.pi if T * d <= 1.0 else 1.0 / (math.pi * d)
+            if kernel > 1.0:
+                peak += math.log(kernel)
         if peak > _EXP_LIMIT:
             raise DomainError(
                 f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
@@ -311,7 +320,13 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
     if T is not None:
         start, width, heads, left = _peak_roots(T, s, mellin)
-        return _halfline(inner, start, q, heads, _Dirichlet(T, s), width, left)
+        span = None
+        if mellin:
+            span = (-math.log(hump), math.log(max(spec.params or (1.0,)) / power))
+            if any(w is not None for _, w in _terms(spec)[1]):
+                read = inner
+                inner = lambda u: np.where(u > -_EXP_LIMIT, read(u), 0.0)
+        return _halfline(inner, start, q, heads, _Dirichlet(T, s), width, left, span)
     pieces = _halfline(inner, 0.0, q)
     if mellin:
         off, zm = _off_axis(spec), z - 1.0

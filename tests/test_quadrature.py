@@ -874,6 +874,35 @@ def test_whole_line_peak_roots_mirror_about_the_peak(T, s):
     assert 0.5 <= width < 1.0 + slack
 
 
+def test_a_tail_reads_on_across_its_span():
+    # a bump at u = +/-30 is below 1e-300 on the first panels from 0, so a
+    # tail alone stops on two quiet panels there and reports a converged
+    # 0; told where the mass lies, each tail reads on across it
+    bump = lambda u: np.exp(-(np.abs(u) - 30.0) ** 2)
+    alone = integrate_halfline(bump, 0.0)
+    assert abs(alone.value) < 1e-300 and alone.converged
+    right, left = _halfline(bump, 0.0, Q, left=0.0, span=(-31.0, 31.0))
+    for est in (right, left):
+        assert est.converged
+        assert abs(est.value - math.sqrt(math.pi)) <= 1e-12
+    # a tail that starts past its end of the span keeps every bit
+    f = lambda t: np.exp(-(0.3 + 2j) * t)
+    assert _halfline(f, 0.0, Q, span=(-5.0, -1.0)) == [integrate_halfline(f, 0.0)]
+
+
+def test_a_finite_integrand_the_kernel_lifts_past_the_largest_float_is_a_domain_error():
+    # 1e308 is finite and the kernel's peak 100/pi lifts it past the
+    # largest float: the panel's value is out of range, not its integrand
+    with np.errstate(all="ignore"):
+        lifted = quadrature._trees(lambda u: np.full(u.shape, 1e308), [(-0.01, 0.01)], Q,
+                                   _Dirichlet(100.0, 0.0))[0]
+        source = quadrature._trees(lambda u: np.where(u > 0.0, np.inf, 1.0), [(-0.01, 0.01)],
+                                   Q, _Dirichlet(100.0, 0.0))[0]
+    assert isinstance(lifted, DomainError)
+    assert str(lifted).startswith("panel sum past the largest float near t = ")
+    assert isinstance(source, NonFiniteIntegrand)
+
+
 def test_a_peak_lost_in_rounding_is_a_domain_error():
     # pi/T = 3e-20 is below half the spacing of floats at 30
     with pytest.raises(DomainError, match="central lobe"):

@@ -879,15 +879,19 @@ def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
     (over every real u for a Mellin line): each tail alone, the one toward
     +inf first, then each head a tree of its own.  A Mellin integrand
     whose peak at the hump passes the largest float raises before any
-    piece: x**(c-1) exp(-g x) in x, x**c exp(-g x) times the kernel's
-    peak T/pi on a line."""
+    piece: x**(c-1) exp(-g x) in x, x**c exp(-g x) times the kernel at
+    the hump, where that exceeds 1, on a line.  A Mellin line's tails
+    read on across the humps u = ln(g/c) of its terms, and its integrand
+    is 0 where exp(-u) is inf."""
     mellin = kind is TransformKind.MELLIN
     if mellin:
         power = z.real if T is not None else z.real - 1.0
         hump = power / min(spec.params or (1.0,))
         peak = power * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
-        if T is not None and T > math.pi:
-            peak += math.log(T / math.pi)
+        if T is not None:
+            d = abs(s + math.log(hump))
+            kernel = T / math.pi if T * d <= 1.0 else 1.0 / (math.pi * d)
+            peak += math.log(max(1.0, kernel))
         if peak > math.log(sys.float_info.max):
             raise DomainError(
                 f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
@@ -900,9 +904,15 @@ def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
             pieces.append(integrate_halfline(lambda x: off((z - 1.0) * np.log(x), x), 1.0, q))
         return pieces
     start, width, heads, left = _peak_roots(T, s, mellin)
-    pieces = _halfline(inner, start, q, (), _Dirichlet(T, s), width)
+    span = None
+    if mellin:
+        span = (math.log(min(spec.params or (1.0,)) / z.real),
+                math.log(max(spec.params or (1.0,)) / z.real))
+        read = inner
+        inner = lambda u: np.where(np.isfinite(np.exp(-u)), read(u), 0.0)
+    pieces = _halfline(inner, start, q, (), _Dirichlet(T, s), width, span=span)
     if left is not None:
-        pieces += _halfline(inner, left, q, (), _Dirichlet(T, s), -width)
+        pieces += _halfline(inner, left, q, (), _Dirichlet(T, s), -width, span=span)
     with np.errstate(all="ignore"):
         for head in heads:
             entry = quadrature._trees(inner, [head], q, _Dirichlet(T, s))[0]
@@ -959,10 +969,11 @@ def _numeric_transforms(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_numeric_transforms(), s=st.floats(-3.0, 3.0), T=st.floats(1.0, 1000.0),
-       max_panels=st.sampled_from([1, 2, 4, 17, 4096]))
+@given(case=_numeric_transforms(), s=st.one_of(st.floats(-3.0, 3.0), st.floats(-30.0, 30.0)),
+       T=st.floats(1.0, 1000.0), max_panels=st.sampled_from([1, 2, 4, 17, 4096]))
 def test_line_integral_matches_its_separate_pieces_bit_for_bit(case, s, T, max_panels):
-    # the heads prefetched in the tail's first pass change no bit
+    # the heads prefetched in the tail's first pass change no bit, also
+    # where the peak lies far from a Mellin source's hump
     t, c = case
     q = QuadratureSpec(max_panels=max_panels)
     assert (_line_outcome(_line_integral, t, c, T, s, q)
@@ -1007,11 +1018,12 @@ def test_line_past_the_mellin_hump_matches_its_separate_pieces(c, s):
     assert got.startswith("Estimate(")
 
 
-def _hump_edge(T):
+def _hump_edge(lift):
     """The abscissae just below and just above the edge past which a
-    Gamma line's integrand, x**c exp(-x) times the kernel's peak T/pi,
-    peaks beyond the largest float: c (ln c - 1) + ln(T/pi) = ln(max)."""
-    limit = math.log(sys.float_info.max) - math.log(T / math.pi)
+    Gamma line's integrand, x**c exp(-x) times the kernel's ``lift`` at
+    its peak x = c, passes the largest float:
+    c (ln c - 1) + ln(lift) = ln(max)."""
+    limit = math.log(sys.float_info.max) - math.log(lift)
     below, above = 100.0, 200.0
     while math.nextafter(below, above) < above:
         mid = 0.5 * (below + above)
@@ -1025,28 +1037,84 @@ def _hump_edge(T):
 @pytest.mark.parametrize("T", [10.0, 1000.0])
 def test_mellin_line_past_its_hump_edge_names_the_peak(T):
     # a line integrates x**c exp(-x) in u = -ln x, one factor x above the
-    # x**(c-1) exp(-x) of a direct transform, so it peaks at x = c, and the
-    # kernel multiplies it by up to T/pi: at c = 172 a line on the old
-    # x-form rule met an overflowing node and raised NonFiniteIntegrand
-    # on a finite source.  Past the edge every line is a DomainError
-    # that names the peak; below it none meets a node past the largest
-    # float
+    # x**(c-1) exp(-x) of a direct transform, so it peaks at x = c,
+    # u = -ln c, and the kernel there lifts it by T/pi when its peak s
+    # sits on the hump, and by less than 1 when s lies 1/pi or more away.
+    # Past the edge that lift sets, a line is a DomainError that names
+    # the peak; below it, a line runs: the edges are c = 171.08 and
+    # 170.18 at T = 10 and 1000 on the hump, and c = 171.30 off it
     gamma = TransformExpr.gamma()
-    below, above = _hump_edge(T)
-    for c in (above, 172.0):
-        for s in (0.0, -2.0, -math.log(c), 1.0):
-            with pytest.raises(DomainError, match=rf"integrand peaks near exp\(7\d\d\.\d\) "
-                                                  rf"at x = {c:g}$"):
-                _line_integral(gamma, c, T, s)
-    for s in (0.0, -2.0, -math.log(below)):
+    for lift, places in ((T / math.pi, lambda c: [-math.log(c)]),
+                         (1.0, lambda c: [0.0, -2.0, 1.0])):
+        below, above = _hump_edge(lift)
+        for c in (above, 172.0):
+            for s in places(c):
+                with pytest.raises(DomainError,
+                                   match=rf"integrand peaks near exp\(7\d\d\.\d\) "
+                                         rf"at x = {c:g}$"):
+                    _line_integral(gamma, c, T, s)
+        for s in places(below):
+            try:
+                _line_integral(gamma, below, T, s)
+            except DomainError as exc:
+                # only the sum of a panel about the peak, or of the line,
+                # may pass the largest float
+                assert re.fullmatch(r"panel sum past the largest float near t = -5\.1\d*"
+                                    r"|transform value \(-?inf\+0j\) passes the largest float",
+                                    str(exc))
+    # at s = 0 the hump is ln c from the kernel's peak, where the kernel is
+    # below 1, so T = 1000 runs the line that T = 10 does, though its
+    # Gamma(c + it) ~ 1e305 cancel to about e**-1 there, past tolerance
+    assert math.isfinite(abs(_line_integral(gamma, 170.5, 1000.0, 0.0).value))
+    assert _line_integral(gamma, 170.5, 10.0, 0.0).converged
+
+
+def test_mellin_lines_near_their_hump_edge_raise_no_non_finite_integrand():
+    # x**c exp(-x) is finite at every node below the edge, though the
+    # kernel may lift a node or a panel sum past the largest float: the
+    # line is then a DomainError, as past the edge, and never a
+    # NonFiniteIntegrand, which would blame a finite source
+    gamma = TransformExpr.gamma()
+    rng = np.random.default_rng(3)
+    raised = 0
+    for _ in range(200):
+        c = float(rng.uniform(169.0, 173.0))
+        T = float(math.exp(rng.uniform(math.log(5.0), math.log(1000.0))))
+        s = float(-math.log(c) + rng.uniform(-0.3, 0.3))
         try:
-            _line_integral(gamma, below, T, s)
-        except DomainError as exc:
-            # only the sum of a panel about the peak may pass the largest
-            # float, which the panel's message places
-            assert re.fullmatch(r"panel sum past the largest float near t = -5\.1\d*",
-                                str(exc))
-    assert _line_integral(gamma, below, 10.0, 0.0).converged
+            _line_integral(gamma, c, T, s)
+        except DomainError:
+            raised += 1
+    assert 0 < raised < 200
+
+
+# (source, c, T, ln y, the truncated line (1/2pi) int_{-T}^{T} M(c + it)
+# y**-(c + it) dt of its Mellin transform M, from mpmath at 20 digits or
+# more)
+_FAR_HUMPS = [
+    (FunctionSpec.exp_minus_x(), 1.0, 2.0, 8.0, 2.2077291409596022e-08),
+    (FunctionSpec.exp_minus_x(), 1.0, 10.0, 8.0, 7.5481955137109757e-13),
+    (FunctionSpec.exp_minus_x(), 0.5, 5.0, 20.0, 3.8485033551668534e-10),
+    (FunctionSpec.exp_minus_x(), 30.0, 10.0, math.log(0.04), -1.3488755426354393e+70),
+    (FunctionSpec.mixed_exp(1.0, 0.5), 0.5, 5.0, -300.0, -4.8111261643400758e+60),
+]
+
+
+@pytest.mark.parametrize("spec, c, T, lny, want", _FAR_HUMPS,
+                         ids=["y=e8-T2", "y=e8-T10", "y=e20-c0.5", "c30-y0.04",
+                              "mixedexp-y=e-300"])
+def test_mellin_line_reads_across_a_hump_far_from_its_peak(spec, c, T, lny, want):
+    # the integrand x**c exp(-g x) holds its mass about u = ln(g/c),
+    # which lies ln y right of the kernel's peak at y = e**8 and e**20 and
+    # 6.6 left of it at c = 30, y = 0.04: the panels of the tail on the
+    # way are below abs_tol, and a tail that stopped on them would miss
+    # the mass and report a converged 0.  At y = e**-300 the tail toward
+    # -inf reads on past the mass to panels beyond u = -709.8, where
+    # x = exp(-u) is inf and sin(x)**2 nan, though the source is 0 there
+    line = TransformExpr.numeric(spec, TransformKind.MELLIN)
+    est = _line_integral(line, c, T, -lny)
+    assert est.converged
+    assert abs(est.value - want) <= est.err_est
 
 
 _mellin_sources = st.one_of(st.just((FunctionSpec.exp_minus_x(), 1.0)),
