@@ -12,15 +12,20 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .contours import (
     Contour,
     _contour_sums,
+    _finite,
+    _from_total,
+    _kernel_check,
     _positive,
+    _records,
     bromwich_for,
-    inverse_eval,
     rectangle_for,
 )
-from .errors import DomainError, EmptyGrid
+from .errors import DomainError, EmptyGrid, MelaplaceError
 from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
 from .quadrature import QuadratureSpec, _dirichlet, integrate_finite
 from .transforms import (
@@ -242,14 +247,41 @@ def invariance_sweep(
     By Cauchy exactness every grid point should agree; max_spread is the
     figure of merit.  A numeric t raises NotRectangularizable from
     rectangle_for, once the grid is checked.
+
+    One record (contours._records) holds the nodes, weights and transform
+    values of every rectangle of the grid.  The kernel weighs all the
+    nodes at once, and each rectangle then takes one sum over its slice:
+    the sum that inverse_eval takes on that rectangle alone, so each value
+    is bit-identical to inverse_eval's.  A grid point that fails raises
+    what inverse_eval raises there; the first such point in grid order
+    does.
     """
     grid = sorted((float(d), float(T)) for d in deltas for T in Ts)
     if not grid:
         raise EmptyGrid("invariance sweep needs a nonempty grid")
     _require_increasing(grid, "deltas and Ts must be distinct: the sorted (delta, T) grid",
                         DomainError)
-    results = []
-    for d, T in grid:
-        rect = rectangle_for(t, d, T)
-        results.append(inverse_eval(t, kind, rect, arg, q))
+    arg = float(arg)
+    # the rectangles up to the first that fails, whose error waits until
+    # the ones before it have been summed
+    rects, failure = [], None
+    try:
+        for d, T in grid:
+            rect = rectangle_for(t, d, T)
+            scale = _kernel_check(kind, rect, arg)
+            rects.append(rect)
+    except MelaplaceError as exc:
+        failure = exc
+    if not rects:
+        raise failure
+    nodes, weights, values, parts, error = _records(t, rects, q, t.conjugate_symmetric)
+    # the terms exp(scale * z) * F(z) of every node, in place of the nodes
+    terms = np.exp(np.multiply(scale, nodes, out=nodes), out=nodes)
+    np.multiply(terms, values, out=terms)
+    results = [
+        _finite(kind, arg, _from_total(t, complex(np.dot(weights[part], terms[part]))))
+        for part in parts]
+    error = error or failure
+    if error is not None:
+        raise error
     return ConvergenceTable("(delta, half_height)", tuple(grid), tuple(results))

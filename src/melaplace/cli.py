@@ -154,20 +154,24 @@ def _build_transform(ns):
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(ns, header, rows, summary, ok) -> int:
-    """Write the rows of numbers as CSV and/or JSON, each cell formatted
-    with .17g; return the exit code, which --strict makes
-    EXIT_NOT_CONVERGED when the command's check failed."""
-    rows = [[format(float(x), ".17g") for x in row] for row in rows]
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    text = buf.getvalue()
+    return buf.getvalue()
+
+
+def _emit(ns, header, rows, summary, ok) -> int:
+    """Write the rows of numbers as CSV and/or JSON, each cell formatted
+    with .17g; return the exit code, which --strict makes
+    EXIT_NOT_CONVERGED when the command's check failed.  The CSV goes to
+    --out, or else to stdout unless --json takes it."""
+    rows = [[format(float(x), ".17g") for x in row] for row in rows]
     if ns.out:
         try:
             with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(_csv(header, rows))
         except OSError as exc:
             reason = exc.strerror or exc
             raise ParseError(f"cannot write --out {ns.out!r}: {reason}") from None
@@ -186,7 +190,7 @@ def _emit(ns, header, rows, summary, ok) -> int:
         # both forms alike
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     elif not ns.out:
-        sys.stdout.write(text)
+        sys.stdout.write(_csv(header, rows))
     return EXIT_NOT_CONVERGED if ns.strict and not ok else EXIT_OK
 
 

@@ -16,14 +16,17 @@ order 16 for |x| up to ~8, and 2*delta keeps convergence geometric despite
 poles sitting delta away from the edges.  A summed path of more than
 q.max_panels panels is a DomainError, never a coarser sum.
 
-An inverse runs in two steps.  The per-contour step, ``_record``, builds
-the nodes and weights of all its edges in one array pass, and the values
-at the nodes in one batched ``transforms.rational_values`` call, whose
-sum runs pole by pole in memory linear in the nodes.  The per-argument
-step is one kernel-weighted sum over those arrays.  ``inverse_eval``
-takes both steps for one argument; a round trip or a CLI ``invert`` over
-many arguments takes the first step once and the second once per
-argument, with the same sums in the same order, so every value is
+An inverse runs in two steps.  The per-contour step, ``_records``,
+builds the record of one contour or of several: ``_paths`` lays out the
+nodes and weights of all their edges in one array pass, and one batched
+``transforms.rational_values`` call, whose sum runs pole by pole in
+memory linear in the nodes, gives the values at every node.  The
+per-argument step is one kernel-weighted sum over a contour's slice of
+those arrays.  ``inverse_eval`` takes both steps for one argument; a
+round trip or a CLI ``invert`` over many arguments takes the first step
+once and the second once per argument, and an invariance sweep takes the
+first step once for every rectangle of its grid and the second once per
+rectangle.  Each does the same sums in the same order, so every value is
 bit-identical to its own ``inverse_eval``.  Cauchy reproduction at
 several z shares its contour the same way.  A sum that float64 overflow
 leaves inf or nan is a DomainError.
@@ -72,6 +75,7 @@ from .errors import (
     DomainError,
     NotRectangularizable,
     OutOfDomain,
+    PoleHit,
     SidePoleConflict,
     ZInsideRectangle,
 )
@@ -221,66 +225,146 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
     Returns a pair of parallel complex ndarrays (nodes, weights); more
     than q.max_panels panels of width min(pi/4, 2*delta) are a DomainError.
     """
-    return _path(c, q or DEFAULT_QUADRATURE, False)
+    nodes, weights, _, error = _paths((c,), q or DEFAULT_QUADRATURE, False)
+    if error is not None:
+        raise error
+    return nodes, weights
 
 
-def _path(c: Contour, q: QuadratureSpec, upper: bool):
-    """Nodes and weights of c, or when upper of its part with Im z >= 0,
-    oriented as in c: [c, c + iT] for a line; the right half-edge, the top
-    edge and the left half-edge for a rectangle.
+def _paths(cs, q: QuadratureSpec, upper: bool):
+    """Nodes and weights of the contours of cs, or when upper of their
+    parts with Im z >= 0, each oriented as its contour: [c, c + iT] for a
+    line; the right half-edge, the top edge and the left half-edge for a
+    rectangle.  Returns (nodes, weights, parts, error): one array each,
+    contour after contour, parts[i] the slice of the i-th contour.
 
     An edge of length L holds n = ceil(L / w) panels, w = min(pi/4,
-    2*delta); more than q.max_panels in all raise DomainError before any
-    array is built.  One array pass then maps the Gauss-Legendre node x of
-    panel k of the edge from z0 in unit direction d to
-    z0 + (k*(L/n) + half*(1 + x))*d, weight w*half*d, half = 0.5*L/n.
+    2*delta).  A contour of more than q.max_panels panels in all, or with
+    an edge longer than any float, is a DomainError, found before any
+    array is built: the contours before the first such one keep their
+    layout, and error holds it (None when every contour is laid out), so
+    that a caller over several can report theirs first.
+
+    One loop over the edges writes a row per edge: its step L/n,
+    half-width 0.5*L/n, start z0, unit direction d and first panel.  One
+    repeat gives each panel its edge's row, and one broadcast against the
+    Gauss-Legendre rule maps node x of panel k of the edge to
+    z0 + (k*(L/n) + half*(1 + x))*d, weight w*half*d.
     """
-    T = c.half_height
-    bottom = 0.0 if upper else -T
-    corners = [complex(c.c_right, bottom), complex(c.c_right, T)]
-    if c.shape is ContourShape.RECTANGLE:
-        corners += [complex(c.c_left, T), complex(c.c_left, bottom)]
-        if not upper:
-            corners.append(complex(c.c_right, -T))
-    width = min(_BASE_PANEL_WIDTH, 2.0 * c.delta)
-    offsets, halves, starts, directions = [], [], [], []
-    for z0, z1 in zip(corners, corners[1:]):
-        length = abs(z1 - z0)
-        if not length < math.inf:
-            raise DomainError(
-                f"the contour edge from {z0} to {z1} is longer than any float"
-            )
-        # compare before ceil: length / width may overflow to inf
-        if not length / width <= q.max_panels - len(offsets):
-            raise DomainError(
-                f"the contour needs more than max_panels = {q.max_panels} "
-                f"panels of width {width:g}"
-            )
-        n = math.ceil(length / width)
-        step = length / n
-        offsets += [k * step for k in range(n)]
-        halves += [0.5 * length / n] * n
-        starts += [z0] * n
-        directions += [(z1 - z0) / length] * n
+    rows, counts, bounds, error = [], [], [0], None
+    for c in cs:
+        T = c.half_height
+        bottom = 0.0 if upper else -T
+        corners = [complex(c.c_right, bottom), complex(c.c_right, T)]
+        if c.shape is ContourShape.RECTANGLE:
+            corners += [complex(c.c_left, T), complex(c.c_left, bottom)]
+            if not upper:
+                corners.append(complex(c.c_right, -T))
+        width = min(_BASE_PANEL_WIDTH, 2.0 * c.delta)
+        mark, panels = len(rows), bounds[-1]
+        for z0, z1 in zip(corners, corners[1:]):
+            length = abs(z1 - z0)
+            if not length < math.inf:
+                error = DomainError(
+                    f"the contour edge from {z0} to {z1} is longer than any float"
+                )
+                break
+            # compare before ceil: length / width may overflow to inf
+            if not length / width <= q.max_panels - (panels - bounds[-1]):
+                error = DomainError(
+                    f"the contour needs more than max_panels = {q.max_panels} "
+                    f"panels of width {width:g}"
+                )
+                break
+            n = math.ceil(length / width)
+            rows.append((length / n, 0.5 * length / n, z0, (z1 - z0) / length, panels))
+            counts.append(n)
+            panels += n
+        if error is not None:
+            # rows and counts hold whole contours only
+            del rows[mark:], counts[mark:]
+            break
+        bounds.append(panels)
     xs, ws = _gl(q.panel_order)
-    half = np.array(halves)[:, None]
-    direction = np.array(directions)[:, None]
-    s = np.array(offsets)[:, None] + half * (1.0 + xs)
-    nodes = np.array(starts)[:, None] + s * direction
+    table = np.array(rows, dtype=complex).reshape(-1, 5).repeat(counts, axis=0)
+    step, half, start, direction, first = table.T[:, :, None]
+    half = half.real
     weights = ws * half * direction
-    return nodes.ravel(), weights.ravel()
+    s = (np.arange(len(table))[:, None] - first.real) * step.real + half * (1.0 + xs)
+    nodes = start + s * direction
+    order = len(xs)
+    parts = [slice(order * a, order * b) for a, b in zip(bounds, bounds[1:])]
+    return nodes.ravel(), weights.ravel(), parts, error
 
 
-def _record(t: TransformExpr, c: Contour, q: QuadratureSpec | None, upper: bool):
-    """(nodes, weights, values) of c, or of its upper half when upper; a
-    numeric t has no nodes and raises NotRectangularizable, as in
-    rectangle_for, before any is built."""
+def _records(t: TransformExpr, cs, q: QuadratureSpec | None, upper: bool):
+    """The record of the contours of cs, or of their upper halves when
+    upper: (nodes, weights, values, parts, error), their nodes, weights,
+    parts and error as _paths lays them out, and the values at every node
+    in one rational_values call.  A numeric t has no nodes and raises
+    NotRectangularizable, as in rectangle_for, before any is built.  Where
+    a node sits on a pole, the contours are read one at a time up to the
+    first that meets one, whose PoleHit names the pole it would alone and
+    becomes the record's error; parts then ends before that contour.
+    """
     if t.form is not TransformForm.RATIONAL:
         raise NotRectangularizable(
             f"{t.form.value} transforms cannot be inverted on a rectangle"
         )
-    nodes, weights = _path(c, q or DEFAULT_QUADRATURE, upper)
-    return nodes, weights, rational_values(t, nodes)
+    nodes, weights, parts, error = _paths(cs, q or DEFAULT_QUADRATURE, upper)
+    try:
+        values = rational_values(t, nodes)
+    except PoleHit:
+        values = np.zeros_like(nodes)
+        for i, part in enumerate(parts):
+            try:
+                values[part] = rational_values(t, nodes[part])
+            except PoleHit as exc:
+                parts, error = parts[:i], exc
+                break
+    return nodes, weights, values, parts, error
+
+
+def _record(t: TransformExpr, c: Contour, q: QuadratureSpec | None, upper: bool):
+    """(nodes, weights, values) of the record of c alone, raising its
+    error."""
+    nodes, weights, values, _, error = _records(t, (c,), q, upper)
+    if error is not None:
+        raise error
+    return nodes, weights, values
+
+
+def _kernel_check(kind: InverseKind, c: Contour, arg: float) -> float:
+    """The kernel's scale at arg (residues._kernel_scale), or DomainError
+    where the kernel overflows on c."""
+    scale = _kernel_scale(kind, arg)
+    # the kernel's real exponent peaks on a vertical edge, its phase
+    # s * Im z at the top and bottom
+    edge = c.c_left if scale < 0.0 and c.c_left is not None else c.c_right
+    if scale * edge > _EXP_LIMIT or abs(scale) * c.half_height == math.inf:
+        raise DomainError(
+            f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
+        )
+    return scale
+
+
+def _from_total(t: TransformExpr, total: complex) -> complex:
+    """The inverse from total, the kernel-weighted sum over the record of a
+    contour, of its upper half when t is conjugate-symmetric."""
+    if t.conjugate_symmetric:
+        # the lower half is the mirror image of the upper half, traversed
+        # backwards, so it adds -conj(total): the sum is 2i * total.imag
+        return complex(total.imag / math.pi, 0.0)
+    return total / (2j * math.pi)
+
+
+def _finite(kind: InverseKind, arg: float, value: complex) -> complex:
+    """value, the inverse at arg; DomainError where it is inf or nan."""
+    if not cmath.isfinite(value):
+        raise DomainError(
+            f"the {kind.value} inverse overflows on this contour at arg = {arg:g}"
+        )
+    return value
 
 
 def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
@@ -297,33 +381,15 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
     """
     record = None
     for arg in args:
-        scale = _kernel_scale(kind, arg)
-        # the kernel's real exponent peaks on a vertical edge, its phase
-        # s * Im z at the top and bottom
-        edge = c.c_left if scale < 0.0 and c.c_left is not None else c.c_right
-        if scale * edge > _EXP_LIMIT or abs(scale) * c.half_height == math.inf:
-            raise DomainError(
-                f"the {kind.value} kernel overflows on this contour at arg = {arg:g}"
-            )
+        scale = _kernel_check(kind, c, arg)
         converged = True
         if t.form is TransformForm.NUMERIC and c.shape is ContourShape.BROMWICH_LINE:
             est = _line_integral(t, c.c_right, c.half_height, scale, q)
             value, converged = complex(est.value.real), est.converged
         else:
             nodes, weights, vals = record = record or _record(t, c, q, t.conjugate_symmetric)
-            total = complex(np.dot(weights, np.exp(scale * nodes) * vals))
-            if t.conjugate_symmetric:
-                # the lower half is the mirror image of the upper half,
-                # traversed backwards, so it adds -conj(total): the sum is
-                # 2i * total.imag
-                value = complex(total.imag / math.pi, 0.0)
-            else:
-                value = total / (2j * math.pi)
-        if not cmath.isfinite(value):
-            raise DomainError(
-                f"the {kind.value} inverse overflows on this contour at arg = {arg:g}"
-            )
-        yield value, converged
+            value = _from_total(t, complex(np.dot(weights, np.exp(scale * nodes) * vals)))
+        yield _finite(kind, arg, value), converged
 
 
 def inverse_eval(

@@ -287,9 +287,12 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     x = (Re z - 1)/g_min, and x**z exp(-g_min*x) in u one factor x higher,
     at x = Re z/g_min, where a line's kernel multiplies it by at most
     min(T, 1/|s - u|)/pi.  One whose peak passes the largest float is a
-    DomainError.  A line's terms x**z exp(-g*x) peak at u = ln(g/Re z),
-    and its tails read on across those humps wherever s lies (_halfline's
-    span); past u = -ln(largest float), x = exp(-u) is inf, where the
+    DomainError.  The terms x**z exp(-g*x) peak at u = ln(g/Re z): a
+    line's tails read on across those humps wherever s lies (_halfline's
+    span), and a direct transform's u-side tail reads on from 0 to the
+    last of them, however little its first panels hold, as with g = 1000
+    at z = 0.5, whose mass lies near u = 7.6; past u = -ln(largest
+    float), x = exp(-u) is inf, where the
     source has decayed to 0 but a sin or cos weight of x is nan, so a
     weighted source's integrand is 0 there.
     """
@@ -317,21 +320,23 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
             raise DomainError(
                 f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
                 f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
+        # in u = -ln x, the terms x**z exp(-g*x) peak at u = ln(g/Re z)
+        last_hump = math.log(max(spec.params or (1.0,)) / z.real)
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
     if T is not None:
         start, width, heads, left = _peak_roots(T, s, mellin)
         span = None
         if mellin:
-            span = (-math.log(hump), math.log(max(spec.params or (1.0,)) / power))
+            span = (-math.log(hump), last_hump)
             if any(w is not None for _, w in _terms(spec)[1]):
                 read = inner
                 inner = lambda u: np.where(u > -_EXP_LIMIT, read(u), 0.0)
         return _halfline(inner, start, q, heads, _Dirichlet(T, s), width, left, span)
-    pieces = _halfline(inner, 0.0, q)
-    if mellin:
-        off, zm = _off_axis(spec), z - 1.0
-        pieces += _halfline(lambda x: off(zm * np.log(x), x), 1.0, q)
-    return pieces
+    if not mellin:
+        return _halfline(inner, 0.0, q)
+    off, zm = _off_axis(spec), z - 1.0
+    return (_halfline(inner, 0.0, q, span=(0.0, last_hump))
+            + _halfline(lambda x: off(zm * np.log(x), x), 1.0, q))
 
 
 def _summed(pieces: list, q: QuadratureSpec, scale: float = 1.0) -> Estimate:

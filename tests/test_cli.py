@@ -680,9 +680,14 @@ def test_out_of_range_inputs_exit_two(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv,want", [
-    # Gamma(1) / 1e308 = 1e-308: exp(-(1e308 * x)) overflows to exp(-inf) = 0
+    # Gamma(1) / 1e308 = 1e-308, whose mass lies about u = ln(1e308) =
+    # 709.2, where x = exp(-u) is near the subnormals: the tail from u = 0
+    # reads on across it, and exp(-(1e308 * x)) overflows to exp(-inf) = 0
+    # short of it; the sum keeps few digits there, and both it and its
+    # error are far below abs_tol
     (("transform", "--func", "exp:gamma=1e308", "--kind", "mellin-transform",
-      "--z", "1+0i"), "re_z,im_z,re_val,im_val,err_est\n1,0,0,0,0\n"),
+      "--z", "1+0i"), "re_z,im_z,re_val,im_val,err_est\n"
+                      "1,0,2.2263024874324576e-316,0,2.2262898393519241e-316\n"),
     (("transform", "--func", "power:gamma=0.5", "--kind", "laplace", "--z",
       "1e308+1e308i"), "re_z,im_z,re_val,im_val,err_est\n1e+308,1e+308,0,0,0\n"),
     # the Cauchy quotients overflow on their way to 0
@@ -722,6 +727,21 @@ def test_out_file_and_json(tmp_path, capsys):
     text = target.read_text()
     header, rows = rows_of(text)
     assert header == doc["header"] and len(rows) == 1
+
+
+def test_csv_is_built_only_where_it_is_written(tmp_path, capsys, monkeypatch):
+    argv = ("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
+            "--deltas", "0.5,1", "--Ts", "5,10")
+    csv_text = run(capsys, *argv)[1]
+    target = tmp_path / "rows.csv"
+    assert run(capsys, *argv, "--json", "--out", str(target))[1:] == (
+        run(capsys, *argv, "--json")[1], "")
+    assert target.read_text() == csv_text
+    # --json without --out writes no CSV, so builds none
+    built = []
+    monkeypatch.setattr(cli, "_csv", lambda *args: built.append(args))
+    assert run(capsys, *argv, "--json")[0] == 0
+    assert built == []
 
 
 def test_out_file_silences_stdout(tmp_path, capsys):

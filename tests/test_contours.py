@@ -40,7 +40,7 @@ from melaplace import (
     transform_for,
 )
 from melaplace import contours
-from melaplace.campaigns import roundtrip
+from melaplace.campaigns import invariance_sweep, roundtrip
 from melaplace.cli import cli_main
 from melaplace.contours import DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT
 from melaplace.quadrature import _gl
@@ -156,7 +156,7 @@ def test_numeric_transform_on_a_hand_built_rectangle_is_rejected(rect, monkeypat
         raise AssertionError("nodes built")
 
     monkeypatch.setattr(contours, "discretize", no_nodes)
-    monkeypatch.setattr(contours, "_path", no_nodes)
+    monkeypatch.setattr(contours, "_paths", no_nodes)
     with pytest.raises(NotRectangularizable, match="cannot be inverted on a rectangle"):
         inverse_eval(t, LAP, rect, 1.0)
     with pytest.raises(NotRectangularizable):
@@ -213,7 +213,7 @@ def test_line_weights_sum_to_length():
 
 def _edge_reference(z0, z1, n_panels, order):
     """One edge of n_panels panels built on its own, with np.arange and
-    np.tile: the per-edge formula that the one-pass _path must match byte
+    np.tile: the per-edge formula that the one-pass _paths must match byte
     for byte."""
     length = abs(z1 - z0)
     direction = (z1 - z0) / length
@@ -225,9 +225,10 @@ def _edge_reference(z0, z1, n_panels, order):
 
 
 def _path_reference(c, q, upper):
-    """discretize(c, q), or contours._path(c, q, True) when upper, edge by
-    edge; None where the path needs more than q.max_panels panels of width
-    min(pi/4, 2*delta), or where an edge is longer than any float."""
+    """discretize(c, q), or the upper half that contours._paths lays out
+    when upper, edge by edge; None where the path needs more than
+    q.max_panels panels of width min(pi/4, 2*delta), or where an edge is
+    longer than any float."""
     T, right, left = c.half_height, c.c_right, c.c_left
     if c.shape is ContourShape.BROMWICH_LINE:
         corners = [complex(right, 0.0 if upper else -T), complex(right, T)]
@@ -251,7 +252,14 @@ def _path_reference(c, q, upper):
 
 
 def _build(c, q, upper):
-    return contours._path(c, q, True) if upper else discretize(c, q)
+    """The nodes and weights of c alone, raising its layout's error."""
+    if not upper:
+        return discretize(c, q)
+    nodes, weights, parts, error = contours._paths((c,), q, True)
+    if error is not None:
+        raise error
+    assert parts == [slice(0, nodes.size)]
+    return nodes, weights
 
 
 def _assert_same_bytes(got, want):
@@ -286,6 +294,45 @@ def test_one_pass_nodes_match_the_per_edge_build(shape, upper, c_right, width, T
     got = _build(c, q, upper)
     assert got[0].size <= max_panels * order
     _assert_same_bytes(got, want)
+
+
+@st.composite
+def _contours(draw):
+    """A line or rectangle whose layout may overrun the budget, as drawn in
+    test_one_pass_nodes_match_the_per_edge_build."""
+    shape = draw(st.sampled_from(list(ContourShape)))
+    c_right = draw(st.floats(-5.0, 5.0))
+    left = (c_right - draw(st.floats(1e-3, 10.0))
+            if shape is ContourShape.RECTANGLE else None)
+    T = draw(st.one_of(_log_uniform(1e-3, 50.0), _log_uniform(1e-3, 1e308)))
+    delta = draw(st.one_of(_log_uniform(0.05, 2.0), _log_uniform(1e-320, 2.0)))
+    return Contour(shape, c_right, left, T, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=st.lists(_contours(), max_size=6), upper=st.booleans(),
+       order=st.integers(4, 32),
+       max_panels=st.one_of(st.integers(2, 64), st.just(4096)))
+def test_one_pass_nodes_of_several_contours_match_the_per_edge_build(cs, upper, order,
+                                                                     max_panels):
+    # each contour's slice holds the bytes of its own build; the first
+    # contour whose layout fails ends the arrays, and its error is the
+    # one it raises alone
+    q = QuadratureSpec(panel_order=order, max_panels=max_panels)
+    want = [_path_reference(c, q, upper) for c in cs]
+    laid = next((i for i, w in enumerate(want) if w is None), len(cs))
+    nodes, weights, parts, error = contours._paths(cs, q, upper)
+    ends = np.cumsum([0] + [w[0].size for w in want[:laid]]).tolist()
+    assert parts == [slice(a, b) for a, b in zip(ends, ends[1:])]
+    assert nodes.size == weights.size == ends[-1]
+    for part, w in zip(parts, want):
+        _assert_same_bytes((nodes[part], weights[part]), w)
+    if laid == len(cs):
+        assert error is None
+    else:
+        with pytest.raises(DomainError) as alone:
+            _build(cs[laid], q, upper)
+        assert type(error) is DomainError and str(error) == str(alone.value)
 
 
 @pytest.mark.parametrize("upper", [False, True])
@@ -874,6 +921,68 @@ def test_shared_contour_keeps_each_arguments_overflow_error():
         roundtrip(FunctionSpec.power(0.5), MEL, [1.0, -1.0])
 
 
+def _bytes(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(poles=_pole_sets(), kernel=_kernel_and_arg(),
+       deltas=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3, unique=True),
+       Ts=st.lists(st.floats(2.0, 12.0), min_size=1, max_size=3, unique=True))
+def test_sweep_values_match_each_rectangles_inverse(poles, kernel, deltas, Ts):
+    # one record for the whole grid, and each value the bytes of
+    # inverse_eval on its own rectangle
+    kind, arg = kernel
+    t = TransformExpr.rational(poles)
+    table = invariance_sweep(t, kind, arg, deltas, Ts)
+    assert _bytes(table.results) == _bytes(
+        [inverse_eval(t, kind, rectangle_for(t, d, T), arg) for d, T in table.values])
+
+
+_BIG = TransformExpr.rational([(-1.0, 1e308)])
+
+
+@pytest.mark.parametrize("t,arg,deltas,Ts,match", [
+    # the kernel overflows on every rectangle; the later one also overruns
+    # max_panels
+    (ONE_POLE, -800.0, [0.5], [2.0, 1e6], "kernel overflows"),
+    # the first sum overflows; the later rectangle overruns max_panels, or
+    # rectangle_for rejects its delta or T
+    (_BIG, 1.0, [0.5], [2.0, 1e6], "inverse overflows"),
+    (_BIG, 1.0, [0.5, math.inf], [2.0], "inverse overflows"),
+    (_BIG, 1.0, [0.5], [2.0, math.inf], "inverse overflows"),
+    # the first point passes, and the later one's layout fails
+    (ONE_POLE, 1.0, [0.5], [2.0, 1e6], "max_panels"),
+], ids=["kernel", "sum-layout", "sum-delta", "sum-T", "layout"])
+def test_sweep_raises_the_first_failing_grid_points_error(t, arg, deltas, Ts, match):
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match=match) as swept:
+            invariance_sweep(t, LAP, arg, deltas, Ts)
+        with pytest.raises(DomainError) as alone:
+            for d, T in sorted((d, T) for d in deltas for T in Ts):
+                inverse_eval(t, LAP, rectangle_for(t, d, T), arg)
+    assert type(swept.value) is type(alone.value)
+    assert str(swept.value) == str(alone.value)
+
+
+def test_records_keep_the_contours_before_a_pole_hit():
+    # a node of each later rectangle sits on a pole; the first in order is
+    # the record's error, naming the pole it hits alone, not the first pole
+    # that any node hits, and the rectangles before it keep their values
+    clear = rectangle_for(ONE_POLE, 0.25, 3.0)
+    second, third = rectangle_for(ONE_POLE, 0.5, 2.0), rectangle_for(ONE_POLE, 0.75, 4.0)
+    trap = TransformExpr.rational([(complex(discretize(third)[0][5]), 1.0),
+                                   (complex(discretize(second)[0][7]), 1.0)])
+    _, _, values, parts, error = contours._records(trap, [clear, second, third], None, False)
+    nodes, _ = discretize(clear)
+    assert parts == [slice(0, nodes.size)]
+    assert values[parts[0]].tobytes() == rational_values(trap, nodes).tobytes()
+    with pytest.raises(PoleHit) as alone:
+        inverse_eval(trap, LAP, second, 1.0)
+    assert type(error) is PoleHit and str(error) == str(alone.value)
+    assert str(trap.poles[1][0]) in str(error)
+
+
 def test_cauchy_sums_match_per_point_reproduction():
     rect = rectangle_for(MIXED, 0.5, 5.0)
     zs = [1.0, complex(0.7, 2.0), complex(10.0, -3.0)]
@@ -893,17 +1002,17 @@ def test_each_contour_sum_builds_its_record_once(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(contours, name, call)
 
-    counting("_path", contours._path)
+    counting("_paths", contours._paths)
     counting("rational_values", rational_values)
     rect = rectangle_for(MIXED, 0.5, 5.0)
     lop = TransformExpr.rational([(complex(-1.0, 2.0), 1.0)])
     for t, c in ((MIXED, rect), (lop, rectangle_for(lop)), (ONE_POLE, bromwich_for(ONE_POLE))):
         built.clear()
         assert len(list(contours._contour_sums(t, LAP, c, [-2.0, -1.0, 0.0, 1.0, 2.0], None))) == 5
-        assert built == ["_path", "rational_values"]
+        assert built == ["_paths", "rational_values"]
     built.clear()
     assert len(list(contours._cauchy_sums(MIXED, rect, [1.0, 2j + 3.0, 5.0], None))) == 3
-    assert built == ["_path", "rational_values"]
+    assert built == ["_paths", "rational_values"]
     # a first argument that raises builds nothing: a kernel overflow, a z
     # inside the rectangle
     built.clear()

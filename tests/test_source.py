@@ -235,7 +235,7 @@ def test_quadrature_has_one_refinement_loop():
 
 
 def test_contours_have_one_panel_rule():
-    # _path lays out every contour on one width and one budget: no width
+    # _paths lays out every contour on one width and one budget: no width
     # floor and no per-edge budgets in a helper of their own
     tree = ast.parse((PACKAGE / "contours.py").read_text(encoding="utf-8"))
     defined = {target.id for top in tree.body if isinstance(top, ast.Assign)
@@ -245,19 +245,25 @@ def test_contours_have_one_panel_rule():
 
 
 def test_contour_sums_build_only_through_the_record():
-    # every rational contour sum takes its nodes, weights and transform
-    # values from _record, the one per-contour step; discretize keeps its
-    # own path
-    tree = ast.parse((PACKAGE / "contours.py").read_text(encoding="utf-8"))
+    # every rational contour sum, of one contour or of a sweep's grid, takes
+    # its nodes, weights and transform values from _records, the one
+    # per-contour step, one contour through _record; discretize lays out
+    # its nodes through the same _paths
     found = sorted({
-        (node.func.id, name)
-        for name, function in _functions(tree)
+        (node.func.id, f"{module}.{name}")
+        for module in ("contours", "campaigns")
+        for name, function in _functions(
+            ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id in ("_path", "rational_values")
+        and node.func.id in ("_paths", "_record", "_records", "rational_values")
     })
-    assert found == [("_path", "_record"), ("_path", "discretize"),
-                     ("rational_values", "_record")]
+    assert found == [("_paths", "contours._records"), ("_paths", "contours.discretize"),
+                     ("_record", "contours._cauchy_sums"),
+                     ("_record", "contours._contour_sums"),
+                     ("_records", "campaigns.invariance_sweep"),
+                     ("_records", "contours._record"),
+                     ("rational_values", "contours._records")]
 
 
 def test_no_module_reads_a_private_attribute_of_another_object():

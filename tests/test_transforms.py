@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from melaplace import (
@@ -1121,9 +1121,18 @@ _mellin_sources = st.one_of(st.just((FunctionSpec.exp_minus_x(), 1.0)),
                             st.floats(0.2, 3.0).map(lambda g: (FunctionSpec.exp(g), g)))
 
 
+# converged means within the spec's tolerance of the value, which at the
+# default spec reaches 9.4e-11 on these lines: they run at a spec tighter
+# than the 1e-12 they are held to
+_TIGHT_LINE_Q = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+
+
 @settings(max_examples=60, deadline=None)
 @given(source=_mellin_sources, c=st.floats(0.2, 3.0), T=st.floats(50.0, 1000.0),
        y=st.floats(0.1, 10.0))
+# at the default spec this line converges 2.07e-12 off, inside its
+# err_est of 5.9e-12
+@example(source=(FunctionSpec.exp(0.25), 0.25), c=3.0, T=50.0, y=0.25)
 def test_converged_mellin_lines_match_their_source(source, c, T, y):
     # the Mellin transform of exp(-g x) is Gamma(z) g**-z, and
     # |Gamma(c + iT)| ~ sqrt(2 pi) T**(c - 1/2) exp(-pi T/2) makes the
@@ -1131,9 +1140,30 @@ def test_converged_mellin_lines_match_their_source(source, c, T, y):
     # exp(-g y) itself is the oracle of a converged line
     spec, g = source
     line = TransformExpr.numeric(spec, TransformKind.MELLIN)
-    est = _line_integral(line, c, T, -math.log(y))
+    est = _line_integral(line, c, T, -math.log(y), _TIGHT_LINE_Q)
     if est.converged:
         assert abs(est.value - math.exp(-g * y)) <= 1e-12
+
+
+def test_direct_mellin_reads_on_to_a_far_hump():
+    # exp(-1000 x) at z = 0.5 holds its mass about u = ln(1000/0.5) = 7.6;
+    # the u-side tail's first panels from u = 0 lie below abs_tol, and a
+    # tail that stopped on them returned a converged 1.06e-24
+    est = transform_estimate(FunctionSpec.exp(1000.0), TransformKind.MELLIN, 0.5)
+    assert est.converged
+    assert abs(est.value - math.gamma(0.5) / math.sqrt(1000.0)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(lng=st.floats(0.0, math.log(1e8)), x=st.floats(0.2, 3.0))
+def test_converged_direct_mellin_transforms_match_gamma(lng, x):
+    # the Mellin transform of exp(-g x) is Gamma(z) g**-z, its hump at
+    # u = ln(g/z) up to 18 past the tail's start
+    g = math.exp(lng)
+    est = transform_estimate(FunctionSpec.exp(g), TransformKind.MELLIN, x)
+    want = math.gamma(x) * g ** -x
+    if est.converged:
+        assert abs(est.value - want) <= max(est.err_est, 1e-10 * want)
 
 
 @st.composite
