@@ -12,17 +12,13 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .contours import (
     Contour,
     _contour_sums,
-    _finite,
-    _from_total,
-    _kernel_check,
     _positive,
-    _records,
+    _rectangle_sums,
     bromwich_for,
+    inverse_eval,
     rectangle_for,
 )
 from .errors import DomainError, EmptyGrid, MelaplaceError
@@ -248,13 +244,11 @@ def invariance_sweep(
     figure of merit.  A numeric t raises NotRectangularizable from
     rectangle_for, once the grid is checked.
 
-    One record (contours._records) holds the nodes, weights and transform
-    values of every rectangle of the grid.  The kernel weighs all the
-    nodes at once, and each rectangle then takes one sum over its slice:
-    the sum that inverse_eval takes on that rectangle alone, so each value
-    is bit-identical to inverse_eval's.  A grid point that fails raises
-    what inverse_eval raises there; the first such point in grid order
-    does.
+    The grid takes one pass, contours._rectangle_sums, over every
+    rectangle at once; each value is bit-identical to inverse_eval's on
+    its rectangle.  A grid that fails re-runs point by point through
+    inverse_eval, so the first failing point in grid order raises what
+    inverse_eval raises there.
     """
     grid = sorted((float(d), float(T)) for d in deltas for T in Ts)
     if not grid:
@@ -262,26 +256,8 @@ def invariance_sweep(
     _require_increasing(grid, "deltas and Ts must be distinct: the sorted (delta, T) grid",
                         DomainError)
     arg = float(arg)
-    # the rectangles up to the first that fails, whose error waits until
-    # the ones before it have been summed
-    rects, failure = [], None
     try:
-        for d, T in grid:
-            rect = rectangle_for(t, d, T)
-            scale = _kernel_check(kind, rect, arg)
-            rects.append(rect)
-    except MelaplaceError as exc:
-        failure = exc
-    if not rects:
-        raise failure
-    nodes, weights, values, parts, error = _records(t, rects, q, t.conjugate_symmetric)
-    # the terms exp(scale * z) * F(z) of every node, in place of the nodes
-    terms = np.exp(np.multiply(scale, nodes, out=nodes), out=nodes)
-    np.multiply(terms, values, out=terms)
-    results = [
-        _finite(kind, arg, _from_total(t, complex(np.dot(weights[part], terms[part]))))
-        for part in parts]
-    error = error or failure
-    if error is not None:
-        raise error
+        results = _rectangle_sums(t, kind, [rectangle_for(t, d, T) for d, T in grid], arg, q)
+    except MelaplaceError:
+        results = [inverse_eval(t, kind, rectangle_for(t, d, T), arg, q) for d, T in grid]
     return ConvergenceTable("(delta, half_height)", tuple(grid), tuple(results))

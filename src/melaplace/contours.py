@@ -16,17 +16,18 @@ order 16 for |x| up to ~8, and 2*delta keeps convergence geometric despite
 poles sitting delta away from the edges.  A summed path of more than
 q.max_panels panels is a DomainError, never a coarser sum.
 
-An inverse runs in two steps.  The per-contour step, ``_records``,
-builds the record of one contour or of several: ``_paths`` lays out the
-nodes and weights of all their edges in one array pass, and one batched
-``transforms.rational_values`` call, whose sum runs pole by pole in
-memory linear in the nodes, gives the values at every node.  The
-per-argument step is one kernel-weighted sum over a contour's slice of
-those arrays.  ``inverse_eval`` takes both steps for one argument; a
-round trip or a CLI ``invert`` over many arguments takes the first step
-once and the second once per argument, and an invariance sweep takes the
-first step once for every rectangle of its grid and the second once per
-rectangle.  Each does the same sums in the same order, so every value is
+An inverse runs in two steps, each raising where it fails.  The
+per-contour step, ``_record``, builds the record of one contour or of
+several: ``_paths`` lays out the nodes and weights of all their edges in
+one array pass, and one batched ``transforms.rational_values`` call,
+whose sum runs pole by pole in memory linear in the nodes, gives the
+values at every node.  The per-argument step is one kernel-weighted sum
+over a contour's slice of those arrays.  ``inverse_eval`` takes both
+steps for one argument; a round trip or a CLI ``invert`` over many
+arguments takes the first step once and the second once per argument,
+and an invariance sweep's ``_rectangle_sums`` takes the first step once
+for every rectangle of its grid and the second once per rectangle.
+Each does the same sums in the same order, so every value is
 bit-identical to its own ``inverse_eval``.  Cauchy reproduction at
 several z shares its contour the same way.  A sum that float64 overflow
 leaves inf or nan is a DomainError.
@@ -75,7 +76,6 @@ from .errors import (
     DomainError,
     NotRectangularizable,
     OutOfDomain,
-    PoleHit,
     SidePoleConflict,
     ZInsideRectangle,
 )
@@ -225,25 +225,20 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
     Returns a pair of parallel complex ndarrays (nodes, weights); more
     than q.max_panels panels of width min(pi/4, 2*delta) are a DomainError.
     """
-    nodes, weights, _, error = _paths((c,), q or DEFAULT_QUADRATURE, False)
-    if error is not None:
-        raise error
-    return nodes, weights
+    return _paths((c,), q or DEFAULT_QUADRATURE, False)[:2]
 
 
 def _paths(cs, q: QuadratureSpec, upper: bool):
     """Nodes and weights of the contours of cs, or when upper of their
     parts with Im z >= 0, each oriented as its contour: [c, c + iT] for a
     line; the right half-edge, the top edge and the left half-edge for a
-    rectangle.  Returns (nodes, weights, parts, error): one array each,
-    contour after contour, parts[i] the slice of the i-th contour.
+    rectangle.  Returns (nodes, weights, parts): one array each, contour
+    after contour, parts[i] the slice of the i-th contour.
 
     An edge of length L holds n = ceil(L / w) panels, w = min(pi/4,
     2*delta).  A contour of more than q.max_panels panels in all, or with
-    an edge longer than any float, is a DomainError, found before any
-    array is built: the contours before the first such one keep their
-    layout, and error holds it (None when every contour is laid out), so
-    that a caller over several can report theirs first.
+    an edge longer than any float, is a DomainError, raised at the first
+    such edge before any array is built.
 
     One loop over the edges writes a row per edge: its step L/n,
     half-width 0.5*L/n, start z0, unit direction d and first panel.  One
@@ -251,7 +246,7 @@ def _paths(cs, q: QuadratureSpec, upper: bool):
     Gauss-Legendre rule maps node x of panel k of the edge to
     z0 + (k*(L/n) + half*(1 + x))*d, weight w*half*d.
     """
-    rows, counts, bounds, error = [], [], [0], None
+    rows, counts, bounds = [], [], [0]
     for c in cs:
         T = c.half_height
         bottom = 0.0 if upper else -T
@@ -261,29 +256,23 @@ def _paths(cs, q: QuadratureSpec, upper: bool):
             if not upper:
                 corners.append(complex(c.c_right, -T))
         width = min(_BASE_PANEL_WIDTH, 2.0 * c.delta)
-        mark, panels = len(rows), bounds[-1]
+        panels = bounds[-1]
         for z0, z1 in zip(corners, corners[1:]):
             length = abs(z1 - z0)
             if not length < math.inf:
-                error = DomainError(
+                raise DomainError(
                     f"the contour edge from {z0} to {z1} is longer than any float"
                 )
-                break
             # compare before ceil: length / width may overflow to inf
             if not length / width <= q.max_panels - (panels - bounds[-1]):
-                error = DomainError(
+                raise DomainError(
                     f"the contour needs more than max_panels = {q.max_panels} "
                     f"panels of width {width:g}"
                 )
-                break
             n = math.ceil(length / width)
             rows.append((length / n, 0.5 * length / n, z0, (z1 - z0) / length, panels))
             counts.append(n)
             panels += n
-        if error is not None:
-            # rows and counts hold whole contours only
-            del rows[mark:], counts[mark:]
-            break
         bounds.append(panels)
     xs, ws = _gl(q.panel_order)
     table = np.array(rows, dtype=complex).reshape(-1, 5).repeat(counts, axis=0)
@@ -294,44 +283,22 @@ def _paths(cs, q: QuadratureSpec, upper: bool):
     nodes = start + s * direction
     order = len(xs)
     parts = [slice(order * a, order * b) for a, b in zip(bounds, bounds[1:])]
-    return nodes.ravel(), weights.ravel(), parts, error
+    return nodes.ravel(), weights.ravel(), parts
 
 
-def _records(t: TransformExpr, cs, q: QuadratureSpec | None, upper: bool):
+def _record(t: TransformExpr, cs, q: QuadratureSpec | None, upper: bool):
     """The record of the contours of cs, or of their upper halves when
-    upper: (nodes, weights, values, parts, error), their nodes, weights,
-    parts and error as _paths lays them out, and the values at every node
-    in one rational_values call.  A numeric t has no nodes and raises
-    NotRectangularizable, as in rectangle_for, before any is built.  Where
-    a node sits on a pole, the contours are read one at a time up to the
-    first that meets one, whose PoleHit names the pole it would alone and
-    becomes the record's error; parts then ends before that contour.
+    upper: (nodes, weights, values, parts), their nodes, weights and parts
+    as _paths lays them out, and the values at every node in one
+    rational_values call.  A numeric t has no nodes and raises
+    NotRectangularizable, as in rectangle_for, before any is built.
     """
     if t.form is not TransformForm.RATIONAL:
         raise NotRectangularizable(
             f"{t.form.value} transforms cannot be inverted on a rectangle"
         )
-    nodes, weights, parts, error = _paths(cs, q or DEFAULT_QUADRATURE, upper)
-    try:
-        values = rational_values(t, nodes)
-    except PoleHit:
-        values = np.zeros_like(nodes)
-        for i, part in enumerate(parts):
-            try:
-                values[part] = rational_values(t, nodes[part])
-            except PoleHit as exc:
-                parts, error = parts[:i], exc
-                break
-    return nodes, weights, values, parts, error
-
-
-def _record(t: TransformExpr, c: Contour, q: QuadratureSpec | None, upper: bool):
-    """(nodes, weights, values) of the record of c alone, raising its
-    error."""
-    nodes, weights, values, _, error = _records(t, (c,), q, upper)
-    if error is not None:
-        raise error
-    return nodes, weights, values
+    nodes, weights, parts = _paths(cs, q or DEFAULT_QUADRATURE, upper)
+    return nodes, weights, rational_values(t, nodes), parts
 
 
 def _kernel_check(kind: InverseKind, c: Contour, arg: float) -> float:
@@ -387,9 +354,27 @@ def _contour_sums(t: TransformExpr, kind: InverseKind, c: Contour, args,
             est = _line_integral(t, c.c_right, c.half_height, scale, q)
             value, converged = complex(est.value.real), est.converged
         else:
-            nodes, weights, vals = record = record or _record(t, c, q, t.conjugate_symmetric)
+            nodes, weights, vals, _ = record = record or _record(
+                t, (c,), q, t.conjugate_symmetric)
             value = _from_total(t, complex(np.dot(weights, np.exp(scale * nodes) * vals)))
         yield _finite(kind, arg, value), converged
+
+
+def _rectangle_sums(t: TransformExpr, kind: InverseKind, cs, arg: float,
+                    q: QuadratureSpec | None) -> list:
+    """The inverse at arg on each contour of cs, from one record of them
+    all: the kernel is checked on every contour and weighs every node at
+    once, and each contour takes inverse_eval's sum over its slice, with
+    its bits.  A contour that fails raises as in inverse_eval, though not
+    always the first such contour in cs."""
+    for c in cs:
+        scale = _kernel_check(kind, c, arg)
+    nodes, weights, values, parts = _record(t, cs, q, t.conjugate_symmetric)
+    # the terms exp(scale * z) * F(z) of every node, in place of the nodes
+    terms = np.exp(np.multiply(scale, nodes, out=nodes), out=nodes)
+    np.multiply(terms, values, out=terms)
+    return [_finite(kind, arg, _from_total(t, complex(np.dot(weights[part], terms[part]))))
+            for part in parts]
 
 
 def inverse_eval(
@@ -456,7 +441,7 @@ def _cauchy_sums(t: TransformExpr, rect: Contour, zs,
             raise ZInsideRectangle(
                 f"need Re z > {rect.c_right:g}, got {z.real:g}"
             )
-        nodes, weights, vals = record = record or _record(t, rect, q, False)
+        nodes, weights, vals, _ = record = record or _record(t, (rect,), q, False)
         total = complex(np.dot(weights, vals / (z - nodes)))
         if not cmath.isfinite(total):
             raise DomainError(f"the Cauchy integral overflows at z = {z}")

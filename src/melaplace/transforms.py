@@ -339,8 +339,17 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
             + _halfline(lambda x: off(zm * np.log(x), x), 1.0, q))
 
 
-def _summed(pieces: list, q: QuadratureSpec, scale: float = 1.0) -> Estimate:
-    """scale times the sum of pieces, judged on the summed error: each
+def _scaled(x, log_scale: float):
+    """x * exp(log_scale), through exp(log_scale + ln|x|) where the factor
+    is below the smallest normal float, so that a large x keeps its digits."""
+    scale, size = math.exp(log_scale), _abs(x)
+    if scale >= sys.float_info.min or not 0.0 < size < math.inf:
+        return scale * x
+    return math.exp(log_scale + math.log(size)) * (x / size)
+
+
+def _summed(pieces: list, q: QuadratureSpec, log_scale: float = 0.0) -> Estimate:
+    """_scaled(sum of pieces, log_scale), judged on the summed error: each
     piece alone is measured against its own value, which the others may
     cancel.  A piece that did not converge, as one its budget stopped,
     passes only where its own error meets tolerance on the sum before the
@@ -348,8 +357,8 @@ def _summed(pieces: list, q: QuadratureSpec, scale: float = 1.0) -> Estimate:
     value whose modulus passes the largest float is a DomainError.
     """
     total = sum(p.value for p in pieces)
-    value = scale * total
-    err = scale * sum(p.err_est for p in pieces)
+    value = _scaled(total, log_scale)
+    err = _scaled(sum(p.err_est for p in pieces), log_scale)
     size = _abs(value)
     # finite pieces whose sum overflows leave an inf, or inf - inf = nan, part
     if not size < math.inf:
@@ -370,7 +379,7 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
     sides into a tail each, with no split at u = 0.
     """
     q = q or DEFAULT_QUADRATURE
-    return _summed(_pieces(t.source, t.kind, c, q, T, s), q, math.exp(c * s))
+    return _summed(_pieces(t.source, t.kind, c, q, T, s), q, c * s)
 
 
 def transform_estimate(

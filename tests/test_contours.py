@@ -16,6 +16,7 @@ from melaplace import (
     FunctionSpec,
     InverseKind,
     LineSide,
+    MelaplaceError,
     NotRectangularizable,
     OutOfDomain,
     PoleHit,
@@ -255,9 +256,7 @@ def _build(c, q, upper):
     """The nodes and weights of c alone, raising its layout's error."""
     if not upper:
         return discretize(c, q)
-    nodes, weights, parts, error = contours._paths((c,), q, True)
-    if error is not None:
-        raise error
+    nodes, weights, parts = contours._paths((c,), q, True)
     assert parts == [slice(0, nodes.size)]
     return nodes, weights
 
@@ -315,24 +314,26 @@ def _contours(draw):
        max_panels=st.one_of(st.integers(2, 64), st.just(4096)))
 def test_one_pass_nodes_of_several_contours_match_the_per_edge_build(cs, upper, order,
                                                                      max_panels):
-    # each contour's slice holds the bytes of its own build; the first
-    # contour whose layout fails ends the arrays, and its error is the
-    # one it raises alone
+    # each contour's slice holds the bytes of its own build; a list with a
+    # contour whose layout fails raises the error that its first such
+    # contour raises alone
     q = QuadratureSpec(panel_order=order, max_panels=max_panels)
     want = [_path_reference(c, q, upper) for c in cs]
-    laid = next((i for i, w in enumerate(want) if w is None), len(cs))
-    nodes, weights, parts, error = contours._paths(cs, q, upper)
-    ends = np.cumsum([0] + [w[0].size for w in want[:laid]]).tolist()
+    failing = next((c for c, w in zip(cs, want) if w is None), None)
+    if failing is not None:
+        with pytest.raises(DomainError) as together:
+            contours._paths(cs, q, upper)
+        with pytest.raises(DomainError) as alone:
+            _build(failing, q, upper)
+        assert type(together.value) is DomainError
+        assert str(together.value) == str(alone.value)
+        return
+    nodes, weights, parts = contours._paths(cs, q, upper)
+    ends = np.cumsum([0] + [w[0].size for w in want]).tolist()
     assert parts == [slice(a, b) for a, b in zip(ends, ends[1:])]
     assert nodes.size == weights.size == ends[-1]
     for part, w in zip(parts, want):
         _assert_same_bytes((nodes[part], weights[part]), w)
-    if laid == len(cs):
-        assert error is None
-    else:
-        with pytest.raises(DomainError) as alone:
-            _build(cs[laid], q, upper)
-        assert type(error) is DomainError and str(error) == str(alone.value)
 
 
 @pytest.mark.parametrize("upper", [False, True])
@@ -942,45 +943,35 @@ def test_sweep_values_match_each_rectangles_inverse(poles, kernel, deltas, Ts):
 _BIG = TransformExpr.rational([(-1.0, 1e308)])
 
 
-@pytest.mark.parametrize("t,arg,deltas,Ts,match", [
+@pytest.mark.parametrize("t,kind,arg,deltas,Ts,match", [
     # the kernel overflows on every rectangle; the later one also overruns
     # max_panels
-    (ONE_POLE, -800.0, [0.5], [2.0, 1e6], "kernel overflows"),
+    (ONE_POLE, LAP, -800.0, [0.5], [2.0, 1e6], "kernel overflows"),
     # the first sum overflows; the later rectangle overruns max_panels, or
     # rectangle_for rejects its delta or T
-    (_BIG, 1.0, [0.5], [2.0, 1e6], "inverse overflows"),
-    (_BIG, 1.0, [0.5, math.inf], [2.0], "inverse overflows"),
-    (_BIG, 1.0, [0.5], [2.0, math.inf], "inverse overflows"),
+    (_BIG, LAP, 1.0, [0.5], [2.0, 1e6], "inverse overflows"),
+    (_BIG, LAP, 1.0, [0.5, math.inf], [2.0], "inverse overflows"),
+    (_BIG, LAP, 1.0, [0.5], [2.0, math.inf], "inverse overflows"),
     # the first point passes, and the later one's layout fails
-    (ONE_POLE, 1.0, [0.5], [2.0, 1e6], "max_panels"),
-], ids=["kernel", "sum-layout", "sum-delta", "sum-T", "layout"])
-def test_sweep_raises_the_first_failing_grid_points_error(t, arg, deltas, Ts, match):
+    (ONE_POLE, LAP, 1.0, [0.5], [2.0, 1e6], "max_panels"),
+    # a node of every rectangle sits on the pole
+    (ONE_POLE, LAP, 1.0, [1e-13], [1e-13, 2e-13], "pole"),
+    # the kernel rejects its argument before any rectangle is laid out
+    (ONE_POLE, MEL, 0.0, [0.5], [2.0, 1e6], "requires arg > 0"),
+    (ONE_POLE, LAP, math.nan, [0.5], [2.0, 1e6], "finite argument"),
+], ids=["kernel", "sum-layout", "sum-delta", "sum-T", "layout", "pole-hit",
+        "moment-arg", "nan-arg"])
+def test_sweep_raises_the_first_failing_grid_points_error(t, kind, arg, deltas, Ts, match):
     with np.errstate(all="ignore"):
-        with pytest.raises(DomainError, match=match) as swept:
-            invariance_sweep(t, LAP, arg, deltas, Ts)
-        with pytest.raises(DomainError) as alone:
+        with pytest.raises(MelaplaceError, match=match) as swept:
+            invariance_sweep(t, kind, arg, deltas, Ts)
+        with pytest.raises(MelaplaceError) as alone:
             for d, T in sorted((d, T) for d in deltas for T in Ts):
-                inverse_eval(t, LAP, rectangle_for(t, d, T), arg)
+                inverse_eval(t, kind, rectangle_for(t, d, T), arg)
     assert type(swept.value) is type(alone.value)
     assert str(swept.value) == str(alone.value)
-
-
-def test_records_keep_the_contours_before_a_pole_hit():
-    # a node of each later rectangle sits on a pole; the first in order is
-    # the record's error, naming the pole it hits alone, not the first pole
-    # that any node hits, and the rectangles before it keep their values
-    clear = rectangle_for(ONE_POLE, 0.25, 3.0)
-    second, third = rectangle_for(ONE_POLE, 0.5, 2.0), rectangle_for(ONE_POLE, 0.75, 4.0)
-    trap = TransformExpr.rational([(complex(discretize(third)[0][5]), 1.0),
-                                   (complex(discretize(second)[0][7]), 1.0)])
-    _, _, values, parts, error = contours._records(trap, [clear, second, third], None, False)
-    nodes, _ = discretize(clear)
-    assert parts == [slice(0, nodes.size)]
-    assert values[parts[0]].tobytes() == rational_values(trap, nodes).tobytes()
-    with pytest.raises(PoleHit) as alone:
-        inverse_eval(trap, LAP, second, 1.0)
-    assert type(error) is PoleHit and str(error) == str(alone.value)
-    assert str(trap.poles[1][0]) in str(error)
+    if match == "pole":
+        assert type(swept.value) is PoleHit
 
 
 def test_cauchy_sums_match_per_point_reproduction():
@@ -1012,6 +1003,10 @@ def test_each_contour_sum_builds_its_record_once(monkeypatch):
         assert built == ["_paths", "rational_values"]
     built.clear()
     assert len(list(contours._cauchy_sums(MIXED, rect, [1.0, 2j + 3.0, 5.0], None))) == 3
+    assert built == ["_paths", "rational_values"]
+    # a passing 3x3 sweep builds one record for its whole grid
+    built.clear()
+    assert len(invariance_sweep(MIXED, LAP, 1.0, [0.25, 0.5, 1.0], [3.0, 5.0, 8.0]).results) == 9
     assert built == ["_paths", "rational_values"]
     # a first argument that raises builds nothing: a kernel overflow, a z
     # inside the rectangle

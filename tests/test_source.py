@@ -246,9 +246,9 @@ def test_contours_have_one_panel_rule():
 
 def test_contour_sums_build_only_through_the_record():
     # every rational contour sum, of one contour or of a sweep's grid, takes
-    # its nodes, weights and transform values from _records, the one
-    # per-contour step, one contour through _record; discretize lays out
-    # its nodes through the same _paths
+    # its nodes, weights and transform values from _record, the one
+    # per-contour step; discretize lays out its nodes through the same
+    # _paths, and a sweep reaches the record only through _rectangle_sums
     found = sorted({
         (node.func.id, f"{module}.{name}")
         for module in ("contours", "campaigns")
@@ -256,14 +256,21 @@ def test_contour_sums_build_only_through_the_record():
             ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id in ("_paths", "_record", "_records", "rational_values")
+        and node.func.id in ("_paths", "_record", "_rectangle_sums", "rational_values")
     })
-    assert found == [("_paths", "contours._records"), ("_paths", "contours.discretize"),
+    assert found == [("_paths", "contours._record"), ("_paths", "contours.discretize"),
                      ("_record", "contours._cauchy_sums"),
                      ("_record", "contours._contour_sums"),
-                     ("_records", "campaigns.invariance_sweep"),
-                     ("_records", "contours._record"),
-                     ("rational_values", "contours._records")]
+                     ("_record", "contours._rectangle_sums"),
+                     ("_rectangle_sums", "campaigns.invariance_sweep"),
+                     ("rational_values", "contours._record")]
+    # the record's format stays in contours: campaigns does no array work
+    campaigns = ast.parse((PACKAGE / "campaigns.py").read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(campaigns)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(campaigns)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "numpy" not in imported
 
 
 def test_no_module_reads_a_private_attribute_of_another_object():

@@ -1088,6 +1088,26 @@ def test_mellin_lines_near_their_hump_edge_raise_no_non_finite_integrand():
     assert 0 < raised < 200
 
 
+def test_a_line_whose_scale_underflows_keeps_its_value():
+    # at c = 171, y = 171 the scale exp(c*s) = 171**-171 is below the
+    # smallest float, while the line's pieces sum to 2.1e307: their product
+    # 3.0e-75 (mpmath at 40 digits: 3.023015391957809e-75) was lost to 0
+    # and reported converged
+    gamma = TransformExpr.gamma()
+    s = -math.log(171.0)
+    pieces = _pieces(gamma.source, gamma.kind, 171.0, QuadratureSpec(), 10.0, s)
+    assert math.exp(171.0 * s) == 0.0 and sum(p.value for p in pieces).real > 1e307
+    est = _line_integral(gamma, 171.0, 10.0, s)
+    assert est.converged and 0.0 < est.err_est <= 1e-87
+    assert est.value.real == pytest.approx(3.023015391957809e-75, rel=1e-12)
+    # where exp(c*s) is a normal float, the line keeps the bits of the
+    # plain product
+    s = -math.log(140.0)
+    pieces = _pieces(gamma.source, gamma.kind, 140.0, QuadratureSpec(), 10.0, s)
+    assert (_line_integral(gamma, 140.0, 10.0, s).value
+            == math.exp(140.0 * s) * sum(p.value for p in pieces) == 9.514850745395952e-62)
+
+
 # (source, c, T, ln y, the truncated line (1/2pi) int_{-T}^{T} M(c + it)
 # y**-(c + it) dt of its Mellin transform M, from mpmath at 20 digits or
 # more)
