@@ -39,13 +39,14 @@ kernel sin(T*(s - u))/(pi*(s - u)), which the engine applies itself
 kernel period about u = s, and roots doubling away from it on both
 sides, the tails' panels among them, over u >= 0 or, for a Mellin line,
 over every real u.  A panel of half-width h at least h from s with
-T*h >= 2n (n = panel_order) takes a Filon-type rule: g/(pi*(s - u))
-interpolated at the pair's nodes, the oscillation integrated exactly by
-its Legendre moments.  So its two rules cannot alias the kernel into
-agreement, and a line costs about as many panels at T = 1000 as at
-T = 50.  A Filon weight row depends on T*h and n alone, and one bounded
-table (_filon_row) keeps the rows for the process.  Every other panel,
-and every root of a call without a kernel, takes the plain
+T*h >= 3n/2 (n = panel_order; _FILON_FROM) takes a Filon-type rule:
+g/(pi*(s - u)) interpolated at the pair's nodes, the oscillation
+integrated exactly by its Legendre moments, the spherical Bessel
+functions j_k(T*h) (_bessel_moments).  So its two rules cannot alias the
+kernel into agreement, and a line costs about as many panels at T = 1000
+as at T = 50.  A Filon weight row depends on T*h and n alone, and one
+bounded table (_filon_row) keeps the rows for the process.  Every other
+panel, and every root of a call without a kernel, takes the plain
 Gauss-Legendre pair.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
@@ -92,7 +93,7 @@ class QuadratureSpec:
     that budget of its own, and stops after the panel on which its total
     reaches max_panels.  Each piece of a line integral has its own
     budget, so the mixedpower moment line at T = 30 with max_panels = 4
-    reports 11 panels.  A rational contour sum is not adaptive: max_panels
+    reports 9 panels.  A rational contour sum is not adaptive: max_panels
     bounds its fixed panels, and a path that needs more is a DomainError.
     """
 
@@ -184,8 +185,7 @@ def _dirichlet(g, T: float, u):
 
 @functools.cache
 def _filon_basis(n: int):
-    """The Filon rules of _Dirichlet on the nodes of _gl_pair(n), and the
-    2k+1 of the recurrence for j_k, k < 2n.
+    """The Filon rules of _Dirichlet on the nodes of _gl_pair(n).
 
     The order-m Gauss-Legendre values of p at nodes x_j, weights w_j, give
     its degree m-1 interpolant's Legendre coefficients
@@ -209,8 +209,16 @@ def _filon_basis(n: int):
     # a real product viewed as complex gives the complex weights
     moments = np.empty((6 * n, 2 * n))
     moments[0::2], moments[1::2] = weights.real, weights.imag
-    return moments, [2.0 * k + 1.0 for k in range(1, 2 * n - 1)]
+    return moments
 
+
+# a kernel panel of half-width h takes the Filon rule from T*h >= _FILON_FROM*n
+# on (n = panel_order).  From 3n/2 the root of _peak_roots at T*h = 8 pi,
+# 8 kernel periods, is a Filon panel at the default order 16, where the
+# plain pair split it, so most Gamma and mixedpower lines at T = 10 or 30
+# stop in one integrand call, not two.  From n the mixedexp Mellin line
+# of a hump far from its peak (y = e**-300) falls short of rel_tol 1e-10
+_FILON_FROM = 1.5
 
 # Filon weight rows kept by _filon_row for the whole process.  A row is 3n
 # complex values, 48 KiB at panel_order 1024, so the table holds at most
@@ -220,25 +228,54 @@ def _filon_basis(n: int):
 _FILON_ROWS = 64
 
 
+def _bessel_moments(w: float, count: int) -> list:
+    """The spherical Bessel functions j_k(w), k < count, for w > 0, by
+    the recurrence j_{k-1} + j_{k+1} = (2k+1)/w j_k.
+
+    From w >= count on it runs upward from j_0 = sin(w)/w and
+    j_1 = (sin(w)/w - cos(w))/w, stable while k < w.  Below that, j_k
+    falls faster than any other solution once k passes w, and the upward
+    run loses every digit (3e15 times j's size at count = 512, w = 384).
+    So Miller's backward run (Gautschi, SIAM Review 9, 1967) starts at
+    count + sqrt(160 count), as Numerical Recipes' bessj does, far enough
+    up that the other solution has died away by the digits of a double,
+    and is scaled to whichever of j_0 and j_1 is the larger: at the
+    w = pi 2^k of _peak_roots, sin(w), so j_0, is nearly 0.  A run that
+    nears the largest float is scaled down on the way; the values it has
+    left behind then underflow, as j_k itself does.
+    """
+    r = 1.0 / w
+    sin, cos = math.sin(w), math.cos(w)
+    j0, j1 = sin * r, (sin * r - cos) * r
+    if w >= count:
+        a, b = j0, j1
+        j = [a, b]
+        for k in range(1, count - 1):
+            a, b = b, (2.0 * k + 1.0) * r * b - a
+            j.append(b)
+        return j
+    top = count + math.isqrt(160 * count)
+    j = [0.0] * count
+    # f_{k+1} and f_k of the backward run from f_{top+1} = 0, f_top = 1
+    a, b = 0.0, 1.0
+    for k in range(top, 0, -1):
+        a, b = b, (2.0 * k + 1.0) * r * b - a
+        if k <= count:
+            j[k - 1] = b
+        if abs(b) > 1e250:
+            a, b = a * 1e-250, b * 1e-250
+            j[k - 1:] = [v * 1e-250 for v in j[k - 1:]]
+    scale = j0 / j[0] if abs(j0) >= abs(j1) else j1 / j[1]
+    return [v * scale for v in j]
+
+
 @functools.lru_cache(maxsize=_FILON_ROWS)
 def _filon_row(w: float, n: int):
     """The 3n node weights of both Filon rules of _filon_basis(n) against
-    exp(-i w x) on [-1, 1], over their Gauss-Legendre weights, for w >= 2n;
-    read-only, since the table hands the same row to every caller.
-
-    The spherical Bessel functions j_k(w), k < 2n, come from the upward
-    recurrence j_{k+1} = (2k+1)/w j_k - j_{k-1}, which is stable while
-    k < w, so no backward (Miller) recurrence is needed.
-    """
-    moments, factors = _filon_basis(n)
-    r = 1.0 / w
-    sin, cos = math.sin(w), math.cos(w)
-    a, b = sin * r, (sin * r - cos) * r
-    j = [a, b]
-    for c in factors:
-        a, b = b, c * r * b - a
-        j.append(b)
-    row = moments.dot(np.array(j)).view(complex)
+    exp(-i w x) on [-1, 1], over their Gauss-Legendre weights, from the
+    moments j_k(w), k < 2n, of _bessel_moments; read-only, since the
+    table hands the same row to every caller."""
+    row = _filon_basis(n).dot(np.array(_bessel_moments(w, 2 * n))).view(complex)
     row.flags.writeable = False
     return row
 
@@ -248,7 +285,7 @@ class _Dirichlet:
     one _trees or _halfline call, applied by the engine to an integrand g.
 
     A panel of half-width h that lies at least h from the peak u = s and
-    has T*h >= 2n (n = panel_order) takes a Filon-type rule (Iserles &
+    has T*h >= 3n/2 (n = panel_order) takes a Filon-type rule (Iserles &
     Norsett, Proc. R. Soc. A 461, 2005): the smooth factor
     g(u)/(pi*(s - u)) is interpolated at the panel's order-n and order-2n
     Gauss-Legendre nodes, and each interpolant is integrated against the
@@ -256,7 +293,7 @@ class _Dirichlet:
     difference stays the panel's error estimate.  Its weight rows come
     from _filon_row's table, shared by every call.  Any other panel takes
     the Gauss-Legendre pair on g times the kernel; on the roots of
-    _peak_roots it spans fewer than 2n/pi kernel periods, which the
+    _peak_roots it spans fewer than 3n/(2 pi) kernel periods, which the
     order-2n rule resolves and the order-n rule sees as an error where it
     does not.
     """
@@ -272,7 +309,7 @@ class _Dirichlet:
         T, s = self.T, self.s
         d = s - xs
         weighted = _dirichlet(vals, T, d)
-        if T * max(half) < 2 * order:
+        if T * max(half) < _FILON_FROM * order:
             return weighted
         # every root of _peak_roots lies at least its half-width from the
         # peak, unless pi/T is near the rounding of s, where nodes may
@@ -280,7 +317,7 @@ class _Dirichlet:
         # the plain pair, whose kernel values and so its value are then
         # not finite
         filon = [i for i, (m, h) in enumerate(zip(mid, half))
-                 if 2 * order <= T * h and 2 * h <= abs(s - m)
+                 if _FILON_FROM * order <= T * h and 2 * h <= abs(s - m)
                  and math.isfinite(T * (s - m))]
         if filon:
             rows, phases = [], []
@@ -662,11 +699,12 @@ def _peak_roots(T: float, s: float, whole: bool = False):
     a tail's first block reaches at least 127 past the peak, where a plain
     tail's reaches 255.  With r = pi/T a root of half-width h = r 2^k has
     T h = pi 2^k: the roots next to the peak keep the Gauss-Legendre pair,
-    and those with T h >= 2n take Filon panels.  Over u >= 0 the roots are
-    clipped at 0: those wholly below it are dropped, one that straddles it
-    starts at 0, and the left ones run on as heads down to 0, the last
-    taking the rest if that is narrower than itself.  A lobe that rounding
-    at s leaves with no width is a DomainError: no float lies inside it.
+    and those with T h >= 3n/2 take Filon panels.  Over u >= 0 the roots
+    are clipped at 0: those wholly below it are dropped, one that
+    straddles it starts at 0, and the left ones run on as heads down to
+    0, the last taking the rest if that is narrower than itself.  A lobe
+    that rounding at s leaves with no width is a DomainError: no float
+    lies inside it.
     """
     cap = 0.5 * _FIRST_TAIL_WIDTH
     r = min(cap, math.pi / T)

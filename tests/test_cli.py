@@ -441,7 +441,7 @@ _DELTA_LINES = {"exp:gamma=0.001": (0.9918218240311156, 0.9994889162408874),
                                               ("exp:gamma=0.001", False)])
 def test_delta_check_strict_exits_three_on_an_unconverged_window(capsys, func,
                                                                  converged):
-    # the Filon panels take the slowly decaying exp(-0.001 y) in 20 and 40
+    # the Filon panels take the slowly decaying exp(-0.001 y) in 23 and 31
     # panels; a two-panel budget stops its half-line short of the stop rule
     budget = () if converged else ("--quad", '{"max_panels":2}')
     argv = ["delta-check", "--func", func, "--x", "1", "--T", "20,80", *budget, "--strict"]

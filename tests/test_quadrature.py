@@ -768,22 +768,32 @@ def test_halfline_from_where_unit_panels_vanish(a):
 
 def _power_moments(w, count):
     """int_{-1}^{1} x**p exp(-i w x) dx for p < count, by parts:
-    I_p = (exp(-i w) - (-1)**p exp(i w))/(-i w) + p/(i w) I_{p-1}, which
-    loses no digits while p < w."""
+    I_p = e_p + p/(i w) I_{p-1}, e_p = (exp(-i w) - (-1)**p exp(i w))/(-i w).
+    Up from I_0 while p <= w, where each step scales the error by
+    p/w <= 1, and down from I_p = 0 far above count for p > w, where each
+    step scales it by w/p < 1; so no step loses digits."""
+    def ends(p):
+        return (cmath.exp(-1j * w) - (-1) ** p * cmath.exp(1j * w)) / (-1j * w)
+
     moments = [2.0 * math.sin(w) / w]
-    for p in range(1, count):
-        ends = (cmath.exp(-1j * w) - (-1) ** p * cmath.exp(1j * w)) / (-1j * w)
-        moments.append(ends + p / (1j * w) * moments[-1])
-    return moments
+    for p in range(1, min(count, math.floor(w) + 1)):
+        moments.append(ends(p) + p / (1j * w) * moments[-1])
+    down = [0j]
+    for p in range(2 * count + 64, len(moments), -1):
+        down.append((down[-1] - ends(p)) * (1j * w / p))
+    return (moments + down[::-1])[:count]
 
 
-@pytest.mark.parametrize("order", [4, 16, 32])
-@pytest.mark.parametrize("ratio", [1.0, 1.7, 40.0, 1e4])
+@pytest.mark.parametrize("order", [4, 16, 32, 64, 256])
+@pytest.mark.parametrize("ratio", [0.75, 1.0, 1.7, 40.0, 1e4, pytest.param(None, id="8pi")])
 def test_filon_rules_integrate_their_polynomials_exactly(order, ratio):
     # each Filon rule takes a polynomial below its node count against
-    # exp(-i w x) exactly, from w = 2n on: the order-n rule x**(n-1), the
-    # order-2n rule x**(2n-1)
-    w = 2 * order * ratio
+    # exp(-i w x) exactly, from w = 3n/2 on, where the Filon panels start,
+    # and on a row at w = 8 pi, where sin(w), so j_0, is nearly 0: the
+    # order-n rule x**(n-1), the order-2n rule x**(2n-1).  Below w = 2n the
+    # moments j_k(w) come from Miller's backward recurrence: rows from the
+    # upward one fail at order 64, w = 8 pi, and at order 256, w = 3n/2
+    w = 8 * math.pi if ratio is None else 2 * order * ratio
     nodes, weights = _gl_pair(order)
     row = _filon_row(w, order) * weights.real.sum(axis=0)
     want = _power_moments(w, 2 * order)
@@ -812,10 +822,11 @@ def test_filon_rows_come_from_one_bounded_read_only_table():
 @settings(max_examples=100, deadline=None)
 @given(f=_integrands(), roots=_ROOTS, share=st.floats(0.01, 0.99), s=st.floats(-5.0, 60.0))
 def test_kernel_panels_below_the_filon_width_are_the_plain_pair(f, roots, share, s):
-    # a kernel whose panels are all narrower than 2n/T on each side takes
-    # the plain pair on f times the kernel, bit for bit
+    # a kernel whose panels all have half-widths h with T h below the Filon
+    # threshold 3n/2 (_FILON_FROM n) takes the plain pair on f times the
+    # kernel, bit for bit
     widest = max(0.5 * (b - a) for a, b in roots)
-    T = share * 2 * Q.panel_order / widest if widest > 0.0 else share
+    T = share * quadrature._FILON_FROM * Q.panel_order / widest if widest > 0.0 else share
     with np.errstate(all="ignore"):
         got = quadrature._trees(f, roots, Q, _Dirichlet(T, s))
         want = quadrature._trees(lambda u: _dirichlet(f(u), T, s - u), roots, Q)

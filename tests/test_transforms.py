@@ -90,6 +90,20 @@ def test_laplace_of_mixed_exponential():
     assert laplace_transform(MIXED, 0.0) == pytest.approx(0.775, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="plain Gauss-Legendre panels resolve exp(-i Im(z) t) "
+                   "only by splitting: 455 panels, whose summed err_est stays past "
+                   "tolerance on a value 3.6e-11 from 1/(z+1)")
+def test_laplace_far_up_the_imaginary_axis_converges():
+    # exp(-(z + 1) t) at Im z = 200 holds 32 periods per unit of t; the
+    # first tail panels split until the order-16 and order-32 rules agree,
+    # and their summed err_est, 1.3e-12, stays above rel_tol |value| =
+    # 5e-13, so `transform --z 0.05+200i --strict` exits 3
+    z = 0.05 + 200j
+    est = transform_estimate(EXP1, TransformKind.LAPLACE, z)
+    assert abs(est.value - 1 / (z + 1)) <= 1e-10 * abs(1 / (z + 1))
+    assert est.converged
+
+
 def test_laplace_domain_guard():
     with pytest.raises(OutOfDomain):
         laplace_transform(EXP1, -1.0)
@@ -850,9 +864,9 @@ MIXED_MOMENT = TransformExpr.numeric(FunctionSpec.mixed_power(0.5, 1.0),
 
 
 @pytest.mark.parametrize("t, delta, T, y, calls, points", [
-    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 2, 1008),
-    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 2, 912),
-    (MIXED_MOMENT, 0.5, 30.0, 0.45, 2, 720),
+    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 2, 912),
+    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 1, 816),
+    (MIXED_MOMENT, 0.5, 30.0, 0.45, 1, 624),
 ], ids=["gamma-head", "gamma-no-head", "mixedpower-head"])
 def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
                                              points):
