@@ -17,6 +17,7 @@ from .contours import (
     _contour_sums,
     _positive,
     _rectangle_sums,
+    _rectangles,
     bromwich_for,
     inverse_eval,
     rectangle_for,
@@ -241,8 +242,10 @@ def invariance_sweep(
     """Rectangle inverse over a (delta, T) grid.
 
     By Cauchy exactness every grid point should agree; max_spread is the
-    figure of merit.  A numeric t raises NotRectangularizable from
-    rectangle_for, once the grid is checked.
+    figure of merit.  The rectangles come from one pole box
+    (contours._rectangles), each as rectangle_for places it; a numeric t
+    raises NotRectangularizable as rectangle_for does, once the grid is
+    checked.
 
     The grid takes one pass, contours._rectangle_sums, over every
     rectangle at once; each value is bit-identical to inverse_eval's on
@@ -257,7 +260,7 @@ def invariance_sweep(
                         DomainError)
     arg = float(arg)
     try:
-        results = _rectangle_sums(t, kind, [rectangle_for(t, d, T) for d, T in grid], arg, q)
+        results = _rectangle_sums(t, kind, list(_rectangles(t, grid)), arg, q)
     except MelaplaceError:
-        results = [inverse_eval(t, kind, rectangle_for(t, d, T), arg, q) for d, T in grid]
+        results = [inverse_eval(t, kind, c, arg, q) for c in _rectangles(t, grid)]
     return ConvergenceTable("(delta, half_height)", tuple(grid), tuple(results))

@@ -195,23 +195,34 @@ def rectangle_for(
     plus max(delta, 1) and is raised to im_max + delta whenever the
     requested value would clip a pole.
     """
-    delta = _positive("delta", delta, DEFAULT_DELTA)
-    half_height = _positive("half_height", half_height, None)
-    if t.form is not TransformForm.RATIONAL:
-        raise NotRectangularizable(
-            f"{t.form.value} transforms cannot be inverted on a rectangle"
-        )
-    re_min, re_max, im_max = pole_box(t)
-    if half_height is None:
-        half_height = im_max + max(delta, 1.0)
-    half_height = max(half_height, im_max + delta)
-    c_right, c_left = re_max + delta, re_min - delta
-    if not c_left < c_right:
-        raise DomainError(
-            f"delta = {delta:g} is lost in rounding next to the poles' real "
-            f"parts ({re_min:g} to {re_max:g}): the rectangle has no width"
-        )
-    return Contour(ContourShape.RECTANGLE, c_right, c_left, half_height, delta)
+    return next(_rectangles(t, [(delta, half_height)]))
+
+
+def _rectangles(t: TransformExpr, sizes):
+    """rectangle_for(t, delta, half_height) for each (delta, half_height)
+    of sizes, in order and lazily, from one pole box: each rectangle
+    raises where rectangle_for raises, once those before it are built."""
+    box = None
+    for delta, half_height in sizes:
+        delta = _positive("delta", delta, DEFAULT_DELTA)
+        half_height = _positive("half_height", half_height, None)
+        if box is None:
+            if t.form is not TransformForm.RATIONAL:
+                raise NotRectangularizable(
+                    f"{t.form.value} transforms cannot be inverted on a rectangle"
+                )
+            box = pole_box(t)
+        re_min, re_max, im_max = box
+        if half_height is None:
+            half_height = im_max + max(delta, 1.0)
+        half_height = max(half_height, im_max + delta)
+        c_right, c_left = re_max + delta, re_min - delta
+        if not c_left < c_right:
+            raise DomainError(
+                f"delta = {delta:g} is lost in rounding next to the poles' real "
+                f"parts ({re_min:g} to {re_max:g}): the rectangle has no width"
+            )
+        yield Contour(ContourShape.RECTANGLE, c_right, c_left, half_height, delta)
 
 
 # ---------------------------------------------------------------------------

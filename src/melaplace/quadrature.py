@@ -38,16 +38,19 @@ kernel sin(T*(s - u))/(pi*(s - u)), which the engine applies itself
 (_Dirichlet) on the roots that _peak_roots lays: a peak root of one
 kernel period about u = s, and roots doubling away from it on both
 sides, the tails' panels among them, over u >= 0 or, for a Mellin line,
-over every real u.  A panel of half-width h at least h from s with
-T*h >= 3n/2 (n = panel_order; _FILON_FROM) takes a Filon-type rule:
-g/(pi*(s - u)) interpolated at the pair's nodes, the oscillation
-integrated exactly by its Legendre moments, the spherical Bessel
-functions j_k(T*h) (_bessel_moments).  So its two rules cannot alias the
-kernel into agreement, and a line costs about as many panels at T = 1000
-as at T = 50.  A Filon weight row depends on T*h and n alone, and one
-bounded table (_filon_row) keeps the rows for the process.  Every other
-panel, and every root of a call without a kernel, takes the plain
-Gauss-Legendre pair.
+over every real u.  Every panel takes the kernel in one form, the phase
+exp(i*T*(s - mid)) times a row of weights at its nodes, and only the row
+differs.  A panel of half-width h at least h from s with T*h >= 3n/2
+(n = panel_order; _FILON_FROM) takes a Filon-type row: g/(pi*(s - u))
+interpolated at the pair's nodes, the oscillation integrated exactly by
+its Legendre moments, the spherical Bessel functions j_k(T*h)
+(_bessel_moments).  So its two rules cannot alias the kernel into
+agreement, and a line costs about as many panels at T = 1000 as at
+T = 50.  Every other panel takes the wave row exp(-i*T*h*x), on which
+the plain Gauss-Legendre pair sums g times the kernel.  A row depends on
+T*h and n alone, and two bounded tables (_filon_row, _wave_row) keep
+the rows for the process.  Every root of a call without a kernel takes
+the plain pair on g.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -151,9 +154,67 @@ class Estimate:
     converged: bool
 
 
+def _legval(x, c):
+    """The Legendre series sum c[k] P_k(x) by Clenshaw's recurrence, in
+    the steps of numpy.polynomial.legendre.legval."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _legvander(x, count: int):
+    """P_k(x), k < count, one row per node, by the forward recurrence of
+    numpy.polynomial.legendre.legvander, bit for bit."""
+    v = np.empty((count, len(x)))
+    v[0] = x * 0 + 1
+    if count > 1:
+        v[1] = x
+    for i in range(2, count):
+        v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return v.T
+
+
 @functools.cache
 def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """The order-n Gauss-Legendre nodes and weights on [-1, 1], bit for bit
+    those of numpy.polynomial.legendre.leggauss(n), in its steps: the
+    eigenvalues of the symmetric companion matrix of P_n, one Newton
+    step, the weights from P_n' and P_{n-1}, symmetrized and scaled to
+    sum to 2.  numpy.polynomial itself is never loaded."""
+    c = [0.0] * n + [1.0]
+    # P_n' as a Legendre series, as legder takes it
+    der, rest = [0.0] * n, c[:]
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * rest[j]
+        rest[j - 2] += rest[j]
+    if n > 1:
+        der[1] = 3 * rest[2]
+    der[0] = rest[1]
+    if n == 1:
+        companion = np.array([[-0.0]])
+    else:
+        companion = np.zeros((n, n))
+        scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+        band = np.arange(1, n) * scale[:n - 1] * scale[1:]
+        companion.reshape(-1)[1::n + 1] = band
+        companion.reshape(-1)[n::n + 1] = band
+    x = np.linalg.eigvalsh(companion)
+    df = _legval(x, der)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    # fabs on real values, leggauss's np.abs there
+    fm /= np.fabs(fm).max()
+    df /= np.fabs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 @functools.cache
@@ -169,7 +230,9 @@ def _gl_pair(n: int):
 
 
 def _dirichlet(g, T: float, u):
-    """g times the Dirichlet kernel sin(T*u)/(pi*u) at an array of u.
+    """g times the Dirichlet kernel sin(T*u)/(pi*u) at an array of u, for
+    an integrand that carries the kernel itself (delta_check's window);
+    the engine's own kernel panels take _Dirichlet's rule.
 
     Where |T*u| < 1e-8 the kernel is its limit T/pi, which the quotient
     rounds to there anyway; this covers u = 0, and u so small that T*u or
@@ -202,10 +265,9 @@ def _filon_basis(n: int):
     k = np.arange(2 * n)
     # (2k+1)/2 from c_k times 2 (-i)**k from the moment
     scale = (2 * k + 1) * (-1j) ** k
-    legvander = np.polynomial.legendre.legvander
     weights = np.zeros((3 * n, 2 * n), dtype=complex)
-    weights[:n, :n] = legvander(x1, n - 1) * scale[:n]
-    weights[n:] = legvander(x2, 2 * n - 1) * scale
+    weights[:n, :n] = _legvander(x1, n) * scale[:n]
+    weights[n:] = _legvander(x2, 2 * n) * scale
     # a real product viewed as complex gives the complex weights
     moments = np.empty((6 * n, 2 * n))
     moments[0::2], moments[1::2] = weights.real, weights.imag
@@ -220,11 +282,14 @@ def _filon_basis(n: int):
 # of a hump far from its peak (y = e**-300) falls short of rel_tol 1e-10
 _FILON_FROM = 1.5
 
-# Filon weight rows kept by _filon_row for the whole process.  A row is 3n
-# complex values, 48 KiB at panel_order 1024, so the table holds at most
-# 3 MiB of rows there, and 48 KiB at the default order 16.  The half-widths
-# of _peak_roots give w = T*h = pi*2**k up to a few ulps, so lines at any
-# T >= 2*pi share a few dozen rows
+# kernel rows kept for the whole process, by each of _filon_row and
+# _wave_row.  A row is 3n complex values, 48 KiB at panel_order 1024, so
+# the two tables hold at most 6 MiB of rows there, and 96 KiB at the
+# default order 16.  The half-widths of _peak_roots give w = T*h = pi*2**k
+# up to a few ulps, so lines at any T >= 2*pi share a few dozen Filon
+# rows.  Wave rows also come from the panels split near the peak, whose
+# ulps differ more: the line_numeric benchmark's lines, at T near 10 and
+# 30, build about one wave row in five lines
 _FILON_ROWS = 64
 
 
@@ -270,6 +335,15 @@ def _bessel_moments(w: float, count: int) -> list:
 
 
 @functools.lru_cache(maxsize=_FILON_ROWS)
+def _wave_row(w: float, n: int):
+    """exp(-i w x) at the 3n nodes x of _gl_pair(n); read-only, since the
+    table hands the same row to every caller."""
+    row = np.exp(-1j * (w * _gl_pair(n)[0]))
+    row.flags.writeable = False
+    return row
+
+
+@functools.lru_cache(maxsize=_FILON_ROWS)
 def _filon_row(w: float, n: int):
     """The 3n node weights of both Filon rules of _filon_basis(n) against
     exp(-i w x) on [-1, 1], over their Gauss-Legendre weights, from the
@@ -284,15 +358,19 @@ class _Dirichlet:
     """The Dirichlet kernel sin(T*(s - u))/(pi*(s - u)) of the roots of
     one _trees or _halfline call, applied by the engine to an integrand g.
 
-    A panel of half-width h that lies at least h from the peak u = s and
-    has T*h >= 3n/2 (n = panel_order) takes a Filon-type rule (Iserles &
-    Norsett, Proc. R. Soc. A 461, 2005): the smooth factor
-    g(u)/(pi*(s - u)) is interpolated at the panel's order-n and order-2n
-    Gauss-Legendre nodes, and each interpolant is integrated against the
-    oscillation exactly, so the two rules never alias it and their
-    difference stays the panel's error estimate.  Its weight rows come
-    from _filon_row's table, shared by every call.  Any other panel takes
-    the Gauss-Legendre pair on g times the kernel; on the roots of
+    Every panel mid +/- h takes its kernel in one form: at u = mid + h*x,
+    sin(T*(s - u)) = Im(exp(i*theta) R(x)), with the phase theta =
+    T*(s - mid) and a row R of weights at the panel's 3n nodes that
+    depends on w = T*h and n = panel_order alone, read from a bounded
+    table shared by every call.  A panel that lies at least h from the
+    peak u = s and has w >= 3n/2 takes the Filon row of _filon_row, a
+    Filon-type rule (Iserles & Norsett, Proc. R. Soc. A 461, 2005): the
+    smooth factor g(u)/(pi*(s - u)) is interpolated at its order-n and
+    order-2n Gauss-Legendre nodes, and each interpolant is integrated
+    against the oscillation exactly, so the two rules never alias it and
+    their difference stays the panel's error estimate.  Any other panel
+    takes the wave row exp(-i*w*x) of _wave_row, so that the
+    Gauss-Legendre pair sums g times the kernel itself; on the roots of
     _peak_roots it spans fewer than 3n/(2 pi) kernel periods, which the
     order-2n rule resolves and the order-n rule sees as an error where it
     does not.
@@ -304,35 +382,37 @@ class _Dirichlet:
     def weigh(self, vals, xs, mid, half, order: int):
         """The rows of vals, g at the nodes xs of the panels mid[i] +/-
         half[i], as values that _gl_pair's weights sum into each panel's
-        two rules: g times the kernel, or on a Filon panel g/(pi*(s - u))
-        times the Filon weight over the Gauss-Legendre one."""
+        two rules: g times Im(exp(i*theta) R)/(pi*(s - u)), R the panel's
+        Filon or wave row.  Where |T*(s - u)| < 1e-8 the quotient is its
+        limit T/pi, as in _dirichlet; only a panel that holds s, up to
+        the rounding of its nodes, has such nodes, so the masks run only
+        on a level with one.  A phase that is not finite leaves its panel
+        not finite."""
         T, s = self.T, self.s
         d = s - xs
-        weighted = _dirichlet(vals, T, d)
-        if T * max(half) < _FILON_FROM * order:
-            return weighted
-        # every root of _peak_roots lies at least its half-width from the
-        # peak, unless pi/T is near the rounding of s, where nodes may
-        # round onto it; a phase past the largest float leaves the panel to
-        # the plain pair, whose kernel values and so its value are then
-        # not finite
-        filon = [i for i, (m, h) in enumerate(zip(mid, half))
-                 if _FILON_FROM * order <= T * h and 2 * h <= abs(s - m)
-                 and math.isfinite(T * (s - m))]
-        if filon:
-            rows, phases = [], []
-            for i in filon:
-                rows.append(_filon_row(T * half[i], order))
-                # at u = mid + h*x, sin(T*(s - u)) = Im(exp(i*theta) exp(-i*w*x)),
-                # theta = T*(s - mid), w = T*h
-                theta = T * (s - mid[i])
-                phases.append(complex(math.cos(theta), math.sin(theta)))
-            kernel = (np.array(phases)[:, None] * np.array(rows)).imag
-            if filon[-1] - filon[0] == len(filon) - 1:
-                # a run of panels, as the far end of a tail block is: a view
-                filon = slice(filon[0], filon[-1] + 1)
-            weighted[filon] = vals[filon] / (math.pi * d[filon]) * kernel
-        return weighted
+        filon_from = _FILON_FROM * order
+        # a node of a panel farther than this from s has |T*(s - u)| >= 1e-8,
+        # its own rounding allowed for
+        reach = 1e-8 / T + 4.0 * math.ulp(s)
+        rows, peak = [], False
+        for m, h in zip(mid, half):
+            w, gap = T * h, abs(s - m)
+            # every root of _peak_roots lies at least its half-width from the
+            # peak, unless pi/T is near the rounding of s; at w = inf the
+            # Filon moments raise, and the wave row is as non-finite as the
+            # phase there
+            if 2.0 * h <= gap and filon_from <= w < math.inf:
+                rows.append(_filon_row(w, order))
+            else:
+                rows.append(_wave_row(w, order))
+                peak = peak or gap - h < reach
+        theta = T * (s - np.array(mid))
+        phases = np.exp(1j * theta)
+        kernel = (phases[:, None] * np.array(rows)).imag / (math.pi * d)
+        if peak:
+            td = T * d
+            kernel[(td < 1e-8) & (td > -1e-8)] = T / math.pi
+        return vals * kernel
 
 
 def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None):

@@ -756,7 +756,7 @@ def test_numeric_line_honours_each_piece_flag():
     q = QuadratureSpec(max_panels=2)
     est = _line_integral(gamma, 50.0, 10.0, -4.0, q)
     assert (est.value, est.err_est, est.panels_used) == (
-        1.780417902123402e-24 + 0j, 6.422630280184586e-33, 5)
+        1.7804179021234046e-24 + 0j, 6.422630297636568e-33, 5)
     assert est.err_est <= q.abs_tol and not est.converged
     assert _line_integral(gamma, 50.0, 10.0, -4.0).converged
 
@@ -972,6 +972,38 @@ def test_sweep_raises_the_first_failing_grid_points_error(t, kind, arg, deltas, 
     assert str(swept.value) == str(alone.value)
     if match == "pole":
         assert type(swept.value) is PoleHit
+
+
+@pytest.mark.parametrize("t, sizes", [
+    (MIXED, [(0.25, 3.0), (0.5, None), (None, 8.0), (1.0, 0.1)]),
+    (_BIG, [(0.5, 2.0), (1e-300, 2.0)]),
+    (MIXED, [(0.5, 2.0), (math.inf, 2.0), (0.5, -1.0)]),
+    (MIXED, [(0.5, 2.0), (0.5, math.nan)]),
+    (TransformExpr.gamma(), [(0.5, 2.0)]),
+    (TransformExpr.gamma(), [(0.0, 2.0)]),
+], ids=["mixed", "lost-delta", "inf-delta", "nan-T", "numeric", "numeric-bad-delta"])
+def test_sweep_rectangles_are_rectangle_for_from_one_pole_box(monkeypatch, t, sizes):
+    # each rectangle, or the error of the first that fails, is
+    # rectangle_for's, and the pole box is taken once for them all
+    want = []
+    try:
+        for d, T in sizes:
+            want.append(rectangle_for(t, d, T))
+    except MelaplaceError as exc:
+        want.append((type(exc), str(exc)))
+    boxes = []
+    monkeypatch.setattr(contours, "pole_box", lambda t: boxes.append(t) or pole_box(t))
+    got = []
+    try:
+        for c in contours._rectangles(t, sizes):
+            got.append(c)
+    except MelaplaceError as exc:
+        got.append((type(exc), str(exc)))
+    assert got == want
+    assert len(boxes) <= 1
+    boxes.clear()
+    assert len(invariance_sweep(MIXED, LAP, 1.0, [0.25, 0.5, 1.0], [3.0, 5.0, 8.0]).results) == 9
+    assert len(boxes) == 1
 
 
 def test_cauchy_sums_match_per_point_reproduction():

@@ -32,7 +32,9 @@ from melaplace.quadrature import (
     _gl,
     _gl_pair,
     _halfline,
+    _legvander,
     _peak_roots,
+    _wave_row,
     _within,
 )
 
@@ -762,6 +764,22 @@ def test_halfline_from_where_unit_panels_vanish(a):
                  _outcome(_reference_halfline, f, a))
 
 
+def test_gauss_legendre_rules_are_leggauss_bit_for_bit():
+    # _gl takes leggauss's own steps without loading numpy.polynomial, and
+    # _legvander legvander's recurrence: every order a QuadratureSpec can
+    # ask for, both rules of its pair, and every node and weight the rules
+    # of contours and the Filon rows were built on keep their bits
+    from numpy.polynomial import legendre
+    for n in [*range(1, 130), 256, 512, 1024, 2048]:
+        for got, want in zip(_gl(n), legendre.leggauss(n)):
+            assert got.tobytes() == want.tobytes(), n
+    for n in [1, 2, 3, 16, 64, 1024]:
+        x = _gl(n)[0]
+        for count in {1, 2, n, 2 * n}:
+            assert (_legvander(x, count).tobytes()
+                    == legendre.legvander(x, count - 1).tobytes()), (n, count)
+
+
 # ---------------------------------------------------------------------------
 # the Dirichlet kernel: Filon panels and the peak layout
 # ---------------------------------------------------------------------------
@@ -819,21 +837,86 @@ def test_filon_rows_come_from_one_bounded_read_only_table():
         row[0] = 0.0
 
 
+def test_wave_rows_come_from_one_bounded_read_only_table():
+    # a wave row depends on (w, n) alone, so its table hands out the bits
+    # of a fresh computation, also once it has filled past its bound and
+    # dropped rows; every caller shares a row, so none may write to it
+    fresh = _wave_row.__wrapped__
+    nodes = _gl_pair(16)[0]
+    ws = [0.3 * (1.0 + k / 7.0) for k in range(3 * _FILON_ROWS)]
+    for w in ws + ws[-5:] + ws[:5]:
+        row = _wave_row(w, 16)
+        assert row.tobytes() == fresh(w, 16).tobytes()
+        assert np.abs(row - (np.cos(w * nodes) - 1j * np.sin(w * nodes))).max() <= 1e-15
+        assert not row.flags.writeable
+        assert _wave_row.cache_info().currsize <= _FILON_ROWS
+    assert _wave_row.cache_info().maxsize == _FILON_ROWS
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+
+
+class _PlainPair:
+    """The kernel of a plain-pair panel written out: at u = mid + h*x,
+    g times Im(exp(i*T*(s - mid)) exp(-i*T*h*x))/(pi*(s - u)), and T/pi
+    wherever |T*(s - u)| < 1e-8, on every panel of every level."""
+
+    def __init__(self, T, s):
+        self.T, self.s = T, s
+
+    def weigh(self, vals, xs, mid, half, order):
+        T, s = self.T, self.s
+        nodes = _gl_pair(order)[0]
+        d = s - xs
+        waves = np.array([np.exp(-1j * (T * h * nodes)) for h in half])
+        phases = np.exp(1j * (T * (s - np.array(mid))))
+        kernel = (phases[:, None] * waves).imag / (math.pi * d)
+        td = T * d
+        kernel[(td < 1e-8) & (td > -1e-8)] = T / math.pi
+        return vals * kernel
+
+
 @settings(max_examples=100, deadline=None)
 @given(f=_integrands(), roots=_ROOTS, share=st.floats(0.01, 0.99), s=st.floats(-5.0, 60.0))
 def test_kernel_panels_below_the_filon_width_are_the_plain_pair(f, roots, share, s):
     # a kernel whose panels all have half-widths h with T h below the Filon
     # threshold 3n/2 (_FILON_FROM n) takes the plain pair on f times the
-    # kernel, bit for bit.  On subnormal widths T overflows to inf, where
-    # T h is not below the threshold and the premise does not hold
+    # kernel of _PlainPair, bit for bit: wave rows from the table, and the
+    # peak masks only on levels where a panel holds s.  On subnormal
+    # widths T overflows to inf, where T h is not below the threshold and
+    # the premise does not hold
     widest = max(0.5 * (b - a) for a, b in roots)
     T = share * quadrature._FILON_FROM * Q.panel_order / widest if widest > 0.0 else share
     assume(T * widest < quadrature._FILON_FROM * Q.panel_order)
     with np.errstate(all="ignore"):
         got = quadrature._trees(f, roots, Q, _Dirichlet(T, s))
-        want = quadrature._trees(lambda u: _dirichlet(f(u), T, s - u), roots, Q)
+        want = quadrature._trees(f, roots, Q, _PlainPair(T, s))
     assert ([_exact_entry(quadrature._result, e) for e in got]
             == [_exact_entry(quadrature._result, e) for e in want])
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.floats(1e-3, 1e4), s=st.floats(-50.0, 50.0), mid=st.floats(-50.0, 50.0),
+       share=st.floats(1e-6, 1.0, exclude_max=True), order=st.sampled_from([4, 16, 64]))
+def test_plain_pair_kernel_values_are_the_sinc(T, s, mid, share, order):
+    # at each node u of a panel mid +/- h with T h below 3n/2, the kernel
+    # Im(exp(i theta) exp(-i w x))/(pi d), theta = T (s - mid), w = T h,
+    # d = s - u, is sin(T d)/(pi d) up to the rounding of its phase: a few
+    # ulps of theta, of w x and of T u, and of the unit values themselves,
+    # over pi |d|.  The sinc form carries the rounding of T d, a few ulps
+    # of the peak T/pi (test_dirichlet_kernel_matches_its_sinc_form)
+    h = share * quadrature._FILON_FROM * order / T
+    assume(mid - h < mid + h)
+    xs = mid + h * _gl_pair(order)[0]
+    with np.errstate(all="ignore"):
+        kernel = _Dirichlet(T, s).weigh(np.ones((1, xs.size), dtype=complex), xs[None],
+                                        [mid], [h], order)[0]
+    assert not kernel.imag.any()
+    d = s - xs
+    sinc = (T / math.pi) * np.sinc(T * d / math.pi)
+    eps = np.finfo(float).eps
+    phase = 1.0 + abs(T * (s - mid)) + T * h + T * (abs(s) + np.abs(xs) + h)
+    bound = 8 * eps * phase / (math.pi * np.abs(d)) + 4 * np.spacing(T / math.pi)
+    assert (np.abs(kernel.real - sinc) <= bound).all()
 
 
 @settings(max_examples=200, deadline=None)

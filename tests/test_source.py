@@ -129,9 +129,9 @@ def test_transform_integrals_are_built_only_in_pieces_and_judged_only_in_summed(
 
 def test_the_engine_alone_applies_a_line_kernel():
     # every numeric line runs its Dirichlet kernel through
-    # quadrature._Dirichlet: transforms neither imports nor calls
-    # _dirichlet, which only delta_check's finite window in campaigns
-    # still multiplies into its integrand
+    # quadrature._Dirichlet, whose one rule takes no _dirichlet: quadrature
+    # only defines it, and only delta_check's finite window in campaigns
+    # still multiplies it into its integrand
     found = sorted({
         path.name
         for path in PACKAGE.glob("*.py")
@@ -140,12 +140,44 @@ def test_the_engine_alone_applies_a_line_kernel():
         or (isinstance(node, ast.ImportFrom)
             and any(alias.name == "_dirichlet" for alias in node.names))
     })
-    assert found == ["campaigns.py", "quadrature.py"]
+    assert found == ["campaigns.py"]
+
+
+def test_the_package_never_loads_numpy_polynomial():
+    # importing numpy.polynomial costs about 0.8 MB of peak RSS; _gl and
+    # _legvander take leggauss's and legvander's steps without it.  No
+    # module names it, and a line, a rectangle and a Filon row leave it
+    # unloaded
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "polynomial":
+                found.append(f"{path.name}:{ast.unparse(node)}")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.name}:{alias.name}" for alias in node.names
+                          if alias.name.startswith("numpy.polynomial")]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if (node.module.startswith("numpy.polynomial")
+                        or node.module == "numpy"
+                        and any(alias.name == "polynomial" for alias in node.names)):
+                    found.append(f"{path.name}:{node.module}")
+    assert found == []
+    code = ("import sys, melaplace as m\n"
+            "t = m.TransformExpr.gamma()\n"
+            "m.inverse_eval(t, m.InverseKind.MELLIN_KERNEL, m.bromwich_for(t, 1.0, 200.0), 0.5)\n"
+            "r = m.TransformExpr.rational([(-1.0, 1.0)])\n"
+            "m.inverse_eval(r, m.InverseKind.LAPLACE_KERNEL, m.rectangle_for(r), 1.0)\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_the_kernel_keeps_no_rows_of_its_own():
-    # _filon_row's one bounded table holds every Filon row for the
-    # process; _Dirichlet holds only its kernel's T and s, no per-call cache
+    # the bounded tables of _filon_row and _wave_row hold every kernel row
+    # for the process; _Dirichlet holds only its kernel's T and s, no
+    # per-call cache
     tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
     kernel = next(top for top in tree.body
                   if isinstance(top, ast.ClassDef) and top.name == "_Dirichlet")
@@ -325,9 +357,9 @@ arg,truth,recovered,abs_err,rel_err
 """,
     "delta-check": """\
 T,value,abs_err
-20,0.36140395968426209,0.0064754814871802457
-40,0.37318364969354711,0.0053042085221047808
-80,0.36831857413291791,0.00043913296147557457
+20,0.3614039596842622,0.0064754814871801347
+40,0.37318364969354756,0.0053042085221052249
+80,0.36831857413291913,0.00043913296147679581
 """,
     "sweep": """\
 delta,half_height,re_val,im_val
