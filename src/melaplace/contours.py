@@ -42,7 +42,9 @@ one real integral, the paper's delta identity:
         = exp(c*s) * int exp(-c*u) g(u) sin(T(s - u))/(pi(s - u)) du,
 
 valid because c inside the validity strip makes the double integral
-absolutely convergent; ``transforms._line_integral`` computes it.
+absolutely convergent; ``transforms._line_integral`` computes it.  The
+kernel is even about its peak u = s, so a Mellin line, whose u runs over
+all of R, is integrated folded there: one half-line in |u - s|.
 
 Inverses of real signals integrate half the contour.  When the transform
 is conjugate-symmetric, F(conj z) = conj F(z) (every rational form whose

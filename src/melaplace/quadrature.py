@@ -28,29 +28,34 @@ order.  A look-ahead panel past the stop is never read: it never
 raises, and numpy's warnings are off while the engine evaluates.
 ``Estimate.panels_used`` counts the panels of the estimate, split ones
 included, not the look-ahead ones.  Finite heads ride the first tail pass
-(_halfline's heads) with the bits of integrate_finite.  An integral over
-the whole line runs a second tail toward -inf in the same passes, with
-stop and budget rules of its own (_Tail), so each tail reads as it would
-alone.
+(_halfline's heads) with the bits of integrate_finite.
 
 A numeric Bromwich line integrates its source g against the Dirichlet
 kernel sin(T*(s - u))/(pi*(s - u)), which the engine applies itself
-(_Dirichlet) on the roots that _peak_roots lays: a peak root of one
-kernel period about u = s, and roots doubling away from it on both
-sides, the tails' panels among them, over u >= 0 or, for a Mellin line,
-over every real u.  Every panel takes the kernel in one form, the phase
-exp(i*T*(s - mid)) times a row of weights at its nodes, and only the row
-differs.  A panel of half-width h at least h from s with T*h >= 3n/2
-(n = panel_order; _FILON_FROM) takes a Filon-type row: g/(pi*(s - u))
-interpolated at the pair's nodes, the oscillation integrated exactly by
-its Legendre moments, the spherical Bessel functions j_k(T*h)
-(_bessel_moments).  So its two rules cannot alias the kernel into
+(_Dirichlet) on the roots that _peak_roots lays over u >= 0: a peak root
+of one kernel period about u = s, and roots doubling away from it on both
+sides, the tail's panels among them.  A Mellin line runs over every real
+u, and the kernel is even about its peak, so the engine folds it there
+(_panels's fold, _folded_roots): one half-line in v = |u - s|/r, r =
+min(1/2, pi/T), whose integrand g(s + r*v) + g(s - r*v) comes from one
+call on both node sets, against the kernel _Dirichlet(T*r, 0), on fixed
+roots [0, 1], then 2, 4, 8... wide.  Every panel takes the kernel in one
+form, the phase exp(i*T*(s - mid)) times a row of weights at its nodes,
+and only the row differs.  A panel of half-width h at least h from s
+with T*h >= 3n/2 (n = panel_order; _FILON_FROM) takes a Filon-type row:
+g/(pi*(s - u)) interpolated at the pair's nodes, the oscillation
+integrated exactly by its Legendre moments, the spherical Bessel
+functions j_k(T*h) (_bessel_moments).  So its two rules cannot alias the kernel into
 agreement, and a line costs about as many panels at T = 1000 as at
 T = 50.  Every other panel takes the wave row exp(-i*T*h*x), on which
 the plain Gauss-Legendre pair sums g times the kernel.  A row depends on
 T*h and n alone, and two bounded tables (_filon_row, _wave_row) keep
-the rows for the process.  Every root of a call without a kernel takes
-the plain pair on g.
+the rows for the process.  A level's kernel, every panel's row over
+pi*(s - u), depends on T, s, the panels and n alone, and a third bounded
+table (_level_kernel) keeps the kernels of small levels: at T >= 2 pi a
+folded Mellin line's kernel sin(w v)/(pi v) has w = T*fl(pi/T), one of
+three floats, so lines at any such T meet the same few levels.  Every
+root of a call without a kernel takes the plain pair on g.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -96,8 +101,11 @@ class QuadratureSpec:
     that budget of its own, and stops after the panel on which its total
     reaches max_panels.  Each piece of a line integral has its own
     budget, so the mixedpower moment line at T = 30 with max_panels = 4
-    reports 9 panels.  A rational contour sum is not adaptive: max_panels
-    bounds its fixed panels, and a path that needs more is a DomainError.
+    reports 9 panels.  A Mellin line, folded about its peak, is one tail
+    and its heads, each root taking both sides of the peak in one budget:
+    the Gamma line at c = 50, T = 10 with max_panels = 2 reports 3.  A
+    rational contour sum is not adaptive: max_panels bounds its fixed
+    panels, and a path that needs more is a DomainError.
     """
 
     panel_order: int = 16
@@ -354,6 +362,60 @@ def _filon_row(w: float, n: int):
     return row
 
 
+# level kernels kept for the whole process (_level_kernel).  A level of at
+# most _LEVEL_PANELS panels is an entry of at most 32*3n floats: 12 KiB at
+# panel_order 16, so 192 KiB for the table, and 768 KiB at 1024, 12 MiB for
+# the table.  A folded Mellin line's first pass is one level of 1 to 30
+# panels, the same at every T >= 2 pi of one octave of T/(2 pi) and of one
+# of the three roundings of T*fl(pi/T) (_folded_roots); the line_numeric
+# benchmark's Gamma lines, at T near 10, share three first-pass entries.
+# 256 entries raised that benchmark's peak RSS by another 2-3% for no more
+# lines a second
+_LEVEL_KERNELS = 16
+_LEVEL_PANELS = 32
+
+
+def _kernel_rows(T: float, s: float, xs, mid, half, order: int):
+    """The kernel sin(T*(s - u))/(pi*(s - u)) of _Dirichlet(T, s) at the
+    nodes xs of the panels mid[i] +/- half[i], one row a panel, as
+    _Dirichlet.weigh describes it."""
+    d = s - xs
+    filon_from = _FILON_FROM * order
+    # a node of a panel farther than this from s has |T*(s - u)| >= 1e-8,
+    # its own rounding allowed for
+    reach = 1e-8 / T + 4.0 * math.ulp(s)
+    rows, peak = [], False
+    for m, h in zip(mid, half):
+        w, gap = T * h, abs(s - m)
+        # every root of _peak_roots and _folded_roots lies at least its
+        # half-width from the peak, unless pi/T is near the rounding of s;
+        # at w = inf the Filon moments raise, and the wave row is as
+        # non-finite as the phase there
+        if 2.0 * h <= gap and filon_from <= w < math.inf:
+            rows.append(_filon_row(w, order))
+        else:
+            rows.append(_wave_row(w, order))
+            peak = peak or gap - h < reach
+    theta = T * (s - np.array(mid))
+    phases = np.exp(1j * theta)
+    kernel = (phases[:, None] * np.array(rows)).imag / (math.pi * d)
+    if peak:
+        td = T * d
+        kernel[(td < 1e-8) & (td > -1e-8)] = T / math.pi
+    return kernel
+
+
+@functools.lru_cache(maxsize=_LEVEL_KERNELS)
+def _level_kernel(T: float, s: float, mid: tuple, half: tuple, order: int):
+    """_kernel_rows at the nodes of _panels, which depend on mid, half and
+    order alone; read-only, since the table hands the same rows to every
+    caller."""
+    xs = np.array(mid)[:, None] + np.array(half)[:, None] * _gl_pair(order)[0]
+    kernel = _kernel_rows(T, s, xs, mid, half, order)
+    kernel.flags.writeable = False
+    return kernel
+
+
 class _Dirichlet:
     """The Dirichlet kernel sin(T*(s - u))/(pi*(s - u)) of the roots of
     one _trees or _halfline call, applied by the engine to an integrand g.
@@ -374,6 +436,22 @@ class _Dirichlet:
     _peak_roots it spans fewer than 3n/(2 pi) kernel periods, which the
     order-2n rule resolves and the order-n rule sees as an error where it
     does not.
+
+    The kernel of a whole level, every panel's row over its pi*(s - u),
+    depends on T, s, the panels' mids and half-widths and n alone, and a
+    level of at most _LEVEL_PANELS panels reads it from one more bounded
+    table (_level_kernel).  A folded Mellin line's kernel is
+    _Dirichlet(T*r, 0) on the fixed roots of _folded_roots, so lines at
+    every T >= 2 pi meet the same few levels there.
+
+    Near the peak the form has a rounding limit: the phase describes the
+    node mid + h*x before rounding, and s - u is taken at the rounded
+    node, so at a node within about 1e-11 of s with |s| near 50 a kernel
+    value can be 5e-4 of the peak T/pi off.  It needs s strictly inside a
+    panel away from its centre, which _peak_roots never lays out, and it
+    no longer applies to Mellin lines: folded, their peak is v = 0, the
+    edge of the root [0, 1], and the kernel is read at v itself, so a
+    node near the peak rounds at the spacing of floats near v, not near s.
     """
 
     def __init__(self, T: float, s: float):
@@ -387,35 +465,15 @@ class _Dirichlet:
         limit T/pi, as in _dirichlet; only a panel that holds s, up to
         the rounding of its nodes, has such nodes, so the masks run only
         on a level with one.  A phase that is not finite leaves its panel
-        not finite."""
-        T, s = self.T, self.s
-        d = s - xs
-        filon_from = _FILON_FROM * order
-        # a node of a panel farther than this from s has |T*(s - u)| >= 1e-8,
-        # its own rounding allowed for
-        reach = 1e-8 / T + 4.0 * math.ulp(s)
-        rows, peak = [], False
-        for m, h in zip(mid, half):
-            w, gap = T * h, abs(s - m)
-            # every root of _peak_roots lies at least its half-width from the
-            # peak, unless pi/T is near the rounding of s; at w = inf the
-            # Filon moments raise, and the wave row is as non-finite as the
-            # phase there
-            if 2.0 * h <= gap and filon_from <= w < math.inf:
-                rows.append(_filon_row(w, order))
-            else:
-                rows.append(_wave_row(w, order))
-                peak = peak or gap - h < reach
-        theta = T * (s - np.array(mid))
-        phases = np.exp(1j * theta)
-        kernel = (phases[:, None] * np.array(rows)).imag / (math.pi * d)
-        if peak:
-            td = T * d
-            kernel[(td < 1e-8) & (td > -1e-8)] = T / math.pi
-        return vals * kernel
+        not finite.  vals may stack several sets of rows on the same
+        panels, as a fold's two sides."""
+        if len(mid) > _LEVEL_PANELS:
+            return vals * _kernel_rows(self.T, self.s, xs, mid, half, order)
+        return vals * _level_kernel(self.T, self.s, tuple(mid), tuple(half), order)
 
 
-def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None):
+def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None,
+            fold: tuple | None = None):
     """Order-2n values of f over the panels mid[i] +/- half[i], their
     moduli and their distances from the order-n values (three lists), and
     {i: the error that panel i raises}: NonFiniteIntegrand at
@@ -423,17 +481,24 @@ def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None):
     is not finite.  One integrand call covers the nodes of every panel.
     A kernel, when given, weights f as _Dirichlet.weigh says, and f
     finite at every node but past the largest float times the kernel is
-    such a DomainError.
+    such a DomainError.  With fold = (s, r) the panels lie in v >= 0 and
+    f is read at u = s + r*v and u = s - r*v, in the one call: each side
+    is weighted apart and the two summed, and an error names the u where
+    it occurred, the node of either side or the mid of the side whose
+    weighted sum is the larger.
     """
     nodes, weights = _gl_pair(order)
     h = np.array(half)
     xs = np.array(mid)[:, None] + h[:, None] * nodes
-    vals = np.asarray(f(xs.ravel()), dtype=complex)
-    if vals.shape != (xs.size,):
-        raise ValueError(f"integrand gave shape {vals.shape} for {xs.size} nodes")
-    vals = source = vals.reshape(xs.shape)
+    us = xs if fold is None else fold[0] + fold[1] * np.array([xs, -xs])
+    vals = np.asarray(f(us.ravel()), dtype=complex)
+    if vals.shape != (us.size,):
+        raise ValueError(f"integrand gave shape {vals.shape} for {us.size} nodes")
+    vals = source = vals.reshape(us.shape)
     if kernel is not None:
         vals = kernel.weigh(vals, xs, mid, half, order)
+    if fold is not None:
+        sides, vals = vals, vals[0] + vals[1]
     # each panel keeps the bits of its own product weights @ row: numpy
     # gives a single row those bits through a (1, 3n) @ (3n, 2) product,
     # and many rows through one matrix-vector product per rule
@@ -457,14 +522,19 @@ def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None):
     # a node value that is not finite leaves both sums, so err and moduli,
     # non-finite
     if not math.isfinite(sum(err) + sum(moduli)):
-        for i, row in enumerate(source):
-            finite = np.isfinite(row)
+        for i in range(len(values)):
+            finite = np.isfinite(source[..., i, :])
             if not finite.all():
                 faults[i] = NonFiniteIntegrand(
-                    f"integrand not finite near t = {float(xs[i][~finite][0])!r}")
+                    f"integrand not finite near t = {float(us[..., i, :][~finite][0])!r}")
             elif not cmath.isfinite(values[i]):
+                where = mid[i]
+                if fold is not None:
+                    plus, minus = sides[:, i].dot(weights[1]).tolist()
+                    where = fold[0] + fold[1] * (-mid[i] if _abs(minus) > _abs(plus)
+                                                 else mid[i])
                 faults[i] = DomainError(
-                    f"panel sum past the largest float near t = {mid[i]!r}")
+                    f"panel sum past the largest float near t = {where!r}")
     return values, moduli, err, faults
 
 
@@ -484,10 +554,12 @@ def _abs(z: complex) -> float:
         return math.hypot(z.real, z.imag)
 
 
-def _trees(f, roots, q: QuadratureSpec, kernel: _Dirichlet | None = None) -> list:
+def _trees(f, roots, q: QuadratureSpec, kernel: _Dirichlet | None = None,
+           fold: tuple | None = None) -> list:
     """The adaptive integral of f over each root panel (lo, hi) of
     ``roots``: (value, err_est, panels_used, converged), or the error it
-    raises.  An empty root is 0 from no panel.
+    raises.  An empty root is 0 from no panel.  kernel and fold are
+    _panels's.
 
     The trees grow in level order, one integrand call evaluating every
     panel of a level.  A panel is kept as a leaf when its two rules agree,
@@ -519,7 +591,7 @@ def _trees(f, roots, q: QuadratureSpec, kernel: _Dirichlet | None = None) -> lis
         values, moduli, errs, faults = _panels(
             f, [0.5 * lo + 0.5 * hi for lo, hi in zip(los, his)],
             [0.5 * hi - 0.5 * lo for lo, hi in zip(los, his)], q.panel_order,
-            kernel)
+            kernel, fold)
         deeper, next_los, next_his = [], [], []
         for j, (i, lo, hi, v, m, e) in enumerate(zip(owner, los, his, values, moduli, errs)):
             # _within, inline: this loop runs once a panel
@@ -628,12 +700,12 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
 
 
 class _Tail:
-    """The stop and budget rules of one geometric tail of _halfline.  Its
-    panels run from a toward +inf, or toward -inf when width is negative,
-    each _TAIL_GROWTH times as wide as the last.  roots gives the next
-    block of them, and read runs the rules over their _trees entries until
-    ``outcome`` holds the tail's Estimate or the error it raises.  With
-    ``past``, no panel counts as quiet up to the one that reaches past.
+    """The stop and budget rules of the geometric tail of _halfline.  Its
+    panels run from a toward +inf, each _TAIL_GROWTH times as wide as the
+    last.  roots gives the next block of them, and read runs the rules
+    over their _trees entries until ``outcome`` holds the tail's Estimate
+    or the error it raises.  With ``past``, no panel counts as quiet up to
+    the one that reaches past.
     """
 
     __slots__ = ("q", "lo", "width", "block", "left", "total", "err_sum", "used",
@@ -649,7 +721,7 @@ class _Tail:
         self.hold = 0
         if past is not None:
             edge = self.lo
-            while edge < past if width > 0.0 else edge > past:
+            while edge < past:
                 edge += width
                 width *= _TAIL_GROWTH
                 self.hold += 1
@@ -659,9 +731,8 @@ class _Tail:
         lo, width = self.lo, self.width
         roots = []
         for _ in range(min(self.block, self.left)):
-            hi = lo + width
-            roots.append((lo, hi) if width > 0.0 else (hi, lo))
-            lo = hi
+            roots.append((lo, lo + width))
+            lo += width
             width *= _TAIL_GROWTH
         self.lo, self.width = lo, width
         return roots
@@ -717,87 +788,68 @@ class _Tail:
 
 def _halfline(f, a: float, q: QuadratureSpec, heads=(),
               kernel: _Dirichlet | None = None, width: float = _FIRST_TAIL_WIDTH,
-              left: float | None = None, span: tuple | None = None) -> list:
+              past: float | None = None, fold: tuple | None = None) -> list:
     """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
-    q) for each (lo, hi) of ``heads``, bit for bit.  With a kernel, each
-    panel weighs f as _Dirichlet.weigh says.  The tail's first panel is
-    ``width`` wide, and a negative width runs it toward -inf.  With
-    ``left``, a second tail runs from left the other way, its first panel
-    -width wide, and its Estimate follows the first's.  With span =
-    (lo, hi), where f holds its mass, a tail toward +inf counts no panel
-    as quiet up to the one that reaches hi, and one toward -inf none up
-    to the one that reaches lo: a tail that starts short of the mass
+    q) for each (lo, hi) of ``heads``, bit for bit.  kernel and fold are
+    _panels's: with a kernel, each panel weighs f as _Dirichlet.weigh
+    says, and with fold = (s, r) every panel lies in v and takes f at
+    u = s +/- r*v.  The tail's first panel is ``width`` wide.  With
+    ``past``, where f holds its mass, the tail counts no panel as quiet up
+    to the one that reaches past: a tail that starts short of the mass
     reads on across it, however small f is on the way.
 
-    Each tail's geometric panels are evaluated in blocks (_Tail):
+    The tail's geometric panels are evaluated in blocks (_Tail):
     _FIRST_TAIL_BLOCK panels first, then as many as _next_block expects
-    its stop rule to read.  One level-order pass takes the next block of
-    every tail still running, and the first pass also takes the heads'
-    trees, so no tail or head has a pass of its own.  The stop and budget
-    rules run over each block's panels in order; a panel past where they
-    stop is never read, and raises nothing.  A tail that raises stops, and
-    its error waits until every tail has stopped; the heads are read
-    last.  So the first tail raises first, then the second, then the
-    heads, as each would alone.
+    its stop rule to read.  Each block is one level-order pass, and the
+    first pass also takes the heads' trees, so no head has a pass of its
+    own.  The stop and budget rules run over each block's panels in order;
+    a panel past where they stop is never read, and raises nothing.  The
+    tail's error, if any, is raised first, then the heads', as each would
+    alone.
     """
-    lo, hi = span or (None, None)
-    tails = [_Tail(a, width, q, hi if width > 0.0 else lo)]
-    if left is not None:
-        tails.append(_Tail(left, -width, q, lo if width > 0.0 else hi))
-    running = tails
+    tail = _Tail(a, width, q, past)
     riders, head_results = list(heads), []
     with np.errstate(all="ignore"):
-        while running:
-            roots, sizes = [], []
-            for tail in running:
-                block = tail.roots()
-                roots += block
-                sizes.append(len(block))
-            results = _trees(f, roots + riders, q, kernel)
+        while tail.outcome is None:
+            roots = tail.roots()
+            results = _trees(f, roots + riders, q, kernel, fold)
             if riders:
                 head_results, riders = results[len(roots):], []
-            start = 0
-            for tail, size in zip(running, sizes):
-                tail.read(results[start:start + size])
-                start += size
-            running = [tail for tail in running if tail.outcome is None]
-        return ([_result(tail.outcome) for tail in tails]
+            tail.read(results[:len(roots)])
+        return ([_result(tail.outcome)]
                 + [Estimate(*_result(result)) for result in head_results])
 
 
-def _peak_roots(T: float, s: float, whole: bool = False):
-    """(a, width, heads, left) of the kernel _Dirichlet(T, s) over u >= 0,
-    or over every real u when ``whole``: its tail starts at a with panels
-    width wide, after the finite roots heads, and on the whole line a
-    second tail runs from left toward -inf, its panels as wide; left is
-    None otherwise.  These are _halfline's arguments.
+def _lobe(T: float, s: float) -> float:
+    """r = min(1/2, pi/T), the half-width of the peak root of the kernel
+    _Dirichlet(T, s); a lobe that rounding at s leaves with no width is a
+    DomainError: no float lies inside it."""
+    r = min(0.5 * _FIRST_TAIL_WIDTH, math.pi / T)
+    if not s - r < s < s + r:
+        raise DomainError(f"the kernel at T = {T:g} has its central lobe, pi/T wide, "
+                          f"inside the rounding of its peak at {s:g}")
+    return r
 
-    A peak root [s - r, s + r], r = min(1/2, pi/T), takes the kernel's
+
+def _peak_roots(T: float, s: float):
+    """(a, width, heads) of the kernel _Dirichlet(T, s) over u >= 0: its
+    tail starts at a with panels width wide, after the finite roots
+    heads.  These are _halfline's arguments.
+
+    A peak root [s - r, s + r], r = _lobe(T, s), takes the kernel's
     central lobe; it is at most _FIRST_TAIL_WIDTH wide, as a plain tail's
     first panel is.  Roots run out from it on both sides, 2r wide and
     doubling, as heads while narrower than 1/2 and then as a tail, so that
     a tail's first block reaches at least 127 past the peak, where a plain
     tail's reaches 255.  With r = pi/T a root of half-width h = r 2^k has
     T h = pi 2^k: the roots next to the peak keep the Gauss-Legendre pair,
-    and those with T h >= 3n/2 take Filon panels.  Over u >= 0 the roots
-    are clipped at 0: those wholly below it are dropped, one that
-    straddles it starts at 0, and the left ones run on as heads down to
-    0, the last taking the rest if that is narrower than itself.  A lobe
-    that rounding at s leaves with no width is a DomainError: no float
-    lies inside it.
+    and those with T h >= 3n/2 take Filon panels.  The roots are clipped
+    at 0: those wholly below it are dropped, one that straddles it starts
+    at 0, and the left ones run on as heads down to 0, the last taking
+    the rest if that is narrower than itself.
     """
     cap = 0.5 * _FIRST_TAIL_WIDTH
-    r = min(cap, math.pi / T)
-    if not s - r < s < s + r:
-        raise DomainError(f"the kernel at T = {T:g} has its central lobe, pi/T wide, "
-                          f"inside the rounding of its peak at {s:g}")
-    if whole:
-        heads = [(s - r, s + r)]
-        lo, hi, width = s - r, s + r, 2.0 * r
-        while width < cap:
-            heads += (lo - width, lo), (hi, hi + width)
-            lo, hi, width = lo - width, hi + width, width * _TAIL_GROWTH
-        return hi, width, heads, lo
+    r = _lobe(T, s)
     heads = [(max(s - r, 0.0), s + r)] if s + r > 0.0 else []
     lo, width = s - r, 2.0 * r
     while lo > 0.0:
@@ -810,7 +862,31 @@ def _peak_roots(T: float, s: float, whole: bool = False):
     while width < cap:
         heads.append((max(hi, 0.0), hi + width))
         hi, width = hi + width, width * _TAIL_GROWTH
-    return max(hi, 0.0), width, heads, None
+    return max(hi, 0.0), width, heads
+
+
+def _folded_roots(T: float, s: float):
+    """(r, a, width, heads) of the kernel _Dirichlet(T, s) over every real
+    u, folded about its peak: v = |u - s|/r >= 0, r = _lobe(T, s), where
+    the integrand of u is read at s + r*v and s - r*v (_panels's fold)
+    and the kernel is _Dirichlet(T*r, 0), even in v; a, width and heads
+    are _halfline's arguments in v.
+
+    The roots are those of _peak_roots on each side of the peak, each
+    pair one root: the peak root [0, 1], then roots 2, 4, 8... wide, as
+    heads while narrower than 1/(2r) and then as a tail.  So at T >= 2 pi
+    the kernel is sin(w v)/(pi v) with w = T*fl(pi/T), which rounds to
+    one of three floats next to pi, on roots that depend on T only
+    through the number of heads: lines at any such T share their level
+    kernels (_level_kernel).
+    """
+    r = _lobe(T, s)
+    cap = 0.5 * _FIRST_TAIL_WIDTH
+    heads, hi, width = [(0.0, 1.0)], 1.0, 2.0
+    while width * r < cap:
+        heads.append((hi, hi + width))
+        hi, width = hi + width, width * _TAIL_GROWTH
+    return r, hi, width, heads
 
 
 def integrate_unit_singular(f, sigma: float, q: QuadratureSpec | None = None) -> Estimate:

@@ -30,7 +30,8 @@ Mellin transform integrates that side in x.  A line integrates against
 the Dirichlet kernel, which the quadrature engine applies itself, with
 Filon panels away from its peak (``quadrature._Dirichlet``), so a line's
 cost does not grow with T; a Mellin line takes its x >= 1 side at
-u = -ln x <= 0, one integral over every real u.
+u = -ln x <= 0, one integral over every real u, folded about the
+kernel's peak into one half-line (``quadrature._folded_roots``).
 
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
@@ -69,6 +70,7 @@ from .quadrature import (
     QuadratureSpec,
     _abs,
     _Dirichlet,
+    _folded_roots,
     _halfline,
     _peak_roots,
     _within,
@@ -279,8 +281,11 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     u = s, roots doubling away from it on both sides, and a tail beyond
     them, so that panels wide against the kernel's period take the Filon
     rule.  A Mellin line's integrand exp(-z*u) f(exp(-u)) holds for every
-    real u, its x >= 1 side at u <= 0 with the Jacobian x, so its roots
-    cover the whole line, with a second tail toward -inf.
+    real u, its x >= 1 side at u <= 0 with the Jacobian x, and the kernel
+    is even about its peak, so the line is one half-line in
+    v = |u - s|/r folded there: the engine reads the integrand at
+    u = s +/- r*v in one call and sums the two sides, against the kernel
+    _Dirichlet(T*r, 0) on the roots of quadrature._folded_roots.
 
     A Mellin integrand rises until its hump and the tail's stop rule
     reads on past it: x**(z-1) exp(-g_min*x) in x peaks at
@@ -288,13 +293,13 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     at x = Re z/g_min, where a line's kernel multiplies it by at most
     min(T, 1/|s - u|)/pi.  One whose peak passes the largest float is a
     DomainError.  The terms x**z exp(-g*x) peak at u = ln(g/Re z): a
-    line's tails read on across those humps wherever s lies (_halfline's
-    span), and a direct transform's u-side tail reads on from 0 to the
-    last of them, however little its first panels hold, as with g = 1000
-    at z = 0.5, whose mass lies near u = 7.6; past u = -ln(largest
-    float), x = exp(-u) is inf, where the
-    source has decayed to 0 but a sin or cos weight of x is nan, so a
-    weighted source's integrand is 0 there.
+    line's tail reads on until it has passed those humps on both sides of
+    s (_halfline's past), and a direct transform's u-side tail reads on
+    from 0 to the last of them, however little its first panels hold, as
+    with g = 1000 at z = 0.5, whose mass lies near u = 7.6; past
+    u = -ln(largest float), x = exp(-u) is inf, where the source has
+    decayed to 0 but a sin or cos weight of x is nan, so a weighted
+    source's integrand is 0 there.
     """
     if not cmath.isfinite(z):
         raise OutOfDomain(f"{kind.value} transform needs a finite z, got {z!r}")
@@ -323,20 +328,22 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
         # in u = -ln x, the terms x**z exp(-g*x) peak at u = ln(g/Re z)
         last_hump = math.log(max(spec.params or (1.0,)) / z.real)
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
-    if T is not None:
-        start, width, heads, left = _peak_roots(T, s, mellin)
-        span = None
-        if mellin:
-            span = (-math.log(hump), last_hump)
-            if any(w is not None for _, w in _terms(spec)[1]):
-                read = inner
-                inner = lambda u: np.where(u > -_EXP_LIMIT, read(u), 0.0)
-        return _halfline(inner, start, q, heads, _Dirichlet(T, s), width, left, span)
+    if T is None:
+        if not mellin:
+            return _halfline(inner, 0.0, q)
+        off, zm = _off_axis(spec), z - 1.0
+        return (_halfline(inner, 0.0, q, past=last_hump)
+                + _halfline(lambda x: off(zm * np.log(x), x), 1.0, q))
     if not mellin:
-        return _halfline(inner, 0.0, q)
-    off, zm = _off_axis(spec), z - 1.0
-    return (_halfline(inner, 0.0, q, span=(0.0, last_hump))
-            + _halfline(lambda x: off(zm * np.log(x), x), 1.0, q))
+        start, width, heads = _peak_roots(T, s)
+        return _halfline(inner, start, q, heads, _Dirichlet(T, s), width)
+    if any(w is not None for _, w in _terms(spec)[1]):
+        read = inner
+        inner = lambda u: np.where(u > -_EXP_LIMIT, read(u), 0.0)
+    r, start, width, heads = _folded_roots(T, s)
+    # the humps lie between u = -ln(hump) and u = last_hump
+    past = max(last_hump - s, s + math.log(hump)) / r
+    return _halfline(inner, start, q, heads, _Dirichlet(T * r, 0.0), width, past, (s, r))
 
 
 def _scaled(x, log_scale: float):
@@ -375,8 +382,8 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
     direct transform's integrand at real z = c against the kernel
     sin(T*(s-u))/(pi*(s-u)), with a root about its peak u = s, times
     exp(c*s).  A Mellin line is one integral over every real u, its
-    x >= 1 side at u <= 0: its roots double away from the peak on both
-    sides into a tail each, with no split at u = 0.
+    x >= 1 side at u <= 0, folded about the peak into one tail and its
+    heads, with no split at u = 0.
     """
     q = q or DEFAULT_QUADRATURE
     return _summed(_pieces(t.source, t.kind, c, q, T, s), q, c * s)

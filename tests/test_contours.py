@@ -749,14 +749,15 @@ def test_numeric_line_estimate_is_judged_on_its_summed_error():
 
 
 def test_numeric_line_honours_each_piece_flag():
-    # both tails stop on their two-panel budget, far from tolerance, and
-    # exp(c*s) = exp(-200) scales the sum of the pieces, the one-panel peak
-    # root with them, and their error below abs_tol
+    # the line's one tail, folded about the peak, stops on its two-panel
+    # budget, far from tolerance, and exp(c*s) = exp(-200) scales the sum
+    # of the pieces, the one-panel peak root with them, and their error
+    # below abs_tol
     gamma = TransformExpr.gamma()
     q = QuadratureSpec(max_panels=2)
     est = _line_integral(gamma, 50.0, 10.0, -4.0, q)
     assert (est.value, est.err_est, est.panels_used) == (
-        1.7804179021234046e-24 + 0j, 6.422630297636568e-33, 5)
+        1.780417902123408e-24 + 0j, 6.422615300438493e-33, 3)
     assert est.err_est <= q.abs_tol and not est.converged
     assert _line_integral(gamma, 50.0, 10.0, -4.0).converged
 

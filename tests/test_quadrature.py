@@ -1,6 +1,7 @@
 import cmath
 import collections
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -24,11 +25,13 @@ from melaplace.functions import evaluate
 from melaplace.quadrature import (
     _FILON_ROWS,
     _FIRST_TAIL_WIDTH,
+    _LEVEL_KERNELS,
     _MAX_TAIL_PANELS,
     _TAIL_GROWTH,
     _Dirichlet,
     _dirichlet,
     _filon_row,
+    _folded_roots,
     _gl,
     _gl_pair,
     _halfline,
@@ -928,8 +931,7 @@ def test_peak_roots_tile_the_half_line_about_the_peak(T, s):
     # peak at least its half-width from it, and a tail panel at least 1/2
     # wide
     r = min(0.5, math.pi / T)
-    start, width, heads, left = _peak_roots(T, s)
-    assert left is None
+    start, width, heads = _peak_roots(T, s)
     roots = sorted(heads) + [(start, start + width)]
     assert roots[0][0] == 0.0
     assert all(a[1] == b[0] for a, b in zip(roots, roots[1:]))
@@ -948,42 +950,60 @@ def test_peak_roots_tile_the_half_line_about_the_peak(T, s):
 
 @settings(max_examples=200, deadline=None)
 @given(T=st.floats(0.1, 1e8), s=st.floats(-50.0, 50.0))
-def test_whole_line_peak_roots_mirror_about_the_peak(T, s):
-    # over every real u the first panels of both tails and the heads tile
-    # the line without gap, in order: the peak root one kernel period (at
-    # most 1) wide, and roots doubling away from it with the same widths
-    # on both sides, each at least its half-width from the peak, until
-    # both tails start with the same panel width, at least 1/2
-    r = min(0.5, math.pi / T)
-    start, width, heads, left = _peak_roots(T, s, whole=True)
-    assert heads[0] == (s - r, s + r)
-    roots = [(left - width, left)] + sorted(heads) + [(start, start + width)]
+def test_folded_peak_roots_tile_the_half_line_from_the_peak(T, s):
+    # folded about the peak, v = |u - s|/r, the roots and the tail's first
+    # panel tile [0, inf) in order, without gap: the peak root [0, 1], one
+    # kernel period (at most 1) in u, then widths doubling from 2, every
+    # root but the peak root at least its half-width from the peak v = 0,
+    # so that the kernel's Filon rule may take it, heads narrower than
+    # 1/2 in u, and a tail panel at least 1/2 wide in u
+    r, start, width, heads = _folded_roots(T, s)
+    assert r == min(0.5, math.pi / T)
+    roots = heads + [(start, start + width)]
+    assert roots[0] == (0.0, 1.0)
     assert all(a[1] == b[0] for a, b in zip(roots, roots[1:]))
-    slack = 4 * math.ulp(abs(s) + width)
     widths = [b - a for a, b in roots]
-    assert all(abs(w1 - w2) <= slack for w1, w2 in zip(widths, reversed(widths)))
-    half = len(widths) // 2
-    assert all(abs(w2 - 2.0 * w1) <= slack
-               for w1, w2 in zip(widths[half + 1:], widths[half + 2:]))
-    assert all(abs(s - 0.5 * (a + b)) >= 0.5 * (b - a) - slack for a, b in roots[1:-1]
-               if (a, b) != heads[0])
-    assert 0.5 <= width < 1.0 + slack
+    assert widths[1] == 2.0
+    assert all(w2 == 2.0 * w1 for w1, w2 in zip(widths[1:], widths[2:]))
+    assert all(a >= 0.5 * (b - a) for a, b in roots[1:])
+    assert all(w * r < 0.5 for w in widths[1:-1]) and width * r >= 0.5
 
 
 def test_a_tail_reads_on_across_its_span():
-    # a bump at u = +/-30 is below 1e-300 on the first panels from 0, so a
+    # a bump at u = 30 is below 1e-300 on the first panels from 0, so a
     # tail alone stops on two quiet panels there and reports a converged
-    # 0; told where the mass lies, each tail reads on across it
+    # 0; told where the mass lies, it reads on across it, and so does a
+    # tail folded about 0 across the bumps at u = +/-30 on both sides
     bump = lambda u: np.exp(-(np.abs(u) - 30.0) ** 2)
     alone = integrate_halfline(bump, 0.0)
     assert abs(alone.value) < 1e-300 and alone.converged
-    right, left = _halfline(bump, 0.0, Q, left=0.0, span=(-31.0, 31.0))
-    for est in (right, left):
+    for fold, mass in ((None, 1.0), ((0.0, 1.0), 2.0)):
+        [est] = _halfline(bump, 0.0, Q, past=31.0, fold=fold)
         assert est.converged
-        assert abs(est.value - math.sqrt(math.pi)) <= 1e-12
-    # a tail that starts past its end of the span keeps every bit
+        assert abs(est.value - mass * math.sqrt(math.pi)) <= 1e-12
+    # a tail that starts past its span keeps every bit
     f = lambda t: np.exp(-(0.3 + 2j) * t)
-    assert _halfline(f, 0.0, Q, span=(-5.0, -1.0)) == [integrate_halfline(f, 0.0)]
+    assert _halfline(f, 0.0, Q, past=-1.0) == [integrate_halfline(f, 0.0)]
+
+
+def test_a_folded_panel_names_the_u_of_its_error():
+    # a fold (s, r) reads f at u = s + r*v and u = s - r*v: a node where f
+    # is not finite is named in u, on whichever side it lies, and a panel
+    # whose sum passes the largest float by the mid in u of its larger side
+    s, r, root = 2.0, 0.25, [(0.0, 8.0)]
+    with np.errstate(all="ignore"):
+        for inf_at in (lambda u: u < 1.0, lambda u: u > 3.0):
+            [fault] = quadrature._trees(lambda u: np.where(inf_at(u), np.inf, 1.0), root,
+                                        Q, None, (s, r))
+            assert isinstance(fault, NonFiniteIntegrand)
+            named = float(re.fullmatch(r"integrand not finite near t = (\S+)",
+                                       str(fault)).group(1))
+            assert inf_at(named) and 0.0 < named < 4.0
+        for huge_at, mid in ((lambda u: u > s, 3.0), (lambda u: u < s, 1.0)):
+            [fault] = quadrature._trees(lambda u: np.where(huge_at(u), 1e308, 1.0), root,
+                                        Q, None, (s, r))
+            assert isinstance(fault, DomainError)
+            assert str(fault) == f"panel sum past the largest float near t = {mid!r}"
 
 
 def test_a_finite_integrand_the_kernel_lifts_past_the_largest_float_is_a_domain_error():
@@ -1001,6 +1021,36 @@ def test_a_finite_integrand_the_kernel_lifts_past_the_largest_float_is_a_domain_
 
 def test_a_peak_lost_in_rounding_is_a_domain_error():
     # pi/T = 3e-20 is below half the spacing of floats at 30
-    with pytest.raises(DomainError, match="central lobe"):
-        _peak_roots(1e20, 30.0)
+    for layout in (_peak_roots, _folded_roots):
+        with pytest.raises(DomainError, match="central lobe"):
+            layout(1e20, 30.0)
     assert _peak_roots(1e20, 0.0)[2][0] == (0.0, math.pi / 1e20)
+
+
+def test_level_kernels_come_from_one_bounded_read_only_table():
+    # a level's kernel depends on T, s, the panels' mids and half-widths
+    # and n alone, so the table hands out the bits of a fresh computation,
+    # also once it has filled past its bound and dropped kernels; every
+    # caller shares a kernel, so none may write to it
+    fresh = quadrature._level_kernel.__wrapped__
+    keys = [(math.pi, 0.0, (0.5, 2.0, 5.0), (0.5, 1.0, 2.0), 16)]
+    keys += [(10.0 + k, 0.3, (0.5, 1.5), (0.25, 0.75), 16) for k in range(3 * _LEVEL_KERNELS)]
+    for key in keys + keys[-3:] + keys[:3]:
+        kernel = quadrature._level_kernel(*key)
+        assert kernel.tobytes() == fresh(*key).tobytes()
+        assert kernel.shape == (len(key[2]), 3 * 16)
+        assert not kernel.flags.writeable
+        assert quadrature._level_kernel.cache_info().currsize <= _LEVEL_KERNELS
+    assert quadrature._level_kernel.cache_info().maxsize == _LEVEL_KERNELS == 16
+    with pytest.raises(ValueError, match="read-only"):
+        kernel[0, 0] = 0.0
+    # a level of more than _LEVEL_PANELS panels, whose entry the memory
+    # bound leaves out, takes the same rule from no table
+    mid = [1.5 + k for k in range(quadrature._LEVEL_PANELS + 1)]
+    half = [0.5] * len(mid)
+    xs = np.array(mid)[:, None] + np.array(half)[:, None] * _gl_pair(16)[0]
+    before = quadrature._level_kernel.cache_info()
+    ones = np.ones(xs.shape, dtype=complex)
+    got = _Dirichlet(40.0, 0.2).weigh(ones, xs, mid, half, 16)
+    assert quadrature._level_kernel.cache_info() == before
+    assert got.tobytes() == (ones * fresh(40.0, 0.2, tuple(mid), tuple(half), 16)).tobytes()

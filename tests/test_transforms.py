@@ -46,7 +46,14 @@ from melaplace import (
     transform_estimate,
 )
 from melaplace import quadrature
-from melaplace.quadrature import _Dirichlet, _dirichlet, _halfline, _peak_roots, _within
+from melaplace.quadrature import (
+    _Dirichlet,
+    _dirichlet,
+    _folded_roots,
+    _halfline,
+    _peak_roots,
+    _within,
+)
 from melaplace.transforms import (
     POLE_HIT_TOL,
     _domain,
@@ -864,16 +871,17 @@ MIXED_MOMENT = TransformExpr.numeric(FunctionSpec.mixed_power(0.5, 1.0),
 
 
 @pytest.mark.parametrize("t, delta, T, y, calls, points", [
-    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 2, 912),
-    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 1, 816),
+    (TransformExpr.gamma(), 1.0, 10.0, 0.5, 2, 1056),
+    (TransformExpr.gamma(), 1.0, 10.0, 3.0, 1, 864),
     (MIXED_MOMENT, 0.5, 30.0, 0.45, 1, 624),
 ], ids=["gamma-head", "gamma-no-head", "mixedpower-head"])
 def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
                                              points):
     # the peak root about u = -ln y and the roots left of it ride the first
     # pass of the tail, which runs on from the peak.  A Gamma line runs
-    # over every real u, so its peak root is a head wherever y lies, and
-    # its tail toward -inf, Mellin's x >= 1 side, shares the same passes.
+    # over every real u, folded about the peak: its peak root [0, 1] in v
+    # is a head wherever y lies, and each of its 9 first-pass panels reads
+    # the integrand on both sides of the peak, 96 points at order 16.
     # Counted: the integrand calls of the line and the points they take
     count = [0, 0]
     panels = quadrature._panels
@@ -890,30 +898,44 @@ def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
     assert count == [calls, points]
 
 
+def _mellin_guard(spec, z, T, s):
+    """The humps u = ln(g/c) of the lowest and highest g of a Mellin
+    source's terms, after the DomainError that a Mellin integrand whose
+    peak at the hump passes the largest float raises before any piece:
+    x**(c-1) exp(-g x) in x, x**c exp(-g x) times the kernel at the hump,
+    where that exceeds 1, on a line."""
+    power = z.real if T is not None else z.real - 1.0
+    hump = power / min(spec.params or (1.0,))
+    peak = power * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
+    if T is not None:
+        d = abs(s + math.log(hump))
+        kernel = T / math.pi if T * d <= 1.0 else 1.0 / (math.pi * d)
+        peak += math.log(max(1.0, kernel))
+    if peak > math.log(sys.float_info.max):
+        raise DomainError(
+            f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
+            f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
+    return (math.log(min(spec.params or (1.0,)) / z.real),
+            math.log(max(spec.params or (1.0,)) / z.real))
+
+
+def _mellin_line_integrand(spec, z):
+    """A Mellin line's integrand of u, 0 where exp(-u) is inf."""
+    read = _kernel_integrand(spec, True, z)
+    return lambda u: np.where(np.isfinite(np.exp(-u)), read(u), 0.0)
+
+
 def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
     """The pieces of transforms._pieces, from one engine call per piece on
     the library's integrands, in the same order.  With the Dirichlet
-    kernel about u = s when T is given, through the roots of _peak_roots
-    (over every real u for a Mellin line): each tail alone, the one toward
-    +inf first, then each head a tree of its own.  A Mellin integrand
-    whose peak at the hump passes the largest float raises before any
-    piece: x**(c-1) exp(-g x) in x, x**c exp(-g x) times the kernel at
-    the hump, where that exceeds 1, on a line.  A Mellin line's tails
-    read on across the humps u = ln(g/c) of its terms, and its integrand
-    is 0 where exp(-u) is inf."""
+    kernel about u = s when T is given, through the roots of _peak_roots,
+    or for a Mellin line those of _folded_roots, folded about the peak:
+    the tail alone, then each head a tree of its own.  A Mellin line's
+    tail reads on across the humps u = ln(g/c) of its terms, and its
+    integrand is 0 where exp(-u) is inf."""
     mellin = kind is TransformKind.MELLIN
     if mellin:
-        power = z.real if T is not None else z.real - 1.0
-        hump = power / min(spec.params or (1.0,))
-        peak = power * (math.log(hump) - 1.0) if hump > 1.0 else 0.0
-        if T is not None:
-            d = abs(s + math.log(hump))
-            kernel = T / math.pi if T * d <= 1.0 else 1.0 / (math.pi * d)
-            peak += math.log(max(1.0, kernel))
-        if peak > math.log(sys.float_info.max):
-            raise DomainError(
-                f"mellin transform of {spec.kind.value} at Re z = {z.real:g} passes the "
-                f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
+        lo, hi = _mellin_guard(spec, z, T, s)
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
     if T is None:
         pieces = [integrate_halfline(inner, 0.0, q)]
@@ -921,16 +943,46 @@ def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
             off = _off_axis(spec)
             pieces.append(integrate_halfline(lambda x: off((z - 1.0) * np.log(x), x), 1.0, q))
         return pieces
-    start, width, heads, left = _peak_roots(T, s, mellin)
-    span = None
     if mellin:
-        span = (math.log(min(spec.params or (1.0,)) / z.real),
-                math.log(max(spec.params or (1.0,)) / z.real))
-        read = inner
-        inner = lambda u: np.where(np.isfinite(np.exp(-u)), read(u), 0.0)
-    pieces = _halfline(inner, start, q, (), _Dirichlet(T, s), width, span=span)
-    if left is not None:
-        pieces += _halfline(inner, left, q, (), _Dirichlet(T, s), -width, span=span)
+        inner = _mellin_line_integrand(spec, z)
+        r, start, width, heads = _folded_roots(T, s)
+        kernel, fold = _Dirichlet(T * r, 0.0), (s, r)
+        pieces = _halfline(inner, start, q, (), kernel, width,
+                           max(hi - s, s - lo) / r, fold)
+    else:
+        start, width, heads = _peak_roots(T, s)
+        kernel, fold = _Dirichlet(T, s), None
+        pieces = _halfline(inner, start, q, (), kernel, width)
+    with np.errstate(all="ignore"):
+        for head in heads:
+            entry = quadrature._trees(inner, [head], q, kernel, fold)[0]
+            pieces.append(Estimate(*quadrature._result(entry)))
+    return pieces
+
+
+def _two_sided_pieces(spec, c, q, T, s):
+    """The pieces of a Mellin line as one integral over every real u, not
+    folded: a peak root [s - r, s + r], r = min(1/2, pi/T), roots 2r wide
+    and doubling away from it on both sides, as heads while narrower than
+    1/2, and a tail beyond them on each side, each read on across its end
+    of the humps.  The tail toward -inf is the engine's tail of u(-x),
+    x >= 0, about the peak -s.  The tail toward +inf, the one toward -inf,
+    then each head, a tree of its own."""
+    z = complex(c)
+    lo, hi = _mellin_guard(spec, z, T, s)
+    inner = _mellin_line_integrand(spec, z)
+    r = min(0.5, math.pi / T)
+    if not s - r < s < s + r:
+        raise DomainError(f"the kernel at T = {T:g} has its central lobe, pi/T wide, "
+                          f"inside the rounding of its peak at {s:g}")
+    heads = [(s - r, s + r)]
+    left, right, width = s - r, s + r, 2.0 * r
+    while width < 0.5:
+        heads += (left - width, left), (right, right + width)
+        left, right, width = left - width, right + width, 2.0 * width
+    pieces = (_halfline(inner, right, q, (), _Dirichlet(T, s), width, hi)
+              + _halfline(lambda x: inner(-x), -left, q, (), _Dirichlet(T, -s), width,
+                          -lo))
     with np.errstate(all="ignore"):
         for head in heads:
             entry = quadrature._trees(inner, [head], q, _Dirichlet(T, s))[0]
@@ -962,6 +1014,11 @@ def _separate_line(t, c, T, s, q):
                          math.exp(c * s))
 
 
+def _two_sided_line(t, c, T, s, q):
+    """A Mellin line from the pieces of its two-sided integral."""
+    return _separate_sum(_two_sided_pieces(t.source, c, q, T, s), q, math.exp(c * s))
+
+
 def _separate_transform(spec, kind, z, q):
     """transform_estimate from separate pieces; one piece stands as it is."""
     pieces = _separate_pieces(spec, kind, z, q)
@@ -986,16 +1043,36 @@ def _numeric_transforms(draw):
     return t, t.validity.c1 + draw(st.floats(0.2, 2.0))
 
 
+def _assert_near_two_sided(t, c, T, s, q):
+    """The folded Mellin line and its two-sided integral raise the same
+    type of error, and where both converge they lie within the larger of
+    their tolerances of each other."""
+    try:
+        folded = _line_integral(t, c, T, s, q)
+    except MelaplaceError as exc:
+        with pytest.raises(type(exc)):
+            _two_sided_line(t, c, T, s, q)
+        return
+    whole = _two_sided_line(t, c, T, s, q)
+    if folded.converged and whole.converged:
+        tol = max(q.abs_tol, q.rel_tol * max(abs(folded.value), abs(whole.value)))
+        assert abs(folded.value - whole.value) <= 2.0 * tol
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_numeric_transforms(), s=st.one_of(st.floats(-3.0, 3.0), st.floats(-30.0, 30.0)),
        T=st.floats(1.0, 1000.0), max_panels=st.sampled_from([1, 2, 4, 17, 4096]))
 def test_line_integral_matches_its_separate_pieces_bit_for_bit(case, s, T, max_panels):
     # the heads prefetched in the tail's first pass change no bit, also
-    # where the peak lies far from a Mellin source's hump
+    # where the peak lies far from a Mellin source's hump.  A folded Mellin
+    # line raises as its two-sided integral does, and where both converge
+    # they agree within tolerance
     t, c = case
     q = QuadratureSpec(max_panels=max_panels)
-    assert (_line_outcome(_line_integral, t, c, T, s, q)
-            == _line_outcome(_separate_line, t, c, T, s, q))
+    got = _line_outcome(_line_integral, t, c, T, s, q)
+    assert got == _line_outcome(_separate_line, t, c, T, s, q)
+    if t.kind is TransformKind.MELLIN:
+        _assert_near_two_sided(t, c, T, s, q)
 
 
 @pytest.mark.parametrize("t, c, s", [
@@ -1021,6 +1098,8 @@ def test_a_second_line_at_the_same_T_and_s_builds_no_filon_row():
     # bounded tables, and the line takes rows of both kinds
     gamma = TransformExpr.gamma()
     tables = (quadrature._filon_row, quadrature._wave_row)
+    # a line whose level kernels the process holds reads no row
+    quadrature._level_kernel.cache_clear()
     before = [table.cache_info() for table in tables]
     _line_integral(gamma, 1.0, 200.0, 0.7)
     built = [table.cache_info() for table in tables]
@@ -1029,15 +1108,62 @@ def test_a_second_line_at_the_same_T_and_s_builds_no_filon_row():
     assert [table.cache_info().misses for table in tables] == [b.misses for b in built]
 
 
+def test_mellin_lines_at_any_T_past_2pi_share_their_level_kernels():
+    # folded about its peak, a Mellin line at T >= 2 pi takes the kernel
+    # sin(w v)/(pi v), w = T*fl(pi/T) one of three floats, on fixed roots:
+    # a second line at another T of the same octave of T/(2 pi) and
+    # another y builds no level kernel, and so reads no row
+    gamma = TransformExpr.gamma()
+    table = quadrature._level_kernel
+    assert 10.0 * (math.pi / 10.0) == 10.1 * (math.pi / 10.1)
+    _line_integral(gamma, 1.0, 10.0, -math.log(0.5))
+    built = table.cache_info()
+    rows = [quadrature._filon_row.cache_info(), quadrature._wave_row.cache_info()]
+    _line_integral(gamma, 1.0, 10.1, -math.log(2.0))
+    after = table.cache_info()
+    assert after.misses == built.misses and after.hits > built.hits
+    assert [quadrature._filon_row.cache_info(), quadrature._wave_row.cache_info()] == rows
+
+
 @pytest.mark.parametrize("c, s", [(80.0, 0.7), (171.0, -1.0), (150.0, 0.0)])
 def test_line_past_the_mellin_hump_matches_its_separate_pieces(c, s):
-    # the x side of a line placed right of Gamma's hump is one tail from
-    # x = 1, as in the direct transform
+    # a line placed right of Gamma's hump, folded about its peak, reads
+    # the hump through its one tail, and lies within the larger err_est of
+    # its two-sided integral, whose tail toward -inf reads it
     q = QuadratureSpec(max_panels=64)
     t = TransformExpr.gamma()
     got = _line_outcome(_line_integral, t, c, 10.0, s, q)
     assert got == _line_outcome(_separate_line, t, c, 10.0, s, q)
     assert got.startswith("Estimate(")
+    folded, whole = _line_integral(t, c, 10.0, s, q), _two_sided_line(t, c, 10.0, s, q)
+    assert abs(folded.value - whole.value) <= max(folded.err_est, whole.err_est)
+
+
+def test_folded_mellin_lines_match_their_two_sided_integral():
+    # a seeded audit of 1,000 Mellin lines (expminusx, exp, mixedexp; c in
+    # [0.2, 3], T log-uniform in [5, 1000], ln y in [-5, 5]) against the
+    # two-sided integral over every real u.  At seed 5 the folded line lies
+    # within the larger err_est on 999, raises on none, differs in 3
+    # converged flags, and takes 20,151 panels where the two-sided line
+    # takes 28,286 (at seed 6: 998, 2, 20,557 and 28,443)
+    rng = np.random.default_rng(5)
+    within = flags = folded_panels = whole_panels = 0
+    for _ in range(1000):
+        g1, g2 = rng.uniform(0.2, 3.0, 2)
+        spec = [FunctionSpec.exp_minus_x(), FunctionSpec.exp(g1),
+                FunctionSpec.mixed_exp(g1, g2)][rng.integers(3)]
+        c = float(rng.uniform(0.2, 3.0))
+        T = float(math.exp(rng.uniform(math.log(5.0), math.log(1000.0))))
+        s = -float(rng.uniform(-5.0, 5.0))
+        t = TransformExpr.numeric(spec, TransformKind.MELLIN)
+        folded = _line_integral(t, c, T, s)
+        whole = _two_sided_line(t, c, T, s, QuadratureSpec())
+        within += abs(folded.value - whole.value) <= max(folded.err_est, whole.err_est)
+        flags += folded.converged != whole.converged
+        folded_panels += folded.panels_used
+        whole_panels += whole.panels_used
+    assert within >= 995 and flags <= 5
+    assert folded_panels <= 0.75 * whole_panels
 
 
 def _hump_edge(lift):
@@ -1127,7 +1253,7 @@ def test_a_line_whose_scale_underflows_keeps_its_value():
     s = -math.log(140.0)
     pieces = _pieces(gamma.source, gamma.kind, 140.0, QuadratureSpec(), 10.0, s)
     assert (_line_integral(gamma, 140.0, 10.0, s).value
-            == math.exp(140.0 * s) * sum(p.value for p in pieces) == 9.514850745396016e-62)
+            == math.exp(140.0 * s) * sum(p.value for p in pieces) == 9.514850745396211e-62)
 
 
 # (source, c, T, ln y, the truncated line (1/2pi) int_{-T}^{T} M(c + it)
@@ -1150,13 +1276,32 @@ def test_mellin_line_reads_across_a_hump_far_from_its_peak(spec, c, T, lny, want
     # which lies ln y right of the kernel's peak at y = e**8 and e**20 and
     # 6.6 left of it at c = 30, y = 0.04: the panels of the tail on the
     # way are below abs_tol, and a tail that stopped on them would miss
-    # the mass and report a converged 0.  At y = e**-300 the tail toward
-    # -inf reads on past the mass to panels beyond u = -709.8, where
-    # x = exp(-u) is inf and sin(x)**2 nan, though the source is 0 there
+    # the mass and report a converged 0.  At y = e**-300 the tail, folded
+    # about the peak, reads on past the mass to panels beyond u = -709.8,
+    # where x = exp(-u) is inf and sin(x)**2 nan, though the source is 0
+    # there
     line = TransformExpr.numeric(spec, TransformKind.MELLIN)
     est = _line_integral(line, c, T, -lny)
     assert est.converged
     assert abs(est.value - want) <= est.err_est
+
+
+def test_a_mellin_line_far_out_in_T_times_s_converges():
+    # at T = 9.6e6 the peak root [s - pi/T, s + pi/T] is 6.6e-7 wide about
+    # s = -4.94, and its nodes u round at the spacing of floats there,
+    # 8.9e-16, which the kernel over every real u, its phase taken at the
+    # node before rounding and s - u after it, felt as an error.  Folded
+    # about the peak, the kernel is read at v = |u - s|/r itself, and the
+    # line converges within 1e-18 of exp(-g y) and of a run at rel_tol
+    # 1e-14 and order 24.  Over every real u it returned
+    # 0.0009081733079830073, unconverged and 1e-11 off
+    line = TransformExpr.numeric(FunctionSpec.exp(0.05), TransformKind.MELLIN)
+    c, T, s = 0.03515086426087281, 9555520.622951085, -4.942224441593058
+    est = _line_integral(line, c, T, s)
+    assert est.converged and est.value == 0.0009081733179961319
+    tight = _line_integral(line, c, T, s, QuadratureSpec(rel_tol=1e-14, panel_order=24))
+    assert abs(est.value - tight.value) <= 1e-15
+    assert abs(est.value - math.exp(-0.05 * math.exp(-s))) <= 1e-15
 
 
 _mellin_sources = st.one_of(st.just((FunctionSpec.exp_minus_x(), 1.0)),
