@@ -39,9 +39,10 @@ u, and the kernel is even about its peak, so the engine folds it there
 (_panels's fold, _folded_roots): one half-line in v = |u - s|/r, r =
 min(1/2, pi/T), whose integrand g(s + r*v) + g(s - r*v) comes from one
 call on both node sets, against the kernel _Dirichlet(T*r, 0), on fixed
-roots [0, 1], then 2, 4, 8... wide.  Every panel takes the kernel in one
-form, the phase exp(i*T*(s - mid)) times a row of weights at its nodes,
-and only the row differs.  A panel of half-width h at least h from s
+roots [0, 1], then 2, 4, 8... wide, each panel judged on the sum of its
+sides.  Every panel takes the kernel in one form, the phase
+exp(i*T*(s - mid)) times a row of weights at its nodes, and only the
+row differs.  A panel of half-width h at least h from s
 with T*h >= 3n/2 (n = panel_order; _FILON_FROM) takes a Filon-type row:
 g/(pi*(s - u)) interpolated at the pair's nodes, the oscillation
 integrated exactly by its Legendre moments, the spherical Bessel
@@ -56,6 +57,13 @@ table (_level_kernel) keeps the kernels of small levels: at T >= 2 pi a
 folded Mellin line's kernel sin(w v)/(pi v) has w = T*fl(pi/T), one of
 three floats, so lines at any such T meet the same few levels.  Every
 root of a call without a kernel takes the plain pair on g.
+
+A direct Mellin transform reads two integrands on the same panels
+(_panels's sides): its unit part at u = v and its x >= 1 side at
+x = 1 + v, whose roots [1, 2], [2, 4]... are v's [0, 1], [1, 3]..., from
+one call that returns both.  Each panel counts their summed value and
+error, but is kept only where each side meets tolerance on its own, as
+each would alone, and the tail's stop rule reads their sum.
 
 The unit-interval path removes the x**(z-1) endpoint singularity with the
 substitution x = exp(-t), which turns the integral into a plain half-line
@@ -104,8 +112,11 @@ class QuadratureSpec:
     reports 9 panels.  A Mellin line, folded about its peak, is one tail
     and its heads, each root taking both sides of the peak in one budget:
     the Gamma line at c = 50, T = 10 with max_panels = 2 reports 3.  A
-    rational contour sum is not adaptive: max_panels bounds its fixed
-    panels, and a path that needs more is a DomainError.
+    direct Mellin transform is one tail too, each root's budget covering
+    both sides of x = 1: Gamma at z = 2.5 with max_panels = 2 reports 2
+    panels, where a tail a side reported 4.  A rational contour sum is
+    not adaptive: max_panels bounds its fixed panels, and a path that
+    needs more is a DomainError.
     """
 
     panel_order: int = 16
@@ -472,44 +483,76 @@ class _Dirichlet:
         return vals * _level_kernel(self.T, self.s, tuple(mid), tuple(half), order)
 
 
-def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None,
-            fold: tuple | None = None):
-    """Order-2n values of f over the panels mid[i] +/- half[i], their
-    moduli and their distances from the order-n values (three lists), and
-    {i: the error that panel i raises}: NonFiniteIntegrand at
-    its first node where f is not finite, else DomainError where its value
-    is not finite.  One integrand call covers the nodes of every panel.
-    A kernel, when given, weights f as _Dirichlet.weigh says, and f
-    finite at every node but past the largest float times the kernel is
-    such a DomainError.  With fold = (s, r) the panels lie in v >= 0 and
-    f is read at u = s + r*v and u = s - r*v, in the one call: each side
-    is weighted apart and the two summed, and an error names the u where
-    it occurred, the node of either side or the mid of the side whose
-    weighted sum is the larger.
+def _panels(f, mid, half, q: QuadratureSpec, kernel: _Dirichlet | None = None,
+            fold: tuple | None = None, sides: tuple | None = None):
+    """Order-2n values of f over the panels mid[i] +/- half[i] (n =
+    q.panel_order), their moduli and their distances from the order-n
+    values (three lists), {i: the error that panel i raises}:
+    NonFiniteIntegrand at its first node where f is not finite, else
+    DomainError where its value is not finite, and None, or with sides a
+    list of whether each panel meets tolerance.  One integrand call
+    covers the nodes of every panel.  A kernel, when given, weights f as
+    _Dirichlet.weigh says, and f finite at every node but past the
+    largest float times the kernel is such a DomainError.
+
+    With fold = (s, r) the panels lie in v >= 0 and f is read at
+    u = s + r*v and u = s - r*v, in the one call: each side is weighted
+    apart and the two summed.  With sides = (a0, a1) the panels lie in
+    v >= 0 and f gives two sides at once: it takes a (2, m) array whose
+    rows are t = a0 + v and t = a1 + v and returns a (2, m) array of
+    their values.  Such a panel's value and error are the sums of its
+    sides', and it meets tolerance only where each side meets
+    max(abs_tol, rel_tol*|side|) on its own, as a side integrated alone
+    would.  Either way an error names the t where it occurred, the node
+    of either side or the mid of the side whose weighted sum is the
+    larger.
     """
+    order = q.panel_order
     nodes, weights = _gl_pair(order)
     h = np.array(half)
     xs = np.array(mid)[:, None] + h[:, None] * nodes
-    us = xs if fold is None else fold[0] + fold[1] * np.array([xs, -xs])
-    vals = np.asarray(f(us.ravel()), dtype=complex)
-    if vals.shape != (us.size,):
-        raise ValueError(f"integrand gave shape {vals.shape} for {us.size} nodes")
-    vals = source = vals.reshape(us.shape)
-    if kernel is not None:
-        vals = kernel.weigh(vals, xs, mid, half, order)
     if fold is not None:
-        sides, vals = vals, vals[0] + vals[1]
-    # each panel keeps the bits of its own product weights @ row: numpy
-    # gives a single row those bits through a (1, 3n) @ (3n, 2) product,
-    # and many rows through one matrix-vector product per rule
-    if len(vals) == 1:
-        coarse, fine = vals.dot(weights.T).T
+        us = fold[0] + fold[1] * np.array([xs, -xs])
+    elif sides is not None:
+        us = np.array([sides[0] + xs, sides[1] + xs])
     else:
-        coarse, fine = vals.dot(weights[0]), vals.dot(weights[1])
-    # np.hypot(re, im) has the bits of CPython's complex abs and gives inf
-    # where abs raises OverflowError; np.abs differs from it by up to 2 ulp
-    d = fine - coarse
-    err = (h * np.hypot(d.real, d.imag)).tolist()
+        us = xs
+    args = us.ravel() if sides is None else us.reshape(2, -1)
+    vals = np.asarray(f(args), dtype=complex)
+    if vals.shape != args.shape:
+        raise ValueError(f"integrand gave shape {vals.shape} for {us.size} nodes")
+    vals = parts = source = vals.reshape(us.shape)
+    if kernel is not None:
+        vals = parts = kernel.weigh(vals, xs, mid, half, order)
+    if sides is not None:
+        # both rules of each side's panels, one row of panels a side, each
+        # side judged on its own modulus h*|fine|; np.hypot has the bits of
+        # CPython's complex abs
+        rows = vals.reshape(2 * len(mid), -1)
+        coarse, fine = rows.dot(weights[0]), rows.dot(weights[1])
+        d = fine - coarse
+        side_err = (np.hypot(d.real, d.imag).reshape(2, -1) * h).tolist()
+        size = (np.hypot(fine.real, fine.imag).reshape(2, -1) * h).tolist()
+        abs_tol, rel_tol = q.abs_tol, q.rel_tol
+        ok = [(e0 <= abs_tol or e0 <= rel_tol * m0) and (e1 <= abs_tol or e1 <= rel_tol * m1)
+              for e0, e1, m0, m1 in zip(*side_err, *size)]
+        err = [e0 + e1 for e0, e1 in zip(*side_err)]
+        fine = fine[:len(mid)] + fine[len(mid):]
+    else:
+        ok = None
+        if fold is not None:
+            vals = vals[0] + vals[1]
+        # each panel keeps the bits of its own product weights @ row: numpy
+        # gives a single row those bits through a (1, 3n) @ (3n, 2) product,
+        # and many rows through one matrix-vector product per rule
+        if len(vals) == 1:
+            coarse, fine = vals.dot(weights.T).T
+        else:
+            coarse, fine = vals.dot(weights[0]), vals.dot(weights[1])
+        # np.hypot(re, im) has the bits of CPython's complex abs and gives inf
+        # where abs raises OverflowError; np.abs differs from it by up to 2 ulp
+        d = fine - coarse
+        err = (h * np.hypot(d.real, d.imag)).tolist()
     # CPython's float * complex: numpy's gives -0.0 where a part underflows
     # and CPython's +0.0, on 706 of 200,000 random products
     values = [w * v for w, v in zip(half, fine.tolist())]
@@ -529,13 +572,14 @@ def _panels(f, mid, half, order: int, kernel: _Dirichlet | None = None,
                     f"integrand not finite near t = {float(us[..., i, :][~finite][0])!r}")
             elif not cmath.isfinite(values[i]):
                 where = mid[i]
-                if fold is not None:
-                    plus, minus = sides[:, i].dot(weights[1]).tolist()
-                    where = fold[0] + fold[1] * (-mid[i] if _abs(minus) > _abs(plus)
-                                                 else mid[i])
+                if fold is not None or sides is not None:
+                    plus, minus = parts[:, i].dot(weights[1]).tolist()
+                    side = _abs(minus) > _abs(plus)
+                    where = (sides[side] + mid[i] if sides is not None
+                             else fold[0] + fold[1] * (-mid[i] if side else mid[i]))
                 faults[i] = DomainError(
                     f"panel sum past the largest float near t = {where!r}")
-    return values, moduli, err, faults
+    return values, moduli, err, faults, ok
 
 
 def _within(q: QuadratureSpec, err: float, scale: float) -> bool:
@@ -555,16 +599,17 @@ def _abs(z: complex) -> float:
 
 
 def _trees(f, roots, q: QuadratureSpec, kernel: _Dirichlet | None = None,
-           fold: tuple | None = None) -> list:
+           fold: tuple | None = None, sides: tuple | None = None) -> list:
     """The adaptive integral of f over each root panel (lo, hi) of
     ``roots``: (value, err_est, panels_used, converged), or the error it
-    raises.  An empty root is 0 from no panel.  kernel and fold are
-    _panels's.
+    raises.  An empty root is 0 from no panel.  kernel, fold and sides
+    are _panels's.
 
     The trees grow in level order, one integrand call evaluating every
-    panel of a level.  A panel is kept as a leaf when its two rules agree,
-    when it is at most 1e-14 max(1, |a|, |b|) wide for its root [a, b], or
-    when it has an error to raise (see _panels).  Any other panel is halved
+    panel of a level.  A panel is kept as a leaf when its two rules agree
+    (on each side, with sides), when it is at most 1e-14 max(1, |a|, |b|)
+    wide for its root [a, b], or when it has an error to raise (see
+    _panels).  Any other panel is halved
     into the next level while its tree, with both halves, holds at most
     q.max_panels panels, judged left to right within each level.  One the
     budget leaves unsplit, or whose midpoint does not fall strictly inside
@@ -588,14 +633,14 @@ def _trees(f, roots, q: QuadratureSpec, kernel: _Dirichlet | None = None,
             los.append(a)
             his.append(b)
     while owner:
-        values, moduli, errs, faults = _panels(
+        values, moduli, errs, faults, verdicts = _panels(
             f, [0.5 * lo + 0.5 * hi for lo, hi in zip(los, his)],
-            [0.5 * hi - 0.5 * lo for lo, hi in zip(los, his)], q.panel_order,
-            kernel, fold)
+            [0.5 * hi - 0.5 * lo for lo, hi in zip(los, his)], q, kernel, fold, sides)
         deeper, next_los, next_his = [], [], []
         for j, (i, lo, hi, v, m, e) in enumerate(zip(owner, los, his, values, moduli, errs)):
-            # _within, inline: this loop runs once a panel
-            ok = e <= abs_tol or e <= rel_tol * m
+            # _within, inline: this loop runs once a panel; a panel of two
+            # sides comes with its verdict
+            ok = (e <= abs_tol or e <= rel_tol * m) if verdicts is None else verdicts[j]
             fault = faults.get(j) if faults else None
             # the width floor, read only for a panel that would split
             if not (ok or fault is not None
@@ -788,15 +833,19 @@ class _Tail:
 
 def _halfline(f, a: float, q: QuadratureSpec, heads=(),
               kernel: _Dirichlet | None = None, width: float = _FIRST_TAIL_WIDTH,
-              past: float | None = None, fold: tuple | None = None) -> list:
+              past: float | None = None, fold: tuple | None = None,
+              sides: tuple | None = None) -> list:
     """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
-    q) for each (lo, hi) of ``heads``, bit for bit.  kernel and fold are
-    _panels's: with a kernel, each panel weighs f as _Dirichlet.weigh
-    says, and with fold = (s, r) every panel lies in v and takes f at
-    u = s +/- r*v.  The tail's first panel is ``width`` wide.  With
-    ``past``, where f holds its mass, the tail counts no panel as quiet up
-    to the one that reaches past: a tail that starts short of the mass
-    reads on across it, however small f is on the way.
+    q) for each (lo, hi) of ``heads``, bit for bit.  kernel, fold and sides
+    are _panels's: with a kernel, each panel weighs f as _Dirichlet.weigh
+    says, with fold = (s, r) every panel lies in v and takes f at
+    u = s +/- r*v, and with sides = (a0, a1) every panel lies in v and f
+    gives both sides, at t = a0 + v and t = a1 + v, each side's panels
+    judged on their own and the stop rule on their sum.  The tail's first
+    panel is ``width`` wide.  With ``past``, where f holds its mass, the
+    tail counts no panel as quiet up to the one that reaches past: a tail
+    that starts short of the mass reads on across it, however small f is
+    on the way.
 
     The tail's geometric panels are evaluated in blocks (_Tail):
     _FIRST_TAIL_BLOCK panels first, then as many as _next_block expects
@@ -812,7 +861,7 @@ def _halfline(f, a: float, q: QuadratureSpec, heads=(),
     with np.errstate(all="ignore"):
         while tail.outcome is None:
             roots = tail.roots()
-            results = _trees(f, roots + riders, q, kernel, fold)
+            results = _trees(f, roots + riders, q, kernel, fold, sides)
             if riders:
                 head_results, riders = results[len(roots):], []
             tail.read(results[:len(roots)])

@@ -23,15 +23,18 @@ one form of a half-line source read off its axis, at y = exp(-t) or as
 the Mellin tail's x**(z-1) f(x): exp(-z*t - g*y) or exp((z-1)*ln x - g*x).
 Only the Laplace transform of a unit-interval source calls ``evaluate``.
 
-``_pieces`` is the one home of the two-sided integral behind every
-numeric transform value and numeric Bromwich line: the u >= 0 half-line,
-plus Mellin's x >= 1 side; ``_summed`` judges their sum.  A direct
-Mellin transform integrates that side in x.  A line integrates against
+``_pieces`` is the one home of the integrals behind every numeric
+transform value and numeric Bromwich line: the u >= 0 half-line, plus
+Mellin's x >= 1 side.  A direct transform is one half-line: a direct
+Mellin transform reads its x >= 1 side in x = 1 + v on the panels of
+the unit part's u = v, both in one integrand call, each side judged on
+its own (``quadrature._panels``'s sides).  A line integrates against
 the Dirichlet kernel, which the quadrature engine applies itself, with
 Filon panels away from its peak (``quadrature._Dirichlet``), so a line's
 cost does not grow with T; a Mellin line takes its x >= 1 side at
 u = -ln x <= 0, one integral over every real u, folded about the
-kernel's peak into one half-line (``quadrature._folded_roots``).
+kernel's peak into one half-line (``quadrature._folded_roots``), and
+``_summed`` judges a line's pieces.
 
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
@@ -273,19 +276,27 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     times the Dirichlet kernel sin(T*(s-u))/(pi*(s-u)) when T is given;
     OutOfDomain at a z that is not finite or is outside the strip.
 
-    Without a kernel the u >= 0 side is one tail from 0, and Mellin's
-    x >= 1 side is the off-axis form at exponent (z-1)*ln x, one tail
-    from x = 1: a source smooth in x takes fewer panels in x than in
-    u = -ln x.  With a kernel, the engine applies it
-    (quadrature._Dirichlet) to the roots of _peak_roots: a peak root about
-    u = s, roots doubling away from it on both sides, and a tail beyond
-    them, so that panels wide against the kernel's period take the Filon
-    rule.  A Mellin line's integrand exp(-z*u) f(exp(-u)) holds for every
-    real u, its x >= 1 side at u <= 0 with the Jacobian x, and the kernel
-    is even about its peak, so the line is one half-line in
-    v = |u - s|/r folded there: the engine reads the integrand at
-    u = s +/- r*v in one call and sums the two sides, against the kernel
-    _Dirichlet(T*r, 0) on the roots of quadrature._folded_roots.
+    Without a kernel the transform is one tail from 0, one Estimate.  A
+    Mellin transform's x >= 1 side is the off-axis form at exponent
+    (z-1)*ln x, read in x, since a source smooth in x takes fewer panels
+    in x than in u = -ln x.  Its roots [1, 2], [2, 4]... are those of
+    the u >= 0 side, [0, 1], [1, 3]..., shifted by 1, so one tail in v
+    takes both (_halfline's sides): each pass reads the u-side at u = v
+    and the x-side at x = 1 + v in one integrand call, a panel splits
+    wherever either side fails tolerance on its own, and the stop rule
+    reads their sum.  Its value passing the largest float is a
+    DomainError, as a line's is in _summed.
+
+    With a kernel, the engine applies it (quadrature._Dirichlet) to the
+    roots of _peak_roots: a peak root about u = s, roots doubling away
+    from it on both sides, and a tail beyond them, so that panels wide
+    against the kernel's period take the Filon rule.  A Mellin line's
+    integrand exp(-z*u) f(exp(-u)) holds for every real u, its x >= 1
+    side at u <= 0 with the Jacobian x, and the kernel is even about its
+    peak, so the line is one half-line in v = |u - s|/r folded there: the
+    engine reads the integrand at u = s +/- r*v in one call and sums the
+    two sides, against the kernel _Dirichlet(T*r, 0) on the roots of
+    quadrature._folded_roots.
 
     A Mellin integrand rises until its hump and the tail's stop rule
     reads on past it: x**(z-1) exp(-g_min*x) in x peaks at
@@ -294,8 +305,8 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     min(T, 1/|s - u|)/pi.  One whose peak passes the largest float is a
     DomainError.  The terms x**z exp(-g*x) peak at u = ln(g/Re z): a
     line's tail reads on until it has passed those humps on both sides of
-    s (_halfline's past), and a direct transform's u-side tail reads on
-    from 0 to the last of them, however little its first panels hold, as
+    s (_halfline's past), and a direct transform's tail reads on from 0
+    to the last of them in u, however little its first panels hold, as
     with g = 1000 at z = 0.5, whose mass lies near u = 7.6; past
     u = -ln(largest float), x = exp(-u) is inf, where the source has
     decayed to 0 but a sin or cos weight of x is nan, so a weighted
@@ -327,13 +338,18 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
                 f"largest float: its integrand peaks near exp({peak:.1f}) at x = {hump:g}")
         # in u = -ln x, the terms x**z exp(-g*x) peak at u = ln(g/Re z)
         last_hump = math.log(max(spec.params or (1.0,)) / z.real)
+    if T is None and mellin:
+        off, zm = _off_axis(spec), z - 1.0
+        # t[0] is u = v, t[1] is x = 1 + v: the unit part and the x >= 1 side
+        both = lambda t: off(np.array([-z * t[0], zm * np.log(t[1])]),
+                             np.array([np.exp(-t[0]), t[1]]))
+        est = _halfline(both, 0.0, q, past=last_hump, sides=(0.0, 1.0))[0]
+        # raises where the finite panels sum past the largest float
+        _size(est.value)
+        return [est]
     inner = _kernel_integrand(spec, kind is not TransformKind.LAPLACE, z)
     if T is None:
-        if not mellin:
-            return _halfline(inner, 0.0, q)
-        off, zm = _off_axis(spec), z - 1.0
-        return (_halfline(inner, 0.0, q, past=last_hump)
-                + _halfline(lambda x: off(zm * np.log(x), x), 1.0, q))
+        return _halfline(inner, 0.0, q)
     if not mellin:
         start, width, heads = _peak_roots(T, s)
         return _halfline(inner, start, q, heads, _Dirichlet(T, s), width)
@@ -355,6 +371,15 @@ def _scaled(x, log_scale: float):
     return math.exp(log_scale + math.log(size)) * (x / size)
 
 
+def _size(value) -> float:
+    """_abs(value); a DomainError where it passes the largest float, as
+    where finite panels or pieces sum to an inf, or inf - inf = nan, part."""
+    size = _abs(value)
+    if not size < math.inf:
+        raise DomainError(f"transform value {value!r} passes the largest float")
+    return size
+
+
 def _summed(pieces: list, q: QuadratureSpec, log_scale: float = 0.0) -> Estimate:
     """_scaled(sum of pieces, log_scale), judged on the summed error: each
     piece alone is measured against its own value, which the others may
@@ -366,10 +391,7 @@ def _summed(pieces: list, q: QuadratureSpec, log_scale: float = 0.0) -> Estimate
     total = sum(p.value for p in pieces)
     value = _scaled(total, log_scale)
     err = _scaled(sum(p.err_est for p in pieces), log_scale)
-    size = _abs(value)
-    # finite pieces whose sum overflows leave an inf, or inf - inf = nan, part
-    if not size < math.inf:
-        raise DomainError(f"transform value {value!r} passes the largest float")
+    size = _size(value)
     return Estimate(value, err, sum(p.panels_used for p in pieces),
                     all(p.converged or _within(q, p.err_est, _abs(total)) for p in pieces)
                     and _within(q, err, size))
@@ -397,12 +419,13 @@ def transform_estimate(
     Validity is checked against the growth metadata (never by probing for
     divergence at runtime).  Unit-interval integrals run through the
     y = exp(-t) substitution, so the endpoint singularity never meets a
-    quadrature node; the Mellin transform adds the plain half-line part
-    over [1, inf).
+    quadrature node.  Every transform is one half-line integral: the
+    Mellin transform's plain part over [1, inf) rides the panels of its
+    unit part, each part judged on its own, and the panel budget of each
+    root covers both.
     """
     q = q or DEFAULT_QUADRATURE
-    pieces = _pieces(spec, kind, complex(z), q)
-    return pieces[0] if len(pieces) == 1 else _summed(pieces, q)
+    return _pieces(spec, kind, complex(z), q)[0]
 
 
 def laplace_transform(spec, z, q=None) -> complex:
@@ -417,7 +440,8 @@ def mellin_moment(spec, z, q=None) -> complex:
 
 def mellin_transform(spec, z, q=None) -> complex:
     """int_0^inf x**(z-1) f(x) dx, split at x = 1 into the singular unit
-    part (handled by substitution) plus a plain half-line part."""
+    part (handled by substitution) and a plain half-line part, both read
+    on the same panels of one half-line integral."""
     return transform_estimate(spec, TransformKind.MELLIN, z, q).value
 
 

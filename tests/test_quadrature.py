@@ -548,8 +548,8 @@ def test_panels_keep_the_bits_of_one_row_at_a_time(seed):
     half = (10.0 ** rng.uniform(-12.0, 3.0, count)).tolist()
     _, weights = _gl_pair(order)
     with np.errstate(all="ignore"):
-        fine, moduli, err, faults = quadrature._panels(lambda t: rows.ravel(), mid, half,
-                                                       order)
+        fine, moduli, err, faults, _ = quadrature._panels(
+            lambda t: rows.ravel(), mid, half, QuadratureSpec(panel_order=order))
         for i, row in enumerate(rows):
             coarse_i, fine_i = (weights @ row).tolist()
             assert repr(fine[i]) == repr(half[i] * fine_i)
@@ -656,7 +656,7 @@ def test_trees_equal_the_one_panel_loop_bit_for_bit(f, roots, pick, shift, fallb
 def test_one_panel_tree_sums_from_zero():
     # the one panel's value underflows to (-0+0j); its tree adds it to 0j
     f = lambda t: np.full(t.shape, -1e-320 + 0j)
-    assert repr(quadrature._panels(f, [5e-6], [5e-6], Q.panel_order)[0]) == "[(-0+0j)]"
+    assert repr(quadrature._panels(f, [5e-6], [5e-6], Q)[0]) == "[(-0+0j)]"
     assert (repr(quadrature._trees(f, [(0.0, 1e-5)], Q)[0])
             == repr(_reference_finite(f, 0.0, 1e-5))
             == repr((0j, 0.0, 1, True)))

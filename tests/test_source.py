@@ -127,6 +127,26 @@ def test_transform_integrals_are_built_only_in_pieces_and_judged_only_in_summed(
     assert found == [("_pieces", "_halfline"), ("_summed", "_within")]
 
 
+def test_every_direct_transform_is_one_tail():
+    # transform_estimate judges no sum of pieces, and each direct-transform
+    # return of _pieces stands on one _halfline call: a direct Mellin
+    # transform takes both sides of x = 1 in one tail, not a tail a side
+    tree = ast.parse((PACKAGE / "transforms.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+    def called(top, name):
+        return [node for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name]
+
+    assert called(functions["transform_estimate"], "_summed") == []
+    direct = [node for node in ast.walk(functions["_pieces"])
+              if isinstance(node, ast.If) and ast.unparse(node.test).startswith("T is None")]
+    assert [(len(called(node, "_halfline")),
+             len([n for n in ast.walk(node) if isinstance(n, ast.Return)])) for node in direct
+            ] == [(1, 1), (1, 1)]
+
+
 def test_the_engine_alone_applies_a_line_kernel():
     # every numeric line runs its Dirichlet kernel through
     # quadrature._Dirichlet, whose one rule takes no _dirichlet: quadrature
@@ -266,7 +286,7 @@ def test_quadrature_takes_no_numpy_abs():
 
 def test_quadrature_has_one_refinement_loop():
     # every integral refines its panels in _trees, the one caller of
-    # _panels, which judges them inline, not with a _within call each; no
+    # _panels; neither judges a panel with a _within call each; no
     # depth-first walk is left, and the half-line loop reads its blocks
     # with no generator
     tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
@@ -281,7 +301,7 @@ def test_quadrature_has_one_refinement_loop():
     assert len(called(tree, "_panels")) == 1
     assert not {"_depth_first", "_walk", "_prefetch", "_tail_panels"} & set(functions)
     assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree))
-    assert called(functions["_trees"], "_within") == []
+    assert called(functions["_trees"], "_within") == called(functions["_panels"], "_within") == []
 
 
 def test_contours_have_one_panel_rule():

@@ -111,6 +111,17 @@ def test_laplace_far_up_the_imaginary_axis_converges():
     assert est.converged
 
 
+@pytest.mark.xfail(strict=True, reason="the mass lies within a few units of u = 709, far "
+                   "below abs_tol, in the tail panel [511, 1023], whose nodes miss it: "
+                   "2.2263e-316 with err_est 2.2e-316 and converged=True")
+def test_mellin_of_a_steep_exponential_reaches_its_value():
+    # the Mellin transform of exp(-g x) at z = 1 is 1/g; in u = -ln x its
+    # integrand exp(-u - g exp(-u)) peaks at u = ln g, 709.2 at g = 1e308,
+    # and no value of it passes abs_tol, so no panel splits
+    est = transform_estimate(FunctionSpec.exp(1e308), TransformKind.MELLIN, 1.0)
+    assert abs(est.value - 1e-308) <= 1e-6 * 1e-308
+
+
 def test_laplace_domain_guard():
     with pytest.raises(OutOfDomain):
         laplace_transform(EXP1, -1.0)
@@ -219,9 +230,10 @@ def test_mellin_scan_of_humped_integrands_never_raises():
 
 
 def test_mellin_estimate_is_judged_on_its_summed_error():
-    # the unit and tail halves each converge, but cancel to 4e-14 with a
-    # summed error of 3.8e-13, over abs_tol and 9x the value: Gamma there
-    # is -1.1545e-14+4.1604e-14j (mpmath), 7.5% away
+    # the unit and tail halves each converge on their own, but cancel to
+    # 4e-14: the one tail over both sides sums an error of 3.8e-13, over
+    # abs_tol and 9x the value.  Gamma there is -1.1545e-14+4.1604e-14j
+    # (mpmath), 7.5% away
     z = 0.3759052675882387 + 19.9396057279115j
     q = QuadratureSpec()
     est = transform_estimate(EGAMMA, TransformKind.MELLIN, z, q)
@@ -229,9 +241,6 @@ def test_mellin_estimate_is_judged_on_its_summed_error():
     tail_at = _off_axis(EGAMMA)
     tail = integrate_halfline(lambda x: tail_at((z - 1.0) * np.log(x), x), 1.0, q)
     assert unit.converged and tail.converged
-    assert (est.value, est.err_est, est.panels_used) == (
-        unit.value + tail.value, unit.err_est + tail.err_est,
-        unit.panels_used + tail.panels_used)
     assert not _within(q, est.err_est, abs(est.value))
     assert not est.converged
     assert transform_estimate(EGAMMA, TransformKind.MELLIN, 2.5 + 3j, q).converged
@@ -898,6 +907,30 @@ def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
     assert count == [calls, points]
 
 
+@pytest.mark.parametrize("spec, z, panels_used", [
+    (EGAMMA, 2.5, 8), (FunctionSpec.exp(1.3), 1.7, 7)], ids=["expminusx", "exp"])
+def test_direct_mellin_sides_share_each_pass(monkeypatch, spec, z, panels_used):
+    # both sides of x = 1 ride one half-line: each pass reads the unit part
+    # at u = v and the x >= 1 side at x = 1 + v in one integrand call, 8
+    # first-pass panels of 48 points a side at order 16, where two tails
+    # took two calls and twice the panels.  Counted: the integrand calls of
+    # the transform and the points they take
+    count = [0, 0]
+    panels = quadrature._panels
+
+    def counting(f, *args):
+        def counted(t):
+            count[0] += 1
+            count[1] += t.size
+            return f(t)
+        return panels(counted, *args)
+
+    monkeypatch.setattr(quadrature, "_panels", counting)
+    est = transform_estimate(spec, TransformKind.MELLIN, z)
+    assert est.converged
+    assert (count, est.panels_used) == ([1, 768], panels_used)
+
+
 def _mellin_guard(spec, z, T, s):
     """The humps u = ln(g/c) of the lowest and highest g of a Mellin
     source's terms, after the DomainError that a Mellin integrand whose
@@ -1370,9 +1403,24 @@ def _direct_cases(draw):
        max_panels=st.sampled_from([1, 2, 4, 17, 64, 4096]))
 def test_transform_estimate_matches_its_separate_pieces_bit_for_bit(case, order,
                                                                     max_panels):
-    # one engine call per side, the x side's head riding its tail's first
-    # pass, changes no bit against one call per piece
+    # a Laplace or moment transform is one tail, bit for bit.  A Mellin
+    # transform takes both sides of x = 1 on shared panels, each split
+    # wherever either side fails tolerance, so its bits differ from two
+    # tails of their own: it raises the same type of error, and where both
+    # converge they lie within twice the larger tolerance of each other
     spec, kind, z = case
     q = QuadratureSpec(panel_order=order, max_panels=max_panels)
-    assert (_line_outcome(transform_estimate, spec, kind, z, q)
-            == _line_outcome(_separate_transform, spec, kind, z, q))
+    if kind is not TransformKind.MELLIN:
+        assert (_line_outcome(transform_estimate, spec, kind, z, q)
+                == _line_outcome(_separate_transform, spec, kind, z, q))
+        return
+    try:
+        shared = transform_estimate(spec, kind, z, q)
+    except MelaplaceError as exc:
+        with pytest.raises(type(exc)):
+            _separate_transform(spec, kind, z, q)
+        return
+    apart = _separate_transform(spec, kind, z, q)
+    if shared.converged and apart.converged:
+        tol = max(q.abs_tol, q.rel_tol * max(abs(shared.value), abs(apart.value)))
+        assert abs(shared.value - apart.value) <= 2.0 * tol
