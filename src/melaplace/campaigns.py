@@ -24,12 +24,13 @@ from .contours import (
 )
 from .errors import DomainError, EmptyGrid, MelaplaceError
 from .functions import DomainHint, FunctionSpec, evaluate, growth_bounds
-from .quadrature import QuadratureSpec, _dirichlet, integrate_finite
+from .quadrature import QuadratureSpec
 from .transforms import (
     InverseKind,
     TransformExpr,
     TransformKind,
     _line_integral,
+    _window_integral,
     transform_for,
 )
 
@@ -182,15 +183,18 @@ def roundtrip(
     return RoundTripReport(spec, kind, contour, tuple(rows), tol, elapsed, converged)
 
 
-def _delta_window(g: FunctionSpec, x: float) -> tuple:
-    """The finite window of a delta check whose source does not decay."""
+def _delta_window(g: FunctionSpec, x: float) -> float:
+    """The end of the window [0, end] of a delta check whose source does not decay."""
     if g.domain_hint is DomainHint.UNIT_INTERVAL:
         # one unit past the standard interval keeps the edge ringing of the
         # sharp cutoff away from the probe point
-        return 0.0, 2.0
-    if growth_bounds(g).right_index == 0.0:
-        return 0.0, x + _OSCILLATORY_WINDOW
-    raise DomainError("delta check needs a non-growing function")
+        return 2.0
+    if growth_bounds(g).right_index != 0.0:
+        raise DomainError("delta check needs a non-growing function")
+    end = x + _OSCILLATORY_WINDOW
+    if not end > 0.0:
+        raise DomainError(f"delta check at x = {x:g} has an empty window [0, {end:g}]")
+    return end
 
 
 def delta_check(
@@ -205,11 +209,11 @@ def delta_check(
     approach to g(x) as the cutoff T grows.  A decaying half-line g runs on
     the Bromwich line that the test stands for: the line integral of its
     numeric Laplace transform at c = 0, the identity of the ``contours``
-    docstring, with its half-line and the head [0, x] split at the kernel
-    peak.  Functions without decay are integrated over a finite window
-    since the sinc tail is only conditionally convergent.  The cutoffs must
-    be positive, finite and strictly increasing, and x finite.  The
-    table's ``converged`` says whether every integral met the tolerance of q.
+    docstring.  Functions without decay are integrated over a finite window
+    [0, end] on the same kernel and roots, clipped at end, since the sinc tail
+    is only conditionally convergent; an empty window is a DomainError.  The
+    cutoffs must be positive, finite and strictly increasing, and x finite.
+    The table's ``converged`` says whether every integral met the tolerance of q.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -222,10 +226,7 @@ def delta_check(
         line = TransformExpr.numeric(g, TransformKind.LAPLACE)
         estimates = [_line_integral(line, 0.0, T, x, q) for T in Ts]
     else:
-        lo, hi = _delta_window(g, x)
-        estimates = [
-            integrate_finite(lambda y, T=T: _dirichlet(evaluate(g, y), T, x - y), lo, hi, q)
-            for T in Ts]
+        estimates = [_window_integral(g, T, x, _delta_window(g, x), q) for T in Ts]
     return ConvergenceTable("T", tuple(Ts), tuple(e.value.real for e in estimates),
                             reference=_exact(g, x),
                             converged=all(e.converged for e in estimates))

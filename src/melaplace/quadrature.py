@@ -34,7 +34,8 @@ A numeric Bromwich line integrates its source g against the Dirichlet
 kernel sin(T*(s - u))/(pi*(s - u)), which the engine applies itself
 (_Dirichlet) on the roots that _peak_roots lays over u >= 0: a peak root
 of one kernel period about u = s, and roots doubling away from it on both
-sides, the tail's panels among them.  A Mellin line runs over every real
+sides, the tail's panels among them; a delta check's finite window takes
+them too, clipped at its end.  A Mellin line runs over every real
 u, and the kernel is even about its peak, so the engine folds it there
 (_panels's fold, _folded_roots): one half-line in v = |u - s|/r, r =
 min(1/2, pi/T), whose integrand g(s + r*v) + g(s - r*v) comes from one
@@ -248,23 +249,6 @@ def _gl_pair(n: int):
     return np.concatenate([x1, x2]), weights
 
 
-def _dirichlet(g, T: float, u):
-    """g times the Dirichlet kernel sin(T*u)/(pi*u) at an array of u, for
-    an integrand that carries the kernel itself (delta_check's window);
-    the engine's own kernel panels take _Dirichlet's rule.
-
-    Where |T*u| < 1e-8 the kernel is its limit T/pi, which the quotient
-    rounds to there anyway; this covers u = 0, and u so small that T*u or
-    pi*u is subnormal and the quotient loses its digits.
-    """
-    tu = T * u
-    num, den = np.sin(tu), math.pi * u
-    peak = (tu < 1e-8) & (tu > -1e-8)
-    if peak.any():
-        num[peak], den[peak] = T, math.pi
-    return g * (num / den)
-
-
 @functools.cache
 def _filon_basis(n: int):
     """The Filon rules of _Dirichlet on the nodes of _gl_pair(n).
@@ -459,7 +443,7 @@ class _Dirichlet:
     node mid + h*x before rounding, and s - u is taken at the rounded
     node, so at a node within about 1e-11 of s with |s| near 50 a kernel
     value can be 5e-4 of the peak T/pi off.  It needs s strictly inside a
-    panel away from its centre, which _peak_roots never lays out, and it
+    panel away from its centre, which only a clipped root lays out, and it
     no longer applies to Mellin lines: folded, their peak is v = 0, the
     edge of the root [0, 1], and the kernel is read at v itself, so a
     node near the peak rounds at the spacing of floats near v, not near s.
@@ -470,14 +454,14 @@ class _Dirichlet:
 
     def weigh(self, vals, xs, mid, half, order: int):
         """The rows of vals, g at the nodes xs of the panels mid[i] +/-
-        half[i], as values that _gl_pair's weights sum into each panel's
-        two rules: g times Im(exp(i*theta) R)/(pi*(s - u)), R the panel's
-        Filon or wave row.  Where |T*(s - u)| < 1e-8 the quotient is its
-        limit T/pi, as in _dirichlet; only a panel that holds s, up to
-        the rounding of its nodes, has such nodes, so the masks run only
-        on a level with one.  A phase that is not finite leaves its panel
-        not finite.  vals may stack several sets of rows on the same
-        panels, as a fold's two sides."""
+        half[i], as values that _gl_pair's weights sum into each panel's two
+        rules: g times Im(exp(i*theta) R)/(pi*(s - u)), R the panel's Filon
+        or wave row.  Where |T*(s - u)| < 1e-8 the quotient is its limit
+        T/pi, which it rounds to anyway unless s - u is 0 or subnormal; only
+        a panel that holds s, up to the rounding of its nodes, has such
+        nodes, so the masks run only on a level with one.  A phase that is
+        not finite leaves its panel not finite.  vals may stack several sets
+        of rows on the same panels, as a fold's two sides."""
         if len(mid) > _LEVEL_PANELS:
             return vals * _kernel_rows(self.T, self.s, xs, mid, half, order)
         return vals * _level_kernel(self.T, self.s, tuple(mid), tuple(half), order)

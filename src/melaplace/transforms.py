@@ -34,7 +34,7 @@ Filon panels away from its peak (``quadrature._Dirichlet``), so a line's
 cost does not grow with T; a Mellin line takes its x >= 1 side at
 u = -ln x <= 0, one integral over every real u, folded about the
 kernel's peak into one half-line (``quadrature._folded_roots``), and
-``_summed`` judges a line's pieces.
+``_summed`` judges a line's pieces and a delta check's window too.
 
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
@@ -68,6 +68,7 @@ from .functions import (
     parse_spec_string,
 )
 from .quadrature import (
+    _TAIL_GROWTH,
     DEFAULT_QUADRATURE,
     Estimate,
     QuadratureSpec,
@@ -76,6 +77,8 @@ from .quadrature import (
     _folded_roots,
     _halfline,
     _peak_roots,
+    _result,
+    _trees,
     _within,
 )
 
@@ -409,6 +412,22 @@ def _line_integral(t: TransformExpr, c: float, T: float, s: float,
     """
     q = q or DEFAULT_QUADRATURE
     return _summed(_pieces(t.source, t.kind, c, q, T, s), q, c * s)
+
+
+def _window_integral(g: FunctionSpec, T: float, s: float, end: float,
+                     q: QuadratureSpec | None = None) -> Estimate:
+    """g, as the Laplace integrand at z = 0, against _Dirichlet(T, s) over
+    [0, end] on the roots of _peak_roots, its tail laid out to end and all
+    clipped there: one engine pass, judged as a line is (_summed)."""
+    q = q or DEFAULT_QUADRATURE
+    lo, width, roots = _peak_roots(T, s)
+    while lo < end:
+        roots.append((lo, lo + width))
+        lo, width = lo + width, width * _TAIL_GROWTH
+    roots = [(a, min(b, end)) for a, b in roots if a < end]
+    with np.errstate(all="ignore"):
+        entries = _trees(_kernel_integrand(g, False, 0.0), roots, q, _Dirichlet(T, s))
+    return _summed([Estimate(*_result(entry)) for entry in entries], q)
 
 
 def transform_estimate(

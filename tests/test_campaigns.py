@@ -20,6 +20,7 @@ from melaplace import (
     parse_spec_string,
     roundtrip,
 )
+from melaplace.transforms import _window_integral
 
 LAP = InverseKind.LAPLACE_KERNEL
 MEL = InverseKind.MELLIN_KERNEL
@@ -126,16 +127,51 @@ def test_delta_check_slow_decay_reads_its_line():
     assert table.results[0].real == pytest.approx(0.990537806908702398, abs=1e-10)
 
 
+# (Si(T) + Si(200 T))/pi, the constant 1 against the kernel over the
+# window [0, x + 200] at x = 1, from mpmath at 40 digits
+_CONSTANT_WINDOW = {20.0: 0.9928787405681493, 40.0: 1.0051504358177756,
+                    80.0: 1.0005081884002975, 200.0: 0.9992290366699589,
+                    1000.0: 0.9998191388549613, 5000.0: 0.9999898679060589,
+                    1e5: 1.0000031707772594}
+
+
 def test_delta_check_constant_window_table():
     table = delta_check(1.0, FunctionSpec.exp(0.0), [20.0, 40.0, 80.0])
-    for got, want in zip(table.results, (0.992878741, 1.005150436, 1.000508188)):
-        assert got.real == pytest.approx(want, abs=1e-6)
+    for T, got in zip(table.values, table.results):
+        assert got.real == pytest.approx(_CONSTANT_WINDOW[T], abs=1e-12)
+    assert table.converged
+
+
+def test_delta_check_window_converges_at_any_cutoff():
+    # the window runs on the Filon panels of a line, so its value stays
+    # within rounding of the closed form, and its cost flat, as T grows:
+    # 15 panels at T = 20 and 41 at T = 1e5, where plain Gauss-Legendre
+    # panels spent their 4,095-panel budget from T = 1000 on and read
+    # 0.249 at T = 5000
+    Ts = [20.0, 200.0, 1000.0, 5000.0, 1e5]
+    table = delta_check(1.0, FunctionSpec.exp(0.0), Ts)
+    assert table.converged
+    for T, got in zip(Ts, table.results):
+        tol = 1e-12 if T <= 5000.0 else 1e-11
+        assert got.real == pytest.approx(_CONSTANT_WINDOW[T], abs=tol)
+    panels = lambda T: _window_integral(FunctionSpec.exp(0.0), T, 1.0, 201.0).panels_used
+    assert panels(1e5) <= 3 * panels(20.0)
 
 
 def test_delta_check_power_table():
     table = delta_check(0.5, FunctionSpec.power(1.0), [20.0, 40.0, 80.0])
     for got, want in zip(table.results, (0.497482039, 0.509775204, 0.495597235)):
         assert got.real == pytest.approx(want, abs=1e-6)
+
+
+def test_delta_check_power_window_keeps_its_values():
+    # sqrt(y) over the window [0, 2]: the values of the plain
+    # Gauss-Legendre window that converged, in 39 to 1,043 panels
+    table = delta_check(0.5, FunctionSpec.power(0.5), [1.0, 20.0, 200.0, 1000.0, 5000.0])
+    want = (0.5288761584917981, 0.7108846477868836, 0.7070957682497262,
+            0.7071570328915809, 0.707138160678398)
+    assert [got.real for got in table.results] == pytest.approx(want, abs=1e-12)
+    assert table.converged
 
 
 @pytest.mark.parametrize(
@@ -158,6 +194,16 @@ def test_delta_check_guards():
         delta_check(1.0, FunctionSpec.exp(1.0), [])
     with pytest.raises(DomainError):
         delta_check(1.0, FunctionSpec.exp(-1.0), [20.0])
+    # the window [0, x + 200] of a source that does not decay runs backwards
+    with pytest.raises(DomainError, match=r"^delta check at x = -300 has an empty window "
+                                          r"\[0, -100\]$"):
+        delta_check(-300.0, FunctionSpec.exp(0.0), [20.0])
+    # pi/T at T = 20 is below half the spacing of floats at x: no node can
+    # resolve the kernel's central lobe, where plain panels read 0.233 and
+    # 0.031
+    for x in (1e17, 1e300):
+        with pytest.raises(DomainError, match="central lobe"):
+            delta_check(x, FunctionSpec.exp(0.0), [20.0])
 
 
 @pytest.mark.parametrize("cutoff", [-20.0, 0.0, math.nan, math.inf])

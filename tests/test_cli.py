@@ -429,22 +429,36 @@ def test_delta_check_command(capsys):
     assert float(rows[-1][2]) <= 5e-2
 
 
-# the line values of exp(-g y) against the kernel at x = 1, T = 20 and 80:
-# for g = 0.001 the references of delta_check's slow-decay test, for g = 1
-# the truncated-line oracle of tests/test_contours.py
+# the values of exp(-g y) against the kernel at x = 1, T = 20 and 80 for
+# lines, and T = 20, 200, 1000 and 5000 for the window of g = 0: for
+# g = 0.001 the references of delta_check's slow-decay test, for g = 1
+# the truncated-line oracle of tests/test_contours.py, for g = 0 the
+# closed form (Si(T) + Si(200 T))/pi from mpmath
 _DELTA_LINES = {"exp:gamma=0.001": (0.9918218240311156, 0.9994889162408874),
-                "exp:gamma=1": (0.3614039596842624, 0.36831857413291846)}
+                "exp:gamma=1": (0.3614039596842624, 0.36831857413291846),
+                "exp:gamma=0": (0.9928787405681493, 0.9992290366699589,
+                                0.9998191388549613, 0.9999898679060589)}
+_DELTA_TS = {"exp:gamma=0": "20,200,1000,5000"}
+# the budget of each unconverged case
+_DELTA_BUDGETS = {"exp:gamma=0.001": '{"max_panels":2}',
+                  "exp:gamma=0": '{"max_panels":1,"rel_tol":1e-12}'}
 
 
 @pytest.mark.parametrize("func, converged", [("exp:gamma=1", True),
                                               ("exp:gamma=0.001", True),
-                                              ("exp:gamma=0.001", False)])
+                                              ("exp:gamma=0.001", False),
+                                              ("exp:gamma=0", True),
+                                              ("exp:gamma=0", False)])
 def test_delta_check_strict_exits_three_on_an_unconverged_window(capsys, func,
                                                                  converged):
     # the Filon panels take the slowly decaying exp(-0.001 y) in 23 and 31
-    # panels; a two-panel budget stops its half-line short of the stop rule
-    budget = () if converged else ("--quad", '{"max_panels":2}')
-    argv = ["delta-check", "--func", func, "--x", "1", "--T", "20,80", *budget, "--strict"]
+    # panels, and the window [0, 201] of the constant in 15 to 33; a two-
+    # panel budget stops the half-line short of the stop rule.  One panel a
+    # root leaves the window within 1.5e-11, which meets the default
+    # rel_tol of 1e-10 but not 1e-12; the default budget meets 1e-12
+    budget = () if converged else ("--quad", _DELTA_BUDGETS[func])
+    argv = ["delta-check", "--func", func, "--x", "1", "--T", _DELTA_TS.get(func, "20,80"),
+            *budget, "--strict"]
     code, plain, _ = run(capsys, *argv)
     assert code == (0 if converged else 3)
     assert run(capsys, *argv[:-1])[:2] == (0, plain)
@@ -654,6 +668,10 @@ def test_collapsed_rectangle_exits_two(capsys, argv):
       "1:4:2"), "power is not finite at x = 4"),
     (("delta-check", "--func", "exp:gamma=1", "--x", "1", "--T", "20,20"),
      "strictly increasing"),
+    (("delta-check", "--func", "exp:gamma=0", "--x=-300", "--T", "20"),
+     "delta check at x = -300 has an empty window [0, -100]"),
+    (("delta-check", "--func", "exp:gamma=0", "--x=1e300", "--T", "20"), "central lobe"),
+    (("delta-check", "--func", "exp:gamma=0", "--x=1e17", "--T", "20"), "central lobe"),
     (("sweep", "--func", "exp:gamma=1", "--kind", "laplace", "--x", "1",
       "--deltas", "0.5,0.5", "--Ts", "5"), "distinct"),
     (("roundtrip", "--func", "exp:gamma=1", "--kind", "laplace", "--grid",
@@ -668,7 +686,8 @@ def test_collapsed_rectangle_exits_two(capsys, argv):
     (("cauchy-check", "--poles", "[[-1,0,1e308,0]]", "--kind", "laplace", "--z",
       "1+0i"), "the Cauchy integral overflows at z = (1+0j)"),
 ], ids=["wide-rectangle", "wide-grid", "nan-grid", "delta-check", "big-residue",
-        "big-truth", "repeated-T", "repeated-delta", "bad-grid", "bad-real-list",
+        "big-truth", "repeated-T", "empty-window", "far-window", "far-window-1e17",
+        "repeated-delta", "bad-grid", "bad-real-list",
         "duplicate-pole", "no-transform", "no-argument", "cauchy-overflow"])
 def test_out_of_range_inputs_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)

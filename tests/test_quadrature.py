@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from melaplace import (
@@ -29,7 +29,6 @@ from melaplace.quadrature import (
     _MAX_TAIL_PANELS,
     _TAIL_GROWTH,
     _Dirichlet,
-    _dirichlet,
     _filon_row,
     _folded_roots,
     _gl,
@@ -745,13 +744,24 @@ def test_halfline_lookahead_cost_is_pinned(r, w):
     assert tuple(count) == _TAIL_COSTS[r, w]
 
 
+def _sinc_times(g, T, u):
+    """g times the Dirichlet kernel sin(T*u)/(pi*u), written out as an
+    integrand that carries the kernel itself: T/pi where |T*u| < 1e-8."""
+    tu = T * u
+    num, den = np.sin(tu), math.pi * u
+    peak = (tu < 1e-8) & (tu > -1e-8)
+    num[peak], den[peak] = T, math.pi
+    return g * (num / den)
+
+
 def test_outgrown_tree_takes_one_integrand_call_per_level():
-    # exp(-0.001 y) against the Dirichlet kernel at T = 80 over [0, 37000]
-    # outgrows the 4096-panel budget, which its tree spends level by level:
-    # one integrand call each, on the panels of the level
+    # exp(-0.001 y) against the Dirichlet kernel at T = 80 over [0, 37000],
+    # on plain panels, outgrows the 4096-panel budget, which its tree
+    # spends level by level: one integrand call each, on the panels of the
+    # level
     x = 1.0
     g = FunctionSpec.exp(0.001)
-    f, count = _counting(lambda y: _dirichlet(evaluate(g, y), 80.0, x - y))
+    f, count = _counting(lambda y: _sinc_times(evaluate(g, y), 80.0, x - y))
     est = integrate_finite(f, 0.0, 37000.0)
     assert (est.panels_used, est.converged) == (4095, False)
     assert count == [13, 196560]
@@ -900,13 +910,23 @@ def test_kernel_panels_below_the_filon_width_are_the_plain_pair(f, roots, share,
 @settings(max_examples=300, deadline=None)
 @given(T=st.floats(1e-3, 1e4), s=st.floats(-50.0, 50.0), mid=st.floats(-50.0, 50.0),
        share=st.floats(1e-6, 1.0, exclude_max=True), order=st.sampled_from([4, 16, 64]))
+# panels whose nodes round to s or lie next to it, at T = 0.1 to 10, and
+# whose nodes lie within a subnormal of s, at T = 1e300: every kernel
+# value there is T/pi
+@example(T=0.1, s=1.0, mid=1.0, share=5e-19, order=16)
+@example(T=1.0, s=1.0, mid=1.0, share=5e-18, order=16)
+@example(T=10.0, s=1.0, mid=1.0, share=5e-17, order=16)
+@example(T=1e300, s=0.0, mid=0.0, share=4e-25, order=16)
 def test_plain_pair_kernel_values_are_the_sinc(T, s, mid, share, order):
     # at each node u of a panel mid +/- h with T h below 3n/2, the kernel
     # Im(exp(i theta) exp(-i w x))/(pi d), theta = T (s - mid), w = T h,
     # d = s - u, is sin(T d)/(pi d) up to the rounding of its phase: a few
     # ulps of theta, of w x and of T u, and of the unit values themselves,
     # over pi |d|.  The sinc form carries the rounding of T d, a few ulps
-    # of the peak T/pi (test_dirichlet_kernel_matches_its_sinc_form)
+    # of the peak T/pi.  Where |T d| < 1e-8 the kernel is its limit T/pi
+    # exactly, also where d is 0 or so small that the quotient would lose
+    # its digits, as _PlainPair writes it out
+    # (test_kernel_panels_below_the_filon_width_are_the_plain_pair)
     h = share * quadrature._FILON_FROM * order / T
     assume(mid - h < mid + h)
     xs = mid + h * _gl_pair(order)[0]
@@ -915,6 +935,9 @@ def test_plain_pair_kernel_values_are_the_sinc(T, s, mid, share, order):
                                         [mid], [h], order)[0]
     assert not kernel.imag.any()
     d = s - xs
+    peak = (T * d < 1e-8) & (T * d > -1e-8)
+    assert (kernel.real[peak] == T / math.pi).all()
+    kernel, d, xs = kernel[~peak], d[~peak], xs[~peak]
     sinc = (T / math.pi) * np.sinc(T * d / math.pi)
     eps = np.finfo(float).eps
     phase = 1.0 + abs(T * (s - mid)) + T * h + T * (abs(s) + np.abs(xs) + h)

@@ -114,7 +114,9 @@ def test_transforms_evaluate_only_the_foreign_laplace_source():
 
 def test_transform_integrals_are_built_only_in_pieces_and_judged_only_in_summed():
     # every numeric transform value and numeric Bromwich line runs its
-    # half-lines in one place and judges their sum in one other
+    # half-lines in one place and judges their sum in one other; a delta
+    # check's finite window is the one engine pass outside _pieces, and
+    # _summed judges it too
     tree = ast.parse((PACKAGE / "transforms.py").read_text(encoding="utf-8"))
     found = sorted({
         (top.name, node.func.id)
@@ -122,9 +124,10 @@ def test_transform_integrals_are_built_only_in_pieces_and_judged_only_in_summed(
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id in ("_halfline", "integrate_halfline", "integrate_finite",
-                             "_within")
+                             "_trees", "_within")
     })
-    assert found == [("_pieces", "_halfline"), ("_summed", "_within")]
+    assert found == [("_pieces", "_halfline"), ("_summed", "_within"),
+                     ("_window_integral", "_trees")]
 
 
 def test_every_direct_transform_is_one_tail():
@@ -148,10 +151,9 @@ def test_every_direct_transform_is_one_tail():
 
 
 def test_the_engine_alone_applies_a_line_kernel():
-    # every numeric line runs its Dirichlet kernel through
-    # quadrature._Dirichlet, whose one rule takes no _dirichlet: quadrature
-    # only defines it, and only delta_check's finite window in campaigns
-    # still multiplies it into its integrand
+    # every numeric line and every delta check runs its Dirichlet kernel
+    # through quadrature._Dirichlet: no module names a kernel function of
+    # its own, and campaigns takes nothing from quadrature but the spec
     found = sorted({
         path.name
         for path in PACKAGE.glob("*.py")
@@ -160,7 +162,11 @@ def test_the_engine_alone_applies_a_line_kernel():
         or (isinstance(node, ast.ImportFrom)
             and any(alias.name == "_dirichlet" for alias in node.names))
     })
-    assert found == ["campaigns.py"]
+    assert found == []
+    tree = ast.parse((PACKAGE / "campaigns.py").read_text(encoding="utf-8"))
+    assert [[alias.name for alias in node.names] for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "quadrature"
+            ] == [["QuadratureSpec"]]
 
 
 def test_the_package_never_loads_numpy_polynomial():
