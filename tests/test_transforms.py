@@ -49,6 +49,7 @@ from melaplace import quadrature
 from melaplace.quadrature import (
     _Dirichlet,
     _folded_roots,
+    _gl_pair,
     _halfline,
     _peak_roots,
     _within,
@@ -844,6 +845,24 @@ def test_rational_values_transient_memory_stays_linear_in_the_points():
     finally:
         tracemalloc.stop()
     assert peak <= 72 * zs.size
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("T", [0.1, 1.0, 10.0, 1e300])
+def test_dirichlet_kernel_peak_is_its_limit(T):
+    # a panel about the peak s = 0 one subnormal wide: its nodes round to
+    # 0 and +/-5e-324, where T*(s - u) underflows for T < 0.5 and is
+    # subnormal above it, and the engine's kernel is its limit T/pi there
+    order = 16
+    xs = 5e-324 * _gl_pair(order)[0]
+    assert set(np.abs(xs)) == {0.0, 5e-324}
+    with np.errstate(all="ignore"):
+        kernel = _Dirichlet(T, 0.0).weigh(np.ones((1, xs.size), dtype=complex), xs[None],
+                                          [0.0], [5e-324], order)[0]
+    assert (kernel == T / math.pi).all()
 
 
 # ---------------------------------------------------------------------------
