@@ -27,14 +27,15 @@ Only the Laplace transform of a unit-interval source calls ``evaluate``.
 transform value and numeric Bromwich line: the u >= 0 half-line, plus
 Mellin's x >= 1 side.  A direct transform is one half-line: a direct
 Mellin transform reads its x >= 1 side in x = 1 + v on the panels of
-the unit part's u = v, both in one integrand call, each side judged on
-its own (``quadrature._panels``'s sides).  A line integrates against
-the Dirichlet kernel, which the quadrature engine applies itself, with
-Filon panels away from its peak (``quadrature._Dirichlet``), so a line's
-cost does not grow with T; a Mellin line takes its x >= 1 side at
-u = -ln x <= 0, one integral over every real u, folded about the
-kernel's peak into one half-line (``quadrature._folded_roots``), and
-``_summed`` judges a line's pieces and a delta check's window too.
+the unit part's u = v, both in one integrand call, judged on their sum.
+A line integrates against the Dirichlet kernel, which the quadrature
+engine applies itself, with Filon panels away from its peak
+(``quadrature._Dirichlet``), so a line's cost does not grow with T; a
+Mellin line takes its x >= 1 side at u = -ln x <= 0, one integral over
+every real u, folded about the kernel's peak into one half-line
+(``quadrature._folded_roots``).  Both Mellin paths are the engine's one
+two-row reading (``quadrature._panels``'s sides), and ``_summed`` judges
+a line's pieces and a delta check's window too.
 
 ``rational_values`` evaluates a rational form at an array of z; it is the
 one path from contour nodes to transform values.  A numeric form is
@@ -284,11 +285,11 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     (z-1)*ln x, read in x, since a source smooth in x takes fewer panels
     in x than in u = -ln x.  Its roots [1, 2], [2, 4]... are those of
     the u >= 0 side, [0, 1], [1, 3]..., shifted by 1, so one tail in v
-    takes both (_halfline's sides): each pass reads the u-side at u = v
-    and the x-side at x = 1 + v in one integrand call, a panel splits
-    wherever either side fails tolerance on its own, and the stop rule
-    reads their sum.  Its value passing the largest float is a
-    DomainError, as a line's is in _summed.
+    takes both, as the rows ((0, 1), (1, 1)) of _halfline's sides: each
+    pass reads the u-side at u = v and the x-side at x = 1 + v in one
+    integrand call, and each panel, like the stop rule, is judged on
+    their sum.  Its value passing the largest float is a DomainError, as
+    a line's is in _summed.
 
     With a kernel, the engine applies it (quadrature._Dirichlet) to the
     roots of _peak_roots: a peak root about u = s, roots doubling away
@@ -297,8 +298,9 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     integrand exp(-z*u) f(exp(-u)) holds for every real u, its x >= 1
     side at u <= 0 with the Jacobian x, and the kernel is even about its
     peak, so the line is one half-line in v = |u - s|/r folded there: the
-    engine reads the integrand at u = s +/- r*v in one call and sums the
-    two sides, against the kernel _Dirichlet(T*r, 0) on the roots of
+    engine reads the integrand at u = s +/- r*v in one call, as the rows
+    ((s, r), (s, -r)) of _halfline's sides, weighs each against the
+    kernel _Dirichlet(T*r, 0) and sums them, on the roots of
     quadrature._folded_roots.
 
     A Mellin integrand rises until its hump and the tail's stop rule
@@ -346,7 +348,7 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
         # t[0] is u = v, t[1] is x = 1 + v: the unit part and the x >= 1 side
         both = lambda t: off(np.array([-z * t[0], zm * np.log(t[1])]),
                              np.array([np.exp(-t[0]), t[1]]))
-        est = _halfline(both, 0.0, q, past=last_hump, sides=(0.0, 1.0))[0]
+        est = _halfline(both, 0.0, q, past=last_hump, sides=((0.0, 1.0), (1.0, 1.0)))[0]
         # raises where the finite panels sum past the largest float
         _size(est.value)
         return [est]
@@ -362,7 +364,8 @@ def _pieces(spec: FunctionSpec, kind: TransformKind, z, q: QuadratureSpec,
     r, start, width, heads = _folded_roots(T, s)
     # the humps lie between u = -ln(hump) and u = last_hump
     past = max(last_hump - s, s + math.log(hump)) / r
-    return _halfline(inner, start, q, heads, _Dirichlet(T * r, 0.0), width, past, (s, r))
+    return _halfline(inner, start, q, heads, _Dirichlet(T * r, 0.0), width, past,
+                     sides=((s, r), (s, -r)))
 
 
 def _scaled(x, log_scale: float):
@@ -440,7 +443,7 @@ def transform_estimate(
     y = exp(-t) substitution, so the endpoint singularity never meets a
     quadrature node.  Every transform is one half-line integral: the
     Mellin transform's plain part over [1, inf) rides the panels of its
-    unit part, each part judged on its own, and the panel budget of each
+    unit part, both judged on their sum, and the panel budget of each
     root covers both.
     """
     q = q or DEFAULT_QUADRATURE
@@ -460,7 +463,8 @@ def mellin_moment(spec, z, q=None) -> complex:
 def mellin_transform(spec, z, q=None) -> complex:
     """int_0^inf x**(z-1) f(x) dx, split at x = 1 into the singular unit
     part (handled by substitution) and a plain half-line part, both read
-    on the same panels of one half-line integral."""
+    on the same panels of one half-line integral and judged on their
+    sum."""
     return transform_estimate(spec, TransformKind.MELLIN, z, q).value
 
 

@@ -547,7 +547,7 @@ def test_panels_keep_the_bits_of_one_row_at_a_time(seed):
     half = (10.0 ** rng.uniform(-12.0, 3.0, count)).tolist()
     _, weights = _gl_pair(order)
     with np.errstate(all="ignore"):
-        fine, moduli, err, faults, _ = quadrature._panels(
+        fine, moduli, err, faults = quadrature._panels(
             lambda t: rows.ravel(), mid, half, QuadratureSpec(panel_order=order))
         for i, row in enumerate(rows):
             coarse_i, fine_i = (weights @ row).tolist()
@@ -1000,8 +1000,8 @@ def test_a_tail_reads_on_across_its_span():
     bump = lambda u: np.exp(-(np.abs(u) - 30.0) ** 2)
     alone = integrate_halfline(bump, 0.0)
     assert abs(alone.value) < 1e-300 and alone.converged
-    for fold, mass in ((None, 1.0), ((0.0, 1.0), 2.0)):
-        [est] = _halfline(bump, 0.0, Q, past=31.0, fold=fold)
+    for sides, mass in ((None, 1.0), (((0.0, 1.0), (0.0, -1.0)), 2.0)):
+        [est] = _halfline(bump, 0.0, Q, past=31.0, sides=sides)
         assert est.converged
         assert abs(est.value - mass * math.sqrt(math.pi)) <= 1e-12
     # a tail that starts past its span keeps every bit
@@ -1010,23 +1010,54 @@ def test_a_tail_reads_on_across_its_span():
 
 
 def test_a_folded_panel_names_the_u_of_its_error():
-    # a fold (s, r) reads f at u = s + r*v and u = s - r*v: a node where f
-    # is not finite is named in u, on whichever side it lies, and a panel
-    # whose sum passes the largest float by the mid in u of its larger side
+    # a fold about s, sides ((s, r), (s, -r)), reads f at u = s + r*v and
+    # u = s - r*v: a node where f is not finite is named in u, on whichever
+    # side it lies, and a panel whose sum passes the largest float by the
+    # mid in u of its larger side
     s, r, root = 2.0, 0.25, [(0.0, 8.0)]
     with np.errstate(all="ignore"):
         for inf_at in (lambda u: u < 1.0, lambda u: u > 3.0):
             [fault] = quadrature._trees(lambda u: np.where(inf_at(u), np.inf, 1.0), root,
-                                        Q, None, (s, r))
+                                        Q, None, ((s, r), (s, -r)))
             assert isinstance(fault, NonFiniteIntegrand)
             named = float(re.fullmatch(r"integrand not finite near t = (\S+)",
                                        str(fault)).group(1))
             assert inf_at(named) and 0.0 < named < 4.0
         for huge_at, mid in ((lambda u: u > s, 3.0), (lambda u: u < s, 1.0)):
             [fault] = quadrature._trees(lambda u: np.where(huge_at(u), 1e308, 1.0), root,
-                                        Q, None, (s, r))
+                                        Q, None, ((s, r), (s, -r)))
             assert isinstance(fault, DomainError)
             assert str(fault) == f"panel sum past the largest float near t = {mid!r}"
+
+
+_maps = st.tuples(st.floats(-5.0, 5.0),
+                  st.floats(0.1, 4.0).flatmap(lambda b: st.sampled_from([b, -b])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(live=_maps, other=_maps, first=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       with_kernel=st.booleans(), max_panels=st.integers(1, 64))
+def test_a_zero_row_changes_nothing(live, other, first, seed, with_kernel, max_panels):
+    # a two-row reading whose other row is 0 everywhere sums its panels,
+    # weighs them and judges them as the one-row reading of its live row
+    # does, bit for bit: the rows are summed before either rule
+    rng = np.random.default_rng(seed)
+    k, c, w = rng.uniform(-8.0, 8.0), rng.uniform(-5.0, 5.0), rng.uniform(0.2, 3.0)
+    amp = complex(*rng.uniform(0.5, 2.0, 2))
+    g = lambda t: amp * np.exp(1j * k * t) / (1.0 + (w * (t - c)) ** 2)
+    a, b = live
+    edges = np.sort(rng.uniform(0.0, 12.0, 4)).tolist()
+    roots = list(zip(edges, edges[1:])) + [(edges[0], edges[0])]
+    kernel = _Dirichlet(float(rng.uniform(1.0, 60.0)), edges[1]) if with_kernel else None
+    q = QuadratureSpec(max_panels=max_panels)
+    if first:
+        sides, two = (live, other), lambda t: np.array([g(t[0]), np.zeros(t.shape[1])])
+    else:
+        sides, two = (other, live), lambda t: np.array([np.zeros(t.shape[1]), g(t[1])])
+    with np.errstate(all="ignore"):
+        together = quadrature._trees(two, roots, q, kernel, sides)
+        alone = quadrature._trees(lambda v: g(a + b * v), roots, q, kernel)
+    assert repr(together) == repr(alone)
 
 
 def test_a_finite_integrand_the_kernel_lifts_past_the_largest_float_is_a_domain_error():

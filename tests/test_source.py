@@ -292,9 +292,12 @@ def test_quadrature_takes_no_numpy_abs():
 
 def test_quadrature_has_one_refinement_loop():
     # every integral refines its panels in _trees, the one caller of
-    # _panels; neither judges a panel with a _within call each; no
-    # depth-first walk is left, and the half-line loop reads its blocks
-    # with no generator
+    # _panels; neither judges a panel with a _within call each, and _panels
+    # reads no tolerance, so _trees' inline rule is the one panel verdict;
+    # no depth-first walk is left, and the half-line loop reads its blocks
+    # with no generator.  A two-row reading has one parameter, sides, on
+    # _panels, _trees and _halfline alike, and no function takes a fold;
+    # both Mellin calls of transforms._pieces pass sides
     tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
     functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
 
@@ -308,6 +311,21 @@ def test_quadrature_has_one_refinement_loop():
     assert not {"_depth_first", "_walk", "_prefetch", "_tail_panels"} & set(functions)
     assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree))
     assert called(functions["_trees"], "_within") == called(functions["_panels"], "_within") == []
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(functions["_panels"])
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"abs_tol", "rel_tol"}
+    params = {name: [arg.arg for arg in top.args.args + top.args.kwonlyargs]
+              for name, top in _functions(tree)}
+    assert not [name for name, args in params.items() if "fold" in args]
+    assert all(params[name].count("sides") == 1 for name in ("_panels", "_trees", "_halfline"))
+    transforms = dict(_functions(
+        ast.parse((PACKAGE / "transforms.py").read_text(encoding="utf-8"))))
+    two_rows = [node for node in ast.walk(transforms["_pieces"])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_halfline"
+                and any(keyword.arg == "sides" for keyword in node.keywords)]
+    assert len(two_rows) == 2
 
 
 def test_contours_have_one_panel_rule():

@@ -43,6 +43,7 @@ from melaplace import (
     laplace_transform,
     mellin_moment,
     mellin_transform,
+    parse_spec_string,
     transform_estimate,
 )
 from melaplace import quadrature
@@ -902,14 +903,20 @@ def test_line_head_rides_the_first_tail_pass(monkeypatch, t, delta, T, y, calls,
     assert count == [calls, points]
 
 
-@pytest.mark.parametrize("spec, z, panels_used", [
-    (EGAMMA, 2.5, 8), (FunctionSpec.exp(1.3), 1.7, 7)], ids=["expminusx", "exp"])
-def test_direct_mellin_sides_share_each_pass(monkeypatch, spec, z, panels_used):
+@pytest.mark.parametrize("spec, z, calls, points, panels_used", [
+    (EGAMMA, 2.5, 1, 768, 8), (FunctionSpec.exp(1.3), 1.7, 1, 768, 7),
+    (FunctionSpec.mixed_exp(1.0, 0.5), 1.7, 3, 1248, 13),
+], ids=["expminusx", "exp", "mixedexp"])
+def test_direct_mellin_sides_share_each_pass(monkeypatch, spec, z, calls, points,
+                                             panels_used):
     # both sides of x = 1 ride one half-line: each pass reads the unit part
     # at u = v and the x >= 1 side at x = 1 + v in one integrand call, 8
     # first-pass panels of 48 points a side at order 16, where two tails
-    # took two calls and twice the panels.  Counted: the integrand calls of
-    # the transform and the points they take
+    # took two calls and twice the panels.  A panel sums its two sides and
+    # is judged on that sum, as any other panel is.  mixedexp at g2 = 0.5
+    # splits two panels, [15, 31] and [31, 63], in a second pass and reads
+    # a ninth tail panel in a third.  Counted: the integrand calls of the
+    # transform and the points they take
     count = [0, 0]
     panels = quadrature._panels
 
@@ -923,7 +930,7 @@ def test_direct_mellin_sides_share_each_pass(monkeypatch, spec, z, panels_used):
     monkeypatch.setattr(quadrature, "_panels", counting)
     est = transform_estimate(spec, TransformKind.MELLIN, z)
     assert est.converged
-    assert (count, est.panels_used) == ([1, 768], panels_used)
+    assert (count, est.panels_used) == ([calls, points], panels_used)
 
 
 def _mellin_guard(spec, z, T, s):
@@ -974,16 +981,16 @@ def _separate_pieces(spec, kind, z, q, T=None, s=0.0):
     if mellin:
         inner = _mellin_line_integrand(spec, z)
         r, start, width, heads = _folded_roots(T, s)
-        kernel, fold = _Dirichlet(T * r, 0.0), (s, r)
+        kernel, sides = _Dirichlet(T * r, 0.0), ((s, r), (s, -r))
         pieces = _halfline(inner, start, q, (), kernel, width,
-                           max(hi - s, s - lo) / r, fold)
+                           max(hi - s, s - lo) / r, sides)
     else:
         start, width, heads = _peak_roots(T, s)
-        kernel, fold = _Dirichlet(T, s), None
+        kernel, sides = _Dirichlet(T, s), None
         pieces = _halfline(inner, start, q, (), kernel, width)
     with np.errstate(all="ignore"):
         for head in heads:
-            entry = quadrature._trees(inner, [head], q, kernel, fold)[0]
+            entry = quadrature._trees(inner, [head], q, kernel, sides)[0]
             pieces.append(Estimate(*quadrature._result(entry)))
     return pieces
 
@@ -1381,6 +1388,103 @@ def test_converged_direct_mellin_transforms_match_gamma(lng, x):
         assert abs(est.value - want) <= max(est.err_est, 1e-10 * want)
 
 
+# direct Mellin transforms at complex z, frozen from mpmath at 30 digits:
+# Gamma(z), Gamma(z) g**-z, and for mixedexp, whose sin**2 and cos**2 are
+# (1 -/+ cos 2x)/2, Gamma(z)/2 (g1**-z + g2**-z - c(g1) + c(g2)) with
+# c(g) = ((g - 2i)**-z + (g + 2i)**-z)/2.  Re z in [0.2, 60], |Im z| <= 20,
+# g log-uniform in [0.05, 20]; at large Im z and small Re z the two sides
+# of x = 1 cancel to far below either, and a result there may be flagged
+DIRECT_MELLIN_AT_COMPLEX_Z = [
+    ('expminusx', (1.7261479250780656-13.250354027510852j),
+     (-3.5142210610317095e-08+4.167437982581265e-08j)),
+    ('expminusx', (1.7997781532335664-8.494972658253971j),
+     (3.843282801302122e-05+5.2528092794407604e-05j)),
+    ('expminusx', (2.508336024640429-12.103005520018492j),
+     (-1.262781851589389e-06-1.671167316337643e-06j)),
+    ('expminusx', (3.784010703963907+18.208323893196543j),
+     (-2.9836689920099903e-09+1.2959730611449973e-08j)),
+    ('expminusx', (3.8419838139969253-16.77155293281939j),
+     (-7.284686081405255e-08+8.85837522628035e-08j)),
+    ('expminusx', (11.15552780316654+4.121226860593403j),
+     (-2191148.0168826445-994645.8503813393j)),
+    ('expminusx', (17.626526346020793+2.2202777119604846j),
+     (106178454462390.88+3217865212111.7153j)),
+    ('expminusx', (17.96971319730616-12.367973289950145j),
+     (874977561961.5339+5502126724819.03j)),
+    ('expminusx', (42.008255340038644+14.435904099982302j),
+     (-2.3223799724452318e+48-1.8056948048654925e+48j)),
+    ('expminusx', (48.623317169763865-2.346632227791897j),
+     (-2.5710030494949417e+60-8.907001460133905e+59j)),
+    ('exp:gamma=0.7341843021790093', (0.6577467211461825-0.044925454022404665j),
+     (1.6720295568945402+0.0777485802965411j)),
+    ('exp:gamma=0.14452701879709806', (1.5111856260675556-13.615390523670804j),
+     (3.0492148978093813e-07+1.4294085084764521e-07j)),
+    ('exp:gamma=0.14618049585747073', (1.5551955287895396-15.209266491425048j),
+     (3.241888090537139e-08-1.8133387016058804e-08j)),
+    ('exp:gamma=0.25010048468715457', (1.7694103799423735-14.395538592338713j),
+     (-4.2758491629142165e-08-1.2293562303232025e-07j)),
+    ('exp:gamma=0.5513457485132602', (2.7572669464468076-18.441514993910502j),
+     (2.075238894949381e-09+1.3219662903803781e-09j)),
+    ('exp:gamma=1.3776102431257915', (4.874936202837808-12.836595252773249j),
+     (-7.049699690376028e-05-2.3830875066304037e-06j)),
+    ('exp:gamma=2.0510520294100707', (6.419591838334694+1.4715524171230214j),
+     (-0.011267775073625988+2.0683029090086484j)),
+    ('exp:gamma=2.779922306957855', (10.164635064886461+14.58548507323141j),
+     (-0.0027989735280585164+0.0006191778088758944j)),
+    ('exp:gamma=0.25871222992879517', (12.360717694228384-19.494829487286328j),
+     (-1104922689.2101307+8731474086.97609j)),
+    ('exp:gamma=0.12536975570260658', (21.991012898318008+19.569308151415193j),
+     (-8.236120117010995e+35+8.338025289278983e+35j)),
+    ('exp:gamma=0.6625458257829756', (25.126205548948256+10.648195816624533j),
+     (1.3607174716731665e+27+2.77218005496954e+27j)),
+    ('exp:gamma=0.1630427275575464', (27.52456207664783+17.59951627356437j),
+     (-4.986032889285064e+46+2.5870035955015636e+45j)),
+    ('exp:gamma=1.5052785688864587', (49.82151626415189-4.876509037965109j),
+     (-8.502060585938907e+52+3.2649040055544816e+53j)),
+    ('exp:gamma=0.07157739239088394', (53.78717281161536+3.5565968180051364j),
+     (-2.624560826091116e+129-6.453101159740125e+130j)),
+    ('mixedexp:g1=0.3067417205356643,g2=1.2805445701603577',
+     (0.9983858593634651-17.199498142880536j),
+     (-0.09276834284744395+0.011368438618602641j)),
+    ('mixedexp:g1=0.23877536340662278,g2=0.32747604227657534',
+     (1.8615661961024277-16.20506500388085j),
+     (0.16415482343038795-0.5392903173592029j)),
+    ('mixedexp:g1=0.32555925456144025,g2=1.01644252156424',
+     (13.002923729467208+18.830364388427853j),
+     (5473759658.805023-66777071216.590996j)),
+    ('mixedexp:g1=0.16191836717883235,g2=0.2600883906963005',
+     (16.788471666499042-13.280839946094328j),
+     (7.395490465018642e+23+2.6610784637423367e+23j)),
+    ('mixedexp:g1=0.3421910394388783,g2=1.0440837945421964',
+     (17.273874956370463-16.70000738850749j),
+     (-5.878332199051409e+17+1.5852822491202145e+18j)),
+    ('mixedexp:g1=1.4105268255586998,g2=0.9939457661122905',
+     (25.582922360998236+3.028206413563943j),
+     (-1.8375861382719324e+24-6.884614389865332e+23j)),
+    ('mixedexp:g1=0.22196334026979145,g2=3.682268799387928',
+     (33.31441637343031-13.283021042251582j),
+     (-1.2751342178778933e+56+1.1564668467989223e+56j)),
+    ('mixedexp:g1=1.4222036131465872,g2=0.09129545809021641',
+     (44.525696259859195-6.281729460026192j),
+     (1.1548463317487787e+99-2.4698235399462742e+99j)),
+]
+
+
+def test_converged_direct_mellin_transforms_at_complex_z_match_mpmath():
+    # every result that reports converged lies within max(abs_tol,
+    # rel_tol |F|) of its frozen value, and most of them do converge
+    q = QuadratureSpec()
+    off, converged = [], 0
+    for source, z, want in DIRECT_MELLIN_AT_COMPLEX_Z:
+        est = transform_estimate(parse_spec_string(source), TransformKind.MELLIN, z, q)
+        converged += est.converged
+        if est.converged and not abs(est.value - want) <= max(q.abs_tol,
+                                                              q.rel_tol * abs(want)):
+            off.append((source, z, est.value))
+    assert off == []
+    assert converged >= len(DIRECT_MELLIN_AT_COMPLEX_Z) // 2
+
+
 @st.composite
 def _direct_cases(draw):
     """A (source, kind) pair with a strip and a z inside it, Re z up to
@@ -1400,7 +1504,7 @@ def test_transform_estimate_matches_its_separate_pieces_bit_for_bit(case, order,
                                                                     max_panels):
     # a Laplace or moment transform is one tail, bit for bit.  A Mellin
     # transform takes both sides of x = 1 on shared panels, each split
-    # wherever either side fails tolerance, so its bits differ from two
+    # wherever their sum fails tolerance, so its bits differ from two
     # tails of their own: it raises the same type of error, and where both
     # converge they lie within twice the larger tolerance of each other
     spec, kind, z = case
