@@ -150,6 +150,12 @@ class Contour:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Contour":
+        """Inverse of to_json; ValueError names a key that doc lacks."""
+        if not isinstance(doc, dict):
+            raise ValueError("a Contour is a JSON object")
+        for key in ("shape", "c_right", "half_height", "delta"):
+            if key not in doc:
+                raise ValueError(f"a Contour needs the key {key!r}")
         return cls(
             ContourShape(doc["shape"]),
             float(doc["c_right"]),

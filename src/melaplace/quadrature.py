@@ -20,15 +20,13 @@ panel that fails tolerance is halved into the next level while its tree,
 with both halves, holds at most ``max_panels`` panels, judged left to
 right within each level: a tree that outgrows its budget spends it level
 by level, keeps the panels it cannot split, and its estimate is
-unconverged.  A half-line integral evaluates its geometric panels ahead
-of need, one level-order pass per block: _FIRST_TAIL_BLOCK panels first,
-then blocks sized from the decay of the last two panels to where the
-stop rule should end, and runs its stop and budget rules over them in
-order.  A look-ahead panel past the stop is never read: it never
-raises, and numpy's warnings are off while the engine evaluates.
-``Estimate.panels_used`` counts the panels of the estimate, split ones
-included, not the look-ahead ones.  Finite heads ride the first tail pass
-(_halfline's heads) with the bits of integrate_finite.
+unconverged.  A half-line integral (_halfline) evaluates its geometric
+panels ahead of need, a block per level-order pass, and runs its stop
+and budget rules over them in order: a look-ahead panel past the stop
+is never read and never raises, and numpy's warnings are off while the
+engine evaluates.  ``Estimate.panels_used`` counts the panels of the
+estimate, split ones included, not the look-ahead ones.  Finite heads
+ride the first tail pass with the bits of integrate_finite.
 
 A numeric Bromwich line integrates its source g against the Dirichlet
 kernel sin(T*(s - u))/(pi*(s - u)), which the engine applies itself
@@ -78,11 +76,11 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, MelaplaceError, NonFiniteIntegrand, TailDivergence
+from .errors import DomainError, NonFiniteIntegrand, TailDivergence
 
 # first geometric panel width on half-line integrals
 _FIRST_TAIL_WIDTH = 1.0
@@ -152,6 +150,10 @@ class QuadratureSpec:
     def from_json(cls, doc: dict) -> "QuadratureSpec":
         if not isinstance(doc, dict):
             raise ValueError("a QuadratureSpec is a JSON object")
+        names = [field.name for field in fields(cls)]
+        for key in doc:
+            if key not in names:
+                raise ValueError(f"a QuadratureSpec has no key {key!r}")
         return cls(**doc)
 
 
@@ -701,55 +703,40 @@ def integrate_halfline(f, a: float, q: QuadratureSpec | None = None) -> Estimate
     return _halfline(f, _bound("a", a), q or DEFAULT_QUADRATURE)[0]
 
 
-class _Tail:
-    """The stop and budget rules of the geometric tail of _halfline.  Its
-    panels run from a toward +inf, each _TAIL_GROWTH times as wide as the
-    last.  roots gives the next block of them, and read runs the rules
-    over their _trees entries until ``outcome`` holds the tail's Estimate
-    or the error it raises.  With ``past``, no panel counts as quiet up to
-    the one that reaches past.
+def _halfline(f, a: float, q: QuadratureSpec, heads=(),
+              kernel: _Dirichlet | None = None, width: float = _FIRST_TAIL_WIDTH,
+              past: float = -math.inf, sides: tuple | None = None) -> list:
+    """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
+    q) for each (lo, hi) of ``heads``, bit for bit.  kernel and sides are
+    _panels's: with a kernel, each panel weighs f as _Dirichlet.weigh
+    says, and with sides = ((a0, b0), (a1, b1)) every panel lies in v and
+    sums f's two rows, at t = a0 + b0*v and t = a1 + b1*v, so that the
+    panel rule and the stop rule read the sum.  The tail's panels run from
+    a toward +inf, the first ``width`` wide, each _TAIL_GROWTH times as
+    wide as the last.  A panel that starts below ``past``, where f holds
+    its mass, is never quiet: a tail that starts short of the mass reads
+    on across it, however small f is on the way.
+
+    The tail's panels are evaluated in blocks, _FIRST_TAIL_BLOCK first,
+    then as many as _next_block expects the stop rule to read, each block
+    one level-order pass; the first pass also takes the heads' trees.  The
+    tail's error, if any, is raised first, then the heads', as each would
+    alone.
     """
-
-    __slots__ = ("q", "lo", "width", "block", "left", "total", "err_sum", "used",
-                 "quiet", "mag", "hold", "outcome")
-
-    def __init__(self, a: float, width: float, q: QuadratureSpec,
-                 past: float | None = None):
-        self.q, self.lo, self.width = q, float(a), width
-        self.block, self.left = _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
-        self.total, self.err_sum, self.used, self.quiet, self.mag = 0j, 0.0, 0, 0, 0.0
-        self.outcome = None
-        # the panels short of past, and the one that reaches it, as roots lays them
-        self.hold = 0
-        if past is not None:
-            edge = self.lo
-            while edge < past:
-                edge += width
-                width *= _TAIL_GROWTH
-                self.hold += 1
-
-    def roots(self) -> list:
-        """The next block of root panels, (lo, hi) each, outward in order."""
-        lo, width = self.lo, self.width
-        roots = []
-        for _ in range(min(self.block, self.left)):
-            roots.append((lo, lo + width))
-            lo += width
-            width *= _TAIL_GROWTH
-        self.lo, self.width = lo, width
-        return roots
-
-    def read(self, results) -> None:
-        """Runs the rules in order over results, the _trees entries of the
-        block from roots, and sets ``outcome`` where they stop: the error
-        of an entry read, or TailDivergence when the block was the last
-        that _MAX_TAIL_PANELS allows."""
-        q = self.q
-        abs_tol, rel_tol = q.abs_tol, q.rel_tol
-        total, err_sum, used, quiet, mag, hold = (self.total, self.err_sum, self.used,
-                                                  self.quiet, self.mag, self.hold)
-        try:
-            for result in results:
+    abs_tol, rel_tol = q.abs_tol, q.rel_tol
+    lo, block, left = float(a), _FIRST_TAIL_BLOCK, _MAX_TAIL_PANELS
+    total, err_sum, used, quiet, mag = 0j, 0.0, 0, 0, 0.0
+    riders, head_results = list(heads), []
+    with np.errstate(all="ignore"):
+        while left:
+            roots = []
+            for _ in range(min(block, left)):
+                roots.append((lo, lo + width))
+                lo, width = lo + width, width * _TAIL_GROWTH
+            results = _trees(f, roots + riders, q, kernel, sides)
+            if riders:
+                head_results, riders = results[len(roots):], []
+            for (start, _), result in zip(roots, results):
                 value, err, panels, _ = _result(result)
                 total += value
                 err_sum += err
@@ -759,69 +746,20 @@ class _Tail:
                     mag, scale = abs(value), abs(total)
                 except OverflowError:
                     mag, scale = _abs(value), _abs(total)
-                if hold:
-                    hold -= 1
-                    negligible = False
-                else:
-                    negligible = mag <= abs_tol and (mag <= rel_tol * scale
-                                                     or scale <= abs_tol)
-                quiet = quiet + 1 if negligible else 0
+                negligible = mag <= abs_tol and (mag <= rel_tol * scale or scale <= abs_tol)
+                quiet = quiet + 1 if negligible and not start < past else 0
                 if quiet >= 2 or used >= q.max_panels:
                     # the last panel's magnitude stands for the tail left
                     # out, also when the panel budget cut the tail off
                     # before it went quiet
                     err_sum += mag
-                    self.outcome = Estimate(total, err_sum, used,
-                                            quiet >= 2 and _within(q, err_sum, _abs(total)))
-                    return
-        except MelaplaceError as exc:
-            self.outcome = exc
-            return
-        self.left -= len(results)
-        if not self.left:
-            self.outcome = TailDivergence(
-                "the integral diverges, or decays too slowly to resolve: tail panels "
-                f"still not negligible at t = {self.lo:g}")
-            return
-        self.total, self.err_sum, self.used, self.quiet, self.mag, self.hold = (
-            total, err_sum, used, quiet, mag, hold)
-        self.block = _next_block(self.block, previous, mag, abs_tol)
-
-
-def _halfline(f, a: float, q: QuadratureSpec, heads=(),
-              kernel: _Dirichlet | None = None, width: float = _FIRST_TAIL_WIDTH,
-              past: float | None = None, sides: tuple | None = None) -> list:
-    """[integrate_halfline(f, a, q)], followed by integrate_finite(f, lo, hi,
-    q) for each (lo, hi) of ``heads``, bit for bit.  kernel and sides are
-    _panels's: with a kernel, each panel weighs f as _Dirichlet.weigh
-    says, and with sides = ((a0, b0), (a1, b1)) every panel lies in v and
-    sums f's two rows, at t = a0 + b0*v and t = a1 + b1*v, so that the
-    panel rule and the stop rule read the sum.  The tail's first panel is
-    ``width`` wide.  With ``past``, where f holds its mass, the
-    tail counts no panel as quiet up to the one that reaches past: a tail
-    that starts short of the mass reads on across it, however small f is
-    on the way.
-
-    The tail's geometric panels are evaluated in blocks (_Tail):
-    _FIRST_TAIL_BLOCK panels first, then as many as _next_block expects
-    its stop rule to read.  Each block is one level-order pass, and the
-    first pass also takes the heads' trees, so no head has a pass of its
-    own.  The stop and budget rules run over each block's panels in order;
-    a panel past where they stop is never read, and raises nothing.  The
-    tail's error, if any, is raised first, then the heads', as each would
-    alone.
-    """
-    tail = _Tail(a, width, q, past)
-    riders, head_results = list(heads), []
-    with np.errstate(all="ignore"):
-        while tail.outcome is None:
-            roots = tail.roots()
-            results = _trees(f, roots + riders, q, kernel, sides)
-            if riders:
-                head_results, riders = results[len(roots):], []
-            tail.read(results[:len(roots)])
-        return ([_result(tail.outcome)]
-                + [Estimate(*_result(result)) for result in head_results])
+                    return ([Estimate(total, err_sum, used,
+                                      quiet >= 2 and _within(q, err_sum, _abs(total)))]
+                            + [Estimate(*_result(entry)) for entry in head_results])
+            left -= len(roots)
+            block = _next_block(block, previous, mag, abs_tol)
+    raise TailDivergence("the integral diverges, or decays too slowly to resolve: "
+                         f"tail panels still not negligible at t = {lo:g}")
 
 
 def _lobe(T: float, s: float) -> float:
@@ -897,15 +835,14 @@ def integrate_unit_singular(f, sigma: float, q: QuadratureSpec | None = None) ->
     """Integral of f over (0, 1] where f behaves like x**(sigma-1) at zero.
 
     The substitution x = exp(-t) maps the integral onto [0, inf) with the
-    singularity absorbed into exponential decay exp(-sigma*t); sigma <= 0
-    means the integral diverges and is rejected up front.
+    singularity absorbed into exponential decay exp(-sigma*t); a sigma
+    that is not positive, NaN included, means the integral diverges and is
+    rejected up front.
     """
     q = q or DEFAULT_QUADRATURE
-    if sigma <= 0.0:
-        raise TailDivergence(
-            f"effective endpoint exponent sigma = {sigma:g} is outside the "
-            "convergence region"
-        )
+    if not sigma > 0.0:
+        raise TailDivergence(f"effective endpoint exponent sigma = {sigma:g} is outside "
+                             "the convergence region")
 
     def transformed(t):
         u = np.exp(-t)

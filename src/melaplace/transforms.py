@@ -190,7 +190,10 @@ class TransformExpr:
     @classmethod
     def from_json(cls, doc: dict) -> "TransformExpr":
         """Inverse of to_json, and the one reader of a pole list: an entry
-        whose first four items float() cannot read is a ParseError."""
+        whose first four items float() cannot read is a ParseError; a
+        missing form, source or kind is a ValueError that names the key."""
+        if not isinstance(doc, dict) or "form" not in doc:
+            raise ValueError("a TransformExpr is a JSON object with the key 'form'")
         form = doc["form"]
         if form == "rational":
             try:
@@ -200,6 +203,9 @@ class TransformExpr:
                 raise ParseError("poles must be [[re, im, res_re, res_im], ...]") from None
             return cls.rational(poles)
         if form == "numeric":
+            for key in ("source", "kind"):
+                if key not in doc:
+                    raise ValueError(f"a numeric TransformExpr needs the key {key!r}")
             return cls.numeric(parse_spec_string(doc["source"]), TransformKind(doc["kind"]))
         raise ValueError(f"unknown transform form {form!r}")
 

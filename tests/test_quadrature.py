@@ -169,9 +169,11 @@ def test_unit_singular_power_kernel():
     assert abs(est.value - 0.5) <= 1e-11
 
 
-def test_unit_singular_rejects_divergent_exponent():
-    with pytest.raises(TailDivergence):
-        integrate_unit_singular(lambda x: 1.0 / x, 0.0)
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_unit_singular_rejects_divergent_exponent(sigma):
+    # NaN is no exponent the integral converges at either
+    with pytest.raises(TailDivergence, match="outside the convergence region"):
+        integrate_unit_singular(lambda x: np.ones_like(x), sigma)
 
 
 def test_additivity():
@@ -352,7 +354,9 @@ def _reference_finite(f, a, b, q=Q):
     return total, err_sum, used, (not capped) and _within(q, err_sum, abs(total))
 
 
-def _reference_halfline(f, a, q=Q):
+def _reference_halfline(f, a, q=Q, past=-math.inf):
+    """integrate_halfline one panel at a time; a panel that starts below
+    past is never negligible, as _halfline's past says."""
     lo = float(a)
     width = _FIRST_TAIL_WIDTH
     total = 0j
@@ -366,7 +370,8 @@ def _reference_halfline(f, a, q=Q):
         used += panels
         mag = abs(value)
         size = abs(total)
-        negligible = mag <= q.abs_tol and (mag <= q.rel_tol * size or size <= q.abs_tol)
+        negligible = (lo >= past and mag <= q.abs_tol
+                      and (mag <= q.rel_tol * size or size <= q.abs_tol))
         quiet = quiet + 1 if negligible else 0
         if quiet >= 2 or used >= q.max_panels:
             break
@@ -441,6 +446,16 @@ def test_halfline_engine_matches_one_panel_loop(f, a, max_panels):
     q = QuadratureSpec(max_panels=max_panels)
     _assert_same(_outcome(integrate_halfline, f, a, q),
                  _outcome(_reference_halfline, f, a, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_integrands(), a=st.floats(0.0, 10.0), past=st.floats(-5.0, 3000.0),
+       max_panels=_BUDGETS)
+def test_halfline_past_matches_one_panel_loop(f, a, past, max_panels):
+    # a tail told where its mass lies reads on across it, panel for panel
+    q = QuadratureSpec(max_panels=max_panels)
+    _assert_same(_outcome(lambda: _halfline(f, a, q, past=past)[0]),
+                 _outcome(_reference_halfline, f, a, q, past))
 
 
 def _exact_outcome(f, a, q):

@@ -1,7 +1,9 @@
 """JSON round trips of the frozen dataclasses that carry a to_json."""
 
 import json
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +77,25 @@ def test_json_roundtrip_is_the_identity(obj):
     back = type(obj).from_json(json.loads(text))
     assert back == obj
     assert back.to_json() == obj.to_json()
+
+
+@pytest.mark.parametrize("reader, doc, message", [
+    (Contour.from_json, {}, "a Contour needs the key 'shape'"),
+    (Contour.from_json, [], "a Contour is a JSON object"),
+    (Contour.from_json, {"shape": "bromwich", "c_right": 1.0, "delta": 0.5},
+     "a Contour needs the key 'half_height'"),
+    (TransformExpr.from_json, {}, "a TransformExpr is a JSON object with the key 'form'"),
+    (TransformExpr.from_json, [], "a TransformExpr is a JSON object with the key 'form'"),
+    (TransformExpr.from_json, {"form": "numeric"},
+     "a numeric TransformExpr needs the key 'source'"),
+    (TransformExpr.from_json, {"form": "numeric", "source": "expminusx"},
+     "a numeric TransformExpr needs the key 'kind'"),
+    (QuadratureSpec.from_json, {"foo": 1}, "a QuadratureSpec has no key 'foo'"),
+    (QuadratureSpec.from_json, {"panel_order": 8, "max_panel": 2},
+     "a QuadratureSpec has no key 'max_panel'"),
+], ids=["contour-empty", "contour-list", "contour-no-half-height", "transform-empty",
+        "transform-list", "numeric-no-source", "numeric-no-kind", "quad-unknown",
+        "quad-misspelt"])
+def test_malformed_json_documents_raise_a_value_error_naming_the_key(reader, doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reader(doc)

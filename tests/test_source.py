@@ -300,6 +300,9 @@ def test_quadrature_has_one_refinement_loop():
     # both Mellin calls of transforms._pieces pass sides
     tree = ast.parse((PACKAGE / "quadrature.py").read_text(encoding="utf-8"))
     functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    # the tail's state lives in _halfline's locals, in no class of its own
+    assert [top.name for top in tree.body if isinstance(top, ast.ClassDef)] == [
+        "QuadratureSpec", "Estimate", "_Dirichlet"]
 
     def called(top, name):
         return [node for node in ast.walk(top)
