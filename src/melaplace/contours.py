@@ -19,9 +19,14 @@ q.max_panels panels is a DomainError, never a coarser sum.
 An inverse runs in two steps, each raising where it fails.  The
 per-contour step, ``_record``, builds the record of one contour or of
 several: ``_paths`` lays out the nodes and weights of all their edges in
-one array pass, and one batched ``transforms.rational_values`` call,
-whose sum runs pole by pole in memory linear in the nodes, gives the
-values at every node.  The per-argument step is one kernel-weighted sum
+one array pass, and one ``transforms._pole_sum``, which runs pole by pole
+in memory linear in the nodes, gives the values at every node.  No node
+is tested against the poles where the edges clear them: every edge is
+vertical or horizontal and its nodes lie exactly on its line, so a pole
+POLE_HIT_TOL across from every line is that far from every node
+(``_clear``, O(poles x edges)).  Where a pole comes nearer a line,
+``rational_values`` tests every node, pole by pole, before the same sum,
+and raises its PoleHit.  The per-argument step is one kernel-weighted sum
 over a contour's slice of those arrays.  ``inverse_eval`` takes both
 steps for one argument; a round trip or a CLI ``invert`` over many
 arguments takes the first step once and the second once per argument,
@@ -84,11 +89,13 @@ from .errors import (
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _gl
 from .residues import _kernel_scale, pole_box
 from .transforms import (
+    POLE_HIT_TOL,
     InverseKind,
     TransformExpr,
     TransformForm,
     _EXP_LIMIT,
     _line_integral,
+    _pole_sum,
     rational_values,
 )
 
@@ -150,18 +157,26 @@ class Contour:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Contour":
-        """Inverse of to_json; ValueError names a key that doc lacks."""
+        """Inverse of to_json; ValueError names a key that doc lacks or
+        whose value does not read as its field."""
         if not isinstance(doc, dict):
             raise ValueError("a Contour is a JSON object")
         for key in ("shape", "c_right", "half_height", "delta"):
             if key not in doc:
                 raise ValueError(f"a Contour needs the key {key!r}")
+
+        def read(key, kind):
+            try:
+                return kind(doc[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"a Contour's {key!r} cannot be {doc[key]!r}") from None
+
         return cls(
-            ContourShape(doc["shape"]),
-            float(doc["c_right"]),
-            float(doc["c_left"]) if "c_left" in doc else None,
-            float(doc["half_height"]),
-            float(doc["delta"]),
+            read("shape", ContourShape),
+            read("c_right", float),
+            read("c_left", float) if "c_left" in doc else None,
+            read("half_height", float),
+            read("delta", float),
         )
 
 
@@ -247,6 +262,20 @@ def discretize(c: Contour, q: QuadratureSpec | None = None):
     return _paths((c,), q or DEFAULT_QUADRATURE, False)[:2]
 
 
+def _corners(c: Contour, upper: bool) -> list:
+    """The corners of c, or of its part with Im z >= 0 when upper, in the
+    order of its edges: edge k runs from corner k to corner k + 1, and
+    each edge is vertical or horizontal."""
+    T = c.half_height
+    bottom = 0.0 if upper else -T
+    corners = [complex(c.c_right, bottom), complex(c.c_right, T)]
+    if c.shape is ContourShape.RECTANGLE:
+        corners += [complex(c.c_left, T), complex(c.c_left, bottom)]
+        if not upper:
+            corners.append(complex(c.c_right, -T))
+    return corners
+
+
 def _paths(cs, q: QuadratureSpec, upper: bool):
     """Nodes and weights of the contours of cs, or when upper of their
     parts with Im z >= 0, each oriented as its contour: [c, c + iT] for a
@@ -267,13 +296,7 @@ def _paths(cs, q: QuadratureSpec, upper: bool):
     """
     rows, counts, bounds = [], [], [0]
     for c in cs:
-        T = c.half_height
-        bottom = 0.0 if upper else -T
-        corners = [complex(c.c_right, bottom), complex(c.c_right, T)]
-        if c.shape is ContourShape.RECTANGLE:
-            corners += [complex(c.c_left, T), complex(c.c_left, bottom)]
-            if not upper:
-                corners.append(complex(c.c_right, -T))
+        corners = _corners(c, upper)
         width = min(_BASE_PANEL_WIDTH, 2.0 * c.delta)
         panels = bounds[-1]
         for z0, z1 in zip(corners, corners[1:]):
@@ -297,9 +320,16 @@ def _paths(cs, q: QuadratureSpec, upper: bool):
     table = np.array(rows, dtype=complex).reshape(-1, 5).repeat(counts, axis=0)
     step, half, start, direction, first = table.T[:, :, None]
     half = half.real
-    weights = ws * half * direction
     s = (np.arange(len(table))[:, None] - first.real) * step.real + half * (1.0 + xs)
-    nodes = start + s * direction
+    # cast to complex before the products, which numpy would otherwise
+    # cast through buffers twice the size of the result, and multiplied in
+    # place: at most two arrays the size of the nodes are alive at once
+    nodes = s.astype(complex)
+    del s
+    nodes *= direction
+    nodes += start
+    weights = (ws * half).astype(complex)
+    weights *= direction
     order = len(xs)
     parts = [slice(order * a, order * b) for a, b in zip(bounds, bounds[1:])]
     return nodes.ravel(), weights.ravel(), parts
@@ -308,16 +338,44 @@ def _paths(cs, q: QuadratureSpec, upper: bool):
 def _record(t: TransformExpr, cs, q: QuadratureSpec | None, upper: bool):
     """The record of the contours of cs, or of their upper halves when
     upper: (nodes, weights, values, parts), their nodes, weights and parts
-    as _paths lays them out, and the values at every node in one
-    rational_values call.  A numeric t has no nodes and raises
+    as _paths lays them out, and the values at every node from one
+    transforms._pole_sum.  A numeric t has no nodes and raises
     NotRectangularizable, as in rectangle_for, before any is built.
+
+    The values raise PoleHit as rational_values raises it over every node.
+    Where _clear shows from the edges that no node can sit within
+    POLE_HIT_TOL of a pole, no node is tested; elsewhere rational_values
+    tests every node, pole by pole.
     """
     if t.form is not TransformForm.RATIONAL:
         raise NotRectangularizable(
             f"{t.form.value} transforms cannot be inverted on a rectangle"
         )
     nodes, weights, parts = _paths(cs, q or DEFAULT_QUADRATURE, upper)
-    return nodes, weights, rational_values(t, nodes), parts
+    values = _pole_sum(t, nodes) if _clear(t, cs, upper) else rational_values(t, nodes)
+    return nodes, weights, values, parts
+
+
+def _clear(t: TransformExpr, cs, upper: bool) -> bool:
+    """Whether every pole of t lies at least POLE_HIT_TOL across from the
+    line of every edge that _paths lays out for cs.
+
+    Each edge runs along Re z = a or Im z = b, and its unit direction is
+    exactly +/-1 or +/-1j, so each of its nodes has the coordinate a or b
+    exactly.  A node's distance to a pole p, as a pole test computes it,
+    is then at least the rounded |a - Re p| or |b - Im p|: a pole that
+    clears every line clears every node.
+    """
+    reals, imags = set(), set()
+    for c in cs:
+        corners = _corners(c, upper)
+        for z0, z1 in zip(corners, corners[1:]):
+            if z0.real == z1.real:
+                reals.add(z0.real)
+            else:
+                imags.add(z0.imag)
+    return all(abs(a - p.real) >= POLE_HIT_TOL for p, _ in t.poles for a in reals) and all(
+        abs(b - p.imag) >= POLE_HIT_TOL for p, _ in t.poles for b in imags)
 
 
 def _kernel_check(kind: InverseKind, c: Contour, arg: float) -> float:

@@ -151,9 +151,12 @@ class QuadratureSpec:
         if not isinstance(doc, dict):
             raise ValueError("a QuadratureSpec is a JSON object")
         names = [field.name for field in fields(cls)]
-        for key in doc:
+        for key, value in doc.items():
             if key not in names:
                 raise ValueError(f"a QuadratureSpec has no key {key!r}")
+            # booleans pass here and fail in __post_init__
+            if not isinstance(value, (int, float)):
+                raise ValueError(f"a QuadratureSpec's {key!r} must be a number, got {value!r}")
         return cls(**doc)
 
 

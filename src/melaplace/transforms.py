@@ -37,8 +37,12 @@ every real u, folded about the kernel's peak into one half-line
 two-row reading (``quadrature._panels``'s sides), and ``_summed`` judges
 a line's pieces and a delta check's window too.
 
-``rational_values`` evaluates a rational form at an array of z; it is the
-one path from contour nodes to transform values.  A numeric form is
+``_pole_sum`` is the one sum behind every rational value: the sum of
+res/(z - pole) pole by pole, with no pole test.  ``rational_values``, the
+public evaluation of a rational form at an array of z, tests every z
+against each pole before it; a contour record (``contours._record``)
+calls it directly where the contour's edges clear every pole, and
+through ``rational_values`` elsewhere.  A numeric form is
 evaluated one z at a time, by ``eval_transform`` or ``transform_estimate``.
 Open-line inverses of numeric forms evaluate no transform values:
 ``_line_integral`` integrates the source against the Dirichlet kernel, by
@@ -560,15 +564,27 @@ def transform_for(spec: FunctionSpec, kind: InverseKind) -> TransformExpr:
 def rational_values(t: TransformExpr, zs: np.ndarray) -> np.ndarray:
     """Vectorized sum of res/(z - pole) over an array of z, in pole order;
     raises PoleHit, naming the first such pole, when any point sits within
-    POLE_HIT_TOL of a pole.  Transient memory is a few arrays the size of
-    zs, whatever the number of poles."""
+    POLE_HIT_TOL of a pole.  The pole test runs pole by pole before
+    ``_pole_sum`` adds the terms, so transient memory is a few arrays the
+    size of zs, whatever the number of poles."""
     zs = np.asarray(zs, dtype=complex)
-    out = np.zeros(zs.shape, dtype=complex)
-    for p, r in t.poles:
-        dist = zs - p
-        if np.abs(dist).min(initial=math.inf) < POLE_HIT_TOL:
+    for p, _ in t.poles:
+        if np.abs(zs - p).min(initial=math.inf) < POLE_HIT_TOL:
             raise PoleHit(f"evaluation point collides with pole at {p}")
-        out += r / dist
+    return _pole_sum(t, zs)
+
+
+def _pole_sum(t: TransformExpr, zs: np.ndarray) -> np.ndarray:
+    """sum(res/(z - pole)) at each of the complex array zs, added pole by
+    pole in pole order, with no pole test: the one sum behind every
+    rational value.  Its caller has shown that no z sits within
+    POLE_HIT_TOL of a pole.  One scratch array the size of zs holds each
+    pole's terms."""
+    out = np.zeros(zs.shape, dtype=complex)
+    terms = np.empty_like(out)
+    for p, r in t.poles:
+        np.divide(r, np.subtract(zs, p, out=terms), out=terms)
+        out += terms
     return out
 
 

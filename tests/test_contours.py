@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,12 +41,12 @@ from melaplace import (
     transform_estimate,
     transform_for,
 )
-from melaplace import contours
+from melaplace import contours, transforms
 from melaplace.campaigns import invariance_sweep, roundtrip
 from melaplace.cli import cli_main
 from melaplace.contours import DEFAULT_DELTA, DEFAULT_LINE_HALF_HEIGHT
 from melaplace.quadrature import _gl
-from melaplace.transforms import _line_integral, rational_values
+from melaplace.transforms import POLE_HIT_TOL, _line_integral, _pole_sum, rational_values
 
 LAP = InverseKind.LAPLACE_KERNEL
 MEL = InverseKind.MELLIN_KERNEL
@@ -702,13 +703,16 @@ def test_symmetric_inverses_evaluate_the_upper_half_only(monkeypatch):
 
     def counting(t, zs):
         counted.append(np.size(zs))
-        return rational_values(t, zs)
+        return _pole_sum(t, zs)
 
     def building(c, q=None):
         built.append(c)
         return discretize(c, q)
 
-    monkeypatch.setattr(contours, "rational_values", counting)
+    # the one sum, whether _record calls it directly or through
+    # rational_values
+    monkeypatch.setattr(contours, "_pole_sum", counting)
+    monkeypatch.setattr(transforms, "_pole_sum", counting)
     monkeypatch.setattr(contours, "discretize", building)
     # a numeric line is one Dirichlet-kernel integral: no nodes at all
     gamma = TransformExpr.gamma()
@@ -1027,20 +1031,22 @@ def test_each_contour_sum_builds_its_record_once(monkeypatch):
         monkeypatch.setattr(contours, name, call)
 
     counting("_paths", contours._paths)
+    counting("_pole_sum", _pole_sum)
     counting("rational_values", rational_values)
+    monkeypatch.setattr(transforms, "_pole_sum", contours._pole_sum)
     rect = rectangle_for(MIXED, 0.5, 5.0)
     lop = TransformExpr.rational([(complex(-1.0, 2.0), 1.0)])
     for t, c in ((MIXED, rect), (lop, rectangle_for(lop)), (ONE_POLE, bromwich_for(ONE_POLE))):
         built.clear()
         assert len(list(contours._contour_sums(t, LAP, c, [-2.0, -1.0, 0.0, 1.0, 2.0], None))) == 5
-        assert built == ["_paths", "rational_values"]
+        assert built == ["_paths", "_pole_sum"]
     built.clear()
     assert len(list(contours._cauchy_sums(MIXED, rect, [1.0, 2j + 3.0, 5.0], None))) == 3
-    assert built == ["_paths", "rational_values"]
+    assert built == ["_paths", "_pole_sum"]
     # a passing 3x3 sweep builds one record for its whole grid
     built.clear()
     assert len(invariance_sweep(MIXED, LAP, 1.0, [0.25, 0.5, 1.0], [3.0, 5.0, 8.0]).results) == 9
-    assert built == ["_paths", "rational_values"]
+    assert built == ["_paths", "_pole_sum"]
     # a first argument that raises builds nothing: a kernel overflow, a z
     # inside the rectangle
     built.clear()
@@ -1050,6 +1056,41 @@ def test_each_contour_sum_builds_its_record_once(monkeypatch):
         list(contours._cauchy_sums(MIXED, rect, [-5.0, 1.0], None))
     assert built == []
 
+
+def test_record_tests_its_nodes_only_where_a_pole_meets_an_edge_line(monkeypatch):
+    tested = []
+
+    def counting(t, zs):
+        tested.append(np.size(zs))
+        return rational_values(t, zs)
+
+    monkeypatch.setattr(contours, "rational_values", counting)
+    # rectangle_for keeps every pole delta from every edge's line: no node
+    # is tested, whatever the sum
+    lop = TransformExpr.rational([(complex(-1.0, 2.0), 1.0)])
+    rect = rectangle_for(MIXED, 0.5, 5.0)
+    inverse_eval(MIXED, LAP, rect, 1.0)
+    inverse_eval(lop, LAP, rectangle_for(lop), 1.0)
+    cauchy_reproduction(MIXED, rect, 2.0)
+    invariance_sweep(MIXED, LAP, 1.0, [0.25, 0.5, 1.0], [3.0, 5.0, 8.0])
+    assert tested == []
+    # the reach is POLE_HIT_TOL: a pole that far from the line clears it
+    line = Contour(ContourShape.BROMWICH_LINE, -1.0, None, 5.0, 0.5)
+    nodes = discretize(line)[0]
+    inverse_eval(TransformExpr.rational([(complex(-1.0 - POLE_HIT_TOL, 2.0), 1.0)]),
+                 LAP, line, 1.0)
+    assert tested == []
+    # a pole on the line between two nodes: every node is tested once, and
+    # none is hit
+    assert np.abs(nodes - lop.poles[0][0]).min() > POLE_HIT_TOL
+    inverse_eval(lop, LAP, line, 1.0)
+    assert tested == [nodes.size]
+    # a pole half the reach off a node: the test raises its PoleHit
+    tested.clear()
+    pole = complex(nodes[7].real + 0.5 * POLE_HIT_TOL, nodes[7].imag)
+    with pytest.raises(PoleHit, match=re.escape(f"collides with pole at {pole}")):
+        inverse_eval(TransformExpr.rational([(pole, 1.0)]), LAP, line, 1.0)
+    assert tested == [nodes.size]
 
 # ---------------------------------------------------------------------------
 # Cauchy reproduction at random points

@@ -79,6 +79,9 @@ def test_json_roundtrip_is_the_identity(obj):
     assert back.to_json() == obj.to_json()
 
 
+_LINE = {"shape": "bromwich", "c_right": 1.0, "half_height": 5.0, "delta": 0.5}
+
+
 @pytest.mark.parametrize("reader, doc, message", [
     (Contour.from_json, {}, "a Contour needs the key 'shape'"),
     (Contour.from_json, [], "a Contour is a JSON object"),
@@ -93,9 +96,21 @@ def test_json_roundtrip_is_the_identity(obj):
     (QuadratureSpec.from_json, {"foo": 1}, "a QuadratureSpec has no key 'foo'"),
     (QuadratureSpec.from_json, {"panel_order": 8, "max_panel": 2},
      "a QuadratureSpec has no key 'max_panel'"),
+    # wrongly typed values name their key too, where the field's own check
+    # would raise a TypeError or name no key
+    (Contour.from_json, {**_LINE, "c_right": None}, "a Contour's 'c_right' cannot be None"),
+    (Contour.from_json, {**_LINE, "c_right": "abc"}, "a Contour's 'c_right' cannot be 'abc'"),
+    (Contour.from_json, {**_LINE, "shape": "circle"}, "a Contour's 'shape' cannot be 'circle'"),
+    (Contour.from_json, {**_LINE, "shape": "rectangle", "c_left": [0.0]},
+     "a Contour's 'c_left' cannot be [0.0]"),
+    (QuadratureSpec.from_json, {"rel_tol": "x"},
+     "a QuadratureSpec's 'rel_tol' must be a number, got 'x'"),
+    (QuadratureSpec.from_json, {"panel_order": None},
+     "a QuadratureSpec's 'panel_order' must be a number, got None"),
 ], ids=["contour-empty", "contour-list", "contour-no-half-height", "transform-empty",
         "transform-list", "numeric-no-source", "numeric-no-kind", "quad-unknown",
-        "quad-misspelt"])
+        "quad-misspelt", "contour-none", "contour-text", "contour-shape",
+        "contour-left-list", "quad-text", "quad-none"])
 def test_malformed_json_documents_raise_a_value_error_naming_the_key(reader, doc, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         reader(doc)

@@ -341,26 +341,53 @@ def test_contours_have_one_panel_rule():
     assert not {"_MIN_PANEL_WIDTH", "_polyline", "_panel_width"} & defined
 
 
+def test_contours_take_the_pole_hit_tolerance_from_transforms():
+    # the edge clearance check and the per-node pole test share one reach:
+    # contours binds no tolerance of its own, spells no number that equals
+    # POLE_HIT_TOL, and _clear reads the name that transforms defines
+    from melaplace.transforms import POLE_HIT_TOL
+
+    tree = ast.parse((PACKAGE / "contours.py").read_text(encoding="utf-8"))
+    bound = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    assert not [name for name in bound if "TOL" in name.upper()]
+    assert not [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and isinstance(node.value, float) and node.value == POLE_HIT_TOL]
+    imported = {(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert ("transforms", "POLE_HIT_TOL") in imported
+    clear = dict(_functions(tree))["_clear"]
+    assert {node.id for node in ast.walk(clear) if isinstance(node, ast.Name)} >= {"POLE_HIT_TOL"}
+
+
 def test_contour_sums_build_only_through_the_record():
     # every rational contour sum, of one contour or of a sweep's grid, takes
     # its nodes, weights and transform values from _record, the one
     # per-contour step; discretize lays out its nodes through the same
-    # _paths, and a sweep reaches the record only through _rectangle_sums
+    # _paths, and a sweep reaches the record only through _rectangle_sums.
+    # Every rational value comes from the one _pole_sum, which only _record,
+    # where _clear has shown that no node can be hit, and rational_values,
+    # after its own per-point test, call
     found = sorted({
         (node.func.id, f"{module}.{name}")
-        for module in ("contours", "campaigns")
+        for module in ("contours", "campaigns", "transforms")
         for name, function in _functions(
             ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id in ("_paths", "_record", "_rectangle_sums", "rational_values")
+        and node.func.id in ("_paths", "_record", "_rectangle_sums", "rational_values",
+                             "_pole_sum", "_clear")
     })
-    assert found == [("_paths", "contours._record"), ("_paths", "contours.discretize"),
+    assert found == [("_clear", "contours._record"),
+                     ("_paths", "contours._record"), ("_paths", "contours.discretize"),
+                     ("_pole_sum", "contours._record"),
+                     ("_pole_sum", "transforms.rational_values"),
                      ("_record", "contours._cauchy_sums"),
                      ("_record", "contours._contour_sums"),
                      ("_record", "contours._rectangle_sums"),
                      ("_rectangle_sums", "campaigns.invariance_sweep"),
-                     ("rational_values", "contours._record")]
+                     ("rational_values", "contours._record"),
+                     ("rational_values", "transforms.eval_transform")]
     # the record's format stays in contours: campaigns does no array work
     campaigns = ast.parse((PACKAGE / "campaigns.py").read_text(encoding="utf-8"))
     imported = {alias.name.split(".")[0] for node in ast.walk(campaigns)

@@ -7,10 +7,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from melaplace import (
+    Contour,
+    ContourShape,
     DomainError,
     DomainHint,
     Estimate,
@@ -44,10 +46,13 @@ from melaplace import (
     mellin_moment,
     mellin_transform,
     parse_spec_string,
+    pole_box,
+    rectangle_for,
     transform_estimate,
 )
-from melaplace import quadrature
+from melaplace import contours, quadrature
 from melaplace.quadrature import (
+    DEFAULT_QUADRATURE,
     _Dirichlet,
     _folded_roots,
     _gl_pair,
@@ -797,11 +802,13 @@ def _outcome(f, t, zs):
 
 _coords = st.integers(-24, 24).map(lambda k: k / 8)
 _plane = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+# up to 8 distinct poles on a 1/8 grid, with residues anywhere
+_grid_poles = st.lists(st.tuples(st.builds(complex, _coords, _coords), _plane),
+                       min_size=1, max_size=8, unique_by=lambda e: e[0])
 
 
 @settings(max_examples=100, deadline=None)
-@given(poles=st.lists(st.tuples(st.builds(complex, _coords, _coords), _plane),
-                      min_size=1, max_size=8, unique_by=lambda e: e[0]),
+@given(poles=_grid_poles,
        shape=st.sampled_from([(), (0,), (1,), (7,), (3, 4), (0, 2)]),
        data=st.data())
 def test_rational_values_match_the_pole_by_pole_reference(poles, shape, data):
@@ -832,20 +839,186 @@ def test_pole_hit_names_the_first_pole_in_pole_order():
             assert str(hit.value) == f"evaluation point collides with pole at {first}"
 
 
-def test_rational_values_transient_memory_stays_linear_in_the_points():
-    # 48 B a point pole by pole (the result, one difference array and its
-    # moduli); a (poles x points) broadcast would take 224 B
-    poles = [(complex(-k / 2, (-1) ** k * k / 3), complex(1.0, k)) for k in range(6)]
-    t = TransformExpr.rational(poles)
-    zs = np.linspace(1.0, 3.0, 4000) + 1j * np.linspace(-5.0, 5.0, 4000)
-    rational_values(t, zs)
+_MEMORY_POLES = TransformExpr.rational(
+    [(complex(-k / 2, (-1) ** k * k / 3), complex(1.0, k)) for k in range(6)])
+
+
+def _peak(f, *args):
+    """The peak of the memory that tracemalloc sees f(*args) take."""
+    f(*args)
     tracemalloc.start()
     try:
-        rational_values(t, zs)
-        peak = tracemalloc.get_traced_memory()[1]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 72 * zs.size
+
+
+def test_rational_values_transient_memory_stays_linear_in_the_points():
+    # 32 B a point pole by pole (the result and one scratch array of terms,
+    # after the pole test's difference array and its moduli, 24 B); a
+    # (poles x points) broadcast would take 224 B
+    zs = np.linspace(1.0, 3.0, 4000) + 1j * np.linspace(-5.0, 5.0, 4000)
+    assert _peak(rational_values, _MEMORY_POLES, zs) <= 72 * zs.size
+
+
+@pytest.mark.parametrize("case", ["rectangle", "upper", "sweep", "pole-on-line"])
+def test_record_memory_stays_linear_in_the_nodes(case):
+    # 64 B a node: the nodes, weights and values that the record keeps and
+    # the sum's scratch array; _paths builds its complex arrays in place,
+    # with no casting buffers, and the per-node test, where it runs, adds
+    # its 24 B before the sum's scratch array exists
+    t = _MEMORY_POLES
+    rect = rectangle_for(t, 0.5, 40.0)
+    cs, upper = {
+        "rectangle": ((rect,), False),
+        "upper": ((rect,), True),
+        "sweep": (list(contours._rectangles(
+            t, [(d, T) for d in (0.25, 0.5, 1.0) for T in (3.0, 5.0, 8.0)])), True),
+        "pole-on-line": ((Contour(ContourShape.BROMWICH_LINE, -0.5, None, 100.0, 0.5),),
+                         False),
+    }[case]
+    assert contours._clear(t, cs, upper) is (case != "pole-on-line")
+    size = contours._paths(cs, DEFAULT_QUADRATURE, upper)[0].size
+    assert size >= 1600
+    assert _peak(contours._record, t, cs, None, upper) <= 72 * size
+
+
+# ---------------------------------------------------------------------------
+# contour records: the edge clearance check against the per-node test
+# ---------------------------------------------------------------------------
+
+def _record_outcome(record, t, cs, upper):
+    """The bytes of record(t, cs, upper) and its parts, or its PoleHit or
+    DomainError."""
+    try:
+        nodes, weights, values, parts = record(t, cs, upper)
+    except (PoleHit, DomainError) as exc:
+        return type(exc), str(exc)
+    return parts, [(a.dtype, a.shape, a.tobytes()) for a in (nodes, weights, values)]
+
+
+def _reference_record(t, cs, upper):
+    """The record as every node once took it: _paths's nodes, each tested
+    against each pole, pole by pole."""
+    nodes, weights, parts = contours._paths(cs, DEFAULT_QUADRATURE, upper)
+    return nodes, weights, _pole_by_pole(t, nodes), parts
+
+
+def _assert_nodes_on_edge_lines(cs, upper):
+    """Every node of every edge that _paths lays out has the coordinate of
+    the edge's line exactly: Re z of a vertical edge, Im z of the others."""
+    q = DEFAULT_QUADRATURE
+    nodes, _, parts = contours._paths(cs, q, upper)
+    for c, part in zip(cs, parts):
+        corners = contours._corners(c, upper)
+        edges = list(zip(corners, corners[1:]))
+        width = min(math.pi / 4, 2.0 * c.delta)
+        sizes = [math.ceil(abs(z1 - z0) / width) * q.panel_order for z0, z1 in edges]
+        assert sum(sizes) == part.stop - part.start
+        for (z0, z1), zs in zip(edges, np.split(nodes[part], np.cumsum(sizes)[:-1])):
+            if z0.real == z1.real:
+                assert np.all(zs.real == z0.real)
+            else:
+                assert z0.imag == z1.imag and np.all(zs.imag == z0.imag)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _record_cases(draw):
+    """(t, cs, upper): a rectangle_for rectangle, a 3x3 sweep grid, a
+    rational line left or right of the poles, or a hand-built contour with
+    a pole at distance 0 to 1e-9 across one of its edges, on a node or
+    between two; upper False is the full contour, as Cauchy's."""
+    poles = draw(_grid_poles)
+    t = TransformExpr.rational(poles)
+    upper = draw(st.booleans())
+    case = draw(st.sampled_from(["rectangle", "sweep", "line", "near"]))
+    if case == "rectangle":
+        cs = [rectangle_for(t, draw(_log_uniform(0.05, 2.0)),
+                            draw(st.one_of(st.none(), _log_uniform(0.1, 20.0))))]
+    elif case == "sweep":
+        deltas = draw(st.lists(_log_uniform(0.1, 1.5), min_size=3, max_size=3, unique=True))
+        Ts = draw(st.lists(_log_uniform(0.5, 10.0), min_size=3, max_size=3, unique=True))
+        cs = list(contours._rectangles(t, [(d, T) for d in deltas for T in Ts]))
+    elif case == "line":
+        re_min, re_max, _ = pole_box(t)
+        gap = draw(st.one_of(_log_uniform(1e-14, 2.0), st.sampled_from([0.5e-12, 1e-12])))
+        c_right = re_max + gap if draw(st.booleans()) else re_min - gap
+        cs = [Contour(ContourShape.BROMWICH_LINE, c_right, None,
+                      draw(_log_uniform(0.5, 20.0)), draw(_log_uniform(0.1, 1.0)))]
+    else:
+        shape = draw(st.sampled_from(list(ContourShape)))
+        c_right = draw(st.floats(-3.0, 3.0))
+        c_left = c_right - draw(_log_uniform(0.5, 4.0)) if shape is ContourShape.RECTANGLE else None
+        c = Contour(shape, c_right, c_left, draw(_log_uniform(0.5, 10.0)), 0.5)
+        cs = [c]
+        nodes = contours._paths(cs, DEFAULT_QUADRATURE, upper)[0]
+        k = draw(st.integers(0, nodes.size - 1))
+        z = complex(nodes[k])
+        vertical = z.real in (c.c_right, c.c_left)
+        if draw(st.booleans()) and k + 1 < nodes.size:
+            w = complex(nodes[k + 1])
+            if (w.real == z.real) if vertical else (w.imag == z.imag):
+                z = 0.5 * (z + w)
+        d = draw(st.sampled_from([0.0, 0.5e-12, 1e-12, 2e-12, 1e-9]))
+        d *= draw(st.sampled_from([1.0, -1.0]))
+        pole = complex(z.real + d, z.imag) if vertical else complex(z.real, z.imag + d)
+        residue = draw(_plane)
+        try:
+            t = TransformExpr.rational(
+                [(pole, residue)] + poles if draw(st.booleans()) else poles + [(pole, residue)])
+        except ValueError:
+            assume(False)
+    return t, cs, upper
+
+
+_RECT = Contour(ContourShape.RECTANGLE, 0.25, -1.5, 2.0, 0.5)
+# (contour, upper, the axis across the edge, the edge line's coordinate)
+_EDGES = {
+    "line": (Contour(ContourShape.BROMWICH_LINE, 0.25, None, 3.0, 0.5), False, "re", 0.25),
+    "right-half": (_RECT, True, "re", 0.25),
+    "top": (_RECT, True, "im", 2.0),
+    "left": (_RECT, False, "re", -1.5),
+    "bottom": (_RECT, False, "im", -2.0),
+}
+
+
+@pytest.mark.parametrize("d", [0.0, 0.5e-12, -0.5e-12, 1e-12, -1e-12, 2e-12, 1e-9])
+@pytest.mark.parametrize("between", [False, True], ids=["on-node", "between-nodes"])
+@pytest.mark.parametrize("edge", sorted(_EDGES))
+def test_record_matches_the_per_node_reference_next_to_an_edge(edge, between, d):
+    # a pole d across an edge's line from one of its nodes, or from the
+    # midpoint of two: within POLE_HIT_TOL of a node it is a PoleHit, and
+    # every record keeps the reference's bytes or message
+    c, upper, axis, at = _EDGES[edge]
+    nodes = contours._paths([c], DEFAULT_QUADRATURE, upper)[0]
+    on = nodes[(nodes.real if axis == "re" else nodes.imag) == at]
+    z = complex(on[on.size // 2])
+    if between:
+        z = 0.5 * (z + complex(on[on.size // 2 + 1]))
+    pole = complex(z.real + d, z.imag) if axis == "re" else complex(z.real, z.imag + d)
+    t = TransformExpr.rational([(complex(-0.5, 0.5), 1.0), (pole, complex(1.0, -2.0))])
+    got = _record_outcome(lambda t, cs, upper: contours._record(t, cs, None, upper),
+                          t, [c], upper)
+    assert got == _record_outcome(_reference_record, t, [c], upper)
+    assert (got[0] is PoleHit) is (abs(pole - z) < POLE_HIT_TOL and not between)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_record_cases())
+def test_record_matches_the_per_node_reference(case):
+    # _record tests no node where the edges clear every pole; its bytes,
+    # parts and PoleHit message are those of the test over every node
+    t, cs, upper = case
+    got = _record_outcome(lambda t, cs, upper: contours._record(t, cs, None, upper),
+                          t, cs, upper)
+    assert got == _record_outcome(_reference_record, t, cs, upper)
+    if got[0] is not DomainError:
+        _assert_nodes_on_edge_lines(cs, upper)
 
 
 # ---------------------------------------------------------------------------
